@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .le_modules import LeModuleInstance, spectrum
-from .spectra import SpectrumTopology, specialization_pairs, star_family
+from .spectra import build_topologies, specialization_pairs
 
 
 def _quote(s: str) -> str:
@@ -24,7 +24,7 @@ def lattice_dot(mod: LeModuleInstance) -> str:
 def specialization_dot(mod: LeModuleInstance) -> str:
     """Points of the spectrum; an edge p -> q when q specializes p."""
     points = spectrum(mod)
-    top = SpectrumTopology(points, star_family(mod), "star", mod)
+    top = build_topologies(mod).star
     lines = [f"digraph {_quote(mod.name + '-specialization')} {{"]
     for p in points:
         lines.append(f"  p{p} [label={_quote(mod.label(p))}];")

@@ -213,11 +213,6 @@ def submodule_lattice_le_module(
 
 
 def build_instance(desc: InstanceDescriptor) -> LeModuleInstance:
-    return _build_instance_cached(desc)
-
-
-@lru_cache(maxsize=None)
-def _build_instance_cached(desc: InstanceDescriptor) -> LeModuleInstance:
     ring = build_ring(desc.ring)
     mod = desc.module
     if isinstance(mod, IdealLatticeSpec):

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .errors import AxiomViolation, EmptyFamily, NotPrimeIdeal
 from .lattices import FiniteBoundedLattice
+from .memo import per_object
 from .rings import FiniteRing, Ideal, is_ideal, is_prime_ideal
 
 IntTable = tuple[tuple[int, ...], ...]
@@ -134,7 +134,7 @@ def is_submodule_element(mod: LeModuleInstance, n: int) -> bool:
     return all(lat.leq[mod.action[r][n]][n] for r in range(mod.ring.order))
 
 
-@lru_cache(maxsize=None)
+@per_object
 def submodule_elements(mod: LeModuleInstance) -> tuple[int, ...]:
     return tuple(
         n for n in range(mod.lattice.size) if is_submodule_element(mod, n)
@@ -165,7 +165,7 @@ def sum_submodule_elements(mod: LeModuleInstance, family: Iterable[int]) -> int:
     return _additive_join_closure(mod, seed)
 
 
-@lru_cache(maxsize=None)
+@per_object
 def colon_set(mod: LeModuleInstance, x: int) -> frozenset[int]:
     """Scalars sending the top below x; an ideal when x is a submodule element."""
     top = mod.lattice.top
@@ -174,6 +174,7 @@ def colon_set(mod: LeModuleInstance, x: int) -> frozenset[int]:
     )
 
 
+@per_object
 def colon(mod: LeModuleInstance, n: int) -> Ideal:
     """The colon ideal (n : e) of a submodule element."""
     members = colon_set(mod, n)
@@ -188,7 +189,7 @@ def annihilator(mod: LeModuleInstance) -> Ideal:
     return colon(mod, mod.zero_m)
 
 
-@lru_cache(maxsize=None)
+@per_object
 def ideal_action(mod: LeModuleInstance, ideal: Ideal) -> int:
     """The submodule element generated by {a*e : a in I}."""
     top = mod.lattice.top
@@ -223,7 +224,7 @@ def is_prime_submodule_element(mod: LeModuleInstance, p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@per_object
 def spectrum(mod: LeModuleInstance) -> tuple[int, ...]:
     """All prime submodule elements, in index order."""
     return tuple(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import EmptySpectrum, NotPrimeIdeal
 from .le_modules import (
@@ -22,10 +21,12 @@ from .le_modules import (
     spectrum,
     submodule_elements,
 )
+from .memo import per_object
 from .rings import (
     FiniteRing,
     Ideal,
     all_ideals,
+    basic_open_ring,
     idempotents,
     is_prime_ideal,
     maximal_ideals,
@@ -36,17 +37,15 @@ from .rings import (
     variety_ring,
 )
 from .spectra import (
-    SpectrumTopology,
     are_homeomorphic,
     basic_open,
+    build_topologies,
     generic_points,
-    irreducible_closed_sets,
     irreducible_components,
     is_closed,
+    point_closures,
     point_set_properties,
-    ring_basic_open,
     ring_space,
-    star_family,
     variety_star,
 )
 
@@ -97,7 +96,7 @@ def _require_map(nm: NaturalMap) -> None:
         raise ValueError("the module is degenerate: no reduced ring exists")
 
 
-@lru_cache(maxsize=None)
+@per_object
 def build_natural_map(mod: LeModuleInstance) -> NaturalMap:
     """Quotient by the annihilator and tabulate p -> image of (p:e)."""
     ann = annihilator(mod)
@@ -113,10 +112,6 @@ def build_natural_map(mod: LeModuleInstance) -> NaturalMap:
             )
         rows.append((p, img))
     return NaturalMap(mod, ann, False, quotient, projection, tuple(rows))
-
-
-def module_space(mod: LeModuleInstance) -> SpectrumTopology:
-    return SpectrumTopology(spectrum(mod), star_family(mod), "star", mod)
 
 
 def continuity_check(nm: NaturalMap) -> bool:
@@ -249,7 +244,7 @@ def connectedness_equivalence(nm: NaturalMap) -> ConnectednessReport:
     if not nm.is_surjective():
         return ConnectednessReport(False, None, False, None)
     mod = nm.instance
-    m_conn = point_set_properties(module_space(mod)).is_connected
+    m_conn = point_set_properties(build_topologies(mod).star).is_connected
     r_conn = point_set_properties(ring_space(nm.quotient)).is_connected
     trivial = idempotents(nm.quotient) == frozenset(
         {nm.quotient.zero, nm.quotient.one}
@@ -272,9 +267,9 @@ def component_minimal_prime_bijection(nm: NaturalMap) -> bool:
     if not nm.is_surjective():
         return True
     mod = nm.instance
-    space = module_space(mod)
+    space = build_topologies(mod).star
     star_closed = {variety_star(mod, p) for p in spectrum(mod)}
-    for y in irreducible_closed_sets(space):
+    for y in point_closures(space):
         if y not in star_closed:
             return False
         if not generic_points(space, y):
@@ -297,7 +292,7 @@ def spectral_battery(nm: NaturalMap) -> EquivalenceReport:
     """The six equivalent faces of spectrality under a surjective map."""
     _require_map(nm)
     mod = nm.instance
-    space = module_space(mod)
+    space = build_topologies(mod).star
     props = point_set_properties(space)
     inj = injectivity_battery(nm)
     homeo = are_homeomorphic(space, ring_space(nm.quotient))
@@ -335,7 +330,7 @@ def multiplication_spectral_check(nm: NaturalMap) -> bool:
         raise ValueError("requires a multiplication instance")
     if not nm.is_surjective():
         raise ValueError("requires a surjective map")
-    return point_set_properties(module_space(nm.instance)).is_spectral
+    return point_set_properties(build_topologies(nm.instance).star).is_spectral
 
 
 @dataclass(frozen=True)
@@ -357,7 +352,7 @@ def image_closed_criterion(nm: NaturalMap) -> ImageClosedReport:
     image = frozenset(nm.images())
     if not is_closed(ring_space(nm.quotient), image):
         return ImageClosedReport(False, None, None)
-    props = point_set_properties(module_space(nm.instance))
+    props = point_set_properties(build_topologies(nm.instance).star)
     return ImageClosedReport(True, props.is_spectral, nm.is_injective())
 
 
@@ -366,7 +361,7 @@ def finite_spec_criterion(mod: LeModuleInstance) -> bool:
     points = spectrum(mod)
     if not points:
         raise EmptySpectrum(f"{mod.name} has no prime elements")
-    spectral = point_set_properties(module_space(mod)).is_spectral
+    spectral = point_set_properties(build_topologies(mod).star).is_spectral
     fibers = all(
         sum(1 for p in points if colon_set(mod, p) == prime.members) <= 1
         for prime in spec_ring(mod.ring).points
@@ -380,7 +375,7 @@ def dr_preimage_check(nm: NaturalMap, r: int) -> bool:
     _require_map(nm)
     mod = nm.instance
     rbar = nm.projection[r]
-    d = ring_basic_open(nm.quotient, rbar)
+    d = basic_open_ring(nm.quotient, rbar)
     xr = basic_open(mod, r)
     if nm.preimage(d) != xr:
         return False

@@ -9,11 +9,11 @@ inside a spectrum computation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import AxiomViolation, EmptyFamily, ImproperIdeal, ZeroRing
+from .memo import per_object
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -44,9 +44,13 @@ class FiniteRing:
 
 @dataclass(frozen=True)
 class Ideal:
-    """A subset of a ring, kept as a frozenset of element indices."""
+    """A subset of a ring, kept as a frozenset of element indices.
 
-    ring: FiniteRing
+    The ring takes part in equality but not in the hash, so set and dict
+    lookups never hash its tables.
+    """
+
+    ring: FiniteRing = field(hash=False)
     members: frozenset[int]
 
     def sorted_members(self) -> tuple[int, ...]:
@@ -225,7 +229,7 @@ def ideal_sort_key(i: Ideal) -> tuple:
     return (len(i.members), i.sorted_members())
 
 
-@lru_cache(maxsize=None)
+@per_object
 def all_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
     """Every ideal, found by closing the principal ideals under ideal sum."""
     principals = [principal_ideal(ring, r) for r in range(ring.order)]
@@ -257,7 +261,7 @@ def is_prime_ideal(ring: FiniteRing, i: Ideal | frozenset[int]) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@per_object
 def spec_ring(ring: FiniteRing) -> RingSpectrum:
     """All prime ideals in canonical (size, members) order."""
     points = tuple(i for i in all_ideals(ring) if is_prime_ideal(ring, i))

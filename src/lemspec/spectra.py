@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import EmptyFamily, NotTopLeModule, TopologyAxiomViolation
@@ -25,6 +24,7 @@ from .le_modules import (
     spectrum,
     submodule_elements,
 )
+from .memo import per_object
 from .rings import (
     FiniteRing,
     Ideal,
@@ -87,25 +87,27 @@ def _validate_family(points: tuple, sets: tuple[frozenset, ...], label: str) -> 
             raise TopologyAxiomViolation(f"{label}: not closed under intersection")
 
 
+@per_object
 def variety(mod: LeModuleInstance, x: int) -> frozenset[int]:
     """Primes above x.  Meant for submodule elements, defined for any x."""
     leq = mod.lattice.leq
     return frozenset(p for p in spectrum(mod) if leq[x][p])
 
 
+@per_object
 def variety_star(mod: LeModuleInstance, x: int) -> frozenset[int]:
     """Primes whose colon ideal contains the colon ideal of x."""
     cx = colon_set(mod, x)
     return frozenset(p for p in spectrum(mod) if cx <= colon_set(mod, p))
 
 
-@lru_cache(maxsize=None)
+@per_object
 def quasi_family(mod: LeModuleInstance) -> tuple[frozenset, ...]:
     points = spectrum(mod)
     return canonical_family(points, (variety(mod, n) for n in submodule_elements(mod)))
 
 
-@lru_cache(maxsize=None)
+@per_object
 def star_family(mod: LeModuleInstance) -> tuple[frozenset, ...]:
     points = spectrum(mod)
     return canonical_family(
@@ -113,7 +115,7 @@ def star_family(mod: LeModuleInstance) -> tuple[frozenset, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@per_object
 def prime_family(mod: LeModuleInstance) -> tuple[frozenset, ...]:
     points = spectrum(mod)
     return canonical_family(
@@ -121,7 +123,7 @@ def prime_family(mod: LeModuleInstance) -> tuple[frozenset, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@per_object
 def is_top_le_module(mod: LeModuleInstance) -> bool:
     """The plain variety family is closed under pairwise unions."""
     family = set(quasi_family(mod))
@@ -131,6 +133,7 @@ def is_top_le_module(mod: LeModuleInstance) -> bool:
     return True
 
 
+@per_object
 def build_topologies(mod: LeModuleInstance) -> Topologies:
     """Construct the always-defined topologies, plus the quasi one if it exists.
 
@@ -237,6 +240,7 @@ def basis_checks(mod: LeModuleInstance) -> BasisReport:
     return BasisReport(pair_ok, pair_wit, ideal_ok, ideal_wit, covers_ok, cover_wit)
 
 
+@per_object
 def ring_space(ring: FiniteRing) -> SpectrumTopology:
     """The Zariski topology on the prime spectrum of a ring."""
     points = spec_ring(ring).points
@@ -244,10 +248,6 @@ def ring_space(ring: FiniteRing) -> SpectrumTopology:
     space = SpectrumTopology(points, closed, "ring", ring)
     _validate_family(points, closed, "ring")
     return space
-
-
-def ring_basic_open(ring: FiniteRing, r: int) -> frozenset[Ideal]:
-    return frozenset(p for p in spec_ring(ring).points if r not in p.members)
 
 
 def closure(top: SpectrumTopology, y: Iterable) -> frozenset:
@@ -289,12 +289,8 @@ def is_irreducible(top: SpectrumTopology, y: Iterable) -> bool:
 
 
 def point_closures(top: SpectrumTopology) -> tuple[frozenset, ...]:
+    """The irreducible closed sets: on a finite space, the point closures."""
     return canonical_family(top.points, (closure(top, [p]) for p in top.points))
-
-
-def irreducible_closed_sets(top: SpectrumTopology) -> tuple[frozenset, ...]:
-    """On a finite space these are exactly the closures of points."""
-    return point_closures(top)
 
 
 def irreducible_components(top: SpectrumTopology) -> tuple[frozenset, ...]:
@@ -313,31 +309,6 @@ def generic_points(top: SpectrumTopology, y: Iterable) -> tuple:
     pos = top.positions()
     out = [p for p in target if closure(top, [p]) == target]
     return tuple(sorted(out, key=pos.__getitem__))
-
-
-def is_quasi_compact_subset(top: SpectrumTopology, y: Iterable, search_limit: int = 12) -> bool:
-    """Every open cover of y has a finite subcover.
-
-    A finite space only has finitely many open sets, so every cover is
-    already finite and the outcome is always True; for small open families
-    the scan below still exhibits a minimal subcover for each cover.
-    """
-    target = frozenset(y)
-    opens = open_sets(top)
-    if len(opens) <= search_limit:
-        for k in range(1, len(opens) + 1):
-            for fam in itertools.combinations(opens, k):
-                union = frozenset().union(*fam)
-                if not target <= union:
-                    continue
-                sub = list(fam)
-                for o in fam:
-                    trimmed = [s for s in sub if s is not o]
-                    if trimmed and target <= frozenset().union(*trimmed):
-                        sub = trimmed
-                if not target <= frozenset().union(*sub):
-                    return False
-    return True
 
 
 QUASI_COMPACT_NOTE = "finite space: quasi-compactness holds automatically"
@@ -370,20 +341,16 @@ def point_set_properties(top: SpectrumTopology) -> SpaceProperties:
     connected = bool(pts) and not any(
         c and c != pts and (pts - c) in family for c in family
     )
-    qc = is_quasi_compact_subset(top, pts)
-    sober = all(
-        bool(generic_points(top, c)) for c in irreducible_closed_sets(top)
-    )
-    spectral = t0 and qc and sober
-    return SpaceProperties(t0, t1, connected, qc, spectral)
+    sober = all(bool(generic_points(top, c)) for c in point_closures(top))
+    spectral = t0 and sober
+    return SpaceProperties(t0, t1, connected, True, spectral)
 
 
 def phi_and_t1_check(mod: LeModuleInstance) -> bool:
     """T1 holds exactly when colon ideals are maximal in their family and
     every colon fiber is a singleton."""
     points = spectrum(mod)
-    top = SpectrumTopology(points, star_family(mod), "star", mod)
-    family = set(top.closed_sets)
+    family = set(build_topologies(mod).star.closed_sets)
     t1 = all(frozenset([p]) in family for p in points)
     colons = {p: colon_set(mod, p) for p in points}
     phi = set(colons.values())

@@ -12,7 +12,6 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from . import natural_map as nmap
@@ -23,13 +22,14 @@ from .le_modules import (
     LeModuleInstance,
     colon,
     colon_set,
+    galois_adjunction_check,
     ideal_action,
     is_prime_submodule_element,
     spectrum,
     submodule_elements,
     sum_submodule_elements,
 )
-from .rings import Ideal, all_ideals, is_prime_ideal, spec_ring
+from .rings import all_ideals, is_prime_ideal
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"
@@ -39,52 +39,29 @@ NOT_APPLICABLE = "not-applicable"
 Outcome = tuple[str, str | None, str | None]
 
 
-class InstanceContext:
-    """Shared lazily-computed artifacts for one instance."""
+def _subsets(items: tuple[int, ...], cap: int) -> tuple[tuple[int, ...], ...]:
+    """Nonempty subsets of items; above cap only those of size 1, 2, 3 and all."""
+    if len(items) > cap:
+        sizes: Iterable[int] = (1, 2, 3, len(items))
+    else:
+        sizes = range(1, len(items) + 1)
+    return tuple(c for k in sizes for c in itertools.combinations(items, k))
 
-    def __init__(self, mod: LeModuleInstance):
-        self.mod = mod
 
-    @cached_property
-    def submods(self) -> tuple[int, ...]:
-        return submodule_elements(self.mod)
+def point_subsets(mod: LeModuleInstance, cap: int = 12) -> tuple[tuple[int, ...], ...]:
+    return _subsets(spectrum(mod), cap)
 
-    @cached_property
-    def points(self) -> tuple[int, ...]:
-        return spectrum(self.mod)
 
-    @cached_property
-    def ideals(self) -> tuple[Ideal, ...]:
-        return all_ideals(self.mod.ring)
+def submod_families(mod: LeModuleInstance, cap: int = 10) -> tuple[tuple[int, ...], ...]:
+    return _subsets(submodule_elements(mod), cap)
 
-    @cached_property
-    def topologies(self) -> spectra.Topologies:
-        return spectra.build_topologies(self.mod)
 
-    @cached_property
-    def nm(self) -> nmap.NaturalMap:
-        return nmap.build_natural_map(self.mod)
-
-    def label(self, n: int) -> str:
-        return self.mod.label(n)
-
-    def point_subsets(self, cap: int = 12) -> Iterable[tuple[int, ...]]:
-        pts = self.points
-        if len(pts) > cap:
-            sizes: Iterable[int] = (1, 2, 3, len(pts))
-        else:
-            sizes = range(1, len(pts) + 1)
-        for k in sizes:
-            yield from itertools.combinations(pts, k)
-
-    def submod_families(self, cap: int = 10) -> Iterable[tuple[int, ...]]:
-        subs = self.submods
-        if len(subs) > cap:
-            sizes: Iterable[int] = (1, 2, 3, len(subs))
-        else:
-            sizes = range(1, len(subs) + 1)
-        for k in sizes:
-            yield from itertools.combinations(subs, k)
+def _coverage(scanned: tuple, items: tuple, what: str) -> str | None:
+    """None for a scan of every nonempty subset, else how much was scanned."""
+    total = 2 ** len(items) - 1
+    if len(scanned) == total:
+        return None
+    return f"sampled: {len(scanned)} of {total} {what}"
 
 
 def _fmt_clauses(report: nmap.EquivalenceReport) -> str:
@@ -93,34 +70,32 @@ def _fmt_clauses(report: nmap.EquivalenceReport) -> str:
     )
 
 
-def _check_adjunction(ctx: InstanceContext) -> Outcome:
-    mod = ctx.mod
-    from .le_modules import galois_adjunction_check
-
-    for i in ctx.ideals:
-        for n in ctx.submods:
+def _check_adjunction(mod: LeModuleInstance) -> Outcome:
+    ideals, submods = all_ideals(mod.ring), submodule_elements(mod)
+    for i in ideals:
+        for n in submods:
             if not galois_adjunction_check(mod, i, n):
                 return (
                     FALSIFIED,
-                    f"I={i.sorted_members()}, n={ctx.label(n)}",
+                    f"I={i.sorted_members()}, n={mod.label(n)}",
                     None,
                 )
-    for p in ctx.points:
+    for p in spectrum(mod):
         if not is_prime_ideal(mod.ring, colon(mod, p)):
-            return FALSIFIED, f"p={ctx.label(p)}", None
-    return VERIFIED, None, f"ideals={len(ctx.ideals)} submods={len(ctx.submods)}"
+            return FALSIFIED, f"p={mod.label(p)}", None
+    return VERIFIED, None, f"ideals={len(ideals)} submods={len(submods)}"
 
 
-def _check_variety_identities(ctx: InstanceContext) -> Outcome:
-    mod = ctx.mod
-    pts = frozenset(ctx.points)
+def _check_variety_identities(mod: LeModuleInstance) -> Outcome:
+    pts = frozenset(spectrum(mod))
     v, vs = spectra.variety, spectra.variety_star
     if not (vs(mod, mod.zero_m) == pts == v(mod, mod.zero_m)):
         return FALSIFIED, "n=0_M", None
     top = mod.lattice.top
     if not (vs(mod, top) == frozenset() == v(mod, top)):
         return FALSIFIED, "n=e", None
-    for fam in ctx.submod_families():
+    families = submod_families(mod)
+    for fam in families:
         inter_star = pts
         inter_plain = pts
         for n in fam:
@@ -130,27 +105,27 @@ def _check_variety_identities(ctx: InstanceContext) -> Outcome:
             mod, [ideal_action(mod, colon(mod, n)) for n in fam]
         )
         if inter_star != vs(mod, colon_sum):
-            return FALSIFIED, f"family={[ctx.label(n) for n in fam]}", "colon-sum"
+            return FALSIFIED, f"family={[mod.label(n) for n in fam]}", "colon-sum"
         if inter_plain != v(mod, sum_submodule_elements(mod, fam)):
-            return FALSIFIED, f"family={[ctx.label(n) for n in fam]}", "plain-sum"
+            return FALSIFIED, f"family={[mod.label(n) for n in fam]}", "plain-sum"
     meet = mod.lattice.meet_table
-    for n, l in itertools.combinations_with_replacement(ctx.submods, 2):
+    for n, l in itertools.combinations_with_replacement(submodule_elements(mod), 2):
         if vs(mod, n) | vs(mod, l) != vs(mod, meet[n][l]):
-            return FALSIFIED, f"n={ctx.label(n)}, l={ctx.label(l)}", "star-union"
+            return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "star-union"
         if not (v(mod, n) | v(mod, l)) <= v(mod, meet[n][l]):
-            return FALSIFIED, f"n={ctx.label(n)}, l={ctx.label(l)}", "plain-union"
+            return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "plain-union"
         same_colon = colon_set(mod, n) == colon_set(mod, l)
         if same_colon and vs(mod, n) != vs(mod, l):
-            return FALSIFIED, f"n={ctx.label(n)}, l={ctx.label(l)}", "colon-transfer"
+            return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "colon-transfer"
         both_prime = is_prime_submodule_element(mod, n) and is_prime_submodule_element(
             mod, l
         )
         if both_prime and vs(mod, n) == vs(mod, l) and not same_colon:
-            return FALSIFIED, f"n={ctx.label(n)}, l={ctx.label(l)}", "prime-converse"
-    for n in ctx.submods:
+            return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "prime-converse"
+    for n in submodule_elements(mod):
         if not spectra.vstar_decomposition_check(mod, n):
-            return FALSIFIED, f"n={ctx.label(n)}", "decomposition"
-    for i in ctx.ideals:
+            return FALSIFIED, f"n={mod.label(n)}", "decomposition"
+    for i in all_ideals(mod.ring):
         ie = ideal_action(mod, i)
         if v(mod, ie) != vs(mod, ie):
             return FALSIFIED, f"I={i.sorted_members()}", "ideal-action-variety"
@@ -158,14 +133,13 @@ def _check_variety_identities(ctx: InstanceContext) -> Outcome:
         re = mod.action[r][top]
         if v(mod, re) != vs(mod, re):
             return FALSIFIED, f"r={r}", "scalar-action-variety"
-    return VERIFIED, None, None
+    return VERIFIED, None, _coverage(families, submodule_elements(mod), "submodule families")
 
 
-def _check_families_identical(ctx: InstanceContext) -> Outcome:
-    mod = ctx.mod
+def _check_families_identical(mod: LeModuleInstance) -> Outcome:
     if spectra.star_family(mod) != spectra.prime_family(mod):
         return FALSIFIED, "closed-set families differ", None
-    for i, j in itertools.combinations_with_replacement(ctx.ideals, 2):
+    for i, j in itertools.combinations_with_replacement(all_ideals(mod.ring), 2):
         if not spectra.union_intersection_check(mod, i, j):
             return (
                 FALSIFIED,
@@ -187,29 +161,32 @@ def _check_families_identical(ctx: InstanceContext) -> Outcome:
     return VERIFIED, None, "not a top instance: finer-topology clause vacuous"
 
 
-def _check_continuity(ctx: InstanceContext) -> Outcome:
-    if ctx.nm.degenerate:
+def _check_continuity(mod: LeModuleInstance) -> Outcome:
+    nm = nmap.build_natural_map(mod)
+    if nm.degenerate:
         return NOT_APPLICABLE, None, "degenerate: no reduced ring"
-    if nmap.continuity_check(ctx.nm):
+    if nmap.continuity_check(nm):
         return VERIFIED, None, None
     return FALSIFIED, "preimage identity failed", None
 
 
-def _check_injectivity(ctx: InstanceContext) -> Outcome:
-    if ctx.nm.degenerate:
+def _check_injectivity(mod: LeModuleInstance) -> Outcome:
+    nm = nmap.build_natural_map(mod)
+    if nm.degenerate:
         return NOT_APPLICABLE, None, "degenerate: no reduced ring"
-    rep = nmap.injectivity_battery(ctx.nm)
+    rep = nmap.injectivity_battery(nm)
     if rep.equivalent:
         return VERIFIED, None, _fmt_clauses(rep)
     return FALSIFIED, _fmt_clauses(rep), None
 
 
-def _check_openclosed(ctx: InstanceContext) -> Outcome:
-    if ctx.nm.degenerate:
+def _check_openclosed(mod: LeModuleInstance) -> Outcome:
+    nm = nmap.build_natural_map(mod)
+    if nm.degenerate:
         return NOT_APPLICABLE, None, "degenerate: no reduced ring"
-    if not nmap.homeomorphism_check(ctx.nm):
+    if not nmap.homeomorphism_check(nm):
         return FALSIFIED, "bijective but not a homeomorphism", None
-    rep = nmap.surjectivity_and_openclosed(ctx.nm)
+    rep = nmap.surjectivity_and_openclosed(nm)
     if not rep.surjective:
         return (
             HYPOTHESIS_NOT_MET,
@@ -225,10 +202,11 @@ def _check_openclosed(ctx: InstanceContext) -> Outcome:
     )
 
 
-def _check_connectedness(ctx: InstanceContext) -> Outcome:
-    if ctx.nm.degenerate:
+def _check_connectedness(mod: LeModuleInstance) -> Outcome:
+    nm = nmap.build_natural_map(mod)
+    if nm.degenerate:
         return NOT_APPLICABLE, None, "degenerate: no reduced ring"
-    rep = nmap.connectedness_equivalence(ctx.nm)
+    rep = nmap.connectedness_equivalence(nm)
     if not rep.hypothesis_met:
         return HYPOTHESIS_NOT_MET, None, "psi not surjective"
     if rep.ok:
@@ -236,36 +214,31 @@ def _check_connectedness(ctx: InstanceContext) -> Outcome:
     return FALSIFIED, _fmt_clauses(rep.clauses), None
 
 
-def _check_dr(ctx: InstanceContext) -> Outcome:
-    if ctx.nm.degenerate:
+def _check_dr(mod: LeModuleInstance) -> Outcome:
+    nm = nmap.build_natural_map(mod)
+    if nm.degenerate:
         return NOT_APPLICABLE, None, "degenerate: no reduced ring"
-    for r in range(ctx.mod.ring.order):
-        if not nmap.dr_preimage_check(ctx.nm, r):
+    for r in range(mod.ring.order):
+        if not nmap.dr_preimage_check(nm, r):
             return FALSIFIED, f"r={r}", None
     return VERIFIED, None, None
 
 
-def _check_basis(ctx: InstanceContext) -> Outcome:
-    rep = spectra.basis_checks(ctx.mod)
+def _check_basis(mod: LeModuleInstance) -> Outcome:
+    rep = spectra.basis_checks(mod)
     if rep.ok:
         return VERIFIED, None, None
     witness = rep.pair_witness or rep.ideal_witness or rep.cover_witness
     return FALSIFIED, str(witness), None
 
 
-def _check_quasi_compact_base(ctx: InstanceContext) -> Outcome:
-    if ctx.nm.degenerate:
+def _check_quasi_compact_base(mod: LeModuleInstance) -> Outcome:
+    nm = nmap.build_natural_map(mod)
+    if nm.degenerate:
         return NOT_APPLICABLE, None, "degenerate: no reduced ring"
-    if not ctx.nm.is_surjective():
+    if not nm.is_surjective():
         return HYPOTHESIS_NOT_MET, None, "psi not surjective"
-    mod = ctx.mod
-    top = ctx.topologies.star
-    for r in range(mod.ring.order):
-        if not spectra.is_quasi_compact_subset(top, spectra.basic_open(mod, r)):
-            return FALSIFIED, f"r={r}", None
-    if not spectra.is_quasi_compact_subset(top, top.point_set()):
-        return FALSIFIED, "whole space", None
-    opens = set(spectra.open_sets(top))
+    opens = set(spectra.open_sets(spectra.build_topologies(mod).star))
     for a, b in itertools.combinations_with_replacement(sorted(opens, key=sorted), 2):
         if a & b not in opens:
             return FALSIFIED, "intersection not open", None
@@ -274,80 +247,79 @@ def _check_quasi_compact_base(ctx: InstanceContext) -> Outcome:
     return VERIFIED, None, spectra.QUASI_COMPACT_NOTE
 
 
-def _check_closure_formula(ctx: InstanceContext) -> Outcome:
-    mod = ctx.mod
-    top = ctx.topologies.star
+def _check_closure_formula(mod: LeModuleInstance) -> Outcome:
+    top = spectra.build_topologies(mod).star
     closed = set(top.closed_sets)
-    for ys in ctx.point_subsets():
+    subsets = point_subsets(mod)
+    for ys in subsets:
         y = frozenset(ys)
         vs = spectra.variety_star(mod, spectra.im_meet(mod, ys))
         if vs != spectra.closure(top, y):
-            return FALSIFIED, f"Y={[ctx.label(p) for p in ys]}", None
+            return FALSIFIED, f"Y={[mod.label(p) for p in ys]}", None
         if (y in closed) != (vs == y):
-            return FALSIFIED, f"Y={[ctx.label(p) for p in ys]}", "closed-iff"
-    return VERIFIED, None, None
+            return FALSIFIED, f"Y={[mod.label(p) for p in ys]}", "closed-iff"
+    return VERIFIED, None, _coverage(subsets, spectrum(mod), "point subsets")
 
 
-def _check_point_closures(ctx: InstanceContext) -> Outcome:
-    mod = ctx.mod
-    top = ctx.topologies.star
+def _check_point_closures(mod: LeModuleInstance) -> Outcome:
+    top = spectra.build_topologies(mod).star
     family = set(top.closed_sets)
-    colons = {p: colon_set(mod, p) for p in ctx.points}
+    points = spectrum(mod)
+    colons = {p: colon_set(mod, p) for p in points}
     phi = set(colons.values())
-    for p in ctx.points:
+    for p in points:
         if spectra.closure(top, [p]) != spectra.variety_star(mod, p):
-            return FALSIFIED, f"p={ctx.label(p)}", "closure-formula"
-        for q in ctx.points:
+            return FALSIFIED, f"p={mod.label(p)}", "closure-formula"
+        for q in points:
             in_closure = q in spectra.closure(top, [p])
             colon_incl = colons[p] <= colons[q]
             vs_incl = spectra.variety_star(mod, q) <= spectra.variety_star(mod, p)
             if not (in_closure == colon_incl == vs_incl):
-                return FALSIFIED, f"p={ctx.label(p)}, q={ctx.label(q)}", "specialization"
+                return FALSIFIED, f"p={mod.label(p)}, q={mod.label(q)}", "specialization"
         singleton_closed = frozenset([p]) in family
         maximal = not any(colons[p] < c for c in phi)
-        fiber_one = sum(1 for q in ctx.points if colons[q] == colons[p]) == 1
+        fiber_one = sum(1 for q in points if colons[q] == colons[p]) == 1
         if singleton_closed != (maximal and fiber_one):
-            return FALSIFIED, f"p={ctx.label(p)}", "closed-point-criterion"
+            return FALSIFIED, f"p={mod.label(p)}", "closed-point-criterion"
     if not spectra.phi_and_t1_check(mod):
         return FALSIFIED, "T1 criterion", None
     return VERIFIED, None, None
 
 
-def _check_vstar_irreducible(ctx: InstanceContext) -> Outcome:
-    mod = ctx.mod
-    top = ctx.topologies.star
-    for p in ctx.points:
+def _check_vstar_irreducible(mod: LeModuleInstance) -> Outcome:
+    top = spectra.build_topologies(mod).star
+    for p in spectrum(mod):
         vp = spectra.variety_star(mod, p)
         if not spectra.is_closed(top, vp):
-            return FALSIFIED, f"p={ctx.label(p)}", "not closed"
+            return FALSIFIED, f"p={mod.label(p)}", "not closed"
         if not spectra.is_irreducible(top, vp):
-            return FALSIFIED, f"p={ctx.label(p)}", "not irreducible"
+            return FALSIFIED, f"p={mod.label(p)}", "not irreducible"
     return VERIFIED, None, None
 
 
-def _criteria_outcome(ctx: InstanceContext, wanted: tuple[str, ...]) -> Outcome:
-    mod = ctx.mod
-    for ys in ctx.point_subsets():
+def _criteria_outcome(mod: LeModuleInstance, wanted: tuple[str, ...]) -> Outcome:
+    subsets = point_subsets(mod)
+    for ys in subsets:
         for check in spectra.irreducibility_criteria(mod, ys):
             if check.name in wanted and not check.holds:
                 return (
                     FALSIFIED,
-                    f"Y={[ctx.label(p) for p in ys]}",
+                    f"Y={[mod.label(p) for p in ys]}",
                     check.name,
                 )
-    return VERIFIED, None, None
+    return VERIFIED, None, _coverage(subsets, spectrum(mod), "point subsets")
 
 
-def _check_irreducible_prime(ctx: InstanceContext) -> Outcome:
+def _check_irreducible_prime(mod: LeModuleInstance) -> Outcome:
     return _criteria_outcome(
-        ctx,
+        mod,
         ("meet-prime-implies-irreducible", "irreducible-implies-colon-of-meet-prime"),
     )
 
 
-def _check_irreducible_families(ctx: InstanceContext) -> Outcome:
+def _check_irreducible_families(mod: LeModuleInstance) -> Outcome:
     return _criteria_outcome(
-        ctx,
+        mod,
         (
             "chain-implies-irreducible",
             "colon-fiber-implies-irreducible",
@@ -357,48 +329,52 @@ def _check_irreducible_families(ctx: InstanceContext) -> Outcome:
     )
 
 
-def _check_generic_points(ctx: InstanceContext) -> Outcome:
-    if ctx.nm.degenerate:
+def _check_generic_points(mod: LeModuleInstance) -> Outcome:
+    nm = nmap.build_natural_map(mod)
+    if nm.degenerate:
         return NOT_APPLICABLE, None, "degenerate: no reduced ring"
-    if not ctx.nm.is_surjective():
+    if not nm.is_surjective():
         return HYPOTHESIS_NOT_MET, None, "psi not surjective"
-    if nmap.component_minimal_prime_bijection(ctx.nm):
-        comps = spectra.irreducible_components(ctx.topologies.star)
+    if nmap.component_minimal_prime_bijection(nm):
+        comps = spectra.irreducible_components(spectra.build_topologies(mod).star)
         return VERIFIED, None, f"components={len(comps)}"
     return FALSIFIED, "component/minimal-prime correspondence", None
 
 
-def _check_spectral_battery(ctx: InstanceContext) -> Outcome:
-    if ctx.nm.degenerate:
+def _check_spectral_battery(mod: LeModuleInstance) -> Outcome:
+    nm = nmap.build_natural_map(mod)
+    if nm.degenerate:
         return NOT_APPLICABLE, None, "degenerate: no reduced ring"
-    if not ctx.nm.is_surjective():
+    if not nm.is_surjective():
         return HYPOTHESIS_NOT_MET, None, "psi not surjective"
-    rep = nmap.spectral_battery(ctx.nm)
+    rep = nmap.spectral_battery(nm)
     if rep.equivalent:
         return VERIFIED, None, _fmt_clauses(rep)
     return FALSIFIED, _fmt_clauses(rep), None
 
 
-def _check_multiplication_spectral(ctx: InstanceContext) -> Outcome:
-    if ctx.nm.degenerate:
+def _check_multiplication_spectral(mod: LeModuleInstance) -> Outcome:
+    nm = nmap.build_natural_map(mod)
+    if nm.degenerate:
         return NOT_APPLICABLE, None, "degenerate: no reduced ring"
-    mult = nmap.is_multiplication_le_module(ctx.mod)
-    surj = ctx.nm.is_surjective()
+    mult = nmap.is_multiplication_le_module(mod)
+    surj = nm.is_surjective()
     if not (mult and surj):
         return (
             HYPOTHESIS_NOT_MET,
             None,
             f"multiplication={mult} surjective={surj}",
         )
-    if nmap.multiplication_spectral_check(ctx.nm):
+    if nmap.multiplication_spectral_check(nm):
         return VERIFIED, None, None
     return FALSIFIED, "spectrum not spectral", None
 
 
-def _check_image_closed(ctx: InstanceContext) -> Outcome:
-    if ctx.nm.degenerate:
+def _check_image_closed(mod: LeModuleInstance) -> Outcome:
+    nm = nmap.build_natural_map(mod)
+    if nm.degenerate:
         return NOT_APPLICABLE, None, "degenerate: no reduced ring"
-    rep = nmap.image_closed_criterion(ctx.nm)
+    rep = nmap.image_closed_criterion(nm)
     if not rep.image_closed:
         return HYPOTHESIS_NOT_MET, None, "image not closed"
     if rep.ok:
@@ -406,9 +382,9 @@ def _check_image_closed(ctx: InstanceContext) -> Outcome:
     return FALSIFIED, f"spectral={rep.spectral} injective={rep.injective}", None
 
 
-def _check_finite_spec(ctx: InstanceContext) -> Outcome:
+def _check_finite_spec(mod: LeModuleInstance) -> Outcome:
     try:
-        ok = nmap.finite_spec_criterion(ctx.mod)
+        ok = nmap.finite_spec_criterion(mod)
     except EmptySpectrum:
         return HYPOTHESIS_NOT_MET, None, "empty spectrum"
     if ok:
@@ -421,7 +397,7 @@ class Statement:
     sid: str
     title: str
     claim: str
-    check: Callable[[InstanceContext], Outcome]
+    check: Callable[[LeModuleInstance], Outcome]
 
 
 STATEMENTS: tuple[Statement, ...] = (
@@ -591,10 +567,10 @@ def run_all(descriptors: Sequence[InstanceDescriptor] | None = None) -> Verifica
         descriptors = catalog()
     results = []
     for desc in descriptors:
-        ctx = InstanceContext(build_instance(desc))
+        mod = build_instance(desc)
         for stmt in STATEMENTS:
             started = time.perf_counter()
-            verdict, witness, detail = stmt.check(ctx)
+            verdict, witness, detail = stmt.check(mod)
             elapsed = time.perf_counter() - started
             results.append(
                 StatementResult(stmt.sid, desc.name, verdict, witness, detail, elapsed)

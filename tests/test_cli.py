@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -89,6 +90,14 @@ def test_verify_structured_deterministic(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     payload = json.loads(first.read_text())
     assert payload["summary"]["falsified"] == 0
+
+
+def test_verify_catalog_report_bytes_are_pinned(capsys):
+    # Changes only in a change that means to change the report: update the
+    # digest together with the verdicts, witnesses or details it pins.
+    assert main(["verify", "--format", "structured"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "60a0fc42f0ae89e9cb86e7cff3e433c7972f76922bd18c00cf28b78f8300382f"
 
 
 def test_export_dot_lattice(capsys):

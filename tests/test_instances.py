@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from lemspec.errors import ModuleAxiomViolation, ParseError
@@ -19,6 +22,9 @@ from lemspec.instances import (
     submodule_lattice_le_module,
 )
 from lemspec.le_modules import spectrum
+from lemspec.natural_map import build_natural_map
+from lemspec.spectra import build_topologies
+from lemspec.verify import STATEMENTS
 from lemspec.rings import make_zn
 
 EXPECTED_NAMES = (
@@ -50,9 +56,16 @@ def test_find_descriptor():
     assert find_descriptor("nope") is None
 
 
-def test_build_instance_is_cached():
-    desc = find_descriptor("Z6-ideal-lattice")
-    assert build_instance(desc) is build_instance(desc)
+def test_derived_data_lives_on_the_instance():
+    mod = build_instance(find_descriptor("Z6-ideal-lattice"))
+    for derive in (spectrum, build_topologies, build_natural_map):
+        assert derive(mod) is derive(mod), derive.__name__
+    for stmt in STATEMENTS:
+        stmt.check(mod)
+    ref = weakref.ref(mod)
+    del mod
+    gc.collect()
+    assert ref() is None, "a verified instance outlives its last reference"
 
 
 def test_every_catalog_entry_builds(all_instances):

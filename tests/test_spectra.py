@@ -10,7 +10,7 @@ import pytest
 
 from lemspec.errors import EmptyFamily, NotTopLeModule
 from lemspec.le_modules import colon, ideal_action, spectrum
-from lemspec.rings import all_ideals, make_zn
+from lemspec.rings import all_ideals, basic_open_ring, make_zn
 from lemspec.spectra import (
     QUASI_COMPACT_NOTE,
     basic_open,
@@ -21,18 +21,15 @@ from lemspec.spectra import (
     generic_points,
     im_meet,
     irreducibility_criteria,
-    irreducible_closed_sets,
     irreducible_components,
     is_closed,
     is_irreducible,
-    is_quasi_compact_subset,
     is_top_le_module,
     open_sets,
     phi_and_t1_check,
     point_closures,
     point_set_properties,
     quasi_topology,
-    ring_basic_open,
     ring_space,
     specialization_pairs,
     union_intersection_check,
@@ -186,7 +183,7 @@ def test_components_match_brute_force(all_instances):
 def test_irreducible_closed_sets_are_point_closures(all_instances):
     for mod in all_instances:
         top = build_topologies(mod).star
-        got = set(irreducible_closed_sets(top))
+        got = set(point_closures(top))
         assert got == {closure(top, [p]) for p in top.points}
 
 
@@ -227,12 +224,6 @@ def test_point_set_properties_klein(klein_module):
     assert not props.is_spectral
 
 
-def test_quasi_compact_subsets(z6_module):
-    top = build_topologies(z6_module).star
-    assert is_quasi_compact_subset(top, top.points)
-    assert is_quasi_compact_subset(top, [1])
-
-
 def test_specialization_pairs(z6_module, klein_module):
     assert specialization_pairs(build_topologies(z6_module).star) == ()
     pairs = specialization_pairs(build_topologies(klein_module).star)
@@ -264,8 +255,8 @@ def test_ring_space_and_basic_opens():
     z6 = make_zn(6)
     space = ring_space(z6)
     assert len(space.points) == 2
-    assert ring_basic_open(z6, 1) == frozenset(space.points)
-    assert ring_basic_open(z6, 0) == frozenset()
+    assert basic_open_ring(z6, 1) == frozenset(space.points)
+    assert basic_open_ring(z6, 0) == frozenset()
 
 
 def test_homeomorphism_search(z6_module):

@@ -12,9 +12,12 @@ import pytest
 from lemspec.instances import (
     ExplicitModuleSpec,
     InstanceDescriptor,
+    SubmoduleLatticeSpec,
     ZnSpec,
     catalog,
+    cyclic_module_tables,
     find_descriptor,
+    product_module_tables,
 )
 from lemspec.verify import (
     STATEMENTS,
@@ -167,4 +170,38 @@ def test_run_all_empty_list_gives_empty_report():
         "falsified": 0,
         "hypothesis-not-met": 0,
         "not-applicable": 0,
+    }
+
+
+def _details(desc, sids):
+    report = run_all([desc])
+    assert report.counts()["falsified"] == 0
+    return {r.statement: r.detail for r in report.results if r.statement in sids}
+
+
+def test_sampled_scans_say_so():
+    z2, z4 = cyclic_module_tables(2), cyclic_module_tables(4)
+    # Z4^2 over Z4: 15 submodule elements, above the family cap of 10.
+    z4_squared = InstanceDescriptor(
+        "Z4^2-over-Z4",
+        ZnSpec(4),
+        SubmoduleLatticeSpec(*product_module_tables(z4, z4)),
+    )
+    assert _details(z4_squared, ("P3.1", "P6.1")) == {
+        "P3.1": "sampled: 576 of 32767 submodule families",
+        "P6.1": None,
+    }
+    # F2^3 over Z2: 15 spectrum points, above the point-subset cap of 12.
+    f2_cubed = InstanceDescriptor(
+        "F2^3-over-Z2",
+        ZnSpec(2),
+        SubmoduleLatticeSpec(
+            *product_module_tables(product_module_tables(z2, z2), z2)
+        ),
+    )
+    sampled = "sampled: 576 of 32767 point subsets"
+    assert _details(f2_cubed, ("P6.1", "P6.4", "P6.5")) == {
+        "P6.1": sampled,
+        "P6.4": sampled,
+        "P6.5": sampled,
     }
