@@ -11,6 +11,7 @@ from .errors import (
     EmptyFamily,
     EmptySpectrum,
     ImproperIdeal,
+    InternalError,
     LemspecError,
     ModuleAxiomViolation,
     NotALattice,

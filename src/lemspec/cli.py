@@ -2,7 +2,8 @@
 
 Inputs name either a catalog instance or a descriptor file path.  Exit
 codes: 0 success, 1 input or usage error, 2 axiom violation in the given
-tables, 3 at least one statement falsified by `verify`.
+tables, 3 at least one statement falsified by `verify`, 4 internal error
+(a bug in lemspec, not in the input).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import (
     EmptyFamily,
     EmptySpectrum,
     ImproperIdeal,
+    InternalError,
     LemspecError,
     ModuleAxiomViolation,
     NotALattice,
@@ -27,7 +29,6 @@ from .errors import (
     NotPrimeIdeal,
     NotTopLeModule,
     ParseError,
-    TopologyAxiomViolation,
     Unbounded,
     ZeroRing,
 )
@@ -48,7 +49,6 @@ _AXIOM_ERRORS = (
     NotALattice,
     Unbounded,
     ZeroRing,
-    TopologyAxiomViolation,
 )
 _INPUT_ERRORS = (
     ParseError,
@@ -293,6 +293,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except _AXIOM_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -78,8 +78,12 @@ class ModuleAxiomViolation(LemspecError):
         super().__init__(f"module law {law} violated at {witness}")
 
 
-class TopologyAxiomViolation(LemspecError):
-    """A constructed closed-set family broke a closure axiom (implementation bug)."""
+class InternalError(LemspecError):
+    """A fact that holds by construction or by a theorem failed: a bug in lemspec."""
+
+
+class TopologyAxiomViolation(InternalError):
+    """A constructed closed-set family broke a closure axiom."""
 
 
 class NotTopLeModule(LemspecError):

@@ -232,8 +232,18 @@ def spectrum(mod: LeModuleInstance) -> tuple[int, ...]:
     )
 
 
+@per_object
+def colon_fibers(mod: LeModuleInstance) -> dict[frozenset[int], tuple[int, ...]]:
+    """Spectrum points grouped by colon set, each group in spectrum order."""
+    fibers: dict[frozenset[int], tuple[int, ...]] = {}
+    for p in spectrum(mod):
+        c = colon_set(mod, p)
+        fibers[c] = fibers.get(c, ()) + (p,)
+    return fibers
+
+
 def spectrum_at(mod: LeModuleInstance, prime: Ideal) -> tuple[int, ...]:
     """Primes of the module whose colon ideal is the given ring prime."""
     if not is_prime_ideal(mod.ring, prime):
         raise NotPrimeIdeal(f"{sorted(prime.members)} is not prime in {mod.ring.name}")
-    return tuple(p for p in spectrum(mod) if colon_set(mod, p) == prime.members)
+    return colon_fibers(mod).get(prime.members, ())

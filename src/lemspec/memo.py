@@ -23,3 +23,14 @@ def per_object(fn):
             return value
 
     return wrapper
+
+
+def release(*objs) -> None:
+    """Drop the derived data kept on each object (``None`` is skipped).
+
+    Derived data points back at its object (an ideal at its ring), so a kept
+    memo is a reference cycle that only a full garbage collection frees.
+    """
+    for obj in objs:
+        if obj is not None:
+            obj.__dict__.pop("_memo", None)

@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import EmptySpectrum, NotPrimeIdeal
+from .errors import EmptySpectrum, InternalError
 from .le_modules import (
     LeModuleInstance,
     annihilator,
     colon,
-    colon_set,
+    colon_fibers,
     ideal_action,
     spectrum,
     submodule_elements,
@@ -37,7 +37,6 @@ from .rings import (
     variety_ring,
 )
 from .spectra import (
-    are_homeomorphic,
     basic_open,
     build_topologies,
     generic_points,
@@ -107,9 +106,7 @@ def build_natural_map(mod: LeModuleInstance) -> NaturalMap:
     for p in spectrum(mod):
         img = push_ideal(colon(mod, p), projection, quotient)
         if not is_prime_ideal(quotient, img):
-            raise NotPrimeIdeal(
-                f"image of colon of point {p} is not prime (implementation bug)"
-            )
+            raise InternalError(f"image of colon of point {p} is not prime")
         rows.append((p, img))
     return NaturalMap(mod, ann, False, quotient, projection, tuple(rows))
 
@@ -160,15 +157,16 @@ def injectivity_battery(nm: NaturalMap) -> EquivalenceReport:
         variety_star(mod, p) != variety_star(mod, q) or p == q
         for p, q in itertools.combinations(points, 2)
     )
-    colons = [colon_set(mod, p) for p in points]
-    fibers = all(
-        sum(1 for c in colons if c == prime.members) <= 1
-        for prime in spec_ring(mod.ring).points
-    )
     return EquivalenceReport(
         ("psi-injective", "vstar-separated", "colon-fibers-at-most-one"),
-        (nm.is_injective(), separated, fibers),
+        (nm.is_injective(), separated, _fibers_at_most_one(mod)),
     )
+
+
+def _fibers_at_most_one(mod: LeModuleInstance) -> bool:
+    """No ring prime is the colon ideal of two spectrum points."""
+    fibers = colon_fibers(mod)
+    return all(len(fibers.get(p.members, ())) <= 1 for p in spec_ring(mod.ring).points)
 
 
 @dataclass(frozen=True)
@@ -292,10 +290,11 @@ def spectral_battery(nm: NaturalMap) -> EquivalenceReport:
     """The six equivalent faces of spectrality under a surjective map."""
     _require_map(nm)
     mod = nm.instance
-    space = build_topologies(mod).star
-    props = point_set_properties(space)
+    props = point_set_properties(build_topologies(mod).star)
     inj = injectivity_battery(nm)
-    homeo = are_homeomorphic(space, ring_space(nm.quotient))
+    # A finite space homeomorphic to Spec(R/Ann) has as many points, so onto psi
+    # is bijective, and T4.3 checks that a bijective psi is a homeomorphism.
+    homeo = nm.is_bijective() and homeomorphism_check(nm)
     return EquivalenceReport(
         (
             "spectral",
@@ -362,11 +361,7 @@ def finite_spec_criterion(mod: LeModuleInstance) -> bool:
     if not points:
         raise EmptySpectrum(f"{mod.name} has no prime elements")
     spectral = point_set_properties(build_topologies(mod).star).is_spectral
-    fibers = all(
-        sum(1 for p in points if colon_set(mod, p) == prime.members) <= 1
-        for prime in spec_ring(mod.ring).points
-    )
-    return spectral == fibers
+    return spectral == _fibers_at_most_one(mod)
 
 
 def dr_preimage_check(nm: NaturalMap, r: int) -> bool:

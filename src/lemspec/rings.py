@@ -1,9 +1,10 @@
 """Finite commutative rings with identity, given by Cayley tables.
 
 Elements are the indices 0..order-1; ``add`` and ``mul`` are full tables.
-Every constructor validates the axioms exhaustively and reports the first
-failing cell, so a bad table is caught at build time rather than deep
-inside a spectrum computation.
+``make_ring`` validates tables given from outside exhaustively and reports
+the first failing cell, so a bad table is caught at build time rather than
+deep inside a spectrum computation.  ``make_zn``, ``product_ring`` and
+``quotient_ring`` build rings that are valid by construction, unchecked.
 """
 
 from __future__ import annotations
@@ -142,32 +143,29 @@ def make_zn(n: int) -> FiniteRing:
     """The ring of integers mod n, n >= 2."""
     if n < 2:
         raise ZeroRing("Z_n needs n >= 2")
-    add = [[(a + b) % n for b in range(n)] for a in range(n)]
-    mul = [[(a * b) % n for b in range(n)] for a in range(n)]
-    return make_ring(n, add, mul, name=f"Z{n}")
+    rng = range(n)
+    add = tuple(tuple((a + b) % n for b in rng) for a in rng)
+    mul = tuple(tuple((a * b) % n for b in rng) for a in rng)
+    return FiniteRing(n, add, mul, 0, 1, f"Z{n}")
 
 
 def product_ring(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
     """Componentwise product; index (a, b) is encoded as a * r2.order + b."""
-    n1, n2 = r1.order, r2.order
-    order = n1 * n2
+    n2 = r2.order
+    pairs = tuple(itertools.product(range(r1.order), range(n2)))
 
     def enc(a: int, b: int) -> int:
         return a * n2 + b
 
-    add = [[0] * order for _ in range(order)]
-    mul = [[0] * order for _ in range(order)]
-    for a1, b1 in itertools.product(range(n1), range(n2)):
-        for a2, b2 in itertools.product(range(n1), range(n2)):
-            i, j = enc(a1, b1), enc(a2, b2)
-            add[i][j] = enc(r1.add[a1][a2], r2.add[b1][b2])
-            mul[i][j] = enc(r1.mul[a1][a2], r2.mul[b1][b2])
-    names = tuple(
-        f"({r1.element_name(a)},{r2.element_name(b)})"
-        for a in range(n1)
-        for b in range(n2)
-    )
-    return make_ring(order, add, mul, name=f"{r1.name}x{r2.name}", element_names=names)
+    def table(t1: Table, t2: Table) -> Table:
+        return tuple(
+            tuple(enc(t1[a1][a2], t2[b1][b2]) for a2, b2 in pairs) for a1, b1 in pairs
+        )
+
+    add, mul = table(r1.add, r2.add), table(r1.mul, r2.mul)
+    zero, one = enc(r1.zero, r2.zero), enc(r1.one, r2.one)
+    names = tuple(f"({r1.element_name(a)},{r2.element_name(b)})" for a, b in pairs)
+    return FiniteRing(len(pairs), add, mul, zero, one, f"{r1.name}x{r2.name}", names)
 
 
 def is_ideal(ring: FiniteRing, subset: Iterable[int]) -> bool:
@@ -294,12 +292,11 @@ def quotient_ring(ring: FiniteRing, i: Ideal) -> tuple[FiniteRing, tuple[int, ..
     reps = sorted({min(c) for c in coset_of.values()})
     index_of_rep = {rep: k for k, rep in enumerate(reps)}
     projection = tuple(index_of_rep[min(coset_of[r])] for r in range(ring.order))
-    order = len(reps)
-    add = [[projection[ring.add[reps[a]][reps[b]]] for b in range(order)] for a in range(order)]
-    mul = [[projection[ring.mul[reps[a]][reps[b]]] for b in range(order)] for a in range(order)]
+    add = tuple(tuple(projection[ring.add[a][b]] for b in reps) for a in reps)
+    mul = tuple(tuple(projection[ring.mul[a][b]] for b in reps) for a in reps)
     names = tuple(f"[{ring.element_name(rep)}]" for rep in reps)
-    q = make_ring(order, add, mul, name=f"{ring.name}/I", element_names=names)
-    return q, projection
+    zero, one = projection[ring.zero], projection[ring.one]
+    return FiniteRing(len(reps), add, mul, zero, one, f"{ring.name}/I", names), projection
 
 
 def push_ideal(i: Ideal, projection: tuple[int, ...], target: FiniteRing) -> Ideal:

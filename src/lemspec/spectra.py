@@ -17,10 +17,10 @@ from .errors import EmptyFamily, NotTopLeModule, TopologyAxiomViolation
 from .lattices import meet_all
 from .le_modules import (
     LeModuleInstance,
+    colon_fibers,
     colon_set,
     ideal_action,
     is_prime_submodule_element,
-    is_submodule_element,
     spectrum,
     submodule_elements,
 )
@@ -48,7 +48,6 @@ class SpectrumTopology:
     points: tuple
     closed_sets: tuple[frozenset, ...]
     label: str
-    instance: object = None
 
     def positions(self) -> dict:
         return {p: k for k, p in enumerate(self.points)}
@@ -141,15 +140,15 @@ def build_topologies(mod: LeModuleInstance) -> Topologies:
     mismatch would be an implementation bug.
     """
     points = spectrum(mod)
-    star = SpectrumTopology(points, star_family(mod), "star", mod)
-    prime = SpectrumTopology(points, prime_family(mod), "prime", mod)
+    star = SpectrumTopology(points, star_family(mod), "star")
+    prime = SpectrumTopology(points, prime_family(mod), "prime")
     _validate_family(points, star.closed_sets, "star")
     _validate_family(points, prime.closed_sets, "prime")
     if star.closed_sets != prime.closed_sets:
         raise TopologyAxiomViolation("star and prime closed-set families differ")
     quasi = None
     if is_top_le_module(mod):
-        quasi = SpectrumTopology(points, quasi_family(mod), "quasi", mod)
+        quasi = SpectrumTopology(points, quasi_family(mod), "quasi")
         _validate_family(points, quasi.closed_sets, "quasi")
     return Topologies(star, prime, quasi)
 
@@ -178,15 +177,17 @@ def vstar_decomposition_check(mod: LeModuleInstance, n: int) -> bool:
     cn = Ideal(mod.ring, colon_set(mod, n))
     ce = ideal_action(mod, cn)
     vs = variety_star(mod, n)
-    fibers: set[int] = set()
-    for prime in spec_ring(mod.ring).points:
-        if cn.members <= prime.members:
-            fibers.update(
-                p for p in spectrum(mod) if colon_set(mod, p) == prime.members
-            )
-    return vs == frozenset(fibers) == variety_star(mod, ce) == variety(mod, ce)
+    fibers = colon_fibers(mod)
+    union = frozenset(
+        p
+        for prime in spec_ring(mod.ring).points
+        if cn.members <= prime.members
+        for p in fibers.get(prime.members, ())
+    )
+    return vs == union == variety_star(mod, ce) == variety(mod, ce)
 
 
+@per_object
 def basic_open(mod: LeModuleInstance, r: int) -> frozenset[int]:
     """X_r: the complement of the variety of r acting on the top."""
     points = frozenset(spectrum(mod))
@@ -209,6 +210,7 @@ class BasisReport:
         return self.pair_identity_ok and self.ideal_identity_ok and self.covers_ok
 
 
+@per_object
 def basis_checks(mod: LeModuleInstance) -> BasisReport:
     """X_rs = X_r n X_s; V*(Ie) = intersection of V*(ae); opens are unions of X_r."""
     ring = mod.ring
@@ -245,7 +247,7 @@ def ring_space(ring: FiniteRing) -> SpectrumTopology:
     """The Zariski topology on the prime spectrum of a ring."""
     points = spec_ring(ring).points
     closed = canonical_family(points, (variety_ring(ring, i) for i in all_ideals(ring)))
-    space = SpectrumTopology(points, closed, "ring", ring)
+    space = SpectrumTopology(points, closed, "ring")
     _validate_family(points, closed, "ring")
     return space
 
@@ -329,7 +331,8 @@ def point_set_properties(top: SpectrumTopology) -> SpaceProperties:
 
     Spectral means T0 plus quasi-compact with an intersection-stable basis
     of quasi-compact opens plus generic points for irreducible closed sets;
-    on a finite space the middle clauses are automatic.
+    on a finite space only T0 can fail, since every irreducible closed set
+    is a point closure cl{p}, which has p as a generic point.
     """
     pts = top.point_set()
     family = set(top.closed_sets)
@@ -341,9 +344,7 @@ def point_set_properties(top: SpectrumTopology) -> SpaceProperties:
     connected = bool(pts) and not any(
         c and c != pts and (pts - c) in family for c in family
     )
-    sober = all(bool(generic_points(top, c)) for c in point_closures(top))
-    spectral = t0 and sober
-    return SpaceProperties(t0, t1, connected, True, spectral)
+    return SpaceProperties(t0, t1, connected, True, t0)
 
 
 def phi_and_t1_check(mod: LeModuleInstance) -> bool:
@@ -352,14 +353,9 @@ def phi_and_t1_check(mod: LeModuleInstance) -> bool:
     points = spectrum(mod)
     family = set(build_topologies(mod).star.closed_sets)
     t1 = all(frozenset([p]) in family for p in points)
-    colons = {p: colon_set(mod, p) for p in points}
-    phi = set(colons.values())
-    maximal = all(
-        not any(colons[p] < q for q in phi) for p in points
-    )
-    fibers_small = all(
-        sum(1 for p in points if colons[p] == c) <= 1 for c in phi
-    )
+    fibers = colon_fibers(mod)
+    maximal = all(not any(c < q for q in fibers) for c in fibers)
+    fibers_small = all(len(f) <= 1 for f in fibers.values())
     return t1 == (maximal and fibers_small)
 
 
@@ -372,12 +368,6 @@ class ImplicationCheck:
     @property
     def holds(self) -> bool:
         return (not self.hypothesis) or self.conclusion
-
-
-def _colon_fiber(mod: LeModuleInstance, prime_members: frozenset[int]) -> frozenset[int]:
-    return frozenset(
-        p for p in spectrum(mod) if colon_set(mod, p) == prime_members
-    )
 
 
 def irreducibility_criteria(mod: LeModuleInstance, y: Iterable[int]) -> tuple[ImplicationCheck, ...]:
@@ -394,16 +384,17 @@ def irreducibility_criteria(mod: LeModuleInstance, y: Iterable[int]) -> tuple[Im
     chain = all(
         lat.leq[a][b] or lat.leq[b][a] for a, b in itertools.combinations(target, 2)
     )
+    fibers = colon_fibers(mod)
     fiber_primes = [
         pr for pr in spec_ring(mod.ring).points
-        if _colon_fiber(mod, pr.members) == target
+        if frozenset(fibers.get(pr.members, ())) == target
     ]
     is_fiber = bool(fiber_primes)
     fiber_maximal = any(
         not any(pr.members < i.members for i in all_ideals(mod.ring) if i.is_proper())
         for pr in fiber_primes
     )
-    witness_fiber = bool(_colon_fiber(mod, meet_colon)) if colon_prime else False
+    witness_fiber = colon_prime and meet_colon in fibers
     return (
         ImplicationCheck(
             "meet-prime-implies-irreducible",
@@ -435,20 +426,3 @@ def specialization_pairs(top: SpectrumTopology) -> tuple[tuple, ...]:
             if q != p and q in c:
                 out.append((p, q))
     return tuple(out)
-
-
-def are_homeomorphic(a: SpectrumTopology, b: SpectrumTopology, limit: int = 8) -> bool:
-    """Brute-force search for a closed-family-preserving bijection."""
-    if len(a.points) != len(b.points) or len(a.closed_sets) != len(b.closed_sets):
-        return False
-    if len(a.points) > limit:
-        raise ValueError(f"homeomorphism search limited to {limit} points")
-    pos_a = a.positions()
-    fam_a = {frozenset(pos_a[p] for p in c) for c in a.closed_sets}
-    pos_b = b.positions()
-    fam_b = {frozenset(pos_b[p] for p in c) for c in b.closed_sets}
-    n = len(a.points)
-    for perm in itertools.permutations(range(n)):
-        if all(frozenset(perm[i] for i in c) in fam_b for c in fam_a):
-            return True
-    return False

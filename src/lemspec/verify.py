@@ -18,9 +18,11 @@ from . import natural_map as nmap
 from . import spectra
 from .errors import EmptySpectrum
 from .instances import InstanceDescriptor, build_instance, catalog
+from .memo import release
 from .le_modules import (
     LeModuleInstance,
     colon,
+    colon_fibers,
     colon_set,
     galois_adjunction_check,
     ideal_action,
@@ -266,7 +268,7 @@ def _check_point_closures(mod: LeModuleInstance) -> Outcome:
     family = set(top.closed_sets)
     points = spectrum(mod)
     colons = {p: colon_set(mod, p) for p in points}
-    phi = set(colons.values())
+    fibers = colon_fibers(mod)
     for p in points:
         if spectra.closure(top, [p]) != spectra.variety_star(mod, p):
             return FALSIFIED, f"p={mod.label(p)}", "closure-formula"
@@ -277,8 +279,8 @@ def _check_point_closures(mod: LeModuleInstance) -> Outcome:
             if not (in_closure == colon_incl == vs_incl):
                 return FALSIFIED, f"p={mod.label(p)}, q={mod.label(q)}", "specialization"
         singleton_closed = frozenset([p]) in family
-        maximal = not any(colons[p] < c for c in phi)
-        fiber_one = sum(1 for q in points if colons[q] == colons[p]) == 1
+        maximal = not any(colons[p] < c for c in fibers)
+        fiber_one = len(fibers[colons[p]]) == 1
         if singleton_closed != (maximal and fiber_one):
             return FALSIFIED, f"p={mod.label(p)}", "closed-point-criterion"
     if not spectra.phi_and_t1_check(mod):
@@ -575,6 +577,7 @@ def run_all(descriptors: Sequence[InstanceDescriptor] | None = None) -> Verifica
             results.append(
                 StatementResult(stmt.sid, desc.name, verdict, witness, detail, elapsed)
             )
+        release(mod, mod.ring, nmap.build_natural_map(mod).quotient)
     return VerificationReport(tuple(results))
 
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from lemspec import spectra
 from lemspec.cli import main
 
 M3_DESCRIPTOR = """\
@@ -149,6 +150,16 @@ def test_bad_poset_exit_code(tmp_path, capsys):
     path.write_text(BAD_POSET_DESCRIPTOR)
     assert main(["validate", str(path)]) == 2
     assert "antisymmetry" in capsys.readouterr().err
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    # A star family without the empty set is a fault of lemspec, not of the input.
+    def broken(mod):
+        return (frozenset(spectra.spectrum(mod)),)
+
+    monkeypatch.setattr(spectra, "star_family", broken)
+    assert main(["verify", "Z6-ideal-lattice"]) == 4
+    assert "internal error: star: empty set missing" in capsys.readouterr().err
 
 
 def test_unknown_input_exit_code(capsys):

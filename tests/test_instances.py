@@ -21,9 +21,10 @@ from lemspec.instances import (
     product_module_tables,
     submodule_lattice_le_module,
 )
-from lemspec.le_modules import spectrum
+from lemspec.le_modules import colon_fibers, spectrum
+from lemspec.memo import release
 from lemspec.natural_map import build_natural_map
-from lemspec.spectra import build_topologies
+from lemspec.spectra import basis_checks, build_topologies
 from lemspec.verify import STATEMENTS
 from lemspec.rings import make_zn
 
@@ -58,7 +59,7 @@ def test_find_descriptor():
 
 def test_derived_data_lives_on_the_instance():
     mod = build_instance(find_descriptor("Z6-ideal-lattice"))
-    for derive in (spectrum, build_topologies, build_natural_map):
+    for derive in (spectrum, colon_fibers, build_topologies, basis_checks, build_natural_map):
         assert derive(mod) is derive(mod), derive.__name__
     for stmt in STATEMENTS:
         stmt.check(mod)
@@ -66,6 +67,21 @@ def test_derived_data_lives_on_the_instance():
     del mod
     gc.collect()
     assert ref() is None, "a verified instance outlives its last reference"
+
+
+def test_released_instance_goes_with_its_last_reference():
+    mod = build_instance(find_descriptor("Z6-ideal-lattice"))
+    for stmt in STATEMENTS:
+        stmt.check(mod)
+    owned = (mod, mod.ring, build_natural_map(mod).quotient)
+    refs = [weakref.ref(obj) for obj in owned]
+    gc.disable()
+    try:
+        release(*owned)
+        del mod, owned
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_every_catalog_entry_builds(all_instances):

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lemspec.errors import AxiomViolation, EmptyFamily, ImproperIdeal, ZeroRing
+from lemspec.instances import ProductSpec, build_instance, build_ring, catalog
+from lemspec.natural_map import build_natural_map
 from lemspec.rings import (
     Ideal,
     all_ideals,
@@ -55,6 +57,17 @@ def test_zn_tables():
     assert Z6.zero == 0 and Z6.one == 1
     assert Z6.neg(2) == 4
     assert Z6.element_name(3) == "3"
+
+
+def test_built_rings_pass_full_validation():
+    """Rings lemspec builds itself skip the axiom scan; check them against it."""
+    rings = [make_zn(n) for n in range(2, 31)]
+    rings += [build_ring(d.ring) for d in catalog() if isinstance(d.ring, ProductSpec)]
+    maps = [build_natural_map(build_instance(d)) for d in catalog()]
+    rings += [nm.quotient for nm in maps if not nm.degenerate]
+    assert len(rings) == 29 + 2 + 16
+    for r in rings:
+        assert make_ring(r.order, r.add, r.mul, r.name, r.element_names) == r, r.name
 
 
 def test_make_ring_rejects_zero_ring():

@@ -36,7 +36,6 @@ from lemspec.spectra import (
     variety,
     variety_star,
     vstar_decomposition_check,
-    are_homeomorphic,
 )
 
 NOT_TOP = {"Z2xZ2-over-Z2-submodules", "Z2xZ4-over-Z4-submodules"}
@@ -257,10 +256,3 @@ def test_ring_space_and_basic_opens():
     assert len(space.points) == 2
     assert basic_open_ring(z6, 1) == frozenset(space.points)
     assert basic_open_ring(z6, 0) == frozenset()
-
-
-def test_homeomorphism_search(z6_module):
-    z6 = make_zn(6)
-    star = build_topologies(z6_module).star
-    assert are_homeomorphic(star, ring_space(z6))
-    assert not are_homeomorphic(star, ring_space(make_zn(4)))
