@@ -19,7 +19,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
+from operator import getitem
+from typing import NamedTuple, Sequence, Union
 
 from .errors import ModuleAxiomViolation, ParseError
 from .le_modules import LeModuleInstance, make_le_module
@@ -28,12 +29,14 @@ from .rings import (
     FiniteRing,
     Ideal,
     all_ideals,
+    check_table_shape,
     ideal_sort_key,
     ideal_sum,
     make_ring,
     make_zn,
     product_ring,
 )
+from .rowscan import first_failure, gathers
 
 IntTable = tuple[tuple[int, ...], ...]
 
@@ -126,32 +129,55 @@ def ideal_lattice_le_module(ring: FiniteRing, name: str) -> LeModuleInstance:
 def _check_classical_module(
     ring: FiniteRing, size: int, zero: int, add: IntTable, action: IntTable
 ) -> None:
+    """Check the module laws a row at a time; raises on the first bad cell.
+
+    The witness is the one a loop over the indices of the witness tuple, in
+    order, would find first.
+    """
+    check_table_shape(add, size, size, "add")
+    check_table_shape(action, ring.order, size, "action")
+    if not 0 <= zero < size:
+        raise ValueError("zero out of range")
+
     rng = range(size)
+    identity = tuple(rng)
+    if add[zero] != identity:
+        x = first_failure((add[zero], identity))[0]
+        raise ModuleAxiomViolation("group-identity", (zero, x))
+    add_cols = tuple(zip(*add))
     for x in rng:
-        if add[zero][x] != x:
-            raise ModuleAxiomViolation("group-identity", (zero, x))
-    for x, y in itertools.product(rng, repeat=2):
-        if add[x][y] != add[y][x]:
+        if add[x] != add_cols[x]:
+            y = first_failure((add[x], add_cols[x]))[0]
             raise ModuleAxiomViolation("group-comm", (x, y))
-    for x, y, z in itertools.product(rng, repeat=3):
-        if add[add[x][y]][z] != add[x][add[y][z]]:
-            raise ModuleAxiomViolation("group-assoc", (x, y, z))
+    add_get = gathers(add)
+    for x, y in itertools.product(rng, repeat=2):
+        lhs, rhs = add[add[x][y]], add_get[y](add[x])
+        if lhs != rhs:
+            raise ModuleAxiomViolation("group-assoc", (x, y, first_failure((lhs, rhs))[0]))
     for x in rng:
-        if all(add[x][y] != zero for y in rng):
+        if zero not in add[x]:
             raise ModuleAxiomViolation("group-inverse", (x,))
-    for r in range(ring.order):
-        for x, y in itertools.product(rng, repeat=2):
-            if action[r][add[x][y]] != add[action[r][x]][action[r][y]]:
-                raise ModuleAxiomViolation("action-add", (r, x, y))
-    for r, s in itertools.product(range(ring.order), repeat=2):
-        for x in rng:
-            if action[ring.add[r][s]][x] != add[action[r][x]][action[s][x]]:
-                raise ModuleAxiomViolation("scalar-add", (r, s, x))
-            if action[ring.mul[r][s]][x] != action[r][action[s][x]]:
-                raise ModuleAxiomViolation("scalar-mul", (r, s, x))
-    for x in rng:
-        if action[ring.one][x] != x:
-            raise ModuleAxiomViolation("unit-action", (x,))
+    rr = range(ring.order)
+    act_get = gathers(action)
+    for r, x in itertools.product(rr, rng):
+        # r(x+y) against rx + ry
+        lhs, rhs = add_get[x](action[r]), act_get[r](add[action[r][x]])
+        if lhs != rhs:
+            raise ModuleAxiomViolation("action-add", (r, x, first_failure((lhs, rhs))[0]))
+    for r in rr:
+        sum_rows = act_get[r](add)
+        for s in rr:
+            # (r+s)x against rx + sx, and (rs)x against r(sx); lists, as in
+            # make_le_module's M2 scan.
+            summed = list(map(getitem, sum_rows, action[s]))
+            scaled = act_get[s](action[r])
+            plus, times = list(action[ring.add[r][s]]), action[ring.mul[r][s]]
+            if (plus, times) != (summed, scaled):
+                x, law = first_failure((plus, summed), (times, scaled))
+                raise ModuleAxiomViolation(("scalar-add", "scalar-mul")[law], (r, s, x))
+    if action[ring.one] != identity:
+        x = first_failure((action[ring.one], identity))[0]
+        raise ModuleAxiomViolation("unit-action", (x,))
 
 
 def submodule_lattice_le_module(
@@ -167,19 +193,8 @@ def submodule_lattice_le_module(
     act_t = tuple(tuple(int(v) for v in row) for row in action)
     _check_classical_module(ring, size, zero, add_t, act_t)
 
-    def span(seed: frozenset[int]) -> frozenset[int]:
-        members = set(seed) | {zero}
-        frontier = list(members)
-        while frontier:
-            a = frontier.pop()
-            new = {add_t[a][b] for b in members}
-            new.update(act_t[r][a] for r in range(ring.order))
-            for c in new:
-                if c not in members:
-                    members.add(c)
-                    frontier.append(c)
-        return frozenset(members)
-
+    # In a module the submodule generated by a submodule B and an element g
+    # is B + Rg.
     submodules: set[frozenset[int]] = {frozenset({zero})}
     frontier = [frozenset({zero})]
     while frontier:
@@ -187,7 +202,8 @@ def submodule_lattice_le_module(
         for g in range(size):
             if g in base:
                 continue
-            grown = span(base | {g})
+            multiples = {row[g] for row in act_t}
+            grown = frozenset(add_t[b][m] for b in base for m in multiples)
             if grown not in submodules:
                 submodules.add(grown)
                 frontier.append(grown)
@@ -221,7 +237,11 @@ def build_instance(desc: InstanceDescriptor) -> LeModuleInstance:
         return submodule_lattice_le_module(
             ring, mod.size, mod.zero, mod.add, mod.action, desc.name
         )
-    lattice = make_lattice(mod.size, [[bool(v) for v in row] for row in mod.leq])
+    for i, row in enumerate(mod.leq):
+        for v in row:
+            if v not in (0, 1):
+                raise ValueError(f"leq entry {v} at row {i} must be 0 or 1")
+    lattice = make_lattice(mod.size, mod.leq)
     return make_le_module(ring, lattice, mod.add, mod.zero, mod.action, desc.name)
 
 
@@ -346,38 +366,40 @@ def find_descriptor(name: str) -> InstanceDescriptor | None:
 # --- descriptor text format ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     line: int
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
+def _tokenize(text: str) -> tuple[list[str], list[int]]:
+    """Token texts and, in a parallel list, the line of each token."""
+    texts: list[str] = []
+    lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         for ch in "(),;":
             line = line.replace(ch, f" {ch} ")
-        for tok in line.split():
-            tokens.append(_Token(tok, lineno))
-    return tokens
+        words = line.split()
+        texts += words
+        lines += [lineno] * len(words)
+    return texts, lines
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, texts: list[str], lines: list[int]):
+        self.texts = texts
+        self.lines = lines
         self.pos = 0
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> str | None:
+        return self.texts[self.pos] if self.pos < len(self.texts) else None
 
     def next(self, field: str) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1].line if self.tokens else None
+        if self.pos >= len(self.texts):
+            last = self.lines[-1] if self.lines else None
             raise ParseError("unexpected end of input", line=last, field=field)
         self.pos += 1
-        return tok
+        return _Token(self.texts[self.pos - 1], self.lines[self.pos - 1])
 
     def expect(self, text: str, field: str) -> _Token:
         tok = self.next(field)
@@ -392,31 +414,55 @@ class _Parser:
         except ValueError:
             raise ParseError(f"expected integer, got '{tok.text}'", tok.line, field) from None
 
+    def _find(self, word: str) -> int:
+        try:
+            return self.texts.index(word, self.pos)
+        except ValueError:
+            return len(self.texts)
+
     def table(self, field: str, stop_words: frozenset[str]) -> IntTable:
+        """Rows of integers separated by ';', up to the next stop word.
+
+        A table with a bad integer, an empty row or no rows is read again
+        token by token, which raises the error naming the token's line.
+        """
+        stop = min(self._find(word) for word in stop_words)
+        parts = " ".join(self.texts[self.pos : stop]).split(";")
+        if len(parts) > 1 and not parts[-1]:
+            parts.pop()  # a ';' may end the last row
+        try:
+            rows = tuple(tuple(map(int, part.split())) for part in parts)
+        except ValueError:
+            rows = ()
+        if rows and all(rows):
+            self.pos = stop
+            return rows
+        return self._table_by_token(field, stop)
+
+    def _table_by_token(self, field: str, stop: int) -> IntTable:
         rows: list[tuple[int, ...]] = []
         current: list[int] = []
-        while True:
-            tok = self.peek()
-            if tok is None or tok.text in stop_words:
-                break
-            self.pos += 1
-            if tok.text == ";":
+        for i in range(self.pos, stop):
+            text, line = self.texts[i], self.lines[i]
+            if text == ";":
                 if not current:
-                    raise ParseError("empty table row", tok.line, field)
+                    raise ParseError("empty table row", line, field)
                 rows.append(tuple(current))
                 current = []
                 continue
             try:
-                current.append(int(tok.text))
+                current.append(int(text))
             except ValueError:
                 raise ParseError(
-                    f"expected integer or ';', got '{tok.text}'", tok.line, field
+                    f"expected integer or ';', got '{text}'", line, field
                 ) from None
         if current:
             rows.append(tuple(current))
         if not rows:
-            tok = self.peek()
-            raise ParseError("empty table", tok.line if tok else None, field)
+            raise ParseError(
+                "empty table", self.lines[stop] if stop < len(self.lines) else None, field
+            )
+        self.pos = stop
         return tuple(rows)
 
     def ring(self) -> RingSpec:
@@ -471,7 +517,7 @@ class _Parser:
 
 def parse_descriptor(text: str) -> InstanceDescriptor:
     """Parse descriptor text; raises ParseError with a line number."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(*_tokenize(text))
     name: str | None = None
     ring: RingSpec | None = None
     module: ModuleSpec | None = None

@@ -52,14 +52,6 @@ class FiniteBoundedLattice:
         return tuple(out)
 
 
-def _bound(leq: BoolTable, a: int, b: int, size: int, upper: bool) -> int | None:
-    if upper:
-        cands = [x for x in range(size) if leq[a][x] and leq[b][x]]
-        return next((u for u in cands if all(leq[u][x] for x in cands)), None)
-    cands = [x for x in range(size) if leq[x][a] and leq[x][b]]
-    return next((l for l in cands if all(leq[x][l] for x in cands)), None)
-
-
 def make_lattice(size: int, leq: Sequence[Sequence[bool]]) -> FiniteBoundedLattice:
     """Validate the order table and precompute join/meet tables."""
     if size < 1:
@@ -69,41 +61,55 @@ def make_lattice(size: int, leq: Sequence[Sequence[bool]]) -> FiniteBoundedLatti
         raise ValueError(f"leq must be a {size}x{size} table")
 
     rng = range(size)
+    # up[a] and down[a] are bitmasks of the elements above and below a; the
+    # lowest set bit of a nonzero mask is the first witness a scan over
+    # increasing indices would meet.
+    up = [_mask(row) for row in table]
+    down = [_mask(col) for col in zip(*table)]
     for a in rng:
         if not table[a][a]:
             raise NotAPoset("reflexivity", (a,))
-    for a, b in itertools.product(rng, repeat=2):
-        if a != b and table[a][b] and table[b][a]:
-            raise NotAPoset("antisymmetry", (a, b))
-    for a, b, c in itertools.product(rng, repeat=3):
-        if table[a][b] and table[b][c] and not table[a][c]:
-            raise NotAPoset("transitivity", (a, b, c))
+    for a in rng:
+        both = up[a] & down[a] & ~(1 << a)
+        if both:
+            raise NotAPoset("antisymmetry", (a, _lowest(both)))
+    for a in rng:
+        for b in rng:
+            if table[a][b] and up[b] & ~up[a]:
+                raise NotAPoset("transitivity", (a, b, _lowest(up[b] & ~up[a])))
 
-    tops = [t for t in rng if all(table[x][t] for x in rng)]
-    if not tops:
+    full = (1 << size) - 1
+    top = next((t for t in rng if down[t] == full), None)
+    if top is None:
         raise Unbounded("no greatest element")
-    bottoms = [b for b in rng if all(table[b][x] for x in rng)]
-    if not bottoms:
+    bottom = next((b for b in rng if up[b] == full), None)
+    if bottom is None:
         raise Unbounded("no least element")
-    top, bottom = tops[0], bottoms[0]
 
+    # In a poset, u is the least upper bound of a and b exactly when the
+    # elements above u are those above both; antisymmetry makes u unique.
+    lub = {mask: u for u, mask in enumerate(up)}
+    glb = {mask: l for l, mask in enumerate(down)}
     join_rows = []
     meet_rows = []
     for a in rng:
-        jrow = []
-        mrow = []
-        for b in rng:
-            u = _bound(table, a, b, size, upper=True)
-            if u is None:
-                raise NotALattice("least upper bound", (a, b))
-            l = _bound(table, a, b, size, upper=False)
-            if l is None:
-                raise NotALattice("greatest lower bound", (a, b))
-            jrow.append(u)
-            mrow.append(l)
+        jrow = [lub.get(up[a] & mask) for mask in up]
+        mrow = [glb.get(down[a] & mask) for mask in down]
+        if None in jrow or None in mrow:
+            b = min(row.index(None) for row in (jrow, mrow) if None in row)
+            kind = "least upper bound" if jrow[b] is None else "greatest lower bound"
+            raise NotALattice(kind, (a, b))
         join_rows.append(tuple(jrow))
         meet_rows.append(tuple(mrow))
     return FiniteBoundedLattice(size, table, top, bottom, tuple(join_rows), tuple(meet_rows))
+
+
+def _mask(flags: Iterable[bool]) -> int:
+    return sum(1 << x for x, flag in enumerate(flags) if flag)
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 def join_all(lat: FiniteBoundedLattice, elems: Iterable[int]) -> int:

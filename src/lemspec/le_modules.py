@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterable
 
 from .errors import AxiomViolation, EmptyFamily, NotPrimeIdeal
 from .lattices import FiniteBoundedLattice
 from .memo import per_object
 from .rings import FiniteRing, Ideal, is_ideal, is_prime_ideal
+from .rowscan import first_failure, gathers
 
 IntTable = tuple[tuple[int, ...], ...]
 
@@ -78,35 +80,58 @@ def make_le_module(
     if not 0 <= zero_m < n:
         raise ValueError("zero_m out of range")
 
+    # Each law is checked a row at a time over its last index; the witness of
+    # a failed row is the first failing cell, as a loop over the indices in
+    # the order of the tuple would find it.
     rng = range(n)
+    identity = tuple(rng)
+    if add_t[zero_m] != identity:
+        x = first_failure((add_t[zero_m], identity))[0]
+        raise AxiomViolation("monoid", (zero_m, x), "identity fails")
+    add_cols = tuple(zip(*add_t))
     for x in rng:
-        if add_t[zero_m][x] != x:
-            raise AxiomViolation("monoid", (zero_m, x), "identity fails")
-    for x, y in itertools.product(rng, repeat=2):
-        if add_t[x][y] != add_t[y][x]:
+        if add_t[x] != add_cols[x]:
+            y = first_failure((add_t[x], add_cols[x]))[0]
             raise AxiomViolation("monoid", (x, y), "commutativity fails")
-    for x, y, z in itertools.product(rng, repeat=3):
-        if add_t[add_t[x][y]][z] != add_t[x][add_t[y][z]]:
+    add_get = gathers(add_t)
+    for x, y in itertools.product(rng, repeat=2):
+        # (x+y)+z against x+(y+z)
+        lhs, rhs = add_t[add_t[x][y]], add_get[y](add_t[x])
+        if lhs != rhs:
+            z = first_failure((lhs, rhs))[0]
             raise AxiomViolation("monoid", (x, y, z), "associativity fails")
 
     jt = lattice.join_table
-    for m, x, y in itertools.product(rng, repeat=3):
-        if add_t[m][jt[x][y]] != jt[add_t[m][x]][add_t[m][y]]:
-            raise AxiomViolation("S", (m, x, y))
+    join_get = gathers(jt)
+    for m, x in itertools.product(rng, repeat=2):
+        # m + (x v y) against (m+x) v (m+y)
+        lhs, rhs = join_get[x](add_t[m]), add_get[m](jt[add_t[m][x]])
+        if lhs != rhs:
+            raise AxiomViolation("S", (m, x, first_failure((lhs, rhs))[0]))
 
     rr = range(ring.order)
-    for r in rr:
-        for x, y in itertools.product(rng, repeat=2):
-            if act_t[r][add_t[x][y]] != add_t[act_t[r][x]][act_t[r][y]]:
-                raise AxiomViolation("M1", (r, x, y))
-    for r1, r2 in itertools.product(rr, repeat=2):
-        s = ring.add[r1][r2]
-        p = ring.mul[r1][r2]
-        for m in rng:
-            if not lattice.leq[act_t[s][m]][add_t[act_t[r1][m]][act_t[r2][m]]]:
-                raise AxiomViolation("M2", (r1, r2, m))
-            if act_t[p][m] != act_t[r1][act_t[r2][m]]:
-                raise AxiomViolation("M3", (r1, r2, m))
+    act_get = gathers(act_t)
+    for r, x in itertools.product(rr, rng):
+        # r(x+y) against rx + ry
+        lhs, rhs = add_get[x](act_t[r]), act_get[r](add_t[act_t[r][x]])
+        if lhs != rhs:
+            raise AxiomViolation("M1", (r, x, first_failure((lhs, rhs))[0]))
+    # M2 holds at m when (r1+r2)m <= r1m + r2m, M3 when (r1r2)m = r1(r2m).
+    # ``below`` is a list: tuple(map(...)) would be resized after it is built,
+    # and every such tuple freed would stay on the interpreter's tuple free
+    # list, up to 2000 of each size.
+    leq_rows = [get(lattice.leq) for get in act_get]
+    holds = [True] * n
+    for r1 in rr:
+        sum_rows = act_get[r1](add_t)
+        for r2 in rr:
+            s = ring.add[r1][r2]
+            p = ring.mul[r1][r2]
+            below = list(map(getitem, leq_rows[s], map(getitem, sum_rows, act_t[r2])))
+            scaled = act_get[r2](act_t[r1])
+            if below != holds or act_t[p] != scaled:
+                m, law = first_failure((below, holds), (act_t[p], scaled))
+                raise AxiomViolation(("M2", "M3")[law], (r1, r2, m))
     for m in rng:
         if act_t[ring.one][m] != m:
             raise AxiomViolation("M4", (ring.one, m), "1*m != m")
@@ -115,10 +140,11 @@ def make_le_module(
     for r in rr:
         if act_t[r][zero_m] != zero_m:
             raise AxiomViolation("M4", (r, zero_m), "r*0_M != 0_M")
-    for r in rr:
-        for x, y in itertools.product(rng, repeat=2):
-            if act_t[r][jt[x][y]] != jt[act_t[r][x]][act_t[r][y]]:
-                raise AxiomViolation("M5", (r, x, y))
+    for r, x in itertools.product(rr, rng):
+        # r(x v y) against rx v ry
+        lhs, rhs = join_get[x](act_t[r]), act_get[r](jt[act_t[r][x]])
+        if lhs != rhs:
+            raise AxiomViolation("M5", (r, x, first_failure((lhs, rhs))[0]))
 
     labels = tuple(element_labels) if element_labels is not None else None
     if labels is not None and len(labels) != n:

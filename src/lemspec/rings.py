@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import AxiomViolation, EmptyFamily, ImproperIdeal, ZeroRing
 from .memo import per_object
+from .rowscan import first_failure, gathers
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -79,14 +80,15 @@ def _freeze(table: Sequence[Sequence[int]]) -> Table:
     return tuple(tuple(int(v) for v in row) for row in table)
 
 
-def _check_table_shape(table: Table, order: int, label: str) -> None:
-    if len(table) != order:
-        raise ValueError(f"{label} table must have {order} rows, got {len(table)}")
+def check_table_shape(table: Table, rows: int, cols: int, label: str) -> None:
+    """``rows`` rows of ``cols`` entries, each entry an index below ``cols``."""
+    if len(table) != rows:
+        raise ValueError(f"{label} table must have {rows} rows, got {len(table)}")
     for i, row in enumerate(table):
-        if len(row) != order:
-            raise ValueError(f"{label} table row {i} must have {order} entries")
+        if len(row) != cols:
+            raise ValueError(f"{label} table row {i} must have {cols} entries")
         for v in row:
-            if not 0 <= v < order:
+            if not 0 <= v < cols:
                 raise ValueError(f"{label} table entry {v} at row {i} out of range")
 
 
@@ -104,34 +106,40 @@ def make_ring(
         raise ZeroRing("the one-element ring is rejected")
     add_t = _freeze(add)
     mul_t = _freeze(mul)
-    _check_table_shape(add_t, order, "add")
-    _check_table_shape(mul_t, order, "mul")
+    check_table_shape(add_t, order, order, "add")
+    check_table_shape(mul_t, order, order, "mul")
 
     rng = range(order)
-    zero = next((e for e in rng if all(add_t[e][x] == x for x in rng)), None)
+    identity = tuple(rng)
+    zero = next((e for e in rng if add_t[e] == identity), None)
     if zero is None:
         raise AxiomViolation("add-identity", ())
-    one = next((u for u in rng if all(mul_t[u][x] == x for x in rng)), None)
+    one = next((u for u in rng if mul_t[u] == identity), None)
     if one is None:
         raise AxiomViolation("mul-identity", ())
     if zero == one:
         raise AxiomViolation("zero-ne-one", (zero,))
 
-    for a, b in itertools.product(rng, repeat=2):
-        if add_t[a][b] != add_t[b][a]:
-            raise AxiomViolation("add-comm", (a, b))
-        if mul_t[a][b] != mul_t[b][a]:
-            raise AxiomViolation("mul-comm", (a, b))
+    # Each law is checked a row at a time; a failed row is rescanned for the
+    # first failing cell, so the witness is the one a triple loop over
+    # (a, b, c), with the laws in the order below at each cell, would find.
+    add_cols, mul_cols = tuple(zip(*add_t)), tuple(zip(*mul_t))
     for a in rng:
-        if all(add_t[a][b] != zero for b in rng):
+        if (add_t[a], mul_t[a]) != (add_cols[a], mul_cols[a]):
+            b, law = first_failure((add_t[a], add_cols[a]), (mul_t[a], mul_cols[a]))
+            raise AxiomViolation(("add-comm", "mul-comm")[law], (a, b))
+    for a in rng:
+        if zero not in add_t[a]:
             raise AxiomViolation("add-inverse", (a,))
-    for a, b, c in itertools.product(rng, repeat=3):
-        if add_t[add_t[a][b]][c] != add_t[a][add_t[b][c]]:
-            raise AxiomViolation("add-assoc", (a, b, c))
-        if mul_t[mul_t[a][b]][c] != mul_t[a][mul_t[b][c]]:
-            raise AxiomViolation("mul-assoc", (a, b, c))
-        if mul_t[a][add_t[b][c]] != add_t[mul_t[a][b]][mul_t[a][c]]:
-            raise AxiomViolation("distributive", (a, b, c))
+    add_get, mul_get = gathers(add_t), gathers(mul_t)
+    for a, b in itertools.product(rng, repeat=2):
+        add_a, mul_a = add_t[a], mul_t[a]
+        # Over c: (a+b)+c, (ab)c, a(b+c) against a+(b+c), a(bc), ab+ac.
+        lhs = (add_t[add_a[b]], mul_t[mul_a[b]], add_get[b](mul_a))
+        rhs = (add_get[b](add_a), mul_get[b](mul_a), mul_get[a](add_t[mul_a[b]]))
+        if lhs != rhs:
+            c, law = first_failure(*zip(lhs, rhs))
+            raise AxiomViolation(("add-assoc", "mul-assoc", "distributive")[law], (a, b, c))
 
     names = tuple(element_names) if element_names is not None else None
     if names is not None and len(names) != order:
@@ -230,14 +238,14 @@ def ideal_sort_key(i: Ideal) -> tuple:
 @per_object
 def all_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
     """Every ideal, found by closing the principal ideals under ideal sum."""
-    principals = [principal_ideal(ring, r) for r in range(ring.order)]
-    known: set[frozenset[int]] = {p.members for p in principals}
+    principals = {principal_ideal(ring, r).members for r in range(ring.order)}
+    known: set[frozenset[int]] = set(principals)
     known.add(frozenset({ring.zero}))
     frontier = list(known)
     while frontier:
         base = frontier.pop()
         for p in principals:
-            s = frozenset(ring.add[a][b] for a in base for b in p.members)
+            s = frozenset(ring.add[a][b] for a in base for b in p)
             if s not in known:
                 known.add(s)
                 frontier.append(s)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -150,6 +151,127 @@ def test_bad_poset_exit_code(tmp_path, capsys):
     path.write_text(BAD_POSET_DESCRIPTOR)
     assert main(["validate", str(path)]) == 2
     assert "antisymmetry" in capsys.readouterr().err
+
+
+def test_leq_entry_other_than_0_or_1_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "flags.lem"
+    path.write_text(
+        "name odd-flags\nring zn 2\nmodule explicit size 3 zero 0\n"
+        "  leq 1 7 1 ; 0 1 1 ; 0 0 -3\n"
+        "  add 0 1 2 ; 1 2 2 ; 2 2 2\n  action 0 0 0 ; 0 1 2\n"
+    )
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == "error: leq entry 7 at row 0 must be 0 or 1\n"
+
+
+def _table(rows) -> str:
+    return " ; ".join(" ".join(str(int(v)) for v in row) for row in rows)
+
+
+def _f3_cubed_tables():
+    """leq, add and action of the subspace lattice of F3^3, subspaces by (size, members)."""
+    vectors = list(itertools.product(range(3), repeat=3))
+    index = {v: i for i, v in enumerate(vectors)}
+
+    def plus(x, y):
+        return index[tuple((a + b) % 3 for a, b in zip(vectors[x], vectors[y]))]
+
+    def span(gens):
+        members = {0}
+        for g in gens:
+            multiples = {index[tuple(r * a % 3 for a in vectors[g])] for r in range(3)}
+            members = {plus(b, m) for b in members for m in multiples}
+        return frozenset(members)
+
+    subs = sorted(
+        {span(pair) for pair in itertools.combinations_with_replacement(range(27), 2)}
+        | {span(range(27))},
+        key=lambda s: (len(s), sorted(s)),
+    )
+    at = {s: i for i, s in enumerate(subs)}
+    size = len(subs)
+    leq = [[int(a <= b) for b in subs] for a in subs]
+    add = [[at[span(a | b)] for b in subs] for a in subs]
+    action = [[0] * size] + [list(range(size))] * 2
+    return size, leq, add, action
+
+
+def _validate_cases():
+    """Explicit F3^3 and Z12, and one mutant per mutation kind the benchmark uses."""
+    size, leq, add, action = _f3_cubed_tables()
+
+    def module(name, leq=leq, add=add):
+        return (
+            f"name {name}\nring zn 3\nmodule explicit size {size} zero 0\n"
+            f"  leq {_table(leq)}\n  add {_table(add)}\n  action {_table(action)}\n"
+        )
+
+    def changed(table, cells):
+        rows = [list(row) for row in table]
+        for (a, b), v in cells.items():
+            rows[a][b] = v
+        return rows
+
+    zadd = [[(a + b) % 12 for b in range(12)] for a in range(12)]
+    zmul = [[a * b % 12 for b in range(12)] for a in range(12)]
+
+    def ring(name, add=zadd, mul=zmul):
+        return (
+            f"name {name}\nring explicit order 12\n  add {_table(add)}\n"
+            f"  mul {_table(mul)}\nmodule ideal-lattice\n"
+        )
+
+    return {
+        "F3^3": module("F3^3-explicit"),
+        "reflexivity": module("F3^3-reflexivity", leq=changed(leq, {(5, 5): 0})),
+        "antisymmetry": module(
+            "F3^3-antisymmetry", leq=changed(leq, {(7, 2): 1, (2, 7): 1})
+        ),
+        "monoid-identity": module("F3^3-monoid-identity", add=changed(add, {(0, 3): 4})),
+        "monoid-commutativity": module(
+            "F3^3-monoid-commutativity", add=changed(add, {(2, 5): add[2][5] ^ 1})
+        ),
+        "Z12": ring("Z12-explicit-ring"),
+        "add-comm": ring("Z12-add-comm", add=changed(zadd, {(3, 7): 0})),
+        "mul-comm": ring("Z12-mul-comm", mul=changed(zmul, {(4, 9): 5})),
+    }
+
+
+VALIDATE_BYTES = {
+    "F3^3": (
+        0,
+        "instance: F3^3-explicit\nring: Z3 (order 3)\nlattice size: 28\n"
+        "submodule elements: 28\nspectrum points: 27\nvalid: all le-module axioms hold\n",
+        "",
+    ),
+    "reflexivity": (2, "", "error: reflexivity fails at (5,)\n"),
+    "antisymmetry": (2, "", "error: antisymmetry fails at (2, 7)\n"),
+    "monoid-identity": (2, "", "error: axiom monoid violated at (0, 3): identity fails\n"),
+    "monoid-commutativity": (
+        2,
+        "",
+        "error: axiom monoid violated at (2, 5): commutativity fails\n",
+    ),
+    "Z12": (
+        0,
+        "instance: Z12-explicit-ring\nring: R (order 12)\nlattice size: 6\n"
+        "submodule elements: 6\nspectrum points: 2\nvalid: all le-module axioms hold\n",
+        "",
+    ),
+    "add-comm": (2, "", "error: axiom add-comm violated at (3, 7)\n"),
+    "mul-comm": (2, "", "error: axiom mul-comm violated at (4, 9)\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_BYTES))
+def test_validate_output_bytes_are_pinned(case, tmp_path, capsys):
+    # Accepted files print the same bytes and rejected ones name the same law
+    # and witness as the cell-by-cell validator did.
+    path = tmp_path / f"{case}.lem"
+    path.write_text(_validate_cases()[case])
+    rc = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == VALIDATE_BYTES[case]
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

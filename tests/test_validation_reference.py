@@ -1,0 +1,513 @@
+"""The row-at-a-time law scans and the table reader against plain references.
+
+Each reference below is the cell-by-cell loop the fast code must agree
+with: the same exception type, the same law and the same witness on a bad
+table, and the same join and meet tables on a good lattice.  Inputs are
+seeded one-cell and symmetric two-cell mutants of small valid tables, whose
+first failures land on every law; sizes 1 and 2 are included, because with
+one index ``itemgetter`` returns an item instead of a tuple.
+"""
+
+import dataclasses
+import itertools
+import random
+
+import pytest
+
+from lemspec import instances
+from lemspec.errors import (
+    AxiomViolation,
+    ModuleAxiomViolation,
+    NotALattice,
+    NotAPoset,
+    ParseError,
+    Unbounded,
+)
+from lemspec.instances import (
+    _check_classical_module,
+    build_instance,
+    catalog,
+    cyclic_module_tables,
+    mod_scaled_cyclic_tables,
+    parse_descriptor,
+    product_module_tables,
+)
+from lemspec.lattices import chain_lattice, make_lattice
+from lemspec.le_modules import make_le_module
+from lemspec.rings import make_ring, make_zn
+
+# --- references: the cell-by-cell scans ------------------------------------
+
+
+def ref_ring(order, add, mul):
+    rng = range(order)
+    zero = next((e for e in rng if all(add[e][x] == x for x in rng)), None)
+    if zero is None:
+        raise AxiomViolation("add-identity", ())
+    one = next((u for u in rng if all(mul[u][x] == x for x in rng)), None)
+    if one is None:
+        raise AxiomViolation("mul-identity", ())
+    if zero == one:
+        raise AxiomViolation("zero-ne-one", (zero,))
+    for a, b in itertools.product(rng, repeat=2):
+        if add[a][b] != add[b][a]:
+            raise AxiomViolation("add-comm", (a, b))
+        if mul[a][b] != mul[b][a]:
+            raise AxiomViolation("mul-comm", (a, b))
+    for a in rng:
+        if all(add[a][b] != zero for b in rng):
+            raise AxiomViolation("add-inverse", (a,))
+    for a, b, c in itertools.product(rng, repeat=3):
+        if add[add[a][b]][c] != add[a][add[b][c]]:
+            raise AxiomViolation("add-assoc", (a, b, c))
+        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+            raise AxiomViolation("mul-assoc", (a, b, c))
+        if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+            raise AxiomViolation("distributive", (a, b, c))
+    return zero, one
+
+
+def ref_lattice(size, leq):
+    rng = range(size)
+    for a in rng:
+        if not leq[a][a]:
+            raise NotAPoset("reflexivity", (a,))
+    for a, b in itertools.product(rng, repeat=2):
+        if a != b and leq[a][b] and leq[b][a]:
+            raise NotAPoset("antisymmetry", (a, b))
+    for a, b, c in itertools.product(rng, repeat=3):
+        if leq[a][b] and leq[b][c] and not leq[a][c]:
+            raise NotAPoset("transitivity", (a, b, c))
+    tops = [t for t in rng if all(leq[x][t] for x in rng)]
+    if not tops:
+        raise Unbounded("no greatest element")
+    bottoms = [b for b in rng if all(leq[b][x] for x in rng)]
+    if not bottoms:
+        raise Unbounded("no least element")
+
+    def bound(a, b, upper):
+        if upper:
+            cands = [x for x in rng if leq[a][x] and leq[b][x]]
+            return next((u for u in cands if all(leq[u][x] for x in cands)), None)
+        cands = [x for x in rng if leq[x][a] and leq[x][b]]
+        return next((l for l in cands if all(leq[x][l] for x in cands)), None)
+
+    join, meet = [], []
+    for a in rng:
+        jrow, mrow = [], []
+        for b in rng:
+            u = bound(a, b, True)
+            if u is None:
+                raise NotALattice("least upper bound", (a, b))
+            l = bound(a, b, False)
+            if l is None:
+                raise NotALattice("greatest lower bound", (a, b))
+            jrow.append(u)
+            mrow.append(l)
+        join.append(tuple(jrow))
+        meet.append(tuple(mrow))
+    return tops[0], bottoms[0], tuple(join), tuple(meet)
+
+
+def ref_le_module(ring, lattice, add, zero_m, act):
+    rng = range(lattice.size)
+    for x in rng:
+        if add[zero_m][x] != x:
+            raise AxiomViolation("monoid", (zero_m, x), "identity fails")
+    for x, y in itertools.product(rng, repeat=2):
+        if add[x][y] != add[y][x]:
+            raise AxiomViolation("monoid", (x, y), "commutativity fails")
+    for x, y, z in itertools.product(rng, repeat=3):
+        if add[add[x][y]][z] != add[x][add[y][z]]:
+            raise AxiomViolation("monoid", (x, y, z), "associativity fails")
+    jt = lattice.join_table
+    for m, x, y in itertools.product(rng, repeat=3):
+        if add[m][jt[x][y]] != jt[add[m][x]][add[m][y]]:
+            raise AxiomViolation("S", (m, x, y))
+    rr = range(ring.order)
+    for r in rr:
+        for x, y in itertools.product(rng, repeat=2):
+            if act[r][add[x][y]] != add[act[r][x]][act[r][y]]:
+                raise AxiomViolation("M1", (r, x, y))
+    for r1, r2 in itertools.product(rr, repeat=2):
+        s = ring.add[r1][r2]
+        p = ring.mul[r1][r2]
+        for m in rng:
+            if not lattice.leq[act[s][m]][add[act[r1][m]][act[r2][m]]]:
+                raise AxiomViolation("M2", (r1, r2, m))
+            if act[p][m] != act[r1][act[r2][m]]:
+                raise AxiomViolation("M3", (r1, r2, m))
+    for m in rng:
+        if act[ring.one][m] != m:
+            raise AxiomViolation("M4", (ring.one, m), "1*m != m")
+        if act[ring.zero][m] != zero_m:
+            raise AxiomViolation("M4", (ring.zero, m), "0_R*m != 0_M")
+    for r in rr:
+        if act[r][zero_m] != zero_m:
+            raise AxiomViolation("M4", (r, zero_m), "r*0_M != 0_M")
+    for r in rr:
+        for x, y in itertools.product(rng, repeat=2):
+            if act[r][jt[x][y]] != jt[act[r][x]][act[r][y]]:
+                raise AxiomViolation("M5", (r, x, y))
+
+
+def ref_classical(ring, size, zero, add, action):
+    rng = range(size)
+    for x in rng:
+        if add[zero][x] != x:
+            raise ModuleAxiomViolation("group-identity", (zero, x))
+    for x, y in itertools.product(rng, repeat=2):
+        if add[x][y] != add[y][x]:
+            raise ModuleAxiomViolation("group-comm", (x, y))
+    for x, y, z in itertools.product(rng, repeat=3):
+        if add[add[x][y]][z] != add[x][add[y][z]]:
+            raise ModuleAxiomViolation("group-assoc", (x, y, z))
+    for x in rng:
+        if all(add[x][y] != zero for y in rng):
+            raise ModuleAxiomViolation("group-inverse", (x,))
+    for r in range(ring.order):
+        for x, y in itertools.product(rng, repeat=2):
+            if action[r][add[x][y]] != add[action[r][x]][action[r][y]]:
+                raise ModuleAxiomViolation("action-add", (r, x, y))
+    for r, s in itertools.product(range(ring.order), repeat=2):
+        for x in rng:
+            if action[ring.add[r][s]][x] != add[action[r][x]][action[s][x]]:
+                raise ModuleAxiomViolation("scalar-add", (r, s, x))
+            if action[ring.mul[r][s]][x] != action[r][action[s][x]]:
+                raise ModuleAxiomViolation("scalar-mul", (r, s, x))
+    for x in rng:
+        if action[ring.one][x] != x:
+            raise ModuleAxiomViolation("unit-action", (x,))
+
+
+class RefParser(instances._Parser):
+    """The parser with the per-token table reader."""
+
+    def table(self, field, stop_words):
+        rows, current = [], []
+        while True:
+            text = self.peek()
+            if text is None or text in stop_words:
+                break
+            tok = self.next(field)
+            if text == ";":
+                if not current:
+                    raise ParseError("empty table row", tok.line, field)
+                rows.append(tuple(current))
+                current = []
+                continue
+            try:
+                current.append(int(text))
+            except ValueError:
+                raise ParseError(
+                    f"expected integer or ';', got '{text}'", tok.line, field
+                ) from None
+        if current:
+            rows.append(tuple(current))
+        if not rows:
+            line = self.lines[self.pos] if self.peek() is not None else None
+            raise ParseError("empty table", line, field)
+        return tuple(rows)
+
+
+# --- comparison helpers ----------------------------------------------------
+
+
+def outcome(fn, *args):
+    """What a call returned, or the type and the fields of what it raised."""
+    try:
+        return ("ok", fn(*args))
+    except AxiomViolation as exc:
+        return ("AxiomViolation", exc.axiom, exc.witness, str(exc))
+    except ModuleAxiomViolation as exc:
+        return ("ModuleAxiomViolation", exc.law, exc.witness)
+    except NotAPoset as exc:
+        return ("NotAPoset", exc.law, exc.witness)
+    except NotALattice as exc:
+        return ("NotALattice", exc.kind, exc.pair)
+    except (Unbounded, ParseError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None))
+
+
+def thaw(table):
+    return [list(row) for row in table]
+
+
+def freeze(table):
+    return tuple(tuple(row) for row in table)
+
+
+def mutants(table, values, rng, count, symmetric=False):
+    """Copies of a table with one cell, or one cell and its mirror image, changed."""
+    rows, cols = len(table), len(table[0])
+    out = []
+    for _ in range(count):
+        t = thaw(table)
+        a, b = rng.randrange(rows), rng.randrange(cols)
+        v = rng.choice([x for x in values if x != t[a][b]] or values)
+        t[a][b] = v
+        if symmetric and b < rows and a < cols:
+            t[b][a] = v
+        out.append(freeze(t))
+    return out
+
+
+def seen_failures(results):
+    return {r[1] for r in results if r[0] != "ok"}
+
+
+# --- rings -------------------------------------------------------------------
+
+
+def ring_outcome_new(order, add, mul):
+    ring = make_ring(order, add, mul)
+    return ring.zero, ring.one
+
+
+def test_ring_scan_matches_reference():
+    results = []
+    for n in range(2, 13):
+        rng = random.Random(f"ring:{n}")
+        base = make_zn(n)
+        cases = [(base.add, base.mul)]
+        for sym in (False, True):
+            cases += [(t, base.mul) for t in mutants(base.add, range(n), rng, 40, sym)]
+            cases += [(base.add, t) for t in mutants(base.mul, range(n), rng, 40, sym)]
+        for add, mul in cases:
+            expected = outcome(ref_ring, n, add, mul)
+            assert outcome(ring_outcome_new, n, add, mul) == expected, (add, mul)
+            results.append(expected)
+        assert results[-len(cases)][0] == "ok"
+    assert {
+        "add-identity", "mul-identity", "add-comm", "mul-comm",
+        "add-assoc", "mul-assoc", "distributive",
+    } <= seen_failures(results)
+
+
+# --- lattices ------------------------------------------------------------------
+
+
+def lattice_outcome_new(size, leq):
+    lat = make_lattice(size, leq)
+    return lat.top, lat.bottom, lat.join_table, lat.meet_table
+
+
+def small_orders():
+    """leq tables of small bounded lattices, sizes 1 to 8."""
+    out = [[[a <= b for b in range(n)] for a in range(n)] for n in (1, 2, 3, 5)]
+    for k in (2, 3):  # Boolean lattices
+        subsets = range(2**k)
+        out.append([[a & b == a for b in subsets] for a in subsets])
+    diamond = {(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)}
+    pentagon = {(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)}
+    for rel in (diamond, pentagon):
+        out.append([[a == b or (a, b) in rel for b in range(5)] for a in range(5)])
+    for d in catalog():
+        if d.name.endswith("-ideal-lattice"):
+            lat = build_instance(d).lattice
+            out.append(thaw(lat.leq))
+    return [freeze(t) for t in out]
+
+
+def line_mutants(table, rng, count):
+    """Copies with two or three cells of one row, or of one column, flipped.
+
+    Several failures in one line make a row scan pick among witnesses.
+    """
+    n = len(table)
+    out = []
+    for _ in range(count):
+        t = thaw(table)
+        k = rng.randrange(n)
+        for j in rng.sample(range(n), min(n, rng.choice((2, 3)))):
+            a, b = (k, j) if rng.random() < 0.5 else (j, k)
+            t[a][b] = not t[a][b]
+        out.append(freeze(t))
+    return out
+
+
+def bowtie():
+    """A bounded poset whose row 0 lacks a meet at column 1 and a join at column 2.
+
+    0 = a, 1 = b2, 2 = b1, 3 = bottom, 4, 5 = the two maximal lower bounds
+    of a and b2, 6, 7 = the two minimal upper bounds of a and b1, 8 = top.
+    """
+    below = {(4, 0), (5, 0), (4, 1), (5, 1), (0, 6), (0, 7), (2, 6), (2, 7)}
+    below |= {(3, x) for x in range(9)} | {(x, 8) for x in range(9)}
+    below |= {(x, x) for x in range(9)} | {(l, u) for l in (4, 5) for u in (6, 7)}
+    return freeze([[(a, b) in below for b in range(9)] for a in range(9)])
+
+
+def test_lattice_scan_matches_reference():
+    rng = random.Random("lattices")
+    results = [outcome(ref_lattice, 9, bowtie())]
+    assert results[0] == ("NotALattice", "greatest lower bound", (0, 1))
+    assert outcome(lattice_outcome_new, 9, bowtie()) == results[0]
+    for leq in small_orders():
+        size = len(leq)
+        expected = outcome(ref_lattice, size, leq)
+        assert expected[0] == "ok"
+        assert outcome(lattice_outcome_new, size, leq) == expected
+        bad_tables = mutants(leq, (False, True), rng, 60)
+        bad_tables += mutants(leq, (False, True), rng, 60, symmetric=True)
+        bad_tables += line_mutants(leq, rng, 60) if size > 1 else []
+        for bad in bad_tables:
+            expected = outcome(ref_lattice, size, bad)
+            assert outcome(lattice_outcome_new, size, bad) == expected, bad
+            results.append(expected)
+    kinds = {r[0] for r in results}
+    laws = seen_failures(results)
+    assert {"ok", "NotAPoset", "Unbounded", "NotALattice"} <= kinds
+    assert {"reflexivity", "antisymmetry", "transitivity"} <= laws
+
+
+# --- le-modules ------------------------------------------------------------------
+
+
+def le_module_cases():
+    """(ring, lattice, add, zero, action) of valid le-modules, sizes 1 and 2 included."""
+    z2 = make_zn(2)
+    cases = [
+        (z2, chain_lattice(1), ((0,),), 0, ((0,), (0,))),
+        (z2, chain_lattice(2), ((0, 1), (1, 1)), 0, ((0, 0), (0, 1))),
+    ]
+    for d in catalog():
+        mod = build_instance(d)
+        cases.append((mod.ring, mod.lattice, mod.add, mod.zero_m, mod.action))
+    return cases
+
+
+def le_module_outcome_new(ring, lattice, add, zero_m, action):
+    make_le_module(ring, lattice, add, zero_m, action)
+
+
+def test_le_module_scan_matches_reference():
+    rng = random.Random("le-modules")
+    results = []
+    for ring, lat, add, zero, action in le_module_cases():
+        n = lat.size
+        cases = [(add, action)]
+        for sym in (False, True):
+            cases += [(a, action) for a in mutants(add, range(n), rng, 25, sym)]
+        cases += [(add, a) for a in mutants(action, range(n), rng, 50)]
+        cases = [(lat, a, b) for a, b in cases]
+        # A doctored join table is what lets a row fail first at M5.
+        for sym in (False, True):
+            for jt in mutants(lat.join_table, range(n), rng, 25, sym):
+                cases.append((dataclasses.replace(lat, join_table=jt), add, action))
+        for bad_lat, bad_add, bad_act in cases:
+            expected = outcome(ref_le_module, ring, bad_lat, bad_add, zero, bad_act)
+            got = outcome(le_module_outcome_new, ring, bad_lat, bad_add, zero, bad_act)
+            assert got == expected, (bad_lat, bad_add, bad_act)
+            results.append(expected)
+        assert results[-len(cases)] == ("ok", None)
+    assert {"monoid", "S", "M1", "M2", "M3", "M4", "M5"} <= seen_failures(results)
+
+
+# --- classical modules -------------------------------------------------------
+
+
+def classical_cases():
+    out = [(make_zn(2), 1, 0, ((0,),), ((0,), (0,)))]  # the zero module
+    for n in range(2, 9):
+        out.append((make_zn(n), *cyclic_module_tables(n)))
+    z2, z4 = cyclic_module_tables(2), cyclic_module_tables(4)
+    out.append((make_zn(2), *product_module_tables(z2, z2)))
+    out.append((make_zn(4), *product_module_tables(mod_scaled_cyclic_tables(2, 4), z4)))
+    out.append((make_zn(6), *mod_scaled_cyclic_tables(3, 6)))
+    return out
+
+
+def test_classical_module_scan_matches_reference():
+    rng = random.Random("classical")
+    results = []
+    for ring, size, zero, add, action in classical_cases():
+        assert outcome(ref_classical, ring, size, zero, add, action) == ("ok", None)
+        got = outcome(_check_classical_module, ring, size, zero, add, action)
+        assert got == ("ok", None)
+        cases = [(a, action) for a in mutants(add, range(size), rng, 30)]
+        cases += [(a, action) for a in mutants(add, range(size), rng, 30, symmetric=True)]
+        cases += [(add, a) for a in mutants(action, range(size), rng, 40)]
+        cases = [(ring, a, b) for a, b in cases]
+        # Doctored scalar tables let a row fail first at scalar-add or scalar-mul.
+        for mul in mutants(ring.mul, range(ring.order), rng, 20):
+            cases.append((dataclasses.replace(ring, mul=mul), add, action))
+        for radd in mutants(ring.add, range(ring.order), rng, 20):
+            cases.append((dataclasses.replace(ring, add=radd), add, action))
+        for bad_ring, bad_add, bad_act in cases:
+            expected = outcome(ref_classical, bad_ring, size, zero, bad_add, bad_act)
+            got = outcome(_check_classical_module, bad_ring, size, zero, bad_add, bad_act)
+            assert got == expected, (bad_ring, bad_add, bad_act)
+            results.append(expected)
+    assert {
+        "group-identity", "group-comm", "group-assoc", "action-add",
+        "scalar-add", "scalar-mul", "unit-action",
+    } <= seen_failures(results)
+
+
+def test_classical_module_rejects_misshapen_tables():
+    z2 = make_zn(2)
+    add, action = ((0, 1), (1, 0)), ((0, 0), (0, 1))
+    bad = [
+        (add, action[:1], "action table must have 2 rows, got 1"),
+        (((0, 1, 1), (1, 0, 0)), action, "add table row 0 must have 2 entries"),
+        (((0, 1), (1, -1)), action, "add table entry -1 at row 1 out of range"),
+        (add, ((0, 0), (0, 2)), "action table entry 2 at row 1 out of range"),
+    ]
+    for bad_add, bad_act, message in bad:
+        with pytest.raises(ValueError, match=message):
+            _check_classical_module(z2, 2, 0, bad_add, bad_act)
+
+
+# --- descriptor tables ----------------------------------------------------------
+
+
+def parse_with(parser_cls, text):
+    saved = instances._Parser
+    instances._Parser = parser_cls
+    try:
+        return outcome(parse_descriptor, text)
+    finally:
+        instances._Parser = saved
+
+
+def fuzzed_descriptors(rng, count):
+    """Explicit descriptors with tables bent at random: bad tokens, stray ';', gaps."""
+    base = [
+        "name f\nring explicit order 2 add 0 1 ; 1 0 mul 0 0 ; 0 1\nmodule ideal-lattice\n",
+        "name g\nring product ( explicit order 2 add 0 1 ; 1 0 mul 0 0 ; 0 1 , zn 3 )\n"
+        "module ideal-lattice\n",
+        "name h\nring zn 2\nmodule explicit size 3 zero 0\n  leq 1 1 1 ; 0 1 1 ; 0 0 1\n"
+        "  add 0 1 2 ; 1 2 2 ; 2 2 2\n  action 0 0 0 ; 0 1 2\n",
+        "name k\nring zn 2\nmodule submodule-lattice size 2 zero 0\n"
+        "  add 0 1 ; 1 0 # comment ; 7\n  action 0 0 ; 0 1 ;\n",
+    ]
+    # Tables with no rows, before a keyword and at the end of the input.
+    base += [
+        "name e\nring explicit order 2 add mul 0 0 ; 0 1\nmodule ideal-lattice\n",
+        "name e\nring zn 2\nmodule submodule-lattice size 2 zero 0 add 0 1 ; 1 0 action\n",
+    ]
+    noise = [";", "; ;", "x", "1.5", "-3", "+2", "1_0", "(", ")", ","]
+    noise += ["", "\n", "\n;\n", "# c\n"]
+    out = list(base)
+    for _ in range(count):
+        words = rng.choice(base).split(" ")
+        for _ in range(rng.randrange(1, 4)):
+            i = rng.randrange(len(words))
+            if rng.random() < 0.5:
+                words.insert(i, rng.choice(noise))
+            else:
+                del words[i]
+        out.append(" ".join(words))
+    return out
+
+
+def test_table_reader_matches_per_token_reference():
+    rng = random.Random("descriptors")
+    kinds = set()
+    for text in fuzzed_descriptors(rng, 600):
+        expected = parse_with(RefParser, text)
+        assert parse_with(instances._Parser, text) == expected, text
+        kinds.add("ok" if expected[0] == "ok" else expected[1].split(" in field")[0])
+    assert {"ok", "empty table row", "empty table"} <= kinds
+    assert any(k.startswith("expected integer or ';'") for k in kinds)
