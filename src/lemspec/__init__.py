@@ -68,11 +68,8 @@ from .rings import (
     all_ideals,
     basic_open_ring,
     idempotents,
-    ideal_from_generators,
     ideal_intersect,
     ideal_product,
-    ideal_sum,
-    intersect_primes,
     is_ideal,
     is_prime_ideal,
     make_ring,

@@ -172,11 +172,7 @@ def cmd_topology(args: argparse.Namespace) -> int:
     elif args.which == "prime":
         top = tops.prime
     else:
-        if tops.quasi is None:
-            raise NotTopLeModule(
-                f"{mod.name}: the plain variety family is not a topology"
-            )
-        top = tops.quasi
+        top = spectra.quasi_topology(mod)
     props = spectra.point_set_properties(top)
     payload = {
         "instance": mod.name,

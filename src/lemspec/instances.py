@@ -24,14 +24,11 @@ from typing import NamedTuple, Sequence, Union
 
 from .errors import ModuleAxiomViolation, ParseError
 from .le_modules import LeModuleInstance, make_le_module
-from .lattices import make_lattice
+from .lattices import FiniteBoundedLattice, make_lattice
 from .rings import (
     FiniteRing,
-    Ideal,
     all_ideals,
     check_table_shape,
-    ideal_sort_key,
-    ideal_sum,
     make_ring,
     make_zn,
     product_ring,
@@ -113,17 +110,34 @@ def ideal_lattice_le_module(ring: FiniteRing, name: str) -> LeModuleInstance:
     size = len(ideals)
     leq = [[ideals[a].members <= ideals[b].members for b in range(size)] for a in range(size)]
     lattice = make_lattice(size, leq)
-    add = [
-        [index[ideal_sum(ideals[a], ideals[b]).members] for b in range(size)]
-        for a in range(size)
-    ]
-    action = [
-        [index[frozenset(ring.mul[r][x] for x in ideals[m].members)] for m in range(size)]
+    action = tuple(
+        tuple(index[frozenset(ring.mul[r][x] for x in ideals[m].members)] for m in range(size))
         for r in range(ring.order)
-    ]
-    zero_m = index[frozenset({ring.zero})]
+    )
     labels = tuple(_set_label(i.sorted_members()) for i in ideals)
-    return make_le_module(ring, lattice, add, zero_m, action, name, labels)
+    return _lattice_le_module(ring, lattice, action, name, labels)
+
+
+def _lattice_le_module(
+    ring: FiniteRing,
+    lattice: FiniteBoundedLattice,
+    action: IntTable,
+    name: str,
+    labels: tuple[str, ...],
+) -> LeModuleInstance:
+    """The le-module of the ideals or submodules of a ring or module, unchecked.
+
+    I + J is the least ideal (submodule) holding I and J, so the sum is the
+    lattice join and the zero ideal (submodule) is the bottom; a join is a
+    commutative monoid with the bottom as identity that distributes over
+    joins (S).  rI = {rx : x in I} is an ideal (submodule), and
+    r(I + J) = rI + rJ (M1, M5), (r + s)I <= rI + sI (M2), (rs)I = r(sI)
+    (M3), 1I = I, 0I = 0 and r0 = 0 (M4) hold element by element.  So the
+    laws that make_le_module scans for hold by construction.
+    """
+    return LeModuleInstance(
+        ring, lattice, lattice.join_table, lattice.bottom, action, name, labels
+    )
 
 
 def _check_classical_module(
@@ -212,20 +226,12 @@ def submodule_lattice_le_module(
     lat_size = len(ordered)
     leq = [[ordered[a] <= ordered[b] for b in range(lat_size)] for a in range(lat_size)]
     lattice = make_lattice(lat_size, leq)
-    madd = [
-        [
-            index[frozenset(add_t[x][y] for x in ordered[a] for y in ordered[b])]
-            for b in range(lat_size)
-        ]
-        for a in range(lat_size)
-    ]
-    maction = [
-        [index[frozenset(act_t[r][x] for x in ordered[m])] for m in range(lat_size)]
+    maction = tuple(
+        tuple(index[frozenset(act_t[r][x] for x in ordered[m])] for m in range(lat_size))
         for r in range(ring.order)
-    ]
-    zero_m = index[frozenset({zero})]
+    )
     labels = tuple(_set_label(s) for s in ordered)
-    return make_le_module(ring, lattice, madd, zero_m, maction, name, labels)
+    return _lattice_le_module(ring, lattice, maction, name, labels)
 
 
 def build_instance(desc: InstanceDescriptor) -> LeModuleInstance:

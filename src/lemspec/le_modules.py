@@ -14,7 +14,7 @@ from operator import getitem
 from typing import Iterable
 
 from .errors import AxiomViolation, EmptyFamily, NotPrimeIdeal
-from .lattices import FiniteBoundedLattice
+from .lattices import FiniteBoundedLattice, join_all
 from .memo import per_object
 from .rings import FiniteRing, Ideal, is_ideal, is_prime_ideal
 from .rowscan import first_failure, gathers
@@ -178,8 +178,6 @@ def _additive_join_closure(mod: LeModuleInstance, seed: Iterable[int]) -> int:
             if c not in members:
                 members.add(c)
                 frontier.append(c)
-    from .lattices import join_all
-
     return join_all(mod.lattice, sorted(members))
 
 

@@ -92,7 +92,7 @@ class NaturalMap:
 
 def _require_map(nm: NaturalMap) -> None:
     if nm.degenerate:
-        raise ValueError("the module is degenerate: no reduced ring exists")
+        raise InternalError("the module is degenerate: no reduced ring exists")
 
 
 @per_object
@@ -326,9 +326,9 @@ def multiplication_spectral_check(nm: NaturalMap) -> bool:
     """Multiplication instances with onto maps must have spectral spectra."""
     _require_map(nm)
     if not is_multiplication_le_module(nm.instance):
-        raise ValueError("requires a multiplication instance")
+        raise InternalError("requires a multiplication instance")
     if not nm.is_surjective():
-        raise ValueError("requires a surjective map")
+        raise InternalError("requires a surjective map")
     return point_set_properties(build_topologies(nm.instance).star).is_spectral
 
 

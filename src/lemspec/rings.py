@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import AxiomViolation, EmptyFamily, ImproperIdeal, ZeroRing
+from .errors import AxiomViolation, ImproperIdeal, ZeroRing
 from .memo import per_object
 from .rowscan import first_failure, gathers
 
@@ -210,17 +210,6 @@ def _additive_closure(ring: FiniteRing, seed: frozenset[int]) -> frozenset[int]:
     return frozenset(members)
 
 
-def ideal_from_generators(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
-    """Smallest ideal containing the generators."""
-    products = frozenset(ring.mul[r][g] for g in gens for r in range(ring.order))
-    return Ideal(ring, _additive_closure(ring, products))
-
-
-def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
-    ring = i.ring
-    return Ideal(ring, frozenset(ring.add[a][b] for a in i.members for b in j.members))
-
-
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
     ring = i.ring
     products = frozenset(ring.mul[a][b] for a in i.members for b in j.members)
@@ -288,8 +277,11 @@ def quotient_ring(ring: FiniteRing, i: Ideal) -> tuple[FiniteRing, tuple[int, ..
     """Quotient by a proper ideal; returns (quotient, projection table).
 
     Cosets are indexed by their minimal representative, in increasing
-    order, so the construction is canonical.
+    order, so the construction is canonical.  R/0 is R itself, with the
+    identity projection.
     """
+    if i.members == {ring.zero}:
+        return ring, tuple(range(ring.order))
     if not i.is_proper():
         raise ImproperIdeal("cannot quotient by the whole ring")
     if not is_ideal(ring, i.members):
@@ -331,14 +323,3 @@ def maximal_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
     proper = [i for i in all_ideals(ring) if i.is_proper()]
     out = [i for i in proper if not any(i.members < j.members for j in proper)]
     return tuple(sorted(out, key=ideal_sort_key))
-
-
-def intersect_primes(ring: FiniteRing, primes: Iterable[Ideal]) -> Ideal:
-    """Intersection of a nonempty family of primes."""
-    family = list(primes)
-    if not family:
-        raise EmptyFamily("intersection over no primes is undefined")
-    members = frozenset(range(ring.order))
-    for p in family:
-        members &= p.members
-    return Ideal(ring, members)

@@ -156,7 +156,7 @@ def build_topologies(mod: LeModuleInstance) -> Topologies:
 def quasi_topology(mod: LeModuleInstance) -> SpectrumTopology:
     """The plain-variety topology; raises unless the instance is top."""
     if not is_top_le_module(mod):
-        raise NotTopLeModule(f"{mod.name}: plain varieties are not union-closed")
+        raise NotTopLeModule(f"{mod.name}: the plain variety family is not a topology")
     return build_topologies(mod).quasi
 
 
@@ -264,11 +264,6 @@ def closure(top: SpectrumTopology, y: Iterable) -> frozenset:
 
 def is_closed(top: SpectrumTopology, y: Iterable) -> bool:
     return frozenset(y) in set(top.closed_sets)
-
-
-def open_sets(top: SpectrumTopology) -> tuple[frozenset, ...]:
-    universe = top.point_set()
-    return canonical_family(top.points, (universe - c for c in top.closed_sets))
 
 
 def im_meet(mod: LeModuleInstance, y: Iterable[int]) -> int:

@@ -21,7 +21,8 @@ from lemspec.instances import (
     product_module_tables,
     submodule_lattice_le_module,
 )
-from lemspec.le_modules import colon_fibers, spectrum
+from lemspec.lattices import make_lattice
+from lemspec.le_modules import colon_fibers, make_le_module, spectrum
 from lemspec.memo import release
 from lemspec.natural_map import build_natural_map
 from lemspec.spectra import basis_checks, build_topologies
@@ -82,6 +83,34 @@ def test_released_instance_goes_with_its_last_reference():
         assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()
+
+
+def _ladder_instances():
+    """The ideal lattices of Z32-Z45 and the submodule lattices of (Z_m)^k."""
+    mods = [ideal_lattice_le_module(make_zn(n), f"Z{n}") for n in (32, 36, 42, 45)]
+    for m, k in ((4, 2), (5, 2), (7, 2), (2, 3)):
+        tables = cyclic_module_tables(m)
+        power = tables
+        for _ in range(k - 1):
+            power = product_module_tables(power, tables)
+        mods.append(submodule_lattice_le_module(make_zn(m), *power, f"Z{m}^{k}"))
+    return mods
+
+
+def test_built_modules_pass_full_validation(all_instances):
+    """Built lattices skip make_le_module's law scan; check them against it."""
+    for mod in (*all_instances, *_ladder_instances()):
+        lat = mod.lattice
+        rebuilt = make_le_module(
+            mod.ring,
+            make_lattice(lat.size, lat.leq),
+            mod.add,
+            mod.zero_m,
+            mod.action,
+            mod.name,
+            mod.element_labels,
+        )
+        assert rebuilt == mod, mod.name
 
 
 def test_every_catalog_entry_builds(all_instances):

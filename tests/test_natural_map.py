@@ -1,6 +1,6 @@
 import pytest
 
-from lemspec.errors import EmptySpectrum
+from lemspec.errors import EmptySpectrum, InternalError
 from lemspec.instances import (
     ExplicitModuleSpec,
     InstanceDescriptor,
@@ -143,7 +143,7 @@ def test_multiplication_spectral(all_instances):
     for mod in all_instances:
         nm = build_natural_map(mod)
         if mod.name in NON_MULT:
-            with pytest.raises(ValueError):
+            with pytest.raises(InternalError):
                 multiplication_spectral_check(nm)
         else:
             assert multiplication_spectral_check(nm), mod.name
@@ -170,7 +170,7 @@ def test_degenerate_map():
     assert nm.degenerate
     assert nm.images() == ()
     assert not nm.is_surjective()
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalError):
         continuity_check(nm)
     with pytest.raises(EmptySpectrum):
         finite_spec_criterion(mod)

@@ -25,7 +25,6 @@ from lemspec.spectra import (
     is_closed,
     is_irreducible,
     is_top_le_module,
-    open_sets,
     phi_and_t1_check,
     point_closures,
     point_set_properties,
@@ -131,12 +130,6 @@ def test_basis_checks_hold_everywhere(all_instances):
     for mod in all_instances:
         report = basis_checks(mod)
         assert report.ok, (mod.name, report)
-
-
-def test_open_sets_are_complements(z6_module):
-    top = build_topologies(z6_module).star
-    pts = frozenset(top.points)
-    assert set(open_sets(top)) == {pts - c for c in top.closed_sets}
 
 
 def test_closure_is_smallest_closed_superset(all_instances):
