@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import EmptyFamily, NotALattice, NotAPoset, Unbounded
 
 BoolTable = tuple[tuple[bool, ...], ...]
 IntTable = tuple[tuple[int, ...], ...]
+G = TypeVar("G")
+S = TypeVar("S", bound=Hashable)
 
 
 @dataclass(frozen=True)
@@ -134,6 +136,31 @@ def meet_all(lat: FiniteBoundedLattice, elems: Iterable[int]) -> int:
     for x in it:
         acc = lat.meet_table[acc][x]
     return acc
+
+
+def generated(
+    generators: Mapping[G, S], combine: Callable[[S, S], S]
+) -> dict[S, tuple[G, ...]]:
+    """Every state of a nonempty family of generators, with a family reaching it.
+
+    ``generators`` maps each generator to the state of its one-element family,
+    and ``combine(s, t)`` is the state of the family with state s extended by
+    a generator with state t.  The singleton states are closed under
+    combining with one more generator, breadth first and in generator order,
+    so each state maps to the first, and a shortest, generating tuple found.
+    """
+    found: dict[S, tuple[G, ...]] = {}
+    for g, s in generators.items():
+        found.setdefault(s, (g,))
+    work = list(found)
+    for state in work:
+        family = found[state]
+        for g, s in generators.items():
+            t = combine(state, s)
+            if t not in found:
+                found[t] = family + (g,)
+                work.append(t)
+    return found
 
 
 def chain_lattice(n: int) -> FiniteBoundedLattice:

@@ -14,7 +14,7 @@ from operator import getitem
 from typing import Iterable
 
 from .errors import AxiomViolation, EmptyFamily, NotPrimeIdeal
-from .lattices import FiniteBoundedLattice, join_all
+from .lattices import FiniteBoundedLattice, generated, join_all
 from .memo import per_object
 from .rings import FiniteRing, Ideal, is_ideal, is_prime_ideal
 from .rowscan import first_failure, gathers
@@ -167,26 +167,14 @@ def submodule_elements(mod: LeModuleInstance) -> tuple[int, ...]:
     )
 
 
-def _additive_join_closure(mod: LeModuleInstance, seed: Iterable[int]) -> int:
-    """Join of the closure of the seed under the monoid sum."""
-    members = set(seed)
-    frontier = list(members)
-    while frontier:
-        a = frontier.pop()
-        for b in list(members):
-            c = mod.add[a][b]
-            if c not in members:
-                members.add(c)
-                frontier.append(c)
-    return join_all(mod.lattice, sorted(members))
-
-
 def sum_submodule_elements(mod: LeModuleInstance, family: Iterable[int]) -> int:
     """Smallest submodule element above every finite sum from the family."""
     seed = list(family)
     if not seed:
         raise EmptyFamily("sum over the empty family is undefined")
-    return _additive_join_closure(mod, seed)
+    add = mod.add
+    sums = generated({a: a for a in seed}, lambda a, b: add[a][b])
+    return join_all(mod.lattice, sorted(sums))
 
 
 @per_object
@@ -219,7 +207,7 @@ def ideal_action(mod: LeModuleInstance, ideal: Ideal) -> int:
     top = mod.lattice.top
     seed = {mod.action[a][top] for a in ideal.members}
     seed.add(mod.zero_m)
-    return _additive_join_closure(mod, sorted(seed))
+    return sum_submodule_elements(mod, sorted(seed))
 
 
 def galois_adjunction_check(mod: LeModuleInstance, ideal: Ideal, n: int) -> bool:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import AxiomViolation, ImproperIdeal, ZeroRing
+from .lattices import generated
 from .memo import per_object
 from .rowscan import first_failure, gathers
 
@@ -197,17 +198,9 @@ def principal_ideal(ring: FiniteRing, r: int) -> Ideal:
 
 
 def _additive_closure(ring: FiniteRing, seed: frozenset[int]) -> frozenset[int]:
-    members = set(seed)
-    members.add(ring.zero)
-    frontier = list(members)
-    while frontier:
-        a = frontier.pop()
-        for b in list(members):
-            c = ring.add[a][b]
-            if c not in members:
-                members.add(c)
-                frontier.append(c)
-    return frozenset(members)
+    add = ring.add
+    sums = generated({a: a for a in seed | {ring.zero}}, lambda a, b: add[a][b])
+    return frozenset(sums)
 
 
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
@@ -227,17 +220,12 @@ def ideal_sort_key(i: Ideal) -> tuple:
 @per_object
 def all_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
     """Every ideal, found by closing the principal ideals under ideal sum."""
-    principals = {principal_ideal(ring, r).members for r in range(ring.order)}
-    known: set[frozenset[int]] = set(principals)
-    known.add(frozenset({ring.zero}))
-    frontier = list(known)
-    while frontier:
-        base = frontier.pop()
-        for p in principals:
-            s = frozenset(ring.add[a][b] for a in base for b in p)
-            if s not in known:
-                known.add(s)
-                frontier.append(s)
+    add = ring.add
+    principals = (principal_ideal(ring, r).members for r in range(ring.order))
+    known = generated(
+        {p: p for p in principals},
+        lambda i, p: frozenset(add[a][b] for a in i for b in p),
+    )
     ideals = [Ideal(ring, m) for m in known]
     ideals.sort(key=ideal_sort_key)
     return tuple(ideals)

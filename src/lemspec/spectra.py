@@ -20,7 +20,6 @@ from .le_modules import (
     colon_fibers,
     colon_set,
     ideal_action,
-    is_prime_submodule_element,
     spectrum,
     submodule_elements,
 )
@@ -31,7 +30,6 @@ from .rings import (
     all_ideals,
     ideal_intersect,
     ideal_product,
-    is_prime_ideal,
     spec_ring,
     variety_ring,
 )
@@ -352,64 +350,6 @@ def phi_and_t1_check(mod: LeModuleInstance) -> bool:
     maximal = all(not any(c < q for q in fibers) for c in fibers)
     fibers_small = all(len(f) <= 1 for f in fibers.values())
     return t1 == (maximal and fibers_small)
-
-
-@dataclass(frozen=True)
-class ImplicationCheck:
-    name: str
-    hypothesis: bool
-    conclusion: bool
-
-    @property
-    def holds(self) -> bool:
-        return (not self.hypothesis) or self.conclusion
-
-
-def irreducibility_criteria(mod: LeModuleInstance, y: Iterable[int]) -> tuple[ImplicationCheck, ...]:
-    """Evaluate each sufficient or necessary condition for y irreducible."""
-    target = frozenset(y)
-    if not target:
-        raise EmptyFamily("criteria are undefined for the empty set")
-    tops = build_topologies(mod)
-    irr = is_irreducible(tops.star, target)
-    meet = im_meet(mod, target)
-    meet_colon = colon_set(mod, meet)
-    colon_prime = is_prime_ideal(mod.ring, meet_colon)
-    lat = mod.lattice
-    chain = all(
-        lat.leq[a][b] or lat.leq[b][a] for a, b in itertools.combinations(target, 2)
-    )
-    fibers = colon_fibers(mod)
-    fiber_primes = [
-        pr for pr in spec_ring(mod.ring).points
-        if frozenset(fibers.get(pr.members, ())) == target
-    ]
-    is_fiber = bool(fiber_primes)
-    fiber_maximal = any(
-        not any(pr.members < i.members for i in all_ideals(mod.ring) if i.is_proper())
-        for pr in fiber_primes
-    )
-    witness_fiber = colon_prime and meet_colon in fibers
-    return (
-        ImplicationCheck(
-            "meet-prime-implies-irreducible",
-            is_prime_submodule_element(mod, meet),
-            irr,
-        ),
-        ImplicationCheck("irreducible-implies-colon-of-meet-prime", irr, colon_prime),
-        ImplicationCheck("chain-implies-irreducible", chain, irr),
-        ImplicationCheck("colon-fiber-implies-irreducible", is_fiber, irr),
-        ImplicationCheck(
-            "colon-fiber-of-maximal-ideal-closed-irreducible",
-            is_fiber and fiber_maximal,
-            irr and is_closed(tops.star, target),
-        ),
-        ImplicationCheck(
-            "prime-colon-meet-with-nonempty-fiber-implies-irreducible",
-            colon_prime and witness_fiber,
-            irr,
-        ),
-    )
 
 
 def specialization_pairs(top: SpectrumTopology) -> tuple[tuple, ...]:

