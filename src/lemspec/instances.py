@@ -33,7 +33,7 @@ from .rings import (
     make_zn,
     product_ring,
 )
-from .rowscan import first_failure, gathers
+from .rowscan import first_bad_pair, first_failure, freeze, gathers, generators
 
 IntTable = tuple[tuple[int, ...], ...]
 
@@ -163,21 +163,31 @@ def _check_classical_module(
         if add[x] != add_cols[x]:
             y = first_failure((add[x], add_cols[x]))[0]
             raise ModuleAxiomViolation("group-comm", (x, y))
+    # group-assoc by Light's test and action-add by closure under + given
+    # associativity, both at the additive generators only, as in
+    # make_le_module.
     add_get = gathers(add)
-    for x, y in itertools.product(rng, repeat=2):
-        lhs, rhs = add[add[x][y]], add_get[y](add[x])
-        if lhs != rhs:
-            raise ModuleAxiomViolation("group-assoc", (x, y, first_failure((lhs, rhs))[0]))
+    gens = generators(add)
+
+    def assoc(x: int, y: int) -> tuple[tuple, tuple]:
+        return add[add[x][y]], add_get[y](add[x])
+
+    bad = first_bad_pair(assoc, itertools.product(rng, gens), itertools.product(rng, repeat=2))
+    if bad is not None:
+        raise ModuleAxiomViolation("group-assoc", (*bad, first_failure(assoc(*bad))[0]))
     for x in rng:
         if zero not in add[x]:
             raise ModuleAxiomViolation("group-inverse", (x,))
     rr = range(ring.order)
     act_get = gathers(action)
-    for r, x in itertools.product(rr, rng):
+
+    def action_add(r: int, x: int) -> tuple[tuple, tuple]:
         # r(x+y) against rx + ry
-        lhs, rhs = add_get[x](action[r]), act_get[r](add[action[r][x]])
-        if lhs != rhs:
-            raise ModuleAxiomViolation("action-add", (r, x, first_failure((lhs, rhs))[0]))
+        return add_get[x](action[r]), act_get[r](add[action[r][x]])
+
+    bad = first_bad_pair(action_add, itertools.product(rr, gens), itertools.product(rr, rng))
+    if bad is not None:
+        raise ModuleAxiomViolation("action-add", (*bad, first_failure(action_add(*bad))[0]))
     for r in rr:
         sum_rows = act_get[r](add)
         for s in rr:
@@ -203,8 +213,7 @@ def submodule_lattice_le_module(
     name: str,
 ) -> LeModuleInstance:
     """The lattice of submodules of a finite classical module."""
-    add_t = tuple(tuple(int(v) for v in row) for row in add)
-    act_t = tuple(tuple(int(v) for v in row) for row in action)
+    add_t, act_t = freeze(add), freeze(action)
     _check_classical_module(ring, size, zero, add_t, act_t)
 
     # In a module the submodule generated by a submodule B and an element g

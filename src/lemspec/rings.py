@@ -1,10 +1,13 @@
 """Finite commutative rings with identity, given by Cayley tables.
 
 Elements are the indices 0..order-1; ``add`` and ``mul`` are full tables.
-``make_ring`` validates tables given from outside exhaustively and reports
-the first failing cell, so a bad table is caught at build time rather than
-deep inside a spectrum computation.  ``make_zn``, ``product_ring`` and
-``quotient_ring`` build rings that are valid by construction, unchecked.
+``make_ring`` validates tables given from outside exactly and reports the
+first failing cell, so a bad table is caught at build time rather than deep
+inside a spectrum computation.  Associativity and distributivity are checked
+at additive generators only, n²·|G| cells instead of n³, which is exact by
+the closure arguments in ``rowscan.generators``.  ``make_zn``,
+``product_ring`` and ``quotient_ring`` build rings that are valid by
+construction, unchecked.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Iterable, Sequence
 from .errors import AxiomViolation, ImproperIdeal, ZeroRing
 from .lattices import generated
 from .memo import per_object
-from .rowscan import first_failure, gathers
+from .rowscan import first_bad_pair, first_failure, freeze, gathers, generators
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -77,10 +80,6 @@ class RingSpectrum:
     points: tuple[Ideal, ...]
 
 
-def _freeze(table: Sequence[Sequence[int]]) -> Table:
-    return tuple(tuple(int(v) for v in row) for row in table)
-
-
 def check_table_shape(table: Table, rows: int, cols: int, label: str) -> None:
     """``rows`` rows of ``cols`` entries, each entry an index below ``cols``."""
     if len(table) != rows:
@@ -88,9 +87,9 @@ def check_table_shape(table: Table, rows: int, cols: int, label: str) -> None:
     for i, row in enumerate(table):
         if len(row) != cols:
             raise ValueError(f"{label} table row {i} must have {cols} entries")
-        for v in row:
-            if not 0 <= v < cols:
-                raise ValueError(f"{label} table entry {v} at row {i} out of range")
+        if row and (min(row) < 0 or max(row) >= cols):
+            v = next(v for v in row if not 0 <= v < cols)
+            raise ValueError(f"{label} table entry {v} at row {i} out of range")
 
 
 def make_ring(
@@ -105,8 +104,8 @@ def make_ring(
         raise ValueError("order must be positive")
     if order == 1:
         raise ZeroRing("the one-element ring is rejected")
-    add_t = _freeze(add)
-    mul_t = _freeze(mul)
+    add_t = freeze(add)
+    mul_t = freeze(mul)
     check_table_shape(add_t, order, order, "add")
     check_table_shape(mul_t, order, order, "mul")
 
@@ -133,14 +132,23 @@ def make_ring(
         if zero not in add_t[a]:
             raise AxiomViolation("add-inverse", (a,))
     add_get, mul_get = gathers(add_t), gathers(mul_t)
-    for a, b in itertools.product(rng, repeat=2):
+
+    def laws(a: int, b: int) -> tuple[tuple, tuple]:
         add_a, mul_a = add_t[a], mul_t[a]
         # Over c: (a+b)+c, (ab)c, a(b+c) against a+(b+c), a(bc), ab+ac.
         lhs = (add_t[add_a[b]], mul_t[mul_a[b]], add_get[b](mul_a))
         rhs = (add_get[b](add_a), mul_get[b](mul_a), mul_get[a](add_t[mul_a[b]]))
-        if lhs != rhs:
-            c, law = first_failure(*zip(lhs, rhs))
-            raise AxiomViolation(("add-assoc", "mul-assoc", "distributive")[law], (a, b, c))
+        return lhs, rhs
+
+    # Rows at each additive generator b prove all three laws at every b:
+    # Light's test gives add-assoc, after which the b where distributivity
+    # holds are closed under +, and then, with commutativity checked above,
+    # so are those where mul-assoc holds (see ``rowscan.generators``).
+    at_gens = itertools.product(rng, generators(add_t))
+    bad = first_bad_pair(laws, at_gens, itertools.product(rng, repeat=2))
+    if bad is not None:
+        c, law = first_failure(*zip(*laws(*bad)))
+        raise AxiomViolation(("add-assoc", "mul-assoc", "distributive")[law], (*bad, c))
 
     names = tuple(element_names) if element_names is not None else None
     if names is not None and len(names) != order:
@@ -221,11 +229,18 @@ def ideal_sort_key(i: Ideal) -> tuple:
 def all_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
     """Every ideal, found by closing the principal ideals under ideal sum."""
     add = ring.add
+
+    def ideal_sum(i: frozenset[int], p: frozenset[int]) -> frozenset[int]:
+        # I + P is the union of the cosets b + I over b in P; a b already in
+        # the sum adds nothing, as its coset is there.
+        total = set(i)
+        for b in p:
+            if b not in total:
+                total.update(map(add[b].__getitem__, i))
+        return frozenset(total)
+
     principals = (principal_ideal(ring, r).members for r in range(ring.order))
-    known = generated(
-        {p: p for p in principals},
-        lambda i, p: frozenset(add[a][b] for a in i for b in p),
-    )
+    known = generated({p: p for p in principals}, ideal_sum)
     ideals = [Ideal(ring, m) for m in known]
     ideals.sort(key=ideal_sort_key)
     return tuple(ideals)

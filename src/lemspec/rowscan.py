@@ -6,12 +6,27 @@ table, callables that produce such a row in one C call, and
 ``first_failure`` finds, in a row that failed, the cell and the law that a
 cell-by-cell scan meets first, so a rejected table reports the same witness
 as the plain triple loop.
+
+When the values of one index at which a law holds are closed under a
+table's operation, the law holds on every cell once it holds where that
+index is a generator of the table.  ``generators`` picks such a set G and
+``first_bad_pair`` checks there first, so a valid table costs n·|G| rows
+instead of n².  The closure arguments are in the docstring of
+``generators``.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Callable, Sequence
+from operator import itemgetter, ne
+from typing import Callable, Iterable, Sequence
+
+Pair = tuple[int, int]
+Rows = Callable[[int, int], tuple]
+
+
+def freeze(table: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """The table as a tuple of tuples of ints."""
+    return tuple(tuple(map(int, row)) for row in table)
 
 
 def _gather_one(i: int) -> Callable[[Sequence[int]], tuple]:
@@ -35,3 +50,79 @@ def first_failure(*laws: tuple[Sequence, Sequence]) -> tuple[int, int]:
         for k, (lhs, rhs) in enumerate(laws)
         if lhs != rhs
     )
+
+
+def generators(table: Sequence[Sequence[int]]) -> list[int]:
+    """Indices G from which x ↦ table[x][g], g in G, reaches every index.
+
+    G is greedy in index order: each index not yet reached becomes the next
+    generator, and the reached set grows incrementally, so each reached
+    element meets each generator once, O(n·|G|) in all.  An identity gets no
+    special treatment; an element that no product reaches, such as the
+    zero of a monoid whose sums only grow, is a generator like any other.
+
+    Why checking a law only at b in G is exact (write x∘y = table[x][y]):
+
+    - Associativity (Light's test; Clifford and Preston, The Algebraic
+      Theory of Semigroups I, 1961).  The b with (a∘b)∘c = a∘(b∘c) for all
+      a, c are closed under ∘: for two such b, b',
+      (a∘(b∘b'))∘c = ((a∘b)∘b')∘c = (a∘b)∘(b'∘c) = a∘(b∘(b'∘c))
+      = a∘((b∘b')∘c).  Every index is a product of generators, so the law
+      holds at every b once it holds at each generator.
+    - Distributivity a(b+c) = ab + ac, once + is associative: for two good
+      b, b', a((b+b')+c) = a(b+(b'+c)) = ab + (ab' + ac) = (ab + ab') + ac
+      = a(b+b') + ac.  The action law r(m+y) = rm + ry (M1) is the same
+      argument with m in place of b.
+    - Associativity of a commutative multiplication, once it distributes
+      over +: for two good b, b', (a(b+b'))c = (ab)c + (ab')c
+      = a(bc) + a(b'c) = a((b+b')c).
+    - m + (x ∨ y) = (m+x) ∨ (m+y) (axiom S), once + is associative: for
+      two good m, m', (m+m') + (x ∨ y) = m + ((m'+x) ∨ (m'+y))
+      = ((m+m')+x) ∨ ((m+m')+y).  No law of ∨ is used, so the join table
+      need not be a lattice join.
+
+    Each argument uses only laws that the caller has already checked on
+    every cell, never one checked later.
+    """
+    n = len(table)
+    reached = [False] * n
+    done: list[int] = []  # reached indices, each combined with every generator so far
+    gens: list[int] = []
+    for g in range(n):
+        if reached[g]:
+            continue
+        gens.append(g)
+        reached[g] = True
+        new = [g]
+        for x in done:
+            y = table[x][g]
+            if not reached[y]:
+                reached[y] = True
+                new.append(y)
+        for x in new:  # grows while it is walked
+            row = table[x]
+            for h in gens:
+                y = row[h]
+                if not reached[y]:
+                    reached[y] = True
+                    new.append(y)
+        done += new
+    return gens
+
+
+def _first_bad(rows: Rows, pairs: Iterable[Pair]) -> Pair | None:
+    """The first pair whose two rows ``rows(i, j)`` differ, or None."""
+    return next((p for p in pairs if ne(*rows(*p))), None)
+
+
+def first_bad_pair(rows: Rows, at_generators: Iterable[Pair], everywhere: Iterable[Pair]) -> Pair | None:
+    """The first pair of ``everywhere`` whose rows differ, or None.
+
+    ``at_generators`` are the pairs whose one index ranges over
+    ``generators`` of a table the law is closed under, so the law holds on
+    every pair when it holds on these.  Only if one of them fails is
+    ``everywhere`` scanned, in its own order, to name the first witness.
+    """
+    if _first_bad(rows, at_generators) is None:
+        return None
+    return _first_bad(rows, everywhere)

@@ -144,6 +144,20 @@ def test_all_ideals_z6_matches_brute_scan():
     ]
 
 
+def test_all_ideals_matches_brute_scan_with_a_non_principal_ideal():
+    # F2[x, y]/(x, y)^2: a + bx + cy is index a + 2b + 4c, and the maximal
+    # ideal (x, y) is no principal ideal, so sums of ideals must build it.
+    els = range(8)
+    mul = [
+        [(a & b & 1) | ((a & 1) * (b & 6) ^ (b & 1) * (a & 6)) for b in els] for a in els
+    ]
+    ring = make_ring(8, [[a ^ b for b in els] for a in els], mul)
+    ideals = [i.members for i in all_ideals(ring)]
+    assert ideals == brute_ideals(ring)
+    assert frozenset({0, 2, 4, 6}) in ideals
+    assert all(principal_ideal(ring, r).members != {0, 2, 4, 6} for r in els)
+
+
 @pytest.mark.parametrize(
     "n,count", [(2, 2), (3, 2), (4, 3), (6, 4), (8, 4), (12, 6), (30, 8)]
 )

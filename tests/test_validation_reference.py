@@ -34,7 +34,8 @@ from lemspec.instances import (
 )
 from lemspec.lattices import chain_lattice, make_lattice
 from lemspec.le_modules import make_le_module
-from lemspec.rings import make_ring, make_zn
+from lemspec.rings import make_ring, make_zn, product_ring
+from lemspec.rowscan import generators
 
 # --- references: the cell-by-cell scans ------------------------------------
 
@@ -256,6 +257,44 @@ def seen_failures(results):
     return {r[1] for r in results if r[0] != "ok"}
 
 
+# --- generators ----------------------------------------------------------------
+
+
+def reached(table, gens):
+    """Every index that x -> table[x][g], g in gens, reaches from gens."""
+    seen = set(gens)
+    work = list(gens)
+    for x in work:
+        for g in gens:
+            y = table[x][g]
+            if y not in seen:
+                seen.add(y)
+                work.append(y)
+    return seen
+
+
+def test_generators_reach_every_index():
+    assert generators(((0,),)) == [0]
+    for n in range(2, 40):
+        assert generators(make_zn(n).add) == [0, 1]
+    for k in range(1, 6):
+        bits = range(2**k)
+        xor = [[a ^ b for b in bits] for a in bits]
+        gens = generators(xor)
+        assert len(gens) <= k + 1 and reached(xor, gens) == set(bits)
+    rng = random.Random("magmas")
+    magmas = [[[(2 * x + y + 1) % n for y in range(n)] for x in range(n)] for n in (5, 8, 12)]
+    for n in (1, 2, 3, 7, 16):  # random tables, with no law at all
+        magmas.append([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+    for table in magmas:
+        gens = generators(table)
+        assert gens == sorted(gens) and reached(table, gens) == set(range(len(table)))
+        # Greedy in index order: each generator is missed by the ones before it.
+        assert all(g not in reached(table, gens[:i]) for i, g in enumerate(gens))
+    # A zero that no sum reaches, as in a join, is a generator too.
+    assert generators(chain_lattice(4).join_table) == [0, 1, 2, 3]
+
+
 # --- rings -------------------------------------------------------------------
 
 
@@ -264,11 +303,26 @@ def ring_outcome_new(order, add, mul):
     return ring.zero, ring.one
 
 
+def ring_bases():
+    """(seed, ring): Z2..Z12, whose additive generators are 0 and 1, and
+    products whose additive groups are not cyclic."""
+    z = make_zn
+    out = [(f"ring:{n}", z(n)) for n in range(2, 13)]
+    products = [
+        product_ring(z(2), z(2)),
+        product_ring(z(2), z(4)),
+        product_ring(product_ring(z(2), z(2)), z(2)),
+        product_ring(z(3), z(3)),
+    ]
+    return out + [(f"ring:{r.name}", r) for r in products]
+
+
 def test_ring_scan_matches_reference():
     results = []
-    for n in range(2, 13):
-        rng = random.Random(f"ring:{n}")
-        base = make_zn(n)
+    off_generators = 0
+    for seed, base in ring_bases():
+        n = base.order
+        rng = random.Random(seed)
         cases = [(base.add, base.mul)]
         for sym in (False, True):
             cases += [(t, base.mul) for t in mutants(base.add, range(n), rng, 40, sym)]
@@ -277,11 +331,15 @@ def test_ring_scan_matches_reference():
             expected = outcome(ref_ring, n, add, mul)
             assert outcome(ring_outcome_new, n, add, mul) == expected, (add, mul)
             results.append(expected)
+            if expected[0] != "ok" and len(expected[2]) == 3:
+                off_generators += expected[2][1] not in generators(add)
         assert results[-len(cases)][0] == "ok"
     assert {
         "add-identity", "mul-identity", "add-comm", "mul-comm",
         "add-assoc", "mul-assoc", "distributive",
     } <= seen_failures(results)
+    # Witnesses whose b is no additive generator: only the full rescan names them.
+    assert off_generators > 0
 
 
 # --- lattices ------------------------------------------------------------------
@@ -364,6 +422,27 @@ def test_lattice_scan_matches_reference():
 # --- le-modules ------------------------------------------------------------------
 
 
+def min_non_generator(gens):
+    """The least index that is no generator, or a bound above every index."""
+    return next((i for i, g in enumerate(gens) if i != g), len(gens))
+
+
+def grid_module(k1, k2):
+    """The grid of a k1-chain and a k2-chain over Z2, with truncated sums.
+
+    (i, j) is index i * k2 + j and (i, j) + (i', j') is (min(i + i', k1 - 1),
+    min(j + j', k2 - 1)); 1 acts as the identity and 0 sends all to 0.  Its
+    additive generators are 0, 1 and, if k1 > 1, k2, so most indices are none.
+    """
+    pts = list(itertools.product(range(k1), range(k2)))
+    n = len(pts)
+    lat = make_lattice(n, [[a[0] <= b[0] and a[1] <= b[1] for b in pts] for a in pts])
+    add = freeze(
+        [[min(a[0] + b[0], k1 - 1) * k2 + min(a[1] + b[1], k2 - 1) for b in pts] for a in pts]
+    )
+    return make_zn(2), lat, add, 0, ((0,) * n, tuple(range(n)))
+
+
 def le_module_cases():
     """(ring, lattice, add, zero, action) of valid le-modules, sizes 1 and 2 included."""
     z2 = make_zn(2)
@@ -374,7 +453,7 @@ def le_module_cases():
     for d in catalog():
         mod = build_instance(d)
         cases.append((mod.ring, mod.lattice, mod.add, mod.zero_m, mod.action))
-    return cases
+    return cases + [grid_module(1, 6), grid_module(3, 3), grid_module(2, 4)]
 
 
 def le_module_outcome_new(ring, lattice, add, zero_m, action):
@@ -384,6 +463,7 @@ def le_module_outcome_new(ring, lattice, add, zero_m, action):
 def test_le_module_scan_matches_reference():
     rng = random.Random("le-modules")
     results = []
+    assoc_off_generators = s_after_non_generator = 0
     for ring, lat, add, zero, action in le_module_cases():
         n = lat.size
         cases = [(add, action)]
@@ -400,8 +480,21 @@ def test_le_module_scan_matches_reference():
             got = outcome(le_module_outcome_new, ring, bad_lat, bad_add, zero, bad_act)
             assert got == expected, (bad_lat, bad_add, bad_act)
             results.append(expected)
+            # S and M1 fail first at a generator: the generators below an
+            # index generate it, and their good values are closed under +.
+            # Associativity's are not, so it can fail first off them.
+            gens = generators(bad_add)
+            if expected[1] == "monoid" and len(expected[2]) == 3:
+                assoc_off_generators += expected[2][1] not in gens
+            elif expected[1] in ("S", "M1"):
+                at = expected[2][0 if expected[1] == "S" else 1]
+                assert at in gens, expected
+                s_after_non_generator += expected[1] == "S" and at > min_non_generator(gens)
         assert results[-len(cases)] == ("ok", None)
     assert {"monoid", "S", "M1", "M2", "M3", "M4", "M5"} <= seen_failures(results)
+    # Only the full rescan names these associativity witnesses.
+    assert assoc_off_generators > 0
+    assert s_after_non_generator > 0
 
 
 # --- classical modules -------------------------------------------------------
@@ -415,12 +508,15 @@ def classical_cases():
     out.append((make_zn(2), *product_module_tables(z2, z2)))
     out.append((make_zn(4), *product_module_tables(mod_scaled_cyclic_tables(2, 4), z4)))
     out.append((make_zn(6), *mod_scaled_cyclic_tables(3, 6)))
+    z3 = cyclic_module_tables(3)
+    out.append((make_zn(3), *product_module_tables(z3, z3)))
     return out
 
 
 def test_classical_module_scan_matches_reference():
     rng = random.Random("classical")
     results = []
+    assoc_off_generators = 0
     for ring, size, zero, add, action in classical_cases():
         assert outcome(ref_classical, ring, size, zero, add, action) == ("ok", None)
         got = outcome(_check_classical_module, ring, size, zero, add, action)
@@ -439,10 +535,44 @@ def test_classical_module_scan_matches_reference():
             got = outcome(_check_classical_module, bad_ring, size, zero, bad_add, bad_act)
             assert got == expected, (bad_ring, bad_add, bad_act)
             results.append(expected)
+            gens = generators(bad_add)
+            if expected[1] == "group-assoc":
+                assoc_off_generators += expected[2][1] not in gens
+            elif expected[1] == "action-add":
+                assert expected[2][1] in gens, expected
     assert {
         "group-identity", "group-comm", "group-assoc", "action-add",
         "scalar-add", "scalar-mul", "unit-action",
     } <= seen_failures(results)
+    assert assoc_off_generators > 0
+
+
+def test_action_laws_name_witnesses_past_the_first_generators():
+    """M1 and action-add failing first at a later generator, or at 0 alone.
+
+    On the 3 x 3 grid and on Z3 x Z3 the generators are 0, 1 and 3, and 1
+    acts by (i, j) -> (h(i), j) with h = (0, 1, 1): additive along j, so the
+    rows x = 0, 1, 2 hold, but not along i.  On the 3-chain with truncated
+    sums, 0 acts by (1, 2, 2), so r(x + y) = rx + ry fails only at x = y = 0:
+    the zero is a generator like any other, and r0 = 0 (M4, checked after
+    M1) may not be assumed.
+    """
+    ring, lat, add, zero, action = grid_module(3, 3)
+    bent = (action[0], tuple((i // 3 > 0) * 3 + i % 3 for i in range(9)))
+    cases = [(ring, lat, add, zero, bent, ("AxiomViolation", "M1", (1, 3, 3)))]
+    ring, lat, add, zero, action = grid_module(1, 3)
+    cases.append((ring, lat, add, zero, ((1, 2, 2), action[1]), ("AxiomViolation", "M1", (0, 0, 0))))
+    for ring, lat, add, zero, act, (kind, law, witness) in cases:
+        expected = outcome(ref_le_module, ring, lat, add, zero, act)
+        assert expected[:3] == (kind, law, witness)
+        assert outcome(le_module_outcome_new, ring, lat, add, zero, act) == expected
+
+    z3 = cyclic_module_tables(3)
+    size, zero, add, action = product_module_tables(z3, z3)
+    bent = (action[0], tuple((i // 3 > 0) * 3 + i % 3 for i in range(9)), action[2])
+    expected = outcome(ref_classical, make_zn(3), size, zero, add, bent)
+    assert expected == ("ModuleAxiomViolation", "action-add", (1, 3, 3))
+    assert outcome(_check_classical_module, make_zn(3), size, zero, add, bent) == expected
 
 
 def test_classical_module_rejects_misshapen_tables():
