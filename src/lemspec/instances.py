@@ -33,7 +33,7 @@ from .rings import (
     make_zn,
     product_ring,
 )
-from .rowscan import first_bad_pair, first_failure, freeze, gathers, generators
+from .rowscan import first_bad_pair, first_failure, freeze, gather, gathers, generators
 
 IntTable = tuple[tuple[int, ...], ...]
 
@@ -110,12 +110,35 @@ def ideal_lattice_le_module(ring: FiniteRing, name: str) -> LeModuleInstance:
     size = len(ideals)
     leq = [[ideals[a].members <= ideals[b].members for b in range(size)] for a in range(size)]
     lattice = make_lattice(size, leq)
-    action = tuple(
-        tuple(index[frozenset(ring.mul[r][x] for x in ideals[m].members)] for m in range(size))
-        for r in range(ring.order)
-    )
-    labels = tuple(_set_label(i.sorted_members()) for i in ideals)
+    members = [i.sorted_members() for i in ideals]
+    action = _action_rows(ring, ring.mul, members, index)
+    labels = tuple(_set_label(m) for m in members)
     return _lattice_le_module(ring, lattice, action, name, labels)
+
+
+def _action_rows(
+    ring: FiniteRing,
+    act: IntTable,
+    members: Sequence[Sequence[int]],
+    index: dict[frozenset[int], int],
+) -> IntTable:
+    """The action on ideals (submodules): row r holds, for each lattice
+    element m, the index of rI = {act[r][x] : x in I}, I = ``members[m]``.
+
+    The row of r depends only on rR: if rR = sR then s = rt and r = su for
+    some t, u, so sI = r(tI) <= rI and rI = s(uI) <= sI.  So each distinct
+    row is computed once, and scalars with the same rR share it.
+    """
+    picks = [gather(m) for m in members]
+    rows: dict[frozenset[int], tuple[int, ...]] = {}
+    out = []
+    for r, mul_r in enumerate(ring.mul):
+        key = frozenset(mul_r)
+        if key not in rows:
+            act_r = act[r]
+            rows[key] = tuple(index[frozenset(g(act_r))] for g in picks)
+        out.append(rows[key])
+    return tuple(out)
 
 
 def _lattice_le_module(
@@ -235,10 +258,7 @@ def submodule_lattice_le_module(
     lat_size = len(ordered)
     leq = [[ordered[a] <= ordered[b] for b in range(lat_size)] for a in range(lat_size)]
     lattice = make_lattice(lat_size, leq)
-    maction = tuple(
-        tuple(index[frozenset(act_t[r][x] for x in ordered[m])] for m in range(lat_size))
-        for r in range(ring.order)
-    )
+    maction = _action_rows(ring, act_t, [sorted(s) for s in ordered], index)
     labels = tuple(_set_label(s) for s in ordered)
     return _lattice_le_module(ring, lattice, maction, name, labels)
 

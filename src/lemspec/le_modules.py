@@ -171,12 +171,37 @@ def make_le_module(
     return LeModuleInstance(ring, lattice, add_t, zero_m, act_t, name, labels)
 
 
+@per_object
+def scalar_classes(mod: LeModuleInstance) -> tuple[int, ...]:
+    """The least scalar of each class of scalars with equal action rows.
+
+    The representatives come in increasing order.  A loop over scalars that
+    reads r only through its row ``mod.action[r]`` gets the same answer
+    over these; so does one that reads rs only through (rs)m = r(sm), by M3,
+    which every instance satisfies (built modules by construction, explicit
+    ones as ``make_le_module`` checks it).
+
+    The first failure is also the same.  Say a test of a pair (r, s)
+    depends only on the classes A of r and B of s.  No pair of (A, B) comes
+    before (min A, min B) in ``itertools.product`` order, nor, for a test
+    symmetric in r and s, before that pair sorted in
+    ``combinations_with_replacement`` order.  So the full scan fails first
+    at such a pair of least members, and the representatives, scanned in
+    the same order, fail first at the same (r, s).  Keeping any other
+    member of a class could name a later pair.
+    """
+    least: dict[tuple[int, ...], int] = {}
+    for r, row in enumerate(mod.action):
+        least.setdefault(row, r)
+    return tuple(least.values())
+
+
 def is_submodule_element(mod: LeModuleInstance, n: int) -> bool:
     """n + n <= n and r n <= n for every scalar r."""
     lat = mod.lattice
     if not lat.leq[mod.add[n][n]][n]:
         return False
-    return all(lat.leq[mod.action[r][n]][n] for r in range(mod.ring.order))
+    return all(lat.leq[mod.action[r][n]][n] for r in scalar_classes(mod))
 
 
 @per_object
@@ -246,8 +271,8 @@ def is_prime_submodule_element(mod: LeModuleInstance, p: int) -> bool:
     if p == lat.top or not is_submodule_element(mod, p):
         return False
     cp = colon_set(mod, p)
-    for r in range(mod.ring.order):
-        if r in cp:
+    for r in scalar_classes(mod):
+        if r in cp:  # r is in (p : e) iff re <= p, a fact about r's row
             continue
         for n in range(lat.size):
             if lat.leq[mod.action[r][n]][p] and not lat.leq[n][p]:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from .errors import AxiomViolation, ImproperIdeal, ZeroRing
 from .lattices import generated
 from .memo import per_object
-from .rowscan import first_bad_pair, first_failure, freeze, gathers, generators
+from .rowscan import first_bad_pair, first_failure, freeze, gather, gathers, generators
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -160,9 +160,11 @@ def make_zn(n: int) -> FiniteRing:
     """The ring of integers mod n, n >= 2."""
     if n < 2:
         raise ZeroRing("Z_n needs n >= 2")
-    rng = range(n)
-    add = tuple(tuple((a + b) % n for b in rng) for a in rng)
-    mul = tuple(tuple((a * b) % n for b in rng) for a in rng)
+    # Row a of + is 0..n-1 rotated left by a; row a of * counts up in steps
+    # of a, reduced mod n.
+    rng = tuple(range(n))
+    add = tuple(rng[a:] + rng[:a] for a in rng)
+    mul = ((0,) * n,) + tuple(tuple(map(n.__rmod__, range(0, a * n, a))) for a in range(1, n))
     return FiniteRing(n, add, mul, 0, 1, f"Z{n}")
 
 
@@ -186,35 +188,53 @@ def product_ring(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
 
 
 def is_ideal(ring: FiniteRing, subset: Iterable[int]) -> bool:
-    """Nonempty, additively closed, and absorbs ring multiplication."""
+    """Holds 0, is additively closed, and absorbs ring multiplication.
+
+    Tested a row at a time: a + S and aR (the ring is commutative) lie in S
+    for each a in S.
+    """
     s = frozenset(subset)
     if ring.zero not in s:
         return False
-    for a in s:
-        for b in s:
-            if ring.add[a][b] not in s:
-                return False
-        for r in range(ring.order):
-            if ring.mul[r][a] not in s:
-                return False
-    return True
+    in_s = gather(sorted(s))
+    return all(s.issuperset(in_s(ring.add[a])) and s.issuperset(ring.mul[a]) for a in s)
 
 
 def principal_ideal(ring: FiniteRing, r: int) -> Ideal:
     """The ideal rR = {r*s : s in R}."""
-    return Ideal(ring, frozenset(ring.mul[r][s] for s in range(ring.order)))
+    return Ideal(ring, frozenset(ring.mul[r]))
 
 
-def _additive_closure(ring: FiniteRing, seed: frozenset[int]) -> frozenset[int]:
-    add = ring.add
-    sums = generated({a: a for a in seed | {ring.zero}}, lambda a, b: add[a][b])
-    return frozenset(sums)
+def _ideal_sum(add: Table, i: frozenset[int], p: Iterable[int]) -> frozenset[int]:
+    """I + P for ideals I and P; P's elements may come with repeats.
+
+    I + P is the union of the cosets b + I over b in P; a b already in the
+    sum adds nothing, as its coset is there.
+    """
+    total = set(i)
+    for b in p:
+        if b not in total:
+            total.update(map(add[b].__getitem__, i))
+    return frozenset(total)
 
 
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
+    """IJ for ideals I and J, as the sum of the ideals gJ over generators g of I.
+
+    The generators are picked greedily in increasing order: g joins when it
+    is outside the ideal the earlier ones generate.  With I = Rg_1 + ... +
+    Rg_k, IJ = (Rg_1)J + ... + (Rg_k)J, and (Rg)J = gJ = {gb : b in J},
+    which is an ideal since J is.
+    """
     ring = i.ring
-    products = frozenset(ring.mul[a][b] for a in i.members for b in j.members)
-    return Ideal(ring, _additive_closure(ring, products))
+    add, mul = ring.add, ring.mul
+    in_j = gather(sorted(j.members))
+    span = product = frozenset({ring.zero})
+    for g in sorted(i.members):
+        if g not in span:
+            span = _ideal_sum(add, span, mul[g])
+            product = _ideal_sum(add, product, in_j(mul[g]))
+    return Ideal(ring, product)
 
 
 def ideal_intersect(i: Ideal, j: Ideal) -> Ideal:
@@ -229,18 +249,8 @@ def ideal_sort_key(i: Ideal) -> tuple:
 def all_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
     """Every ideal, found by closing the principal ideals under ideal sum."""
     add = ring.add
-
-    def ideal_sum(i: frozenset[int], p: frozenset[int]) -> frozenset[int]:
-        # I + P is the union of the cosets b + I over b in P; a b already in
-        # the sum adds nothing, as its coset is there.
-        total = set(i)
-        for b in p:
-            if b not in total:
-                total.update(map(add[b].__getitem__, i))
-        return frozenset(total)
-
     principals = (principal_ideal(ring, r).members for r in range(ring.order))
-    known = generated({p: p for p in principals}, ideal_sum)
+    known = generated({p: p for p in principals}, lambda i, p: _ideal_sum(add, i, p))
     ideals = [Ideal(ring, m) for m in known]
     ideals.sort(key=ideal_sort_key)
     return tuple(ideals)
@@ -252,11 +262,8 @@ def is_prime_ideal(ring: FiniteRing, i: Ideal | frozenset[int]) -> bool:
     if len(members) >= ring.order:
         return False
     outside = [a for a in range(ring.order) if a not in members]
-    for a in outside:
-        for b in outside:
-            if ring.mul[a][b] in members:
-                return False
-    return True
+    times_outside = gather(outside)
+    return all(members.isdisjoint(times_outside(ring.mul[a])) for a in outside)
 
 
 @per_object

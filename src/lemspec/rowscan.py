@@ -29,14 +29,18 @@ def freeze(table: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(map(int, row)) for row in table)
 
 
-def _gather_one(i: int) -> Callable[[Sequence[int]], tuple]:
-    # itemgetter with one index returns the item itself, not a 1-tuple.
-    return lambda row: (row[i],)
+def gather(idx: Sequence[int]) -> Callable[[Sequence[int]], tuple]:
+    """``gather(idx)(row) == tuple(row[i] for i in idx)``, for nonempty idx."""
+    if len(idx) == 1:
+        # itemgetter with one index returns the item itself, not a 1-tuple.
+        i = idx[0]
+        return lambda row: (row[i],)
+    return itemgetter(*idx)
 
 
 def gathers(table: Sequence[Sequence[int]]) -> list[Callable[[Sequence[int]], tuple]]:
     """``g[t](row) == tuple(row[i] for i in table[t])`` for each row index t."""
-    return [itemgetter(*idx) if len(idx) != 1 else _gather_one(idx[0]) for idx in table]
+    return [gather(idx) for idx in table]
 
 
 def first_failure(*laws: tuple[Sequence, Sequence]) -> tuple[int, int]:

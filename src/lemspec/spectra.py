@@ -20,6 +20,7 @@ from .le_modules import (
     colon_fibers,
     colon_set,
     ideal_action,
+    scalar_classes,
     spectrum,
     submodule_elements,
 )
@@ -212,8 +213,12 @@ class BasisReport:
 def basis_checks(mod: LeModuleInstance) -> BasisReport:
     """X_rs = X_r n X_s; V*(Ie) = intersection of V*(ae); opens are unions of X_r."""
     ring = mod.ring
+    top = mod.lattice.top
+    # X_r reads r through re only, and X_rs through (rs)e = r(se) (M3), so
+    # the pair identity depends on the action rows of r and s alone.
+    classes = scalar_classes(mod)
     pair_ok, pair_wit = True, None
-    for r, s in itertools.product(range(ring.order), repeat=2):
+    for r, s in itertools.product(classes, repeat=2):
         if basic_open(mod, ring.mul[r][s]) != basic_open(mod, r) & basic_open(mod, s):
             pair_ok, pair_wit = False, (r, s)
             break
@@ -223,13 +228,13 @@ def basis_checks(mod: LeModuleInstance) -> BasisReport:
     for i in all_ideals(ring):
         vs = variety_star(mod, ideal_action(mod, i))
         inter = points
-        for a in sorted(i.members):
-            inter &= variety_star(mod, mod.action[a][mod.lattice.top])
+        for ae in {mod.action[a][top] for a in i.members}:
+            inter &= variety_star(mod, ae)
         if vs != inter:
             ideal_ok, ideal_wit = False, (i.sorted_members(),)
             break
 
-    basics = [basic_open(mod, r) for r in range(ring.order)]
+    basics = [basic_open(mod, r) for r in classes]
     covers_ok, cover_wit = True, None
     for closed in star_family(mod):
         u = points - closed

@@ -102,6 +102,26 @@ def test_verify_catalog_report_bytes_are_pinned(capsys):
     assert digest == "60a0fc42f0ae89e9cb86e7cff3e433c7972f76922bd18c00cf28b78f8300382f"
 
 
+ZN_REPORT_DIGESTS = {
+    32: "f5f9349329d6c047d9e0577d8682ad53302a71ff14e80cc46bac9cfc270c85da",
+    36: "d2f342f0ff734dbe023785623a5d6880c4b2a10864375e0eae24b28c54f8c661",
+    42: "f68df0870b4a87d23b4854bb174b12954c1875eb51c2bc7b6aa9014c04d44a24",
+    45: "a234b8e7c612cb8ca737749582ca501bb6f968e0f11abc8cb3e2dfc2df1c8ff4",
+    210: "6b90656e8342f0b877437e302aa89f54af26cd249e3203c926aecb9dbeb605ae",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ZN_REPORT_DIGESTS))
+def test_verify_zn_report_bytes_are_pinned(n, tmp_path, capsys):
+    # Rings beyond the catalog, where scalars fall into few classes of equal
+    # action rows; the digests were taken from scans over every scalar.
+    path = tmp_path / f"Z{n}.lem"
+    path.write_text(f"name Z{n}-ideal-lattice\nring zn {n}\nmodule ideal-lattice\n")
+    assert main(["verify", str(path), "--format", "structured"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == ZN_REPORT_DIGESTS[n]
+
+
 def test_export_dot_lattice(capsys):
     assert main(["export-dot", "Z6-ideal-lattice"]) == 0
     out = capsys.readouterr().out

@@ -9,7 +9,7 @@ import itertools
 import pytest
 
 from lemspec.errors import AxiomViolation, EmptyFamily, NotPrimeIdeal
-from lemspec.instances import build_instance, catalog
+from lemspec.instances import build_instance, catalog, ideal_lattice_le_module
 from lemspec.lattices import chain_lattice
 from lemspec.le_modules import (
     annihilator,
@@ -20,6 +20,7 @@ from lemspec.le_modules import (
     is_submodule_element,
     galois_adjunction_check,
     make_le_module,
+    scalar_classes,
     spectrum,
     spectrum_at,
     sum_submodule_elements,
@@ -202,3 +203,25 @@ def test_klein_points_share_colon(klein_module):
     assert len(points) == 4
     colons = {colon(mod, p).members for p in points}
     assert len(colons) == 1
+
+
+@pytest.mark.parametrize("n", [*range(2, 61), 840])
+def test_scalar_classes_of_zn_are_its_divisors(n):
+    # rZn is dZn for d = gcd(r, n), so the classes of Zn's ideal lattice are
+    # the d(n) divisors d of n, each the least scalar with gcd(r, n) = d;
+    # n itself stands for r = 0.
+    mod = ideal_lattice_le_module(make_zn(n), f"Z{n}")
+    divisors = [d for d in range(1, n) if n % d == 0]
+    assert scalar_classes(mod) == (0, *divisors)
+    assert len(scalar_classes(mod)) == {840: 32}.get(n, len(divisors) + 1)
+
+
+def test_scalar_classes_are_least_and_increasing(all_instances):
+    for mod in all_instances:
+        reps = scalar_classes(mod)
+        assert list(reps) == sorted(reps), mod.name
+        rows = [mod.action[r] for r in reps]
+        assert len(set(rows)) == len(rows), mod.name
+        for r, row in enumerate(mod.action):
+            least = next(s for s in range(mod.ring.order) if mod.action[s] == row)
+            assert least in reps and least <= r, (mod.name, r)

@@ -1,0 +1,233 @@
+"""The scalar loops of P3.1, T3.5 and T5.3 and the submodule and prime
+tests against loops over every scalar.
+
+lemspec scans one scalar per class of equal action rows
+(``le_modules.scalar_classes``).  The references here are the plain loops
+over every scalar of the ring, in the same order.  Planted failures check
+that the class scans name the same first witness, not only the same verdict.
+"""
+
+import itertools
+
+import pytest
+
+from lemspec import spectra, verify
+from lemspec.instances import (
+    IdealLatticeSpec,
+    InstanceDescriptor,
+    ProductSpec,
+    ZnSpec,
+    build_instance,
+    catalog,
+)
+from lemspec.le_modules import (
+    LeModuleInstance,
+    colon_set,
+    ideal_action,
+    is_prime_submodule_element,
+    is_submodule_element,
+    spectrum,
+    submodule_elements,
+)
+from lemspec.memo import release
+from lemspec.rings import all_ideals
+
+
+def ref_is_submodule_element(mod: LeModuleInstance, n: int) -> bool:
+    lat = mod.lattice
+    if not lat.leq[mod.add[n][n]][n]:
+        return False
+    return all(lat.leq[mod.action[r][n]][n] for r in range(mod.ring.order))
+
+
+def ref_is_prime_submodule_element(mod: LeModuleInstance, p: int) -> bool:
+    lat = mod.lattice
+    if p == lat.top or not ref_is_submodule_element(mod, p):
+        return False
+    cp = colon_set(mod, p)
+    for r in range(mod.ring.order):
+        if r in cp:
+            continue
+        for n in range(lat.size):
+            if lat.leq[mod.action[r][n]][p] and not lat.leq[n][p]:
+                return False
+    return True
+
+
+def ref_scalar_action_variety(mod: LeModuleInstance) -> int | None:
+    """P3.1's last clause: the first r with V(re) != V*(re)."""
+    top = mod.lattice.top
+    for r in range(mod.ring.order):
+        re = mod.action[r][top]
+        if spectra.variety(mod, re) != spectra.variety_star(mod, re):
+            return r
+    return None
+
+
+def ref_scalar_union(mod: LeModuleInstance) -> tuple[int, int] | None:
+    """T3.5's scalar clause: the first r <= s with V*(re) u V*(se) != V*((rs)e)."""
+    top = mod.lattice.top
+    vs = spectra.variety_star
+    for r, s in itertools.combinations_with_replacement(range(mod.ring.order), 2):
+        re, se = mod.action[r][top], mod.action[s][top]
+        rse = mod.action[mod.ring.mul[r][s]][top]
+        if vs(mod, re) | vs(mod, se) != vs(mod, rse):
+            return r, s
+    return None
+
+
+def ref_basis_witnesses(mod: LeModuleInstance) -> tuple:
+    """T5.3's (pair, ideal, cover) witnesses, each None when its clause holds."""
+    ring, top = mod.ring, mod.lattice.top
+    points = frozenset(spectrum(mod))
+
+    def basic(r: int) -> frozenset[int]:
+        return points - spectra.variety(mod, mod.action[r][top])
+
+    pair = None
+    for r, s in itertools.product(range(ring.order), repeat=2):
+        if basic(ring.mul[r][s]) != basic(r) & basic(s):
+            pair = (r, s)
+            break
+    ideal = None
+    for i in all_ideals(ring):
+        inter = points
+        for a in sorted(i.members):
+            inter &= spectra.variety_star(mod, mod.action[a][top])
+        if spectra.variety_star(mod, ideal_action(mod, i)) != inter:
+            ideal = (i.sorted_members(),)
+            break
+    basics = [basic(r) for r in range(ring.order)]
+    cover = None
+    for closed in spectra.star_family(mod):
+        u = points - closed
+        union = frozenset().union(*(b for b in basics if b <= u))
+        if union != u:
+            cover = (tuple(sorted(u)),)
+            break
+    return pair, ideal, cover
+
+
+def _ideal_lattice(name: str, ring) -> InstanceDescriptor:
+    return InstanceDescriptor(name, ring, IdealLatticeSpec())
+
+
+EXTRA = (
+    *(_ideal_lattice(f"Z{n}-ideal-lattice", ZnSpec(n)) for n in (*range(32, 46), 60)),
+    _ideal_lattice("Z4xZ6-ideal-lattice", ProductSpec(ZnSpec(4), ZnSpec(6))),
+    _ideal_lattice(
+        "Z2xZ2xZ9-ideal-lattice",
+        ProductSpec(ProductSpec(ZnSpec(2), ZnSpec(2)), ZnSpec(9)),
+    ),
+)
+DESCRIPTORS = {d.name: d for d in (*catalog(), *EXTRA)}
+CHECKS = {s.sid: s.check for s in verify.STATEMENTS}
+
+
+@pytest.mark.parametrize("name", sorted(DESCRIPTORS))
+def test_class_scans_match_the_scalar_by_scalar_loops(name):
+    mod = build_instance(DESCRIPTORS[name])
+    elements = range(mod.lattice.size)
+    assert [is_submodule_element(mod, n) for n in elements] == [
+        ref_is_submodule_element(mod, n) for n in elements
+    ]
+    assert [is_prime_submodule_element(mod, p) for p in elements] == [
+        ref_is_prime_submodule_element(mod, p) for p in elements
+    ]
+    assert submodule_elements(mod) == tuple(n for n in elements if ref_is_submodule_element(mod, n))
+    assert spectrum(mod) == tuple(p for p in elements if ref_is_prime_submodule_element(mod, p))
+    rep = spectra.basis_checks(mod)
+    assert (rep.pair_witness, rep.ideal_witness, rep.cover_witness) == ref_basis_witnesses(mod)
+    assert ref_scalar_union(mod) is None
+    assert ref_scalar_action_variety(mod) is None
+    for sid in ("P3.1", "T3.5", "T5.3"):
+        assert CHECKS[sid](mod)[:2] == (verify.VERIFIED, None), (name, sid)
+    release(mod, mod.ring)
+
+
+# Ideal and submodule lattices where some planted failure is first met at a
+# scalar whose class has more than one member.
+PLANTED = (
+    "Z36-ideal-lattice",
+    "Z45-ideal-lattice",
+    "Z4xZ6-ideal-lattice",
+    "Z6-over-Z6-submodules",
+)
+
+
+def _shares_its_row(mod: LeModuleInstance, r: int) -> bool:
+    return sum(row == mod.action[r] for row in mod.action) > 1
+
+
+def _planted(monkeypatch, name: str, plain: bool):
+    """Fresh copies of the instance, one per value x = re, with V*(x), and
+    V(x) too when ``plain``, changed by one point.
+
+    The changed varieties are still functions of re, so the class scans stay
+    exact, but the identities that read V(re) or V*(re) now fail.  The
+    topologies are built first, from the true varieties.
+    """
+    probe = build_instance(DESCRIPTORS[name])
+    targets = sorted({row[probe.lattice.top] for row in probe.action})
+    real_v, real_vs = spectra.variety, spectra.variety_star
+    for planted in targets:
+        mod = build_instance(DESCRIPTORS[name])
+        spectra.build_topologies(mod)
+        flip = frozenset(spectrum(mod)[:1])
+
+        def variety(m, x, mod=mod, planted=planted, flip=flip):
+            return real_v(m, x) ^ flip if m is mod and x == planted else real_v(m, x)
+
+        def variety_star(m, x, mod=mod, planted=planted, flip=flip):
+            return real_vs(m, x) ^ flip if m is mod and x == planted else real_vs(m, x)
+
+        if plain:
+            monkeypatch.setattr(spectra, "variety", variety)
+        monkeypatch.setattr(spectra, "variety_star", variety_star)
+        yield mod, planted
+        release(mod)
+
+
+@pytest.mark.parametrize("name", PLANTED)
+def test_planted_failures_name_the_first_scalar_pair(monkeypatch, name):
+    # T3.5's ideal-pair clause would meet the planted failure first.
+    monkeypatch.setattr(spectra, "union_intersection_check", lambda *args: True)
+    union_shared = pair_shared = False
+    for mod, _ in _planted(monkeypatch, name, plain=True):
+        expected = ref_scalar_union(mod)
+        verdict, witness, detail = CHECKS["T3.5"](mod)
+        if expected is None:
+            assert verdict == verify.VERIFIED
+        else:
+            r, s = expected
+            assert (verdict, witness, detail) == (verify.FALSIFIED, f"r={r}, s={s}", "scalar-union")
+            union_shared |= any(_shares_its_row(mod, x) for x in expected)
+        rep = spectra.basis_checks(mod)
+        reference = ref_basis_witnesses(mod)
+        assert (rep.pair_witness, rep.ideal_witness, rep.cover_witness) == reference
+        if reference[0] is not None:
+            pair_shared |= any(_shares_its_row(mod, x) for x in reference[0])
+    # Some witness of each clause names a scalar that is not alone in its
+    # class, so a scan over other members would name another pair.
+    assert union_shared and pair_shared
+
+
+@pytest.mark.parametrize("name", PLANTED)
+def test_planted_failure_names_the_first_scalar_in_p31(monkeypatch, name):
+    # Empty the clauses before the scalar one, so that it is reached.
+    monkeypatch.setattr(verify, "family_states", lambda mod: {})
+    monkeypatch.setattr(verify, "submodule_elements", lambda mod: ())
+    monkeypatch.setattr(verify, "all_ideals", lambda ring: ())
+    shared = False
+    # Only V* is planted: with V changed alike, V(re) = V*(re) would hold.
+    for mod, planted in _planted(monkeypatch, name, plain=False):
+        if planted in (mod.zero_m, mod.lattice.top):
+            continue  # the V*(0_M) and V*(e) clauses come first
+        expected = ref_scalar_action_variety(mod)
+        outcome = CHECKS["P3.1"](mod)
+        if expected is None:
+            assert outcome == (verify.VERIFIED, None, None)
+        else:
+            assert outcome == (verify.FALSIFIED, f"r={expected}", "scalar-action-variety")
+            shared |= _shares_its_row(mod, expected)
+    assert shared
