@@ -273,9 +273,9 @@ def build_instance(desc: InstanceDescriptor) -> LeModuleInstance:
             ring, mod.size, mod.zero, mod.add, mod.action, desc.name
         )
     for i, row in enumerate(mod.leq):
-        for v in row:
-            if v not in (0, 1):
-                raise ValueError(f"leq entry {v} at row {i} must be 0 or 1")
+        if not set(row) <= {0, 1}:
+            v = next(v for v in row if v not in (0, 1))
+            raise ValueError(f"leq entry {v} at row {i} must be 0 or 1")
     lattice = make_lattice(mod.size, mod.leq)
     return make_le_module(ring, lattice, mod.add, mod.zero, mod.action, desc.name)
 
@@ -420,11 +420,20 @@ def _tokenize(text: str) -> tuple[list[str], list[int]]:
     return texts, lines
 
 
+class _Ints(dict):
+    """Token text to ``int(text)``, each distinct text converted once."""
+
+    def __missing__(self, text: str) -> int:
+        value = self[text] = int(text)
+        return value
+
+
 class _Parser:
     def __init__(self, texts: list[str], lines: list[int]):
         self.texts = texts
         self.lines = lines
         self.pos = 0
+        self.ints = _Ints()
 
     def peek(self) -> str | None:
         return self.texts[self.pos] if self.pos < len(self.texts) else None
@@ -449,29 +458,37 @@ class _Parser:
         except ValueError:
             raise ParseError(f"expected integer, got '{tok.text}'", tok.line, field) from None
 
-    def _find(self, word: str) -> int:
+    def _find(self, word: str, start: int, stop: int) -> int:
+        """Index of the first ``word`` in texts[start:stop], or stop."""
         try:
-            return self.texts.index(word, self.pos)
+            return self.texts.index(word, start, stop)
         except ValueError:
-            return len(self.texts)
+            return stop
 
     def table(self, field: str, stop_words: frozenset[str]) -> IntTable:
         """Rows of integers separated by ';', up to the next stop word.
 
         A table with a bad integer, an empty row or no rows is read again
         token by token, which raises the error naming the token's line.
+        A table of n² entries has few distinct texts, so each is converted
+        once, by the parser's ``ints``.
         """
-        stop = min(self._find(word) for word in stop_words)
-        parts = " ".join(self.texts[self.pos : stop]).split(";")
-        if len(parts) > 1 and not parts[-1]:
-            parts.pop()  # a ';' may end the last row
+        stop = len(self.texts)
+        for word in stop_words:
+            stop = self._find(word, self.pos, stop)
+        to_int = self.ints.__getitem__
+        rows = []
+        start = self.pos
         try:
-            rows = tuple(tuple(map(int, part.split())) for part in parts)
+            while start < stop:  # a ';' may end the last row
+                cut = self._find(";", start, stop)
+                rows.append(tuple(map(to_int, self.texts[start:cut])))
+                start = cut + 1
         except ValueError:
-            rows = ()
+            rows = []
         if rows and all(rows):
             self.pos = stop
-            return rows
+            return tuple(rows)
         return self._table_by_token(field, stop)
 
     def _table_by_token(self, field: str, stop: int) -> IntTable:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import EmptyFamily, NotALattice, NotAPoset, Unbounded
@@ -58,7 +59,7 @@ def make_lattice(size: int, leq: Sequence[Sequence[bool]]) -> FiniteBoundedLatti
     """Validate the order table and precompute join/meet tables."""
     if size < 1:
         raise ValueError("size must be positive")
-    table: BoolTable = tuple(tuple(bool(v) for v in row) for row in leq)
+    table: BoolTable = tuple(tuple(map(bool, row)) for row in leq)
     if len(table) != size or any(len(row) != size for row in table):
         raise ValueError(f"leq must be a {size}x{size} table")
 
@@ -66,8 +67,9 @@ def make_lattice(size: int, leq: Sequence[Sequence[bool]]) -> FiniteBoundedLatti
     # up[a] and down[a] are bitmasks of the elements above and below a; the
     # lowest set bit of a nonzero mask is the first witness a scan over
     # increasing indices would meet.
-    up = [_mask(row) for row in table]
-    down = [_mask(col) for col in zip(*table)]
+    bits = [1 << x for x in rng]
+    up = [sum(itertools.compress(bits, row)) for row in table]
+    down = [sum(itertools.compress(bits, col)) for col in zip(*table)]
     for a in rng:
         if not table[a][a]:
             raise NotAPoset("reflexivity", (a,))
@@ -76,8 +78,8 @@ def make_lattice(size: int, leq: Sequence[Sequence[bool]]) -> FiniteBoundedLatti
         if both:
             raise NotAPoset("antisymmetry", (a, _lowest(both)))
     for a in rng:
-        for b in rng:
-            if table[a][b] and up[b] & ~up[a]:
+        for b in itertools.compress(rng, table[a]):
+            if up[b] & ~up[a]:
                 raise NotAPoset("transitivity", (a, b, _lowest(up[b] & ~up[a])))
 
     full = (1 << size) - 1
@@ -90,13 +92,20 @@ def make_lattice(size: int, leq: Sequence[Sequence[bool]]) -> FiniteBoundedLatti
 
     # In a poset, u is the least upper bound of a and b exactly when the
     # elements above u are those above both; antisymmetry makes u unique.
+    # Both tables are symmetric, so row a copies its entries b < a from the
+    # rows before it, in one C call, and looks up only b >= a.  Those rows
+    # had every bound, so row a is what a full lookup would give, and a
+    # missing bound is first met at the same (a, b).
     lub = {mask: u for u, mask in enumerate(up)}
     glb = {mask: l for l, mask in enumerate(down)}
-    join_rows = []
-    meet_rows = []
+    join_rows: list[tuple[int, ...]] = []
+    meet_rows: list[tuple[int, ...]] = []
     for a in rng:
-        jrow = [lub.get(up[a] & mask) for mask in up]
-        mrow = [glb.get(down[a] & mask) for mask in down]
+        before, ua, da = itemgetter(a), up[a], down[a]
+        jrow = list(map(before, join_rows))
+        jrow += [lub.get(ua & mask) for mask in up[a:]]
+        mrow = list(map(before, meet_rows))
+        mrow += [glb.get(da & mask) for mask in down[a:]]
         if None in jrow or None in mrow:
             b = min(row.index(None) for row in (jrow, mrow) if None in row)
             kind = "least upper bound" if jrow[b] is None else "greatest lower bound"
@@ -104,10 +113,6 @@ def make_lattice(size: int, leq: Sequence[Sequence[bool]]) -> FiniteBoundedLatti
         join_rows.append(tuple(jrow))
         meet_rows.append(tuple(mrow))
     return FiniteBoundedLattice(size, table, top, bottom, tuple(join_rows), tuple(meet_rows))
-
-
-def _mask(flags: Iterable[bool]) -> int:
-    return sum(1 << x for x, flag in enumerate(flags) if flag)
 
 
 def _lowest(mask: int) -> int:

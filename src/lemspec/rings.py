@@ -257,8 +257,16 @@ def all_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
 
 
 def is_prime_ideal(ring: FiniteRing, i: Ideal | frozenset[int]) -> bool:
-    """Proper, and ab in I forces a in I or b in I."""
-    members = i.members if isinstance(i, Ideal) else frozenset(i)
+    """Proper, and ab in I forces a in I or b in I.
+
+    Each member set is scanned once per ring: the spectrum, the natural map
+    and several statements ask about the same colon ideals.
+    """
+    return _is_prime(ring, i.members if isinstance(i, Ideal) else frozenset(i))
+
+
+@per_object
+def _is_prime(ring: FiniteRing, members: frozenset[int]) -> bool:
     if len(members) >= ring.order:
         return False
     outside = [a for a in range(ring.order) if a not in members]

@@ -182,6 +182,10 @@ def test_leq_entry_other_than_0_or_1_is_an_input_error(tmp_path, capsys):
     )
     assert main(["validate", str(path)]) == 1
     assert capsys.readouterr().err == "error: leq entry 7 at row 0 must be 0 or 1\n"
+    # An entry just past the flags, in a later row.
+    path.write_text(path.read_text().replace("leq 1 7 1 ; 0 1 1 ; 0 0 -3", "leq 1 1 1 ; 0 1 2 ; 0 0 1"))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == "error: leq entry 2 at row 1 must be 0 or 1\n"
 
 
 def _table(rows) -> str:

@@ -153,6 +153,18 @@ def test_parse_explicit_ring():
     )
     mod = build_instance(parse_descriptor(text))
     assert mod.ring.order == 2
+    # Leading zeros, signs, underscores and non-ASCII decimal digits
+    # (Arabic-Indic three, fullwidth zero) mean what int() makes of them,
+    # and two spellings of one value read alike.
+    text = (
+        "name e\nring explicit order 2\n"
+        "  add 07 +3 ; 1_0 ٣ ; 7 3\n"
+        "  mul 0 ０ ; 0 1\n"
+        "module ideal-lattice\n"
+    )
+    ring = parse_descriptor(text).ring
+    assert ring.add == ((7, 3), (10, 3), (7, 3))
+    assert ring.mul == ((0, 0), (0, 1))
 
 
 @pytest.mark.parametrize(
@@ -162,6 +174,14 @@ def test_parse_explicit_ring():
         ("name x\nname y\nring zn 2\nmodule ideal-lattice\n", "duplicate 'name'", 2),
         ("name x\nring zn 2\n", "missing 'module'", None),
         ("name x\nring zn two\nmodule ideal-lattice\n", "expected integer", 2),
+        # A digit that is no decimal digit (superscript two), after entries
+        # already read.
+        (
+            "name x\nring explicit order 2 add 0 1 ; 1 0\n mul 0 0 ; 0 ²\n"
+            "module ideal-lattice\n",
+            "expected integer or ';', got '²'",
+            3,
+        ),
         ("name x\nring frobnicate 2\nmodule ideal-lattice\n", "unknown ring form", 2),
         ("name x\nring zn 2\nmodule mystery\n", "unknown module form", 3),
     ],

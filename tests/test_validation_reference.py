@@ -464,6 +464,7 @@ def test_le_module_scan_matches_reference():
     rng = random.Random("le-modules")
     results = []
     assoc_off_generators = s_after_non_generator = 0
+    m5_as_m1 = s_by_idempotence = 0
     for ring, lat, add, zero, action in le_module_cases():
         n = lat.size
         cases = [(add, action)]
@@ -475,6 +476,11 @@ def test_le_module_scan_matches_reference():
         for sym in (False, True):
             for jt in mutants(lat.join_table, range(n), rng, 25, sym):
                 cases.append((dataclasses.replace(lat, join_table=jt), add, action))
+        # A join table doctored to equal a sum that is not the join: where
+        # the sum is not idempotent, as on the three-chain, S fails and only
+        # the full S scan names the witness.
+        if add != lat.join_table:
+            cases.append((dataclasses.replace(lat, join_table=add), add, action))
         for bad_lat, bad_add, bad_act in cases:
             expected = outcome(ref_le_module, ring, bad_lat, bad_add, zero, bad_act)
             got = outcome(le_module_outcome_new, ring, bad_lat, bad_add, zero, bad_act)
@@ -490,11 +496,24 @@ def test_le_module_scan_matches_reference():
                 at = expected[2][0 if expected[1] == "S" else 1]
                 assert at in gens, expected
                 s_after_non_generator += expected[1] == "S" and at > min_non_generator(gens)
+            # Where the sum is the join, S is checked as idempotence and M5,
+            # then the same law as M1, is not scanned.
+            if bad_add == bad_lat.join_table:
+                if expected[1] == "M1":
+                    r, x, y = expected[2]
+                    jt = bad_lat.join_table
+                    assert bad_act[r][jt[x][y]] != jt[bad_act[r][x]][bad_act[r][y]]
+                    m5_as_m1 += 1
+                s_by_idempotence += expected[1] == "S"
         assert results[-len(cases)] == ("ok", None)
     assert {"monoid", "S", "M1", "M2", "M3", "M4", "M5"} <= seen_failures(results)
     # Only the full rescan names these associativity witnesses.
     assert assoc_off_generators > 0
     assert s_after_non_generator > 0
+    # An action that breaks M5 on a join-sum instance is reported at M1, and
+    # a non-idempotent join-sum reaches the full S scan.
+    assert m5_as_m1 > 0
+    assert s_by_idempotence > 0
 
 
 # --- classical modules -------------------------------------------------------
