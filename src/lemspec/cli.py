@@ -9,6 +9,7 @@ tables, 3 at least one statement falsified by `verify`, 4 internal error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -238,7 +239,9 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     raise ParseError(f"unknown catalog action '{args.action}'")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lemspec",
         description="Spectra and topologies of lattice-enriched modules",

@@ -240,15 +240,16 @@ def submodule_lattice_le_module(
     _check_classical_module(ring, size, zero, add_t, act_t)
 
     # In a module the submodule generated by a submodule B and an element g
-    # is B + Rg.
+    # is B + Rg, which depends on g only through Rg, column g of the action,
+    # and is B itself when Rg lies in B.
+    cyclic = {frozenset(column) for column in zip(*act_t)}
     submodules: set[frozenset[int]] = {frozenset({zero})}
     frontier = [frozenset({zero})]
     while frontier:
         base = frontier.pop()
-        for g in range(size):
-            if g in base:
+        for multiples in cyclic:
+            if multiples <= base:
                 continue
-            multiples = {row[g] for row in act_t}
             grown = frozenset(add_t[b][m] for b in base for m in multiples)
             if grown not in submodules:
                 submodules.add(grown)

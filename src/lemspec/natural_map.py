@@ -8,6 +8,7 @@ clause by clause so truth-vector comparisons stay visible in reports.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -66,10 +67,11 @@ class NaturalMap:
     table: tuple[tuple[int, Ideal], ...]
 
     def image_of(self, p: int) -> Ideal:
-        for q, img in self.table:
-            if q == p:
-                return img
-        raise KeyError(f"{p} is not a spectrum point")
+        return self._images[p]
+
+    @functools.cached_property
+    def _images(self) -> dict[int, Ideal]:
+        return dict(self.table)
 
     def images(self) -> tuple[Ideal, ...]:
         return tuple(img for _, img in self.table)
@@ -197,9 +199,9 @@ def surjectivity_and_openclosed(nm: NaturalMap) -> OpenClosedReport:
         nbar = push_ideal(colon(mod, n), nm.projection, nm.quotient)
         target = variety_ring(nm.quotient, nbar)
         vs = variety_star(mod, n)
-        if frozenset(nm.image_of(p) for p in vs) != target:
+        if frozenset(map(nm.image_of, vs)) != target:
             closed_ok = False
-        if frozenset(nm.image_of(p) for p in points - vs) != ring_points - target:
+        if frozenset(map(nm.image_of, points - vs)) != ring_points - target:
             open_ok = False
     return OpenClosedReport(True, closed_ok, open_ok)
 

@@ -161,10 +161,13 @@ def make_zn(n: int) -> FiniteRing:
     if n < 2:
         raise ZeroRing("Z_n needs n >= 2")
     # Row a of + is 0..n-1 rotated left by a; row a of * counts up in steps
-    # of a, reduced mod n.
+    # of a, reduced mod n.  Both hold rng's own ints, so past 256 the tables
+    # keep n int objects, not one per entry.
     rng = tuple(range(n))
     add = tuple(rng[a:] + rng[:a] for a in rng)
-    mul = ((0,) * n,) + tuple(tuple(map(n.__rmod__, range(0, a * n, a))) for a in range(1, n))
+    mul = ((0,) * n,) + tuple(
+        tuple(map(rng.__getitem__, map(n.__rmod__, range(0, a * n, a)))) for a in range(1, n)
+    )
     return FiniteRing(n, add, mul, 0, 1, f"Z{n}")
 
 

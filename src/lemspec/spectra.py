@@ -96,7 +96,7 @@ def variety(mod: LeModuleInstance, x: int) -> frozenset[int]:
 def variety_star(mod: LeModuleInstance, x: int) -> frozenset[int]:
     """Primes whose colon ideal contains the colon ideal of x."""
     cx = colon_set(mod, x)
-    return frozenset(p for p in spectrum(mod) if cx <= colon_set(mod, p))
+    return frozenset(p for c, fiber in colon_fibers(mod).items() if cx <= c for p in fiber)
 
 
 @per_object

@@ -5,7 +5,8 @@ verified, falsified (with a witness), hypothesis-not-met, or not-applicable.
 Every check is exhaustive.  A statement about every subset Y of points, or
 every family of submodule elements, is checked on the states that such
 subsets reach (``lattices.generated``), and its witness is a generating
-family of the failing state.  A statement about every scalar r, or every
+family of the failing state.  The scans keep sets of points as int masks,
+point k of the spectrum as bit k.  A statement about every scalar r, or every
 pair r, s, is checked on one scalar per class of equal action rows
 (``le_modules.scalar_classes``): those loops read r only through its row,
 and rs only through (rs)e = r(se), which by M3 depends only on the rows
@@ -16,8 +17,10 @@ Serialization omits timing so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -35,11 +38,9 @@ from .le_modules import (
     colon_set,
     galois_adjunction_check,
     ideal_action,
-    is_prime_submodule_element,
     scalar_classes,
     spectrum,
     submodule_elements,
-    sum_submodule_elements,
 )
 from .rings import all_ideals, is_prime_ideal, maximal_ideals, spec_ring
 
@@ -51,64 +52,90 @@ NOT_APPLICABLE = "not-applicable"
 Outcome = tuple[str, str | None, str | None]
 
 
+def _point_codec(mod: LeModuleInstance) -> tuple[Callable, Callable]:
+    """Encode a set of points as an int mask, point k of the spectrum as bit
+    k, and decode a mask back to a frozenset."""
+    points = spectrum(mod)
+    bit = {p: 1 << k for k, p in enumerate(points)}
+
+    def encode(ys: Iterable[int]) -> int:
+        return sum(map(bit.__getitem__, ys))
+
+    @functools.cache
+    def decode(mask: int) -> frozenset[int]:
+        # Read backwards, bin(mask) has bit k as its k-th character.
+        return frozenset(itertools.compress(points, map("1".__eq__, reversed(bin(mask)))))
+
+    return encode, decode
+
+
+@per_object
+def _closure_masks(mod: LeModuleInstance) -> dict[int, int]:
+    """The closure of each point, as a mask."""
+    encode, _ = _point_codec(mod)
+    top = spectra.build_topologies(mod).star
+    return {p: encode(spectra.closure(top, [p])) for p in top.points}
+
+
 def family_states(mod: LeModuleInstance) -> dict[tuple, tuple[int, ...]]:
     """(n V*(n), n V(n), sum of (n:e)e, sum of n) over each nonempty family.
 
-    By axiom S the sum of a union of families is the sum of the two sums.
+    By axiom S the sum of a union of families is the sum of the two sums,
+    and for submodule elements n and l that sum is add[n][l]: n + l is a
+    submodule element, by M1 and monotonicity, and as n + n <= n and
+    l + l <= l, n + l lies above every finite sum of n and l.  The scan
+    intersects the varieties as masks, with &, and decodes each distinct
+    mask once.
     """
-    v, vs = spectra.variety, spectra.variety_star
+    encode, decode = _point_codec(mod)
+    v, vs, add = spectra.variety, spectra.variety_star, mod.add
     singletons = {
-        n: (
-            vs(mod, n),
-            v(mod, n),
-            sum_submodule_elements(mod, [ideal_action(mod, colon(mod, n))]),
-            sum_submodule_elements(mod, [n]),
-        )
+        n: (encode(vs(mod, n)), encode(v(mod, n)), ideal_action(mod, colon(mod, n)), n)
         for n in submodule_elements(mod)
     }
 
     def combine(a: tuple, b: tuple) -> tuple:
-        return (
-            a[0] & b[0],
-            a[1] & b[1],
-            sum_submodule_elements(mod, (a[2], b[2])),
-            sum_submodule_elements(mod, (a[3], b[3])),
-        )
+        return a[0] & b[0], a[1] & b[1], add[a[2]][b[2]], add[a[3]][b[3]]
 
-    return generated(singletons, combine)
+    return {
+        (decode(star), decode(plain), colon_sum, plain_sum): fam
+        for (star, plain, colon_sum, plain_sum), fam in generated(singletons, combine).items()
+    }
 
 
 @per_object
 def point_states(mod: LeModuleInstance) -> dict[tuple[int, frozenset], tuple[int, ...]]:
     """(meet of Y, closure of Y) over each nonempty set Y of points.
 
-    On a finite space the closure of Y is the union of its point closures.
+    On a finite space the closure of Y is the union of its point closures:
+    the scan ORs their masks and decodes each distinct mask once.
     """
-    top = spectra.build_topologies(mod).star
+    _, decode = _point_codec(mod)
     meet = mod.lattice.meet_table
-    singletons = {p: (p, spectra.closure(top, [p])) for p in spectrum(mod)}
-    return generated(singletons, lambda a, b: (meet[a[0]][b[0]], a[1] | b[1]))
+    singletons = {p: (p, c) for p, c in _closure_masks(mod).items()}
+    states = generated(singletons, lambda a, b: (meet[a[0]][b[0]], a[1] | b[1]))
+    return {(m, decode(c)): ys for (m, c), ys in states.items()}
 
 
 def chain_states(mod: LeModuleInstance) -> dict[tuple[int, frozenset], tuple[int, ...]]:
     """(least element, union of point closures) over each nonempty chain of points.
 
     A chain is its least point p alone or p below a chain of points above p,
-    so points are visited from the top of the lattice down.
+    so points are visited from the top of the lattice down.  The unions are
+    masks until the end, as in ``point_states``.
     """
+    _, decode = _point_codec(mod)
     leq = mod.lattice.leq
-    top = spectra.build_topologies(mod).star
-    points = sorted(spectrum(mod), key=lambda p: -sum(row[p] for row in leq))
-    by_least: dict[int, dict[frozenset, tuple[int, ...]]] = {}
-    for p in points:
-        closure = spectra.closure(top, [p])
-        mine = {closure: (p,)}
+    closures = _closure_masks(mod)
+    by_least: dict[int, dict[int, tuple[int, ...]]] = {}
+    for p in sorted(closures, key=lambda p: -sum(row[p] for row in leq)):
+        mine = {closures[p]: (p,)}
         for q, chains in by_least.items():
             if leq[p][q]:
                 for union, chain in chains.items():
-                    mine.setdefault(closure | union, (p, *chain))
+                    mine.setdefault(closures[p] | union, (p, *chain))
         by_least[p] = mine
-    return {(p, u): chain for p, mine in by_least.items() for u, chain in mine.items()}
+    return {(p, decode(u)): chain for p, mine in by_least.items() for u, chain in mine.items()}
 
 
 def _y_witness(mod: LeModuleInstance, ys: Iterable[int]) -> str:
@@ -151,19 +178,25 @@ def _check_variety_identities(mod: LeModuleInstance) -> Outcome:
         if inter_plain != v(mod, plain_sum):
             return FALSIFIED, f"family={[mod.label(n) for n in fam]}", "plain-sum"
     meet = mod.lattice.meet_table
-    for n, l in itertools.combinations_with_replacement(submodule_elements(mod), 2):
-        if vs(mod, n) | vs(mod, l) != vs(mod, meet[n][l]):
-            return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "star-union"
-        if not (v(mod, n) | v(mod, l)) <= v(mod, meet[n][l]):
-            return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "plain-union"
-        same_colon = colon_set(mod, n) == colon_set(mod, l)
-        if same_colon and vs(mod, n) != vs(mod, l):
-            return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "colon-transfer"
-        both_prime = is_prime_submodule_element(mod, n) and is_prime_submodule_element(
-            mod, l
-        )
-        if both_prime and vs(mod, n) == vs(mod, l) and not same_colon:
-            return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "prime-converse"
+    submods = submodule_elements(mod)
+    encode, _ = _point_codec(mod)
+    star = {n: encode(vs(mod, n)) for n in submods}
+    plain = {n: encode(v(mod, n)) for n in submods}
+    colons = {n: colon_set(mod, n) for n in submods}
+    for i, n in enumerate(submods):
+        sn, pn, cn, n_prime = star[n], plain[n], colons[n], n in pts
+        for l in submods[i:]:
+            m = meet[n][l]
+            if sn | star[l] != star[m]:
+                return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "star-union"
+            if (pn | plain[l]) & ~plain[m]:
+                return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "plain-union"
+            same_colon = cn == colons[l]
+            if same_colon and sn != star[l]:
+                return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "colon-transfer"
+            # The spectrum is the set of prime submodule elements.
+            if n_prime and l in pts and sn == star[l] and not same_colon:
+                return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "prime-converse"
     for n in submodule_elements(mod):
         if not spectra.vstar_decomposition_check(mod, n):
             return FALSIFIED, f"n={mod.label(n)}", "decomposition"
@@ -303,17 +336,23 @@ def _check_point_closures(mod: LeModuleInstance) -> Outcome:
     top = spectra.build_topologies(mod).star
     family = set(top.closed_sets)
     points = spectrum(mod)
+    encode, _ = _point_codec(mod)
+    closures = _closure_masks(mod)
     colons = {p: colon_set(mod, p) for p in points}
     fibers = colon_fibers(mod)
+    star = {p: encode(spectra.variety_star(mod, p)) for p in points}
     for p in points:
-        if spectra.closure(top, [p]) != spectra.variety_star(mod, p):
+        closure = closures[p]
+        if closure != star[p]:
             return FALSIFIED, f"p={mod.label(p)}", "closure-formula"
-        for q in points:
-            in_closure = q in spectra.closure(top, [p])
-            colon_incl = colons[p] <= colons[q]
-            vs_incl = spectra.variety_star(mod, q) <= spectra.variety_star(mod, p)
-            if not (in_closure == colon_incl == vs_incl):
-                return FALSIFIED, f"p={mod.label(p)}, q={mod.label(q)}", "specialization"
+        colon_incl = encode(q for q in points if colons[p] <= colons[q])
+        vs_incl = encode(q for q in points if not star[q] & ~star[p])
+        # The first q at which "q in cl{p}", the colon inclusion and the V*
+        # inclusion are not all equal.
+        bad = (closure ^ colon_incl) | (colon_incl ^ vs_incl)
+        if bad:
+            q = points[(bad & -bad).bit_length() - 1]
+            return FALSIFIED, f"p={mod.label(p)}, q={mod.label(q)}", "specialization"
         singleton_closed = frozenset([p]) in family
         maximal = not any(colons[p] < c for c in fibers)
         fiber_one = len(fibers[colons[p]]) == 1
@@ -338,14 +377,17 @@ def _check_vstar_irreducible(mod: LeModuleInstance) -> Outcome:
 def _irreducible_closures(mod: LeModuleInstance) -> set[frozenset]:
     # Y is irreducible iff cl Y is, and the irreducible closed sets of a
     # finite space are its point closures.
-    return set(spectra.point_closures(spectra.build_topologies(mod).star))
+    _, decode = _point_codec(mod)
+    return set(map(decode, _closure_masks(mod).values()))
 
 
 def _check_irreducible_prime(mod: LeModuleInstance) -> Outcome:
     irreducible = _irreducible_closures(mod)
+    # The spectrum is the set of prime submodule elements.
+    points = frozenset(spectrum(mod))
     for (meet, closure), ys in point_states(mod).items():
         irr = closure in irreducible
-        if is_prime_submodule_element(mod, meet) and not irr:
+        if meet in points and not irr:
             return FALSIFIED, _y_witness(mod, ys), "meet-prime-implies-irreducible"
         if irr and not is_prime_ideal(mod.ring, colon_set(mod, meet)):
             return FALSIFIED, _y_witness(mod, ys), "irreducible-implies-colon-of-meet-prime"
@@ -357,14 +399,15 @@ def _check_irreducible_families(mod: LeModuleInstance) -> Outcome:
     for (_, closure), chain in chain_states(mod).items():
         if closure not in irreducible:
             return FALSIFIED, _y_witness(mod, chain), "chain-implies-irreducible"
-    top = spectra.build_topologies(mod).star
+    _, decode = _point_codec(mod)
+    closures = _closure_masks(mod)
     primes = {pr.members for pr in spec_ring(mod.ring).points}
     maximal = {m.members for m in maximal_ideals(mod.ring)}
     fibers = colon_fibers(mod)
     for c, fiber in fibers.items():
         if c not in primes:
             continue
-        closure = frozenset().union(*(spectra.closure(top, [p]) for p in fiber))
+        closure = decode(functools.reduce(operator.or_, map(closures.__getitem__, fiber)))
         if closure not in irreducible:
             return FALSIFIED, _y_witness(mod, fiber), "colon-fiber-implies-irreducible"
         # The fiber is closed iff it is its own closure.

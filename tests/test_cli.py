@@ -1,11 +1,16 @@
 import hashlib
 import itertools
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from lemspec import spectra
 from lemspec.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 M3_DESCRIPTOR = """\
 name broken-scalars
@@ -120,6 +125,23 @@ def test_verify_zn_report_bytes_are_pinned(n, tmp_path, capsys):
     assert main(["verify", str(path), "--format", "structured"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == ZN_REPORT_DIGESTS[n]
+
+
+POWER_MODULE_DIGESTS = {
+    (2, 4): "062c89728621177ae9830fd2d9f6fc0be1478698868731b92c552e5ae4d70f92",
+    (4, 3): "5fec11a6881af93d2ad9f09c377745f64d29d799526e63e192e887fef15de5b2",
+}
+
+
+@pytest.mark.parametrize("m, k", sorted(POWER_MODULE_DIGESTS))
+def test_verify_power_module_report_bytes_are_pinned(m, k, tmp_path, capsys):
+    # Submodule lattices of (Z_m)^k with tens of points, where the point and
+    # family scans dominate; the digests were taken from scans over frozensets.
+    path = tmp_path / f"Z{m}^{k}.lem"
+    path.write_text(workloads.power_module_descriptor(m, k))
+    assert main(["verify", str(path), "--format", "structured"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == POWER_MODULE_DIGESTS[m, k]
 
 
 def test_export_dot_lattice(capsys):

@@ -7,6 +7,7 @@ exhaustively; expected values were frozen from an independent scan.
 import itertools
 
 import pytest
+from test_scan_reference import _ladder_instances
 
 from lemspec.errors import AxiomViolation, EmptyFamily, NotPrimeIdeal
 from lemspec.instances import build_instance, catalog, ideal_lattice_le_module
@@ -225,3 +226,12 @@ def test_scalar_classes_are_least_and_increasing(all_instances):
         for r, row in enumerate(mod.action):
             least = next(s for s in range(mod.ring.order) if mod.action[s] == row)
             assert least in reps and least <= r, (mod.name, r)
+
+
+def test_sum_of_two_submodule_elements_is_their_sum_in_the_table():
+    # n + l is a submodule element above every finite sum of n and l, so the
+    # family scans read the sum of two submodule elements from ``add``.
+    for mod in [build_instance(d) for d in catalog()] + _ladder_instances():
+        submods = submodule_elements(mod)
+        for n, l in itertools.product(submods, repeat=2):
+            assert mod.add[n][l] == sum_submodule_elements(mod, (n, l)), (mod.name, n, l)

@@ -5,20 +5,34 @@ hypothesis-not-met cells are the multiplication criterion on the two
 instances that are not multiplication le-modules.
 """
 
+import itertools
 import json
 
 import pytest
+from test_scan_reference import family_state, point_state
 
+from lemspec import spectra, verify
 from lemspec.instances import (
     ExplicitModuleSpec,
     InstanceDescriptor,
     SubmoduleLatticeSpec,
     ZnSpec,
+    build_instance,
     catalog,
     cyclic_module_tables,
     find_descriptor,
     product_module_tables,
+    submodule_lattice_le_module,
 )
+from lemspec.le_modules import (
+    colon_fibers,
+    colon_set,
+    is_prime_submodule_element,
+    spectrum,
+    submodule_elements,
+)
+from lemspec.memo import release
+from lemspec.rings import make_zn
 from lemspec.verify import (
     STATEMENTS,
     render_text,
@@ -212,3 +226,135 @@ def test_subset_scans_are_exhaustive():
     report = run_all([f2_fourth])
     assert report.counts()["falsified"] == 0
     assert "sampled" not in render_text(report)
+
+
+def _power_module(m: int, k: int):
+    tables = cyclic_module_tables(m)
+    power = tables
+    for _ in range(k - 1):
+        power = product_module_tables(power, tables)
+    return submodule_lattice_le_module(make_zn(m), *power, f"Z{m}^{k}")
+
+
+@pytest.mark.parametrize("m, k", [(2, 3), (4, 2), (2, 4), (4, 3)])
+def test_mask_scans_decode_to_the_reference_states(m, k):
+    # The scans combine states as int masks over the spectrum index; each
+    # decoded state must be the one the reference computes from frozensets
+    # for the family or point set that reaches it.  F2^4 and (Z4)^3 have too
+    # many subsets to list, so every reached state is checked instead.
+    mod = _power_module(m, k)
+    for state, fam in verify.family_states(mod).items():
+        assert family_state(mod, fam) == state, fam
+    for state, ys in verify.point_states(mod).items():
+        assert point_state(mod, ys) == state, ys
+    for (least, closure), ys in verify.chain_states(mod).items():
+        assert point_state(mod, ys) == (least, closure) and least in ys, ys
+    release(mod)
+
+
+def _reference_point_closures(mod) -> tuple:
+    """P6.2's point clauses, one frozenset comparison per pair of points."""
+    top = spectra.build_topologies(mod).star
+    family = set(top.closed_sets)
+    points = spectrum(mod)
+    colons = {p: colon_set(mod, p) for p in points}
+    fibers = colon_fibers(mod)
+    for p in points:
+        if spectra.closure(top, [p]) != spectra.variety_star(mod, p):
+            return verify.FALSIFIED, f"p={mod.label(p)}", "closure-formula"
+        for q in points:
+            in_closure = q in spectra.closure(top, [p])
+            colon_incl = colons[p] <= colons[q]
+            vs_incl = spectra.variety_star(mod, q) <= spectra.variety_star(mod, p)
+            if not (in_closure == colon_incl == vs_incl):
+                return verify.FALSIFIED, f"p={mod.label(p)}, q={mod.label(q)}", "specialization"
+        singleton_closed = frozenset([p]) in family
+        maximal = not any(colons[p] < c for c in fibers)
+        if singleton_closed != (maximal and len(fibers[colons[p]]) == 1):
+            return verify.FALSIFIED, f"p={mod.label(p)}", "closed-point-criterion"
+    return None
+
+
+def test_planted_point_failures_name_the_reference_witness(monkeypatch):
+    # V*(x) is changed by one point, for each point x and each point flipped;
+    # the topology is built first, from the true varieties.
+    check = next(s.check for s in STATEMENTS if s.sid == "P6.2")
+    real = spectra.variety_star
+    details = set()
+    for name in ("Z30-ideal-lattice", "Z2xZ2-over-Z2-submodules", "Z2xZ4-over-Z4-submodules"):
+        probe = build_instance(find_descriptor(name))
+        for planted, flipped in itertools.product(spectrum(probe), repeat=2):
+            mod = build_instance(find_descriptor(name))
+            spectra.build_topologies(mod)
+
+            def variety_star(m, x, mod=mod, planted=planted, flip=frozenset([flipped])):
+                return real(m, x) ^ flip if m is mod and x == planted else real(m, x)
+
+            monkeypatch.setattr(spectra, "variety_star", variety_star)
+            expected = _reference_point_closures(mod)
+            assert expected is not None
+            assert check(mod) == expected, (name, planted, flipped)
+            details.add(expected[2])
+            release(mod)
+    # Where colon ideals differ, a changed V*(q) breaks the specialization
+    # clause at an earlier p before the closure formula at q.
+    assert details == {"closure-formula", "specialization"}
+
+
+PAIR_CLAUSES = ("star-union", "plain-union", "colon-transfer", "prime-converse")
+
+
+def _reference_pairs(mod) -> tuple | None:
+    """P3.1's clauses on pairs of submodule elements, on frozensets."""
+    v, vs = spectra.variety, spectra.variety_star
+    meet = mod.lattice.meet_table
+    for n, l in itertools.combinations_with_replacement(submodule_elements(mod), 2):
+        witness = f"n={mod.label(n)}, l={mod.label(l)}"
+        if vs(mod, n) | vs(mod, l) != vs(mod, meet[n][l]):
+            return verify.FALSIFIED, witness, "star-union"
+        if not (v(mod, n) | v(mod, l)) <= v(mod, meet[n][l]):
+            return verify.FALSIFIED, witness, "plain-union"
+        same_colon = colon_set(mod, n) == colon_set(mod, l)
+        if same_colon and vs(mod, n) != vs(mod, l):
+            return verify.FALSIFIED, witness, "colon-transfer"
+        both_prime = is_prime_submodule_element(mod, n) and is_prime_submodule_element(mod, l)
+        if both_prime and vs(mod, n) == vs(mod, l) and not same_colon:
+            return verify.FALSIFIED, witness, "prime-converse"
+    return None
+
+
+def test_planted_pair_failures_name_the_reference_witness(monkeypatch):
+    # V(x) or V*(x) is changed, for each submodule element x other than 0_M
+    # and e (whose clauses come first), by one point or to the variety of a
+    # point.
+    monkeypatch.setattr(verify, "family_states", lambda mod: {})
+    check = next(s.check for s in STATEMENTS if s.sid == "P3.1")
+    real = {"variety": spectra.variety, "variety_star": spectra.variety_star}
+    details = set()
+    for name in ("Z30-ideal-lattice", "Z2xZ2-over-Z2-submodules", "Z6-over-Z6-submodules"):
+        probe = build_instance(find_descriptor(name))
+        points = spectrum(probe)
+        planted_at = set(submodule_elements(probe)) - {probe.zero_m, probe.lattice.top}
+        for planted, which in itertools.product(sorted(planted_at), sorted(real)):
+            true = real[which](probe, planted)
+            values = {true ^ {f} for f in points} | {real[which](probe, q) for q in points}
+            for value in sorted(values - {true}, key=sorted):
+                mod = build_instance(find_descriptor(name))
+                spectra.build_topologies(mod)
+
+                def changed(m, x, mod=mod, planted=planted, value=value, fn=real[which]):
+                    return value if m is mod and x == planted else fn(m, x)
+
+                monkeypatch.setattr(spectra, which, changed)
+                expected = _reference_pairs(mod)
+                outcome = check(mod)
+                if expected is None:
+                    assert outcome[2] not in PAIR_CLAUSES, (name, planted, value, which)
+                else:
+                    assert outcome == expected, (name, planted, value, which)
+                    details.add(expected[2])
+                monkeypatch.setattr(spectra, which, real[which])
+                release(mod)
+    # A prime-converse failure at (n, l) needs V*(n) = V*(l) with V*(n meet l)
+    # unchanged, which star-union at the same pair meets first.
+    assert details == set(PAIR_CLAUSES) - {"prime-converse"}
