@@ -17,6 +17,7 @@ instead of n².  The closure arguments are in the docstring of
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter, ne
 from typing import Callable, Iterable, Sequence
 
@@ -25,7 +26,11 @@ Rows = Callable[[int, int], tuple]
 
 
 def freeze(table: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    """The table as a tuple of tuples of ints."""
+    """The table as a tuple of tuples of ints; one already so is returned
+    as it is, checked in C, and any other is converted entry by entry."""
+    if type(table) is tuple and set(map(type, table)) <= {tuple}:
+        if set(map(type, chain.from_iterable(table))) == {int}:
+            return table
     return tuple(tuple(map(int, row)) for row in table)
 
 

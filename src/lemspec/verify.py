@@ -120,22 +120,12 @@ def point_states(mod: LeModuleInstance) -> dict[tuple[int, frozenset], tuple[int
 def chain_states(mod: LeModuleInstance) -> dict[tuple[int, frozenset], tuple[int, ...]]:
     """(least element, union of point closures) over each nonempty chain of points.
 
-    A chain is its least point p alone or p below a chain of points above p,
-    so points are visited from the top of the lattice down.  The unions are
-    masks until the end, as in ``point_states``.
+    For points p <= q, (p:e) lies inside (q:e), so cl{q} = V*(q) lies
+    inside V*(p) = cl{p}: the union over a chain is the closure of its least
+    point p.  The states are exactly (p, cl{p}), each reached by (p,) alone.
     """
     _, decode = _point_codec(mod)
-    leq = mod.lattice.leq
-    closures = _closure_masks(mod)
-    by_least: dict[int, dict[int, tuple[int, ...]]] = {}
-    for p in sorted(closures, key=lambda p: -sum(row[p] for row in leq)):
-        mine = {closures[p]: (p,)}
-        for q, chains in by_least.items():
-            if leq[p][q]:
-                for union, chain in chains.items():
-                    mine.setdefault(closures[p] | union, (p, *chain))
-        by_least[p] = mine
-    return {(p, decode(u)): chain for p, mine in by_least.items() for u, chain in mine.items()}
+    return {(p, decode(c)): (p,) for p, c in _closure_masks(mod).items()}
 
 
 def _y_witness(mod: LeModuleInstance, ys: Iterable[int]) -> str:

@@ -255,6 +255,29 @@ def test_point_and_chain_states_are_the_states_of_every_subset(instances):
             assert _is_chain(mod, ys) and point_state(mod, ys) == (least, closure)
 
 
+def ref_chain_states(mod: LeModuleInstance) -> dict:
+    """(least element, union of point closures) over each nonempty chain of
+    points, grown from the top of the lattice down: a chain is its least
+    point p alone or p below a chain of points above p."""
+    leq = mod.lattice.leq
+    top = spectra.build_topologies(mod).star
+    closures = {p: spectra.closure(top, [p]) for p in spectrum(mod)}
+    by_least: dict[int, dict[frozenset, tuple[int, ...]]] = {}
+    for p in sorted(closures, key=lambda p: -sum(row[p] for row in leq)):
+        mine = {closures[p]: (p,)}
+        for q, chains in by_least.items():
+            if leq[p][q]:
+                for union, chain in chains.items():
+                    mine.setdefault(closures[p] | union, (p, *chain))
+        by_least[p] = mine
+    return {(p, u): chain for p, mine in by_least.items() for u, chain in mine.items()}
+
+
+def test_chain_states_are_the_chain_by_chain_states(instances):
+    for mod in instances:
+        assert verify.chain_states(mod) == ref_chain_states(mod), mod.name
+
+
 def test_irreducible_iff_closure_is_a_point_closure(instances):
     for mod in _small(instances, 12, 1000):
         top = spectra.build_topologies(mod).star

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from lemspec import instances
+from lemspec import instances, le_modules, rowscan
 from lemspec.errors import (
     AxiomViolation,
     ModuleAxiomViolation,
@@ -32,7 +32,7 @@ from lemspec.instances import (
     parse_descriptor,
     product_module_tables,
 )
-from lemspec.lattices import chain_lattice, make_lattice
+from lemspec.lattices import FiniteBoundedLattice, chain_lattice, make_lattice
 from lemspec.le_modules import make_le_module
 from lemspec.rings import make_ring, make_zn, product_ring
 from lemspec.rowscan import generators
@@ -295,6 +295,16 @@ def test_generators_reach_every_index():
     assert generators(chain_lattice(4).join_table) == [0, 1, 2, 3]
 
 
+def test_freeze_keeps_int_tables_and_converts_the_rest():
+    table = ((0, 1), (1, 300))
+    assert rowscan.freeze(table) is table
+    for other in ([[0, 1], [1, 300]], ((0, 1), [1, 300]), ((False, True), (1, 300)), ((0, 1.0), (1, 300))):
+        frozen = rowscan.freeze(other)
+        assert frozen == table and {type(v) for row in frozen for v in row} == {int}
+        assert type(frozen) is tuple and {type(row) for row in frozen} == {tuple}
+    assert rowscan.freeze(()) == () and rowscan.freeze(((),)) == ((),)
+
+
 # --- rings -------------------------------------------------------------------
 
 
@@ -460,11 +470,20 @@ def le_module_outcome_new(ring, lattice, add, zero_m, action):
     make_le_module(ring, lattice, add, zero_m, action)
 
 
-def test_le_module_scan_matches_reference():
+def test_le_module_scan_matches_reference(monkeypatch):
     rng = random.Random("le-modules")
     results = []
     assoc_off_generators = s_after_non_generator = 0
     m5_as_m1 = s_by_idempotence = 0
+    certified = fell_back = 0
+    verdicts = []  # what the least-upper-bound certificate said, per call
+    real = le_modules._sum_is_lub
+
+    def recorded(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(le_modules, "_sum_is_lub", recorded)
     for ring, lat, add, zero, action in le_module_cases():
         n = lat.size
         cases = [(add, action)]
@@ -483,9 +502,21 @@ def test_le_module_scan_matches_reference():
             cases.append((dataclasses.replace(lat, join_table=add), add, action))
         for bad_lat, bad_add, bad_act in cases:
             expected = outcome(ref_le_module, ring, bad_lat, bad_add, zero, bad_act)
+            verdicts.clear()
             got = outcome(le_module_outcome_new, ring, bad_lat, bad_add, zero, bad_act)
             assert got == expected, (bad_lat, bad_add, bad_act)
             results.append(expected)
+            # A valid sum that is the lattice's own join takes the
+            # certificate; a join table doctored to equal a sum that is not
+            # the least upper bound falls back to the scans, matched above.
+            if bad_add != bad_lat.join_table:
+                assert verdicts == []
+            elif bad_add == lat.join_table:
+                assert verdicts == [True]
+                certified += 1
+            else:
+                assert verdicts == [False]
+                fell_back += 1
             # S and M1 fail first at a generator: the generators below an
             # index generate it, and their good values are closed under +.
             # Associativity's are not, so it can fail first off them.
@@ -514,6 +545,7 @@ def test_le_module_scan_matches_reference():
     # a non-idempotent join-sum reaches the full S scan.
     assert m5_as_m1 > 0
     assert s_by_idempotence > 0
+    assert certified > 0 and fell_back > 0, (certified, fell_back)
 
 
 # --- classical modules -------------------------------------------------------
@@ -564,6 +596,17 @@ def test_classical_module_scan_matches_reference():
         "scalar-add", "scalar-mul", "unit-action",
     } <= seen_failures(results)
     assert assoc_off_generators > 0
+
+
+def test_a_hand_built_order_that_is_no_poset_is_not_certified():
+    # 0 <= 1 <= 0: both elements have the same up-set, so U(a) & U(b) is
+    # U(a + b) for any sum at all, and only U being one-to-one keeps this
+    # noncommutative join-sum from passing the certificate.
+    add = ((0, 1), (0, 1))
+    lat = FiniteBoundedLattice(2, ((True, True), (True, True)), 1, 0, add, add)
+    expected = outcome(ref_le_module, make_zn(2), lat, add, 0, ((0, 0), (0, 1)))
+    assert expected[:3] == ("AxiomViolation", "monoid", (0, 1))
+    assert outcome(le_module_outcome_new, make_zn(2), lat, add, 0, ((0, 0), (0, 1))) == expected
 
 
 def test_action_laws_name_witnesses_past_the_first_generators():
