@@ -1,9 +1,11 @@
 """The map from a module spectrum to the spectrum of the reduced ring.
 
 Each prime element p goes to the image of its colon ideal in R/Ann.  The
-map is always continuous; injectivity, surjectivity, openness, and the
-induced equivalences (connectedness, spectrality, components) are checked
-clause by clause so truth-vector comparisons stay visible in reports.
+map is onto whenever the module is not degenerate (see
+``build_natural_map``), and that is asserted once, where it is built.
+Continuity, injectivity, openness, and the induced equivalences
+(connectedness, spectrality, components) are checked clause by clause so
+truth-vector comparisons stay visible in reports.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .spectra import (
     build_topologies,
     generic_points,
     irreducible_components,
-    is_closed,
     point_closures,
     point_set_properties,
     ring_space,
@@ -80,14 +81,6 @@ class NaturalMap:
         imgs = self.images()
         return len(set(imgs)) == len(imgs)
 
-    def is_surjective(self) -> bool:
-        if self.degenerate:
-            return False
-        return set(self.images()) == set(spec_ring(self.quotient).points)
-
-    def is_bijective(self) -> bool:
-        return self.is_injective() and self.is_surjective()
-
     def preimage(self, targets: frozenset[Ideal]) -> frozenset[int]:
         return frozenset(p for p, img in self.table if img in targets)
 
@@ -99,7 +92,40 @@ def _require_map(nm: NaturalMap) -> None:
 
 @per_object
 def build_natural_map(mod: LeModuleInstance) -> NaturalMap:
-    """Quotient by the annihilator and tabulate p -> image of (p:e)."""
+    """Quotient by the annihilator and tabulate p -> image of (p:e).
+
+    The map is onto.  Ann = R exactly when e = 1e <= 0_M, the one-element
+    module; that is the degenerate case, with no reduced ring.  Otherwise
+    every prime of R/Ann is P/Ann for a maximal ideal P containing Ann (a
+    prime of a finite ring is maximal), and P is the colon of a point:
+
+    (a) A maximal proper submodule element p is prime.  Meets of submodule
+        elements are submodule elements, so any set has a least submodule
+        element above it.  Above p and n it is the join of the finite sums
+        of p and the sn: by S that join absorbs its own sums, and by M5, M1
+        and M3 its scalar multiples (rp <= p and r(sn) = (rs)n).  Suppose
+        rn <= p and n is not below p.  That least element is then e, so by
+        M5, M1 and M3, re is a join of sums of rp and s(rn), each <= p, and
+        re <= p.
+    (b) Pe != e.  For ideals I and J, a(Je) <= (IJ)e for each a in I (by
+        M5, M1 and M3 again), so Ie = Je = e gives (IJ)e = e, and if Pe = e
+        then P^k e = e for every k.  In a finite ring P^k stabilises at an
+        idempotent ideal, which is εR for an idempotent ε (R is a product of
+        local rings with nilpotent maximal ideals); 1 - ε is not in P, as ε
+        is.  Then (1 - ε)e = (1 - ε)((εR)e) <= (0)e = 0_M, so 1 - ε is in
+        Ann, which lies inside P: a contradiction.
+    (c) Take a maximal proper submodule element p >= Pe.  It is prime by
+        (a), and P lies inside (p:e), which is proper as e is not below p,
+        so (p:e) = P.
+
+    This is the finite le-module case of the classical result for finitely
+    generated modules: C.-P. Lu, Houston J. Math. 25 (1999), and
+    R. L. McCasland, M. E. Moore and P. F. Smith, Comm. Algebra 25 (1997).
+    It settles the "onto psi" hypotheses of T4.3, T4.5, P5.1, T5.4, T6.6,
+    T7.1 and T7.2, and T7.3's "closed image", as the image is the whole
+    spectrum.  A map that is not onto is a fault of lemspec and raises
+    InternalError.
+    """
     ann = annihilator(mod)
     if not ann.is_proper():
         return NaturalMap(mod, ann, True, None, None, ())
@@ -110,6 +136,8 @@ def build_natural_map(mod: LeModuleInstance) -> NaturalMap:
         if not is_prime_ideal(quotient, img):
             raise InternalError(f"image of colon of point {p} is not prime")
         rows.append((p, img))
+    if {img for _, img in rows} != set(spec_ring(quotient).points):
+        raise InternalError("psi is not onto")
     return NaturalMap(mod, ann, False, quotient, projection, tuple(rows))
 
 
@@ -173,23 +201,18 @@ def _fibers_at_most_one(mod: LeModuleInstance) -> bool:
 
 @dataclass(frozen=True)
 class OpenClosedReport:
-    surjective: bool
-    closed_image_ok: bool | None
-    open_image_ok: bool | None
+    closed_image_ok: bool
+    open_image_ok: bool
 
     @property
     def ok(self) -> bool:
-        if not self.surjective:
-            return True
-        return bool(self.closed_image_ok and self.open_image_ok)
+        return self.closed_image_ok and self.open_image_ok
 
 
 def surjectivity_and_openclosed(nm: NaturalMap) -> OpenClosedReport:
-    """When onto, images of colon varieties and their complements are the
-    ring varieties and their complements."""
+    """Images of colon varieties and their complements are the ring
+    varieties and their complements (the map is onto)."""
     _require_map(nm)
-    if not nm.is_surjective():
-        return OpenClosedReport(False, None, None)
     mod = nm.instance
     points = frozenset(spectrum(mod))
     ring_points = frozenset(spec_ring(nm.quotient).points)
@@ -203,17 +226,18 @@ def surjectivity_and_openclosed(nm: NaturalMap) -> OpenClosedReport:
             closed_ok = False
         if frozenset(map(nm.image_of, points - vs)) != ring_points - target:
             open_ok = False
-    return OpenClosedReport(True, closed_ok, open_ok)
+    return OpenClosedReport(closed_ok, open_ok)
 
 
 def homeomorphism_check(nm: NaturalMap) -> bool:
     """The map is bijective exactly when it is a homeomorphism.
 
-    A non-bijective map is never a homeomorphism, so the only content is
-    that a bijective map is continuous with open and closed images.
+    It is onto, so bijective means injective.  A non-bijective map is never
+    a homeomorphism, so the only content is that a bijective map is
+    continuous with open and closed images.
     """
     _require_map(nm)
-    if not nm.is_bijective():
+    if not nm.is_injective():
         return True
     oc = surjectivity_and_openclosed(nm)
     return continuity_check(nm) and oc.ok
@@ -221,28 +245,21 @@ def homeomorphism_check(nm: NaturalMap) -> bool:
 
 @dataclass(frozen=True)
 class ConnectednessReport:
-    hypothesis_met: bool
-    clauses: EquivalenceReport | None
+    clauses: EquivalenceReport
     consequent_applies: bool
     consequent_ok: bool | None
 
     @property
     def ok(self) -> bool:
-        if not self.hypothesis_met:
-            return True
         if not self.clauses.equivalent:
             return False
-        if self.consequent_applies and not self.consequent_ok:
-            return False
-        return True
+        return not (self.consequent_applies and not self.consequent_ok)
 
 
 def connectedness_equivalence(nm: NaturalMap) -> ConnectednessReport:
-    """For onto maps: module spectrum connected, ring spectrum connected,
-    and only trivial idempotents are one statement."""
+    """Module spectrum connected, ring spectrum connected, and only trivial
+    idempotents are one statement."""
     _require_map(nm)
-    if not nm.is_surjective():
-        return ConnectednessReport(False, None, False, None)
     mod = nm.instance
     m_conn = point_set_properties(build_topologies(mod).star).is_connected
     r_conn = point_set_properties(ring_space(nm.quotient)).is_connected
@@ -257,15 +274,13 @@ def connectedness_equivalence(nm: NaturalMap) -> ConnectednessReport:
     ann_prime = is_prime_ideal(mod.ring, nm.annihilator_ideal)
     applies = quasi_local or ann_prime
     consequent = (m_conn and r_conn) if applies else None
-    return ConnectednessReport(True, clauses, applies, consequent)
+    return ConnectednessReport(clauses, applies, consequent)
 
 
 def component_minimal_prime_bijection(nm: NaturalMap) -> bool:
     """Components map bijectively onto minimal primes of the reduced ring,
     and every irreducible closed set has a generic point."""
     _require_map(nm)
-    if not nm.is_surjective():
-        return True
     mod = nm.instance
     space = build_topologies(mod).star
     star_closed = {variety_star(mod, p) for p in spectrum(mod)}
@@ -289,14 +304,14 @@ def component_minimal_prime_bijection(nm: NaturalMap) -> bool:
 
 
 def spectral_battery(nm: NaturalMap) -> EquivalenceReport:
-    """The six equivalent faces of spectrality under a surjective map."""
+    """The six equivalent faces of spectrality (the map is onto)."""
     _require_map(nm)
     mod = nm.instance
     props = point_set_properties(build_topologies(mod).star)
     inj = injectivity_battery(nm)
     # A finite space homeomorphic to Spec(R/Ann) has as many points, so onto psi
-    # is bijective, and T4.3 checks that a bijective psi is a homeomorphism.
-    homeo = nm.is_bijective() and homeomorphism_check(nm)
+    # is injective, and T4.3 checks that a bijective psi is a homeomorphism.
+    homeo = nm.is_injective() and homeomorphism_check(nm)
     return EquivalenceReport(
         (
             "spectral",
@@ -325,36 +340,29 @@ def is_multiplication_le_module(mod: LeModuleInstance) -> bool:
 
 
 def multiplication_spectral_check(nm: NaturalMap) -> bool:
-    """Multiplication instances with onto maps must have spectral spectra."""
+    """Multiplication instances must have spectral spectra (the map is onto)."""
     _require_map(nm)
     if not is_multiplication_le_module(nm.instance):
         raise InternalError("requires a multiplication instance")
-    if not nm.is_surjective():
-        raise InternalError("requires a surjective map")
     return point_set_properties(build_topologies(nm.instance).star).is_spectral
 
 
 @dataclass(frozen=True)
 class ImageClosedReport:
-    image_closed: bool
-    spectral: bool | None
-    injective: bool | None
+    spectral: bool
+    injective: bool
 
     @property
     def ok(self) -> bool:
-        if not self.image_closed:
-            return True
         return self.spectral == self.injective
 
 
 def image_closed_criterion(nm: NaturalMap) -> ImageClosedReport:
-    """With a closed image, spectral is the same as injective."""
+    """With a closed image, spectral is the same as injective.  The image
+    is the whole ring spectrum, which is closed."""
     _require_map(nm)
-    image = frozenset(nm.images())
-    if not is_closed(ring_space(nm.quotient), image):
-        return ImageClosedReport(False, None, None)
     props = point_set_properties(build_topologies(nm.instance).star)
-    return ImageClosedReport(True, props.is_spectral, nm.is_injective())
+    return ImageClosedReport(props.is_spectral, nm.is_injective())
 
 
 def finite_spec_criterion(mod: LeModuleInstance) -> bool:
@@ -367,18 +375,11 @@ def finite_spec_criterion(mod: LeModuleInstance) -> bool:
 
 
 def dr_preimage_check(nm: NaturalMap, r: int) -> bool:
-    """Preimage of a ring basic open is the module basic open; the image
-    sits inside it, exactly when onto."""
+    """Preimage of a ring basic open is the module basic open.
+
+    The image clauses follow: the image of the preimage of D is D n im psi,
+    which is D, as the map is onto.
+    """
     _require_map(nm)
-    mod = nm.instance
-    rbar = nm.projection[r]
-    d = basic_open_ring(nm.quotient, rbar)
-    xr = basic_open(mod, r)
-    if nm.preimage(d) != xr:
-        return False
-    image = frozenset(nm.image_of(p) for p in xr)
-    if not image <= d:
-        return False
-    if nm.is_surjective() and image != d:
-        return False
-    return True
+    d = basic_open_ring(nm.quotient, nm.projection[r])
+    return nm.preimage(d) == basic_open(nm.instance, r)

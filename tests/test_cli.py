@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lemspec import spectra
+from lemspec import natural_map, spectra
 from lemspec.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -328,6 +328,15 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(spectra, "star_family", broken)
     assert main(["verify", "Z6-ideal-lattice"]) == 4
     assert "internal error: star: empty set missing" in capsys.readouterr().err
+
+
+def test_non_onto_map_exit_code(monkeypatch, capsys):
+    # The map is onto on every non-degenerate module; keeping one of Z6's two
+    # points leaves a prime of Z6 that no point maps to.
+    real = natural_map.spectrum
+    monkeypatch.setattr(natural_map, "spectrum", lambda mod: real(mod)[:1])
+    assert main(["verify", "Z6-ideal-lattice"]) == 4
+    assert "internal error: psi is not onto" in capsys.readouterr().err
 
 
 def test_unknown_input_exit_code(capsys):

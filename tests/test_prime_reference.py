@@ -6,6 +6,8 @@ references here are the definition of a prime submodule element, looped over
 every scalar and every element, and ``rings.is_ideal`` itself.  They run on
 instances beyond the catalog: the benchmark ladders, (Z4)^3, the grid
 modules, explicit subspace lattices and power modules renumbered at random.
+The same instances check the two steps of the lemma that makes the natural
+map onto (``natural_map.build_natural_map``).
 """
 
 import random
@@ -26,15 +28,18 @@ from lemspec.instances import (
 from lemspec.lattices import make_lattice
 from lemspec.le_modules import (
     LeModuleInstance,
+    annihilator,
     colon,
     colon_set,
+    ideal_action,
     is_prime_submodule_element,
     make_le_module,
     spectrum,
     submodule_elements,
 )
 from lemspec.memo import release
-from lemspec.rings import is_ideal, make_zn
+from lemspec.natural_map import build_natural_map
+from lemspec.rings import is_ideal, make_zn, maximal_ideals, spec_ring
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -133,3 +138,35 @@ def test_colon_of_a_submodule_element_is_an_ideal():
         release(mod)
         count += 1
     assert count == 16 + 4 + 4 + 3  # the catalog, both ladders, the grids
+
+
+def _lemma_instances():
+    yield from (build_instance(d) for d in catalog())
+    yield from (ideal_lattice_le_module(make_zn(n), f"Z{n}") for n in workloads.RING_LADDER)
+    for build, *args in PRIME_CASES.values():
+        yield build(*args)
+
+
+def test_maximal_proper_submodule_elements_are_prime():
+    # Step (a): the le-module laws make a maximal proper submodule element prime.
+    for mod in _lemma_instances():
+        leq, top = mod.lattice.leq, mod.lattice.top
+        proper = [n for n in submodule_elements(mod) if n != top]
+        maximal = [n for n in proper if not any(leq[n][m] for m in proper if m != n)]
+        assert maximal, mod.name
+        assert set(maximal) <= set(spectrum(mod)), (mod.name, maximal)
+        release(mod)
+
+
+def test_maximal_ideals_over_the_annihilator_act_properly():
+    # Step (b): Pe != e for each maximal ideal P containing Ann, so by step
+    # (c) every prime of R/Ann is the image of a point.
+    for mod in _lemma_instances():
+        ann = annihilator(mod).members
+        over = [m for m in maximal_ideals(mod.ring) if ann <= m.members]
+        assert over, mod.name
+        for m in over:
+            assert ideal_action(mod, m) != mod.lattice.top, (mod.name, m.sorted_members())
+        nm = build_natural_map(mod)
+        assert set(nm.images()) == set(spec_ring(nm.quotient).points), mod.name
+        release(mod)

@@ -247,8 +247,6 @@ def test_mask_scans_decode_to_the_reference_states(m, k):
         assert family_state(mod, fam) == state, fam
     for state, ys in verify.point_states(mod).items():
         assert point_state(mod, ys) == state, ys
-    for (least, closure), ys in verify.chain_states(mod).items():
-        assert point_state(mod, ys) == (least, closure) and least in ys, ys
     release(mod)
 
 
