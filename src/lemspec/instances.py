@@ -17,7 +17,6 @@ TABLE add TABLE action TABLE``.  A TABLE is rows of integers separated by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import getitem
 from typing import NamedTuple, Sequence, Union
@@ -25,6 +24,7 @@ from typing import NamedTuple, Sequence, Union
 from .errors import ModuleAxiomViolation, ParseError
 from .le_modules import LeModuleInstance, make_le_module
 from .lattices import FiniteBoundedLattice, make_lattice
+from .memo import record
 from .rings import (
     FiniteRing,
     all_ideals,
@@ -38,18 +38,18 @@ from .rowscan import first_bad_pair, first_failure, freeze, gather, gathers, gen
 IntTable = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@record
 class ZnSpec:
     n: int
 
 
-@dataclass(frozen=True)
+@record
 class ProductSpec:
     left: "RingSpec"
     right: "RingSpec"
 
 
-@dataclass(frozen=True)
+@record
 class ExplicitRingSpec:
     order: int
     add: IntTable
@@ -59,12 +59,12 @@ class ExplicitRingSpec:
 RingSpec = Union[ZnSpec, ProductSpec, ExplicitRingSpec]
 
 
-@dataclass(frozen=True)
+@record
 class IdealLatticeSpec:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class SubmoduleLatticeSpec:
     size: int
     zero: int
@@ -72,7 +72,7 @@ class SubmoduleLatticeSpec:
     action: IntTable
 
 
-@dataclass(frozen=True)
+@record
 class ExplicitModuleSpec:
     size: int
     zero: int
@@ -84,7 +84,7 @@ class ExplicitModuleSpec:
 ModuleSpec = Union[IdealLatticeSpec, SubmoduleLatticeSpec, ExplicitModuleSpec]
 
 
-@dataclass(frozen=True)
+@record
 class InstanceDescriptor:
     name: str
     ring: RingSpec

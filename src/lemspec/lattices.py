@@ -8,11 +8,11 @@ maximal elements reports a missing top rather than a missing join.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import EmptyFamily, NotALattice, NotAPoset, Unbounded
+from .memo import record
 
 BoolTable = tuple[tuple[bool, ...], ...]
 IntTable = tuple[tuple[int, ...], ...]
@@ -20,7 +20,7 @@ G = TypeVar("G")
 S = TypeVar("S", bound=Hashable)
 
 
-@dataclass(frozen=True)
+@record
 class FiniteBoundedLattice:
     """A finite lattice with precomputed join and meet tables."""
 

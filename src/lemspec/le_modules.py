@@ -14,20 +14,19 @@ the bottom in valid instances.  Element indices refer to the lattice.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import getitem
 from typing import Iterable
 
 from .errors import AxiomViolation, EmptyFamily, NotPrimeIdeal
 from .lattices import FiniteBoundedLattice, generated, join_all
-from .memo import per_object
+from .memo import per_object, record
 from .rings import FiniteRing, Ideal, is_prime_ideal
 from .rowscan import first_bad_pair, first_failure, freeze, gathers, generators
 
 IntTable = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@record
 class LeModuleInstance:
     """A validated lattice-enriched module over a finite ring.
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .errors import EmptySpectrum, InternalError
 from .le_modules import (
@@ -24,7 +23,7 @@ from .le_modules import (
     spectrum,
     submodule_elements,
 )
-from .memo import per_object
+from .memo import per_object, record
 from .rings import (
     FiniteRing,
     Ideal,
@@ -51,7 +50,7 @@ from .spectra import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class NaturalMap:
     """The colon-ideal map into the spectrum of the reduced ring.
 
@@ -141,6 +140,7 @@ def build_natural_map(mod: LeModuleInstance) -> NaturalMap:
     return NaturalMap(mod, ann, False, quotient, projection, tuple(rows))
 
 
+@per_object
 def continuity_check(nm: NaturalMap) -> bool:
     """Preimages of ring varieties match varieties of ideal actions,
     for every ideal containing the annihilator."""
@@ -162,7 +162,7 @@ def continuity_check(nm: NaturalMap) -> bool:
     return ok
 
 
-@dataclass(frozen=True)
+@record
 class EquivalenceReport:
     """Named boolean clauses that are expected to agree."""
 
@@ -199,7 +199,7 @@ def _fibers_at_most_one(mod: LeModuleInstance) -> bool:
     return all(len(fibers.get(p.members, ())) <= 1 for p in spec_ring(mod.ring).points)
 
 
-@dataclass(frozen=True)
+@record
 class OpenClosedReport:
     closed_image_ok: bool
     open_image_ok: bool
@@ -209,6 +209,7 @@ class OpenClosedReport:
         return self.closed_image_ok and self.open_image_ok
 
 
+@per_object
 def surjectivity_and_openclosed(nm: NaturalMap) -> OpenClosedReport:
     """Images of colon varieties and their complements are the ring
     varieties and their complements (the map is onto)."""
@@ -243,7 +244,7 @@ def homeomorphism_check(nm: NaturalMap) -> bool:
     return continuity_check(nm) and oc.ok
 
 
-@dataclass(frozen=True)
+@record
 class ConnectednessReport:
     clauses: EquivalenceReport
     consequent_applies: bool
@@ -347,7 +348,7 @@ def multiplication_spectral_check(nm: NaturalMap) -> bool:
     return point_set_properties(build_topologies(nm.instance).star).is_spectral
 
 
-@dataclass(frozen=True)
+@record
 class ImageClosedReport:
     spectral: bool
     injective: bool

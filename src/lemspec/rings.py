@@ -13,18 +13,17 @@ construction, unchecked.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import AxiomViolation, ImproperIdeal, ZeroRing
 from .lattices import generated
-from .memo import per_object
+from .memo import UNHASHED, per_object, record
 from .rowscan import first_bad_pair, first_failure, freeze, gather, gathers, generators
 
 Table = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@record
 class FiniteRing:
     """A finite commutative ring with 1, as validated operation tables."""
 
@@ -48,7 +47,7 @@ class FiniteRing:
         raise AxiomViolation("add-inverse", (x,))
 
 
-@dataclass(frozen=True)
+@record
 class Ideal:
     """A subset of a ring, kept as a frozenset of element indices.
 
@@ -56,7 +55,7 @@ class Ideal:
     lookups never hash its tables.
     """
 
-    ring: FiniteRing = field(hash=False)
+    ring: FiniteRing = UNHASHED
     members: frozenset[int]
 
     def sorted_members(self) -> tuple[int, ...]:
@@ -72,7 +71,7 @@ class Ideal:
         return self.members <= other.members
 
 
-@dataclass(frozen=True)
+@record
 class RingSpectrum:
     """All prime ideals of a ring, in canonical order."""
 

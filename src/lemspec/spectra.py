@@ -10,7 +10,6 @@ spaces are kept as canonical tuples of frozensets and compared literally.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import EmptyFamily, NotTopLeModule, TopologyAxiomViolation
@@ -24,7 +23,7 @@ from .le_modules import (
     spectrum,
     submodule_elements,
 )
-from .memo import per_object
+from .memo import per_object, record
 from .rings import (
     FiniteRing,
     Ideal,
@@ -36,7 +35,7 @@ from .rings import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SpectrumTopology:
     """A finite point set with a canonical family of closed subsets.
 
@@ -193,7 +192,7 @@ def basic_open(mod: LeModuleInstance, r: int) -> frozenset[int]:
     return points - variety(mod, mod.action[r][mod.lattice.top])
 
 
-@dataclass(frozen=True)
+@record
 class BasisReport:
     """Outcome of the basis identities for the open sets {X_r}."""
 
@@ -314,7 +313,7 @@ def generic_points(top: SpectrumTopology, y: Iterable) -> tuple:
 QUASI_COMPACT_NOTE = "finite space: quasi-compactness holds automatically"
 
 
-@dataclass(frozen=True)
+@record
 class SpaceProperties:
     is_t0: bool
     is_t1: bool

@@ -22,7 +22,6 @@ import itertools
 import json
 import operator
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import natural_map as nmap
@@ -30,7 +29,7 @@ from . import spectra
 from .errors import EmptySpectrum
 from .instances import InstanceDescriptor, build_instance, catalog
 from .lattices import generated
-from .memo import per_object, release
+from .memo import per_object, record, release
 from .le_modules import (
     LeModuleInstance,
     colon,
@@ -444,7 +443,7 @@ def _check_finite_spec(mod: LeModuleInstance) -> Outcome:
     return FALSIFIED, "spectral<->small-fibers failed", None
 
 
-@dataclass(frozen=True)
+@record
 class Statement:
     sid: str
     title: str
@@ -590,7 +589,7 @@ STATEMENTS: tuple[Statement, ...] = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class StatementResult:
     statement: str
     instance: str
@@ -600,7 +599,7 @@ class StatementResult:
     seconds: float
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     results: tuple[StatementResult, ...]
 

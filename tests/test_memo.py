@@ -1,0 +1,174 @@
+"""``memo.record`` against ``dataclasses.dataclass(frozen=True)``, and the
+import graph it keeps small.
+
+Each field shape lemspec uses is declared twice, once per decorator, and
+the two versions must agree on equality, exact hash values, repr, frozen
+attributes and constructor errors.  Hash values matter beyond ``==``: they
+fix set and dict iteration orders, and with them the report bytes.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import os
+import subprocess
+import sys
+
+import pytest
+
+import lemspec
+from lemspec.memo import UNHASHED, per_object, record
+
+
+def shapes(decorate, unhashed, by_identity):
+    """The five record shapes lemspec uses, built by one decorator."""
+
+    @decorate
+    class Empty:
+        pass
+
+    @decorate
+    class One:
+        n: int
+
+    @decorate
+    class Several:
+        size: int
+        rows: tuple
+        name: str = "M"
+        labels: tuple | None = None
+
+    @decorate
+    class Unhashed:
+        ring: tuple = unhashed
+        members: frozenset
+
+    @by_identity
+    class Identity:
+        points: tuple
+        label: str
+
+    return Empty, One, Several, Unhashed, Identity
+
+
+NEW = shapes(record, UNHASHED, record(eq=False))
+OLD = shapes(
+    dataclasses.dataclass(frozen=True),
+    dataclasses.field(hash=False),
+    dataclasses.dataclass(frozen=True, eq=False),
+)
+
+# Per shape: the (args, kwargs) to build instances from, with repeats and
+# near-misses so that equal and unequal pairs both occur.
+ARGS = (
+    [((), {})] * 2,
+    [((3,), {}), ((3,), {}), ((), {"n": 4}), ((None,), {})],
+    [
+        ((2, ((0, 1), (1, 1))), {}),
+        ((2,), {"rows": ((0, 1), (1, 1))}),
+        ((2, ((0, 1), (1, 1)), "M", None), {}),
+        ((2, ((0, 1), (1, 1))), {"labels": ("0", "1")}),
+        ((), {"size": 1, "rows": ((0,),), "name": "N"}),
+    ],
+    [
+        (((0, 1),), {"members": frozenset({0})}),
+        (((0, 1), frozenset({0})), {}),
+        (((1, 0), frozenset({0})), {}),
+        (((0, 1), frozenset({0, 1})), {}),
+    ],
+    [(((0, 1), "star"), {}), (((0, 1), "star"), {}), ((), {"points": (), "label": "ring"})],
+)
+
+
+@pytest.mark.parametrize("index", range(len(ARGS)))
+def test_record_matches_frozen_dataclass(index):
+    new_cls, old_cls = NEW[index], OLD[index]
+    built = [(new_cls(*a, **k), old_cls(*a, **k)) for a, k in ARGS[index]]
+    by_identity = old_cls.__hash__ is object.__hash__
+    for new, old in built:
+        # Both classes are local to ``shapes``, so their qualnames agree.
+        assert repr(new) == repr(old)
+        assert hash(new) == (object.__hash__(new) if by_identity else hash(old))
+        assert new.__eq__(object()) is old.__eq__(object()) is NotImplemented
+        assert new != old and old != new and new != 0
+        for name in ("n", "size", "ring", "points", "_other"):
+            for obj in (new, old):
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, 1)
+                with pytest.raises(AttributeError):
+                    delattr(obj, name)
+    for (a_new, a_old), (b_new, b_old) in zip(built, built[1:] + built[:1]):
+        assert (a_new == b_new) is (a_old == b_old)
+        assert (a_new != b_new) is (a_old != b_old)
+        assert (a_new == a_new) is (a_old == a_old) is True
+    if not by_identity:
+        # Equal hashes and equal equality give equal set orders.
+        assert [repr(x) for x in {new for new, _ in built}] == [
+            repr(x) for x in {old for _, old in built}
+        ]
+
+
+@pytest.mark.parametrize("index", range(len(ARGS)))
+def test_record_constructor_errors_match_frozen_dataclass(index):
+    new_cls, old_cls = NEW[index], OLD[index]
+    names = list(old_cls.__dataclass_fields__)
+    bad = [((None,) * (len(names) + 1), {}), ((), {"unknown": 1})]
+    if names:
+        bad.append(((None,) * len(names), {names[0]: None}))
+        bad.append(((), {}))
+    for args, kwargs in bad:
+        with pytest.raises(TypeError):
+            old_cls(*args, **kwargs)
+        with pytest.raises(TypeError):
+            new_cls(*args, **kwargs)
+
+
+def test_record_unhashed_field_is_compared_but_not_hashed():
+    unhashed_new, unhashed_old = NEW[3], OLD[3]
+    assert "ring" not in vars(unhashed_new) and "ring" not in vars(unhashed_old)
+    a = unhashed_new((0, 1), frozenset({0}))
+    b = unhashed_new((1, 0), frozenset({0}))
+    assert hash(a) == hash(b) == hash((frozenset({0}),))
+    assert a != b
+
+
+def test_record_defaults_stay_class_attributes():
+    several = NEW[2]
+    assert several.name == "M" and several.labels is None
+    assert several(1, ()).name == "M"
+
+
+@record
+class Derived:
+    size: int
+
+    @functools.cached_property
+    def doubled(self):
+        return 2 * self.size
+
+
+@per_object
+def tripled(obj):
+    return 3 * obj.size
+
+
+def test_derived_data_lands_in_dict():
+    x = Derived(5)
+    assert x.doubled == 10 and tripled(x) == 15 and tripled(x) == 15
+    assert x.__dict__["doubled"] == 10
+    assert list(x.__dict__["_memo"].values()) == [15]
+    assert x == Derived(5) and hash(x) == hash((5,))
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    src = os.path.dirname(os.path.dirname(lemspec.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, lemspec, lemspec.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 import pytest
 
+from lemspec import natural_map
 from lemspec.errors import EmptySpectrum, InternalError
 from lemspec.instances import (
     ExplicitModuleSpec,
@@ -132,6 +133,28 @@ def test_spectral_battery_klein(klein_module):
 def test_homeomorphism_check_everywhere(all_instances):
     for mod in all_instances:
         assert homeomorphism_check(build_natural_map(mod)), mod.name
+
+
+def test_psi_checks_run_once_per_map(monkeypatch):
+    # T4.3, P4.1 and T7.1 all ask for continuity and open/closed images; both
+    # checks push ideals into R/Ann, so a repeated run would push again.
+    mod = build_instance(find_descriptor("Z6-ideal-lattice"))
+    nm = build_natural_map(mod)
+    assert nm.is_injective()
+    pushes = []
+    real = natural_map.push_ideal
+
+    def counted(*args):
+        pushes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(natural_map, "push_ideal", counted)
+    assert homeomorphism_check(nm)
+    assert pushes
+    first = len(pushes)
+    assert continuity_check(nm) and surjectivity_and_openclosed(nm).ok
+    assert homeomorphism_check(nm) and spectral_battery(nm).values[-1]
+    assert len(pushes) == first
 
 
 def test_multiplication_flags(all_instances):
