@@ -41,9 +41,9 @@ from .rings import (
 from .spectra import (
     basic_open,
     build_topologies,
+    closures_by_point,
     generic_points,
     irreducible_components,
-    point_closures,
     point_set_properties,
     ring_space,
     variety_star,
@@ -178,6 +178,7 @@ class EquivalenceReport:
         return all(self.values)
 
 
+@per_object
 def injectivity_battery(nm: NaturalMap) -> EquivalenceReport:
     """Injectivity, colon-variety separation, and fiber size agree."""
     _require_map(nm)
@@ -285,17 +286,12 @@ def component_minimal_prime_bijection(nm: NaturalMap) -> bool:
     mod = nm.instance
     space = build_topologies(mod).star
     star_closed = {variety_star(mod, p) for p in spectrum(mod)}
-    for y in point_closures(space):
-        if y not in star_closed:
-            return False
-        if not generic_points(space, y):
-            return False
+    if not set(closures_by_point(space).values()) <= star_closed:
+        return False
+    # Finite space: cl{p} has generic point p, and a component is a maximal cl{p}.
     images = []
     for comp in irreducible_components(space):
-        gens = generic_points(space, comp)
-        if not gens:
-            return False
-        imgs = {nm.image_of(p) for p in gens}
+        imgs = {nm.image_of(p) for p in generic_points(space, comp)}
         if len(imgs) != 1:
             return False
         images.append(next(iter(imgs)))

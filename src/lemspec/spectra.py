@@ -47,9 +47,6 @@ class SpectrumTopology:
     closed_sets: tuple[frozenset, ...]
     label: str
 
-    def positions(self) -> dict:
-        return {p: k for k, p in enumerate(self.points)}
-
     def point_set(self) -> frozenset:
         return frozenset(self.points)
 
@@ -264,6 +261,12 @@ def closure(top: SpectrumTopology, y: Iterable) -> frozenset:
     return acc
 
 
+@per_object
+def closures_by_point(top: SpectrumTopology) -> dict:
+    """p -> cl{p} for every point, in point order, computed once per space."""
+    return {p: closure(top, [p]) for p in top.points}
+
+
 def is_closed(top: SpectrumTopology, y: Iterable) -> bool:
     return frozenset(y) in set(top.closed_sets)
 
@@ -289,7 +292,7 @@ def is_irreducible(top: SpectrumTopology, y: Iterable) -> bool:
 
 def point_closures(top: SpectrumTopology) -> tuple[frozenset, ...]:
     """The irreducible closed sets: on a finite space, the point closures."""
-    return canonical_family(top.points, (closure(top, [p]) for p in top.points))
+    return canonical_family(top.points, closures_by_point(top).values())
 
 
 def irreducible_components(top: SpectrumTopology) -> tuple[frozenset, ...]:
@@ -301,13 +304,15 @@ def irreducible_components(top: SpectrumTopology) -> tuple[frozenset, ...]:
 
 
 def generic_points(top: SpectrumTopology, y: Iterable) -> tuple:
-    """Points whose closure is exactly y (y should be closed)."""
+    """Points whose closure is exactly y (y should be closed), in point order.
+
+    Such points lie in y, as p lies in cl{p}.  On a finite space a closed set
+    has one exactly when it is irreducible, that is, a point closure.
+    """
     target = frozenset(y)
     if not target:
         raise EmptyFamily("generic points are undefined for the empty set")
-    pos = top.positions()
-    out = [p for p in target if closure(top, [p]) == target]
-    return tuple(sorted(out, key=pos.__getitem__))
+    return tuple(p for p, c in closures_by_point(top).items() if c == target)
 
 
 QUASI_COMPACT_NOTE = "finite space: quasi-compactness holds automatically"
@@ -323,21 +328,22 @@ class SpaceProperties:
     note: str = QUASI_COMPACT_NOTE
 
 
+@per_object
 def point_set_properties(top: SpectrumTopology) -> SpaceProperties:
     """T0, T1, connectedness, quasi-compactness, and spectrality flags.
 
-    Spectral means T0 plus quasi-compact with an intersection-stable basis
-    of quasi-compact opens plus generic points for irreducible closed sets;
-    on a finite space only T0 can fail, since every irreducible closed set
-    is a point closure cl{p}, which has p as a generic point.
+    Two points are indistinguishable iff their closures are equal, so T0 is
+    "the point closures are distinct"; {p} is closed iff cl{p} = {p}, which
+    is T1.  Spectral means T0 plus quasi-compact with an intersection-stable
+    basis of quasi-compact opens plus generic points for irreducible closed
+    sets; on a finite space only T0 can fail, since every irreducible closed
+    set is a point closure cl{p}, which has p as a generic point.
     """
     pts = top.point_set()
     family = set(top.closed_sets)
-    cls = {p: closure(top, [p]) for p in top.points}
-    t0 = all(
-        cls[p] != cls[q] for p, q in itertools.combinations(top.points, 2)
-    )
-    t1 = all(frozenset([p]) in family for p in top.points)
+    cls = closures_by_point(top)
+    t0 = len(set(cls.values())) == len(cls)
+    t1 = all(c == {p} for p, c in cls.items())
     connected = bool(pts) and not any(
         c and c != pts and (pts - c) in family for c in family
     )
@@ -347,9 +353,7 @@ def point_set_properties(top: SpectrumTopology) -> SpaceProperties:
 def phi_and_t1_check(mod: LeModuleInstance) -> bool:
     """T1 holds exactly when colon ideals are maximal in their family and
     every colon fiber is a singleton."""
-    points = spectrum(mod)
-    family = set(build_topologies(mod).star.closed_sets)
-    t1 = all(frozenset([p]) in family for p in points)
+    t1 = point_set_properties(build_topologies(mod).star).is_t1
     fibers = colon_fibers(mod)
     maximal = all(not any(c < q for q in fibers) for c in fibers)
     fibers_small = all(len(f) <= 1 for f in fibers.values())
@@ -358,10 +362,5 @@ def phi_and_t1_check(mod: LeModuleInstance) -> bool:
 
 def specialization_pairs(top: SpectrumTopology) -> tuple[tuple, ...]:
     """Ordered pairs (p, q), p != q, with q in the closure of {p}."""
-    out = []
-    for p in top.points:
-        c = closure(top, [p])
-        for q in top.points:
-            if q != p and q in c:
-                out.append((p, q))
-    return tuple(out)
+    cls = closures_by_point(top)
+    return tuple((p, q) for p in top.points for q in top.points if q != p and q in cls[p])

@@ -51,6 +51,7 @@ NOT_APPLICABLE = "not-applicable"
 Outcome = tuple[str, str | None, str | None]
 
 
+@per_object
 def _point_codec(mod: LeModuleInstance) -> tuple[Callable, Callable]:
     """Encode a set of points as an int mask, point k of the spectrum as bit
     k, and decode a mask back to a frozenset."""
@@ -72,8 +73,8 @@ def _point_codec(mod: LeModuleInstance) -> tuple[Callable, Callable]:
 def _closure_masks(mod: LeModuleInstance) -> dict[int, int]:
     """The closure of each point, as a mask."""
     encode, _ = _point_codec(mod)
-    top = spectra.build_topologies(mod).star
-    return {p: encode(spectra.closure(top, [p])) for p in top.points}
+    closures = spectra.closures_by_point(spectra.build_topologies(mod).star)
+    return {p: encode(c) for p, c in closures.items()}
 
 
 def family_states(mod: LeModuleInstance) -> dict[tuple, tuple[int, ...]]:
@@ -303,8 +304,6 @@ def _check_closure_formula(mod: LeModuleInstance) -> Outcome:
 
 
 def _check_point_closures(mod: LeModuleInstance) -> Outcome:
-    top = spectra.build_topologies(mod).star
-    family = set(top.closed_sets)
     points = spectrum(mod)
     encode, _ = _point_codec(mod)
     closures = _closure_masks(mod)
@@ -323,7 +322,7 @@ def _check_point_closures(mod: LeModuleInstance) -> Outcome:
         if bad:
             q = points[(bad & -bad).bit_length() - 1]
             return FALSIFIED, f"p={mod.label(p)}, q={mod.label(q)}", "specialization"
-        singleton_closed = frozenset([p]) in family
+        singleton_closed = closure == encode([p])
         maximal = not any(colons[p] < c for c in fibers)
         fiber_one = len(fibers[colons[p]]) == 1
         if singleton_closed != (maximal and fiber_one):
@@ -334,12 +333,14 @@ def _check_point_closures(mod: LeModuleInstance) -> Outcome:
 
 
 def _check_vstar_irreducible(mod: LeModuleInstance) -> Outcome:
-    top = spectra.build_topologies(mod).star
+    # A closed set of a finite space is irreducible iff it is a point closure.
+    closed = set(spectra.build_topologies(mod).star.closed_sets)
+    irreducible = _irreducible_closures(mod)
     for p in spectrum(mod):
         vp = spectra.variety_star(mod, p)
-        if not spectra.is_closed(top, vp):
+        if vp not in closed:
             return FALSIFIED, f"p={mod.label(p)}", "not closed"
-        if not spectra.is_irreducible(top, vp):
+        if vp not in irreducible:
             return FALSIFIED, f"p={mod.label(p)}", "not irreducible"
     return VERIFIED, None, None
 
@@ -347,8 +348,7 @@ def _check_vstar_irreducible(mod: LeModuleInstance) -> Outcome:
 def _irreducible_closures(mod: LeModuleInstance) -> set[frozenset]:
     # Y is irreducible iff cl Y is, and the irreducible closed sets of a
     # finite space are its point closures.
-    _, decode = _point_codec(mod)
-    return set(map(decode, _closure_masks(mod).values()))
+    return set(spectra.closures_by_point(spectra.build_topologies(mod).star).values())
 
 
 def _check_irreducible_prime(mod: LeModuleInstance) -> Outcome:

@@ -144,6 +144,31 @@ def test_verify_power_module_report_bytes_are_pinned(m, k, tmp_path, capsys):
     assert digest == POWER_MODULE_DIGESTS[m, k]
 
 
+POWER_MODULE_TOPOLOGY_DIGESTS = {
+    (2, 4, "star"): "e17a6f9db3f3f9b9491505a783308045345cb8f45dc2d5c61f6bf6656fd2e2ff",
+    (2, 4, "prime"): "06df4bab388cba045d078b3367458edd8a3347092db4153d370988d53e06d7ee",
+    (2, 4, "specialization"): "f9d22881db71bec3e715eab6122e9a8f0fbce5047e69a524723c4ad85fb13045",
+    (4, 3, "star"): "1066955b5e3bb0ec9b894dcde727366a2eb767af0a5205f13ac7baf339f79986",
+    (4, 3, "prime"): "0b725c611efd22bbb208ccb6675a2fe23df7a2f3f0dd8a23136fbf57e35f9cb5",
+    (4, 3, "specialization"): "3a7708c39a63054b174d3da24534064bb5f3aaea6e319112f6f15f6a37635fa3",
+}
+
+
+@pytest.mark.parametrize("m, k, which", sorted(POWER_MODULE_TOPOLOGY_DIGESTS))
+def test_power_module_topology_bytes_are_pinned(m, k, which, tmp_path, capsys):
+    # The point-set properties and the specialization edges are read from the
+    # point closures; the digests were taken from a closure call per point.
+    path = tmp_path / f"Z{m}^{k}.lem"
+    path.write_text(workloads.power_module_descriptor(m, k))
+    if which == "specialization":
+        argv = ["export-dot", str(path), "--target", "specialization"]
+    else:
+        argv = ["topology", str(path), "--which", which, "--format", "structured"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == POWER_MODULE_TOPOLOGY_DIGESTS[m, k, which]
+
+
 def test_export_dot_lattice(capsys):
     assert main(["export-dot", "Z6-ideal-lattice"]) == 0
     out = capsys.readouterr().out

@@ -138,23 +138,32 @@ def test_homeomorphism_check_everywhere(all_instances):
 def test_psi_checks_run_once_per_map(monkeypatch):
     # T4.3, P4.1 and T7.1 all ask for continuity and open/closed images; both
     # checks push ideals into R/Ann, so a repeated run would push again.
+    # P4.2 and T7.1 both ask for the injectivity battery, which scans the
+    # colon fibers.
     mod = build_instance(find_descriptor("Z6-ideal-lattice"))
     nm = build_natural_map(mod)
     assert nm.is_injective()
-    pushes = []
-    real = natural_map.push_ideal
+    pushes, scans = [], []
+    real_push, real_scan = natural_map.push_ideal, natural_map._fibers_at_most_one
 
-    def counted(*args):
+    def counted_push(*args):
         pushes.append(args)
-        return real(*args)
+        return real_push(*args)
 
-    monkeypatch.setattr(natural_map, "push_ideal", counted)
+    def counted_scan(m):
+        scans.append(m)
+        return real_scan(m)
+
+    monkeypatch.setattr(natural_map, "push_ideal", counted_push)
+    monkeypatch.setattr(natural_map, "_fibers_at_most_one", counted_scan)
     assert homeomorphism_check(nm)
     assert pushes
     first = len(pushes)
     assert continuity_check(nm) and surjectivity_and_openclosed(nm).ok
+    assert injectivity_battery(nm).equivalent
     assert homeomorphism_check(nm) and spectral_battery(nm).values[-1]
     assert len(pushes) == first
+    assert len(scans) == 1
 
 
 def test_multiplication_flags(all_instances):
