@@ -10,13 +10,14 @@ Descriptors are small line-oriented files:
 Rings are ``zn N``, ``product ( RING , RING )``, or ``explicit order N
 add TABLE mul TABLE``; modules are ``ideal-lattice``, ``submodule-lattice
 size N zero Z add TABLE action TABLE``, or ``explicit size N zero Z leq
-TABLE add TABLE action TABLE``.  A TABLE is rows of integers separated by
-``;``.  ``#`` starts a comment.
+TABLE add TABLE action TABLE``.  A TABLE runs to the next keyword; its rows
+of integers end at ``;`` and may span lines.  ``#`` starts a comment.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache
 from operator import getitem
 from typing import NamedTuple, Sequence, Union
@@ -33,7 +34,7 @@ from .rings import (
     make_zn,
     product_ring,
 )
-from .rowscan import first_bad_pair, first_failure, freeze, gather, gathers, generators
+from .rowscan import first_bad, first_bad_pair, first_failure, freeze, gather, gathers, generators
 
 IntTable = tuple[tuple[int, ...], ...]
 
@@ -188,7 +189,7 @@ def _check_classical_module(
             raise ModuleAxiomViolation("group-comm", (x, y))
     # group-assoc by Light's test and action-add by closure under + given
     # associativity, both at the additive generators only, as in
-    # make_le_module.
+    # make_le_module; action-add fails first at a generator.
     add_get = gathers(add)
     gens = generators(add)
 
@@ -208,7 +209,7 @@ def _check_classical_module(
         # r(x+y) against rx + ry
         return add_get[x](action[r]), act_get[r](add[action[r][x]])
 
-    bad = first_bad_pair(action_add, itertools.product(rr, gens), itertools.product(rr, rng))
+    bad = first_bad(action_add, itertools.product(rr, gens))
     if bad is not None:
         raise ModuleAxiomViolation("action-add", (*bad, first_failure(action_add(*bad))[0]))
     for r in rr:
@@ -404,21 +405,10 @@ def find_descriptor(name: str) -> InstanceDescriptor | None:
 
 class _Token(NamedTuple):
     text: str
-    line: int
+    at: int  # offset in the parser's text
 
 
-def _tokenize(text: str) -> tuple[list[str], list[int]]:
-    """Token texts and, in a parallel list, the line of each token."""
-    texts: list[str] = []
-    lines: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        for ch in "(),;":
-            line = line.replace(ch, f" {ch} ")
-        words = line.split()
-        texts += words
-        lines += [lineno] * len(words)
-    return texts, lines
+_WORD = re.compile(r"\s*(\S+)")
 
 
 class _Ints(dict):
@@ -430,26 +420,37 @@ class _Ints(dict):
 
 
 class _Parser:
-    def __init__(self, texts: list[str], lines: list[int]):
-        self.texts = texts
-        self.lines = lines
+    """A cursor over the descriptor text, with comments cut off and each of
+    ``(),;`` spaced apart, so that a token is a run of non-space characters.
+    Each line ends in one newline, so a token's line is a count of the
+    newlines before it, taken only for an error.
+    """
+
+    def __init__(self, text: str):
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+        for ch in "(),;":
+            text = text.replace(ch, f" {ch} ")
+        self.text = text
         self.pos = 0
         self.ints = _Ints()
 
-    def peek(self) -> str | None:
-        return self.texts[self.pos] if self.pos < len(self.texts) else None
+    def line(self, at: int) -> int:
+        return self.text.count("\n", 0, at) + 1
+
+    def at_end(self) -> bool:
+        return _WORD.match(self.text, self.pos) is None
 
     def next(self, field: str) -> _Token:
-        if self.pos >= len(self.texts):
-            last = self.lines[-1] if self.lines else None
-            raise ParseError("unexpected end of input", line=last, field=field)
-        self.pos += 1
-        return _Token(self.texts[self.pos - 1], self.lines[self.pos - 1])
+        word = _WORD.match(self.text, self.pos)
+        if word is None:  # the line is that of the last token
+            raise ParseError("unexpected end of input", self.line(len(self.text.rstrip())), field)
+        self.pos = word.end()
+        return _Token(word[1], word.start(1))
 
     def expect(self, text: str, field: str) -> _Token:
         tok = self.next(field)
         if tok.text != text:
-            raise ParseError(f"expected '{text}', got '{tok.text}'", tok.line, field)
+            raise ParseError(f"expected '{text}', got '{tok.text}'", self.line(tok.at), field)
         return tok
 
     def integer(self, field: str) -> int:
@@ -457,65 +458,40 @@ class _Parser:
         try:
             return int(tok.text)
         except ValueError:
-            raise ParseError(f"expected integer, got '{tok.text}'", tok.line, field) from None
+            raise ParseError(f"expected integer, got '{tok.text}'", self.line(tok.at), field) from None
 
-    def _find(self, word: str, start: int, stop: int) -> int:
-        """Index of the first ``word`` in texts[start:stop], or stop."""
-        try:
-            return self.texts.index(word, start, stop)
-        except ValueError:
-            return stop
-
-    def table(self, field: str, stop_words: frozenset[str]) -> IntTable:
+    def table(self, field: str, *stop_words: str) -> IntTable:
         """Rows of integers separated by ';', up to the next stop word.
 
-        A table with a bad integer, an empty row or no rows is read again
-        token by token, which raises the error naming the token's line.
-        A table of n² entries has few distinct texts, so each is converted
-        once, by the parser's ``ints``.
+        Rows may span lines, and a ';' may end the last one.  Each row is
+        converted from its own text, through the parser's ``ints``, so equal
+        entries of all the tables share one int object.
         """
-        stop = len(self.texts)
-        for word in stop_words:
-            stop = self._find(word, self.pos, stop)
+        text, at = self.text, self.pos
+        # A stop word counts only as a whole token.  Its look-behind follows
+        # the word, so that the search is a fast scan for the word itself.
+        words = "|".join(rf"{w}(?<!\S{w})" for w in map(re.escape, stop_words))
+        stop = re.compile(rf"(?:{words})(?!\S)").search(text, at)
+        end = stop.start() if stop else len(text)
         to_int = self.ints.__getitem__
         rows = []
-        start = self.pos
-        try:
-            while start < stop:  # a ';' may end the last row
-                cut = self._find(";", start, stop)
-                rows.append(tuple(map(to_int, self.texts[start:cut])))
-                start = cut + 1
-        except ValueError:
-            rows = []
-        if rows and all(rows):
-            self.pos = stop
-            return tuple(rows)
-        return self._table_by_token(field, stop)
-
-    def _table_by_token(self, field: str, stop: int) -> IntTable:
-        rows: list[tuple[int, ...]] = []
-        current: list[int] = []
-        for i in range(self.pos, stop):
-            text, line = self.texts[i], self.lines[i]
-            if text == ";":
-                if not current:
-                    raise ParseError("empty table row", line, field)
-                rows.append(tuple(current))
-                current = []
-                continue
+        for piece in text[at:end].split(";"):
             try:
-                current.append(int(text))
+                row = tuple(map(to_int, piece.split()))
             except ValueError:
+                # The entries before the bad one are in ``ints`` now.
+                bad = next(w for w in _WORD.finditer(piece) if w[1] not in self.ints)
                 raise ParseError(
-                    f"expected integer or ';', got '{text}'", line, field
+                    f"expected integer or ';', got '{bad[1]}'", self.line(at + bad.start(1)), field
                 ) from None
-        if current:
-            rows.append(tuple(current))
+            if row:
+                rows.append(row)
+            elif at + len(piece) < end:  # a ';' ends this empty row
+                raise ParseError("empty table row", self.line(at + len(piece)), field)
+            at += len(piece) + 1
         if not rows:
-            raise ParseError(
-                "empty table", self.lines[stop] if stop < len(self.lines) else None, field
-            )
-        self.pos = stop
+            raise ParseError("empty table", self.line(end) if stop else None, field)
+        self.pos = end
         return tuple(rows)
 
     def ring(self) -> RingSpec:
@@ -533,11 +509,11 @@ class _Parser:
             self.expect("order", "ring")
             order = self.integer("ring")
             self.expect("add", "ring")
-            add = self.table("add", frozenset({"mul"}))
+            add = self.table("add", "mul")
             self.expect("mul", "ring")
-            mul = self.table("mul", frozenset({"module", "name", ")", ","}))
+            mul = self.table("mul", "module", "name", ")", ",")
             return ExplicitRingSpec(order, add, mul)
-        raise ParseError(f"unknown ring form '{tok.text}'", tok.line, "ring")
+        raise ParseError(f"unknown ring form '{tok.text}'", self.line(tok.at), "ring")
 
     def module(self) -> ModuleSpec:
         tok = self.next("module")
@@ -549,9 +525,9 @@ class _Parser:
             self.expect("zero", "module")
             zero = self.integer("module")
             self.expect("add", "module")
-            add = self.table("add", frozenset({"action"}))
+            add = self.table("add", "action")
             self.expect("action", "module")
-            action = self.table("action", frozenset({"name", "ring"}))
+            action = self.table("action", "name", "ring")
             return SubmoduleLatticeSpec(size, zero, add, action)
         if tok.text == "explicit":
             self.expect("size", "module")
@@ -559,37 +535,37 @@ class _Parser:
             self.expect("zero", "module")
             zero = self.integer("module")
             self.expect("leq", "module")
-            leq = self.table("leq", frozenset({"add"}))
+            leq = self.table("leq", "add")
             self.expect("add", "module")
-            add = self.table("add", frozenset({"action"}))
+            add = self.table("add", "action")
             self.expect("action", "module")
-            action = self.table("action", frozenset({"name", "ring"}))
+            action = self.table("action", "name", "ring")
             return ExplicitModuleSpec(size, zero, leq, add, action)
-        raise ParseError(f"unknown module form '{tok.text}'", tok.line, "module")
+        raise ParseError(f"unknown module form '{tok.text}'", self.line(tok.at), "module")
 
 
 def parse_descriptor(text: str) -> InstanceDescriptor:
     """Parse descriptor text; raises ParseError with a line number."""
-    parser = _Parser(*_tokenize(text))
+    parser = _Parser(text)
     name: str | None = None
     ring: RingSpec | None = None
     module: ModuleSpec | None = None
-    while parser.peek() is not None:
+    while not parser.at_end():
         tok = parser.next("descriptor")
         if tok.text == "name":
             if name is not None:
-                raise ParseError("duplicate 'name'", tok.line, "name")
+                raise ParseError("duplicate 'name'", parser.line(tok.at), "name")
             name = parser.next("name").text
         elif tok.text == "ring":
             if ring is not None:
-                raise ParseError("duplicate 'ring'", tok.line, "ring")
+                raise ParseError("duplicate 'ring'", parser.line(tok.at), "ring")
             ring = parser.ring()
         elif tok.text == "module":
             if module is not None:
-                raise ParseError("duplicate 'module'", tok.line, "module")
+                raise ParseError("duplicate 'module'", parser.line(tok.at), "module")
             module = parser.module()
         else:
-            raise ParseError(f"unknown keyword '{tok.text}'", tok.line, "descriptor")
+            raise ParseError(f"unknown keyword '{tok.text}'", parser.line(tok.at), "descriptor")
     if name is None:
         raise ParseError("missing 'name'", field="name")
     if ring is None:

@@ -21,7 +21,7 @@ from .errors import AxiomViolation, EmptyFamily, NotPrimeIdeal
 from .lattices import FiniteBoundedLattice, generated, join_all
 from .memo import per_object, record
 from .rings import FiniteRing, Ideal, is_prime_ideal
-from .rowscan import first_bad_pair, first_failure, freeze, gathers, generators
+from .rowscan import first_bad, first_bad_pair, first_failure, freeze, gathers, generators
 
 IntTable = tuple[tuple[int, ...], ...]
 
@@ -80,14 +80,11 @@ def make_le_module(
             raise ValueError(f"table entry {v} out of range")
     if not 0 <= zero_m < n:
         raise ValueError("zero_m out of range")
-    # One int object per value in all three tables, so equal rows compare by
-    # identity; past 256 elements ints read from text are distinct objects,
-    # and comparing them by value costs a third of the row scans.
-    canon = tuple(range(n))
-    add_t, act_t, jt = (
-        tuple(tuple(map(canon.__getitem__, row)) for row in table)
-        for table in (add_t, act_t, lattice.join_table)
-    )
+    # Rows compare fastest when equal entries are one int object, as they
+    # are across the tables of one parsed descriptor.  Past 256 elements the
+    # join table's ints are others, so a sum equal to it stands for both.
+    join_is_sum = add_t == lattice.join_table
+    jt = add_t if join_is_sum else lattice.join_table
 
     # Each law is checked a row at a time over its last index; the witness of
     # a failed row is the first failing cell, as a loop over the indices in
@@ -100,7 +97,6 @@ def make_le_module(
     # A sum that is the least upper bound in ``lattice.leq`` is commutative
     # and associative (see ``_sum_is_lub``); any other sum is scanned.
     add_get = gathers(add_t)
-    join_is_sum = add_t == jt
     certified = join_is_sum and _sum_is_lub(lattice.leq, add_get)
     if not certified:
         add_cols = tuple(zip(*add_t))
@@ -110,10 +106,10 @@ def make_le_module(
                 raise AxiomViolation("monoid", (x, y), "commutativity fails")
     # A law whose good values of one index are closed under + is checked at
     # the additive generators only: associativity by Light's test, then S
-    # and M1, whose closure arguments use associativity alone (see
-    # ``rowscan.generators``).  M5 keeps its full scan unless the sum is the
-    # join: reducing it would need generators of the join, a table not
-    # re-checked here.
+    # and M1, whose closure arguments use associativity alone and which
+    # first fail at a generator (see ``rowscan.generators``).  M5 keeps its
+    # full scan unless the sum is the join: reducing it would need
+    # generators of the join, a table not re-checked here.
     gens = generators(add_t)
     if not certified:
 
@@ -130,7 +126,7 @@ def make_le_module(
     # as ∘.  By associativity and commutativity, checked above,
     # (m∘x)∘(m∘y) = (m∘m)∘(x∘y), so S holds at every (m, x, y) once
     # m∘m = m, and fails at (m, 0_M, 0_M) otherwise: S is idempotence, and
-    # the full scan runs only to name the first witness.  M5, r(x∘y) =
+    # the scan runs only to name the first witness.  M5, r(x∘y) =
     # rx∘ry, is then M1 itself.  Neither argument uses a law of the join
     # table, so a doctored one is judged the same way.
     join_get = add_get if join_is_sum else gathers(jt)
@@ -140,7 +136,7 @@ def make_le_module(
         return join_get[x](add_t[m]), add_get[m](jt[add_t[m][x]])
 
     if not (join_is_sum and tuple(map(getitem, add_t, rng)) == identity):
-        bad = first_bad_pair(s_law, itertools.product(gens, rng), itertools.product(rng, repeat=2))
+        bad = first_bad(s_law, itertools.product(gens, rng))
         if bad is not None:
             raise AxiomViolation("S", (*bad, first_failure(s_law(*bad))[0]))
 
@@ -151,7 +147,7 @@ def make_le_module(
         # r(x+y) against rx + ry
         return add_get[x](act_t[r]), act_get[r](add_t[act_t[r][x]])
 
-    bad = first_bad_pair(m1, itertools.product(rr, gens), itertools.product(rr, rng))
+    bad = first_bad(m1, itertools.product(rr, gens))
     if bad is not None:
         raise AxiomViolation("M1", (*bad, first_failure(m1(*bad))[0]))
     # M2 holds at m when (r1+r2)m <= r1m + r2m, M3 when (r1r2)m = r1(r2m).

@@ -10,9 +10,9 @@ as the plain triple loop.
 When the values of one index at which a law holds are closed under a
 table's operation, the law holds on every cell once it holds where that
 index is a generator of the table.  ``generators`` picks such a set G and
-``first_bad_pair`` checks there first, so a valid table costs n·|G| rows
-instead of n².  The closure arguments are in the docstring of
-``generators``.
+``first_bad`` or ``first_bad_pair`` checks there, so a valid table costs
+n·|G| rows instead of n².  The closure arguments, and when the generators
+also name the first failing cell, are in the docstring of ``generators``.
 """
 
 from __future__ import annotations
@@ -92,6 +92,19 @@ def generators(table: Sequence[Sequence[int]]) -> list[int]:
 
     Each argument uses only laws that the caller has already checked on
     every cell, never one checked later.
+
+    When the scan at the generators alone names the first failing cell:
+    each index outside G was reached from smaller generators before the
+    loop came to it, so it is a product of generators smaller than itself.
+    When the indices at which a law holds are closed, the least index at
+    which it fails is therefore a generator.  For M1 and action-add they
+    are closed at each fixed scalar r, the pair's first index; for S the
+    generator index m is itself the pair's first index.  Either way,
+    scanning G in increasing order meets the same first failing pair as
+    scanning every index, so these need no rescan (``first_bad``).
+    Associativity is closed only over all a at once, and a comes first in
+    its pairs, so a failed generator row is rescanned in full
+    (``first_bad_pair``), as the ring laws are.
     """
     n = len(table)
     reached = [False] * n
@@ -119,7 +132,7 @@ def generators(table: Sequence[Sequence[int]]) -> list[int]:
     return gens
 
 
-def _first_bad(rows: Rows, pairs: Iterable[Pair]) -> Pair | None:
+def first_bad(rows: Rows, pairs: Iterable[Pair]) -> Pair | None:
     """The first pair whose two rows ``rows(i, j)`` differ, or None."""
     return next((p for p in pairs if ne(*rows(*p))), None)
 
@@ -132,6 +145,6 @@ def first_bad_pair(rows: Rows, at_generators: Iterable[Pair], everywhere: Iterab
     every pair when it holds on these.  Only if one of them fails is
     ``everywhere`` scanned, in its own order, to name the first witness.
     """
-    if _first_bad(rows, at_generators) is None:
+    if first_bad(rows, at_generators) is None:
         return None
-    return _first_bad(rows, everywhere)
+    return first_bad(rows, everywhere)

@@ -10,6 +10,8 @@ one index ``itemgetter`` returns an item instead of a tuple.
 
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,9 @@ from lemspec.lattices import FiniteBoundedLattice, chain_lattice, make_lattice
 from lemspec.le_modules import make_le_module
 from lemspec.rings import make_ring, make_zn, product_ring
 from lemspec.rowscan import generators
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 
 def replace(record, **changes):
@@ -188,19 +193,58 @@ def ref_classical(ring, size, zero, add, action):
             raise ModuleAxiomViolation("unit-action", (x,))
 
 
-class RefParser(instances._Parser):
-    """The parser with the per-token table reader."""
+def ref_tokenize(text):
+    """Token texts and, in a parallel list, the line of each token."""
+    texts, lines = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        for ch in "(),;":
+            line = line.replace(ch, f" {ch} ")
+        words = line.split()
+        texts += words
+        lines += [lineno] * len(words)
+    return texts, lines
 
-    def table(self, field, stop_words):
+
+class RefParser:
+    """The descriptor reader token by token, tables included."""
+
+    def __init__(self, text):
+        self.texts, self.lines = ref_tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.texts[self.pos] if self.pos < len(self.texts) else None
+
+    def next(self, field):
+        if self.pos >= len(self.texts):
+            last = self.lines[-1] if self.lines else None
+            raise ParseError("unexpected end of input", line=last, field=field)
+        self.pos += 1
+        return self.texts[self.pos - 1], self.lines[self.pos - 1]
+
+    def expect(self, text, field):
+        got, line = self.next(field)
+        if got != text:
+            raise ParseError(f"expected '{text}', got '{got}'", line, field)
+
+    def integer(self, field):
+        text, line = self.next(field)
+        try:
+            return int(text)
+        except ValueError:
+            raise ParseError(f"expected integer, got '{text}'", line, field) from None
+
+    def table(self, field, *stop_words):
         rows, current = [], []
         while True:
             text = self.peek()
             if text is None or text in stop_words:
                 break
-            tok = self.next(field)
+            _, line = self.next(field)
             if text == ";":
                 if not current:
-                    raise ParseError("empty table row", tok.line, field)
+                    raise ParseError("empty table row", line, field)
                 rows.append(tuple(current))
                 current = []
                 continue
@@ -208,7 +252,7 @@ class RefParser(instances._Parser):
                 current.append(int(text))
             except ValueError:
                 raise ParseError(
-                    f"expected integer or ';', got '{text}'", tok.line, field
+                    f"expected integer or ';', got '{text}'", line, field
                 ) from None
         if current:
             rows.append(tuple(current))
@@ -216,6 +260,64 @@ class RefParser(instances._Parser):
             line = self.lines[self.pos] if self.peek() is not None else None
             raise ParseError("empty table", line, field)
         return tuple(rows)
+
+    def ring(self):
+        form, line = self.next("ring")
+        if form == "zn":
+            return instances.ZnSpec(self.integer("ring"))
+        if form == "product":
+            self.expect("(", "ring")
+            left = self.ring()
+            self.expect(",", "ring")
+            right = self.ring()
+            self.expect(")", "ring")
+            return instances.ProductSpec(left, right)
+        if form == "explicit":
+            self.expect("order", "ring")
+            order = self.integer("ring")
+            self.expect("add", "ring")
+            add = self.table("add", "mul")
+            self.expect("mul", "ring")
+            mul = self.table("mul", "module", "name", ")", ",")
+            return instances.ExplicitRingSpec(order, add, mul)
+        raise ParseError(f"unknown ring form '{form}'", line, "ring")
+
+    def module(self):
+        form, line = self.next("module")
+        if form == "ideal-lattice":
+            return instances.IdealLatticeSpec()
+        if form not in ("submodule-lattice", "explicit"):
+            raise ParseError(f"unknown module form '{form}'", line, "module")
+        self.expect("size", "module")
+        size = self.integer("module")
+        self.expect("zero", "module")
+        zero = self.integer("module")
+        if form == "explicit":
+            self.expect("leq", "module")
+            leq = self.table("leq", "add")
+        self.expect("add", "module")
+        add = self.table("add", "action")
+        self.expect("action", "module")
+        action = self.table("action", "name", "ring")
+        if form == "explicit":
+            return instances.ExplicitModuleSpec(size, zero, leq, add, action)
+        return instances.SubmoduleLatticeSpec(size, zero, add, action)
+
+
+def ref_parse_descriptor(text):
+    parser = RefParser(text)
+    parts = {}
+    while parser.peek() is not None:
+        key, line = parser.next("descriptor")
+        if key not in ("name", "ring", "module"):
+            raise ParseError(f"unknown keyword '{key}'", line, "descriptor")
+        if key in parts:
+            raise ParseError(f"duplicate '{key}'", line, key)
+        parts[key] = parser.next("name")[0] if key == "name" else getattr(parser, key)()
+    for key in ("name", "ring", "module"):
+        if key not in parts:
+            raise ParseError(f"missing '{key}'", field=key)
+    return instances.InstanceDescriptor(parts["name"], parts["ring"], parts["module"])
 
 
 # --- comparison helpers ----------------------------------------------------
@@ -605,6 +707,33 @@ def test_classical_module_scan_matches_reference():
     assert assoc_off_generators > 0
 
 
+def test_tables_past_256_elements_are_judged_by_value():
+    """Explicit F2^5 (374 subspaces), valid and with a broken monoid
+    identity or commutativity, from the parser, whose tables share one int
+    object per entry text, and as copies with a fresh int in every cell."""
+    size, leq, add, action = workloads.subspace_tables(2, 5)
+    identity_broken = [row[:] for row in add]
+    identity_broken[0][300] = 301
+    comm_broken = [row[:] for row in add]
+    comm_broken[257][300] = 0 if comm_broken[257][300] else 1
+    expected = [
+        ("ok", None),
+        ("AxiomViolation", "monoid", (0, 300)),
+        ("AxiomViolation", "monoid", (257, 300)),
+    ]
+    for table, law in zip((add, identity_broken, comm_broken), expected):
+        text = workloads.explicit_module_descriptor("F2^5", 2, size, leq, table, action)
+        spec = parse_descriptor(text).module
+        fresh = [tuple(tuple(int(str(v)) for v in row) for row in t) for t in (spec.add, spec.action)]
+        entries = [v for row in spec.add + spec.action for v in row]
+        assert len({id(v) for v in entries}) == len(set(entries)) == size
+        assert len({id(v) for row in fresh[0] for v in row}) > size
+        args = (make_zn(2), make_lattice(size, spec.leq))
+        parsed = outcome(le_module_outcome_new, *args, spec.add, 0, spec.action)
+        assert parsed[: len(law)] == law
+        assert outcome(le_module_outcome_new, *args, fresh[0], 0, fresh[1]) == parsed
+
+
 def test_a_hand_built_order_that_is_no_poset_is_not_certified():
     # 0 <= 1 <= 0: both elements have the same up-set, so U(a) & U(b) is
     # U(a + b) for any sum at all, and only U being one-to-one keeps this
@@ -661,15 +790,6 @@ def test_classical_module_rejects_misshapen_tables():
 # --- descriptor tables ----------------------------------------------------------
 
 
-def parse_with(parser_cls, text):
-    saved = instances._Parser
-    instances._Parser = parser_cls
-    try:
-        return outcome(parse_descriptor, text)
-    finally:
-        instances._Parser = saved
-
-
 def fuzzed_descriptors(rng, count):
     """Explicit descriptors with tables bent at random: bad tokens, stray ';', gaps."""
     base = [
@@ -686,8 +806,27 @@ def fuzzed_descriptors(rng, count):
         "name e\nring explicit order 2 add mul 0 0 ; 0 1\nmodule ideal-lattice\n",
         "name e\nring zn 2\nmodule submodule-lattice size 2 zero 0 add 0 1 ; 1 0 action\n",
     ]
-    noise = [";", "; ;", "x", "1.5", "-3", "+2", "1_0", "(", ")", ","]
-    noise += ["", "\n", "\n;\n", "# c\n"]
+    # Rows across lines, with comments between rows and at a row's end,
+    # tabs, ';' with no spaces around it, and trailing ';'.
+    base += [
+        "name r\nring explicit order 3\n  add 0 1 2 ;\n  1 2 0 ; # between rows\n"
+        "  # a whole line\n  2 0\n 1 # at a row's end\n  mul 0 0 0 ;\t0 1 2 ;\n\t0 2 1\n"
+        "module ideal-lattice\n",
+        "name s\nring zn 2\nmodule explicit size 2 zero 0 leq 1 1;0 1; add 0 1;1 1;\n"
+        "action 0 0;0 1;\n",
+    ]
+    # A long table with one entry a non-ASCII digit (Arabic-Indic seven).
+    n = 12
+    add = " ; ".join(" ".join(str((x + y) % n) for y in range(n)) for x in range(n))
+    add = add.replace(" 7 ", " \u0667 ", 1)
+    mul = " ;\n".join(" ".join(str(x * y % n) for y in range(n)) for x in range(n))
+    base.append(
+        f"name z\nring explicit order {n}\n add {add}\n"
+        f" mul {mul}\nmodule ideal-lattice\n"
+    )
+    noise = [";", "; ;", "x", "1.5", "-3", "+2", "1_0", "(", ")", ",", "2;", "\u0663"]
+    noise += ["xmul", "mulx", "action1", "2action", "mul(", ")name"]
+    noise += ["", "\n", "\n;\n", "# c\n", "\t"]
     out = list(base)
     for _ in range(count):
         words = rng.choice(base).split(" ")
@@ -705,8 +844,8 @@ def test_table_reader_matches_per_token_reference():
     rng = random.Random("descriptors")
     kinds = set()
     for text in fuzzed_descriptors(rng, 600):
-        expected = parse_with(RefParser, text)
-        assert parse_with(instances._Parser, text) == expected, text
+        expected = outcome(ref_parse_descriptor, text)
+        assert outcome(parse_descriptor, text) == expected, text
         kinds.add("ok" if expected[0] == "ok" else expected[1].split(" in field")[0])
     assert {"ok", "empty table row", "empty table"} <= kinds
     assert any(k.startswith("expected integer or ';'") for k in kinds)
