@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     TopologyAxiomViolation,
     Unbounded,
+    UsageError,
     ZeroRing,
 )
 from .instances import (

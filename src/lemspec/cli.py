@@ -1,5 +1,13 @@
 """Command-line interface.
 
+``lemspec COMMAND [ARGUMENT ...] [--OPTION VALUE ...]``.  One table,
+``COMMANDS``, gives each command's handler, help line, positional argument
+and options; ``parse_args`` reads a command line against it and ``usage``
+writes the help from it.  Options come before or after the positional
+arguments, as ``--name value`` or ``--name=value``, and only by their full
+names; after ``--`` every argument is positional.  ``-h`` or ``--help``,
+alone or after a command, prints the help to stdout.
+
 Inputs name either a catalog instance or a descriptor file path.  Exit
 codes: 0 success, 1 input or usage error, 2 axiom violation in the given
 tables, 3 at least one statement falsified by `verify`, 4 internal error
@@ -8,11 +16,10 @@ tables, 3 at least one statement falsified by `verify`, 4 internal error
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple, Sequence
 
 from . import natural_map as nmap
 from . import spectra, verify
@@ -31,6 +38,7 @@ from .errors import (
     NotTopLeModule,
     ParseError,
     Unbounded,
+    UsageError,
     ZeroRing,
 )
 from .instances import (
@@ -84,8 +92,8 @@ def _members(ideal) -> list[int]:
     return list(ideal.sorted_members())
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    desc = _resolve(args.input)
+def cmd_validate(input: str, out: str | None) -> int:
+    desc = _resolve(input)
     mod = build_instance(desc)
     subs = submodule_elements(mod)
     points = spectrum(mod)
@@ -97,7 +105,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"spectrum points: {len(points)}",
         "valid: all le-module axioms hold",
     ]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines) + "\n", out)
     return 0
 
 
@@ -156,29 +164,29 @@ def _spec_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_spec(args: argparse.Namespace) -> int:
-    mod = build_instance(_resolve(args.input))
+def cmd_spec(input: str, format: str, out: str | None) -> int:
+    mod = build_instance(_resolve(input))
     payload = _spec_payload(mod)
-    if args.format == "structured":
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    if format == "structured":
+        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
     else:
-        _emit(_spec_text(payload), args.out)
+        _emit(_spec_text(payload), out)
     return 0
 
 
-def cmd_topology(args: argparse.Namespace) -> int:
-    mod = build_instance(_resolve(args.input))
+def cmd_topology(input: str, which: str, format: str, out: str | None) -> int:
+    mod = build_instance(_resolve(input))
     tops = spectra.build_topologies(mod)
-    if args.which == "star":
+    if which == "star":
         top = tops.star
-    elif args.which == "prime":
+    elif which == "prime":
         top = tops.prime
     else:
         top = spectra.quasi_topology(mod)
     props = spectra.point_set_properties(top)
     payload = {
         "instance": mod.name,
-        "which": args.which,
+        "which": which,
         "points": [mod.label(p) for p in top.points],
         "closed_sets": [
             [mod.label(p) for p in sorted(c)] for c in top.closed_sets
@@ -192,11 +200,11 @@ def cmd_topology(args: argparse.Namespace) -> int:
         },
         "note": props.note,
     }
-    if args.format == "structured":
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    if format == "structured":
+        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
         return 0
     lines = [
-        f"instance: {payload['instance']} ({args.which})",
+        f"instance: {payload['instance']} ({which})",
         f"points: {payload['points']}",
         f"closed sets ({len(payload['closed_sets'])}):",
     ]
@@ -207,92 +215,200 @@ def cmd_topology(args: argparse.Namespace) -> int:
         + " ".join(f"{k}={v}" for k, v in payload["properties"].items())
     )
     lines.append(f"note: {payload['note']}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines) + "\n", out)
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    if args.inputs:
-        descriptors = [_resolve(text) for text in args.inputs]
+def cmd_verify(inputs: list[str], format: str, out: str | None) -> int:
+    if inputs:
+        descriptors = [_resolve(text) for text in inputs]
     else:
         descriptors = list(catalog())
     report = verify.run_all(descriptors)
-    if args.format == "structured":
-        _emit(verify.serialize_report(report), args.out)
+    if format == "structured":
+        _emit(verify.serialize_report(report), out)
     else:
-        _emit(verify.render_text(report), args.out)
+        _emit(verify.render_text(report), out)
     return 3 if report.falsified() else 0
 
 
-def cmd_export_dot(args: argparse.Namespace) -> int:
-    mod = build_instance(_resolve(args.input))
-    if args.target == "lattice":
-        _emit(lattice_dot(mod), args.out)
+def cmd_export_dot(input: str, target: str, out: str | None) -> int:
+    mod = build_instance(_resolve(input))
+    if target == "lattice":
+        _emit(lattice_dot(mod), out)
     else:
-        _emit(specialization_dot(mod), args.out)
+        _emit(specialization_dot(mod), out)
     return 0
 
 
-def cmd_catalog(args: argparse.Namespace) -> int:
-    if args.action == "list":
-        _emit("\n".join(catalog_names()) + "\n", args.out)
+def cmd_catalog(action: str, out: str | None) -> int:
+    if action == "list":
+        _emit("\n".join(catalog_names()) + "\n", out)
         return 0
-    raise ParseError(f"unknown catalog action '{args.action}'")
+    raise UsageError(f"unknown catalog action '{action}'; choose from list")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="lemspec",
-        description="Spectra and topologies of lattice-enriched modules",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Command(NamedTuple):
+    """A command: its handler, a line of help, its positional argument and
+    its choice options.
 
-    p = sub.add_parser("validate", help="build an instance and report axioms")
-    p.add_argument("input", help="catalog name or descriptor file")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_validate)
+    ``positional`` is the handler's keyword for the positional argument,
+    which takes exactly one value, or with ``many`` zero or more, as a list.
+    Each option maps to its allowed values, the first being its default.
+    Every command also takes ``--out FILE``, default standard output.
+    """
 
-    p = sub.add_parser("spec", help="points, colon ideals, and the natural map")
-    p.add_argument("input")
-    p.add_argument("--format", choices=("text", "structured"), default="text")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_spec)
-
-    p = sub.add_parser("topology", help="closed sets and point-set properties")
-    p.add_argument("input")
-    p.add_argument("--which", choices=("star", "prime", "quasi"), default="star")
-    p.add_argument("--format", choices=("text", "structured"), default="text")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_topology)
-
-    p = sub.add_parser("verify", help="run the statement checks")
-    p.add_argument("inputs", nargs="*", help="default: the whole catalog")
-    p.add_argument("--format", choices=("text", "structured"), default="text")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("export-dot", help="emit DOT graphs")
-    p.add_argument("input")
-    p.add_argument(
-        "--target", choices=("lattice", "specialization"), default="lattice"
-    )
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_export_dot)
-
-    p = sub.add_parser("catalog", help="inspect the built-in instances")
-    p.add_argument("action", choices=("list",))
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_catalog)
-    return parser
+    handler: Callable[..., int]
+    help: str
+    positional: str
+    positional_help: str
+    options: dict[str, tuple[str, ...]]
+    many: bool = False
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+_INPUT_HELP = "catalog name or descriptor file"
+_FORMAT = ("text", "structured")
+
+COMMANDS: dict[str, Command] = {
+    "validate": Command(
+        cmd_validate, "build an instance and report axioms", "input", _INPUT_HELP, {}
+    ),
+    "spec": Command(
+        cmd_spec,
+        "points, colon ideals, and the natural map",
+        "input",
+        _INPUT_HELP,
+        {"format": _FORMAT},
+    ),
+    "topology": Command(
+        cmd_topology,
+        "closed sets and point-set properties",
+        "input",
+        _INPUT_HELP,
+        {"which": ("star", "prime", "quasi"), "format": _FORMAT},
+    ),
+    "verify": Command(
+        cmd_verify,
+        "run the statement checks",
+        "inputs",
+        "catalog names or descriptor files; default: the whole catalog",
+        {"format": _FORMAT},
+        many=True,
+    ),
+    "export-dot": Command(
+        cmd_export_dot,
+        "emit DOT graphs",
+        "input",
+        _INPUT_HELP,
+        {"target": ("lattice", "specialization")},
+    ),
+    "catalog": Command(
+        cmd_catalog, "inspect the built-in instances", "action", "list: the instance names", {}
+    ),
+}
+_HELP = ("-h", "--help")
+
+
+def _rows(rows: dict[str, str]) -> list[str]:
+    width = max(map(len, rows))
+    return [f"  {key:<{width}}  {text}" for key, text in rows.items()]
+
+
+def usage(name: str | None = None) -> str:
+    """The help for ``lemspec``, or for its command ``name``."""
+    if name is None:
+        lines = [
+            "usage: lemspec COMMAND [ARGUMENT ...] [--OPTION VALUE ...]",
+            "",
+            "Spectra and topologies of lattice-enriched modules.",
+            "",
+            "commands:",
+            *_rows({key: command.help for key, command in COMMANDS.items()}),
+            "",
+            "Options are given as --name value or --name=value, before or after",
+            "the arguments.  'lemspec COMMAND -h' lists a command's options.",
+            "Exit codes: 0 success, 1 input or usage error, 2 axiom violation,",
+            "3 a statement falsified by verify, 4 internal error.",
+        ]
+        return "\n".join(lines) + "\n"
+    command = COMMANDS[name]
+    positional = command.positional.upper()
+    if command.many:
+        positional = f"[{positional} ...]"
+    options = {
+        f"--{key} {{{','.join(choices)}}}": f"default: {choices[0]}"
+        for key, choices in command.options.items()
+    }
+    options["--out FILE"] = "write the output to FILE, not to standard output"
+    lines = [
+        " ".join([f"usage: lemspec {name} {positional}", *(f"[{key}]" for key in options)]),
+        "",
+        command.help,
+        "",
+        *_rows({positional: command.positional_help, **options, "-h, --help": "show this help"}),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def cmd_help(name: str | None) -> int:
+    sys.stdout.write(usage(name))
+    return 0
+
+
+def parse_args(argv: Sequence[str]) -> tuple[Callable[..., int], dict]:
+    """The handler that ``argv`` asks for and its keyword arguments.
+
+    ``argv`` is a command and its arguments, without the program name.  A
+    request for help comes back as ``cmd_help``; anything the command does
+    not take raises ``UsageError``.
+    """
+    if not argv:
+        raise UsageError(f"no command given; choose from {', '.join(COMMANDS)}")
+    name = argv[0]
+    if name in _HELP:
+        return cmd_help, {"name": None}
+    command = COMMANDS.get(name)
+    if command is None:
+        raise UsageError(f"unknown command '{name}'; choose from {', '.join(COMMANDS)}")
+    values = {key: choices[0] for key, choices in command.options.items()}
+    values["out"] = None
+    positionals = []
+    args = iter(argv[1:])
+    for arg in args:
+        if arg == "--":
+            positionals.extend(args)
+        elif arg in _HELP:
+            return cmd_help, {"name": name}
+        elif arg.startswith("-") and arg != "-":
+            flag, eq, value = arg.partition("=")
+            key = flag[2:]
+            if not flag.startswith("--") or key not in values:
+                raise UsageError(f"unknown option '{flag}' for '{name}'")
+            if not eq:
+                value = next(args, None)
+                if value is None:
+                    raise UsageError(f"option {flag} needs a value")
+            choices = command.options.get(key)
+            if choices is not None and value not in choices:
+                raise UsageError(f"invalid {flag} '{value}'; choose from {', '.join(choices)}")
+            values[key] = value
+        else:
+            positionals.append(arg)
+    if command.many:
+        values[command.positional] = positionals
+    elif not positionals:
+        raise UsageError(f"'{name}' needs its {command.positional.upper()} argument")
+    elif len(positionals) > 1:
+        raise UsageError(f"unexpected argument '{positionals[1]}' for '{name}'")
+    else:
+        values[command.positional] = positionals[0]
+    return command.handler, values
+
+
+def main(argv: Sequence[str] | None = None) -> int:
     try:
-        return args.func(args)
+        handler, kwargs = parse_args(sys.argv[1:] if argv is None else argv)
+        return handler(**kwargs)
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

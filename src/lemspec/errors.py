@@ -90,6 +90,10 @@ class NotTopLeModule(LemspecError):
     """The plain variety family is not closed under finite unions here."""
 
 
+class UsageError(LemspecError):
+    """A command line names no command, an unknown one, or a bad argument."""
+
+
 class ParseError(LemspecError):
     """A descriptor file could not be parsed."""
 

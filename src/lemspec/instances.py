@@ -411,6 +411,18 @@ class _Token(NamedTuple):
 _WORD = re.compile(r"\s*(\S+)")
 
 
+def _find_token(text: str, word: str, start: int, end: int) -> int:
+    """The offset of the first ``word`` in ``text[start:end]`` that stands
+    as a whole token, between spaces or the ends of ``text``, or -1."""
+    at = text.find(word, start, end)
+    while at >= 0 and not (
+        (at == 0 or text[at - 1].isspace())
+        and (at + len(word) == len(text) or text[at + len(word)].isspace())
+    ):
+        at = text.find(word, at + 1, end)
+    return at
+
+
 class _Ints(dict):
     """Token text to ``int(text)``, each distinct text converted once."""
 
@@ -468,11 +480,16 @@ class _Parser:
         entries of all the tables share one int object.
         """
         text, at = self.text, self.pos
-        # A stop word counts only as a whole token.  Its look-behind follows
-        # the word, so that the search is a fast scan for the word itself.
-        words = "|".join(rf"{w}(?<!\S{w})" for w in map(re.escape, stop_words))
-        stop = re.compile(rf"(?:{words})(?!\S)").search(text, at)
-        end = stop.start() if stop else len(text)
+        # The table ends at the earliest stop word.  Each word is found by a
+        # scan for the literal, far faster than a regex alternation of the
+        # words, which is tried at every character.  Each scan ends where
+        # the one before found its word: that word follows a space, so no
+        # whole token before it is cut short.
+        end, stopped = len(text), False
+        for word in stop_words:
+            found = _find_token(text, word, at, end)
+            if found >= 0:
+                end, stopped = found, True
         to_int = self.ints.__getitem__
         rows = []
         for piece in text[at:end].split(";"):
@@ -490,7 +507,7 @@ class _Parser:
                 raise ParseError("empty table row", self.line(at + len(piece)), field)
             at += len(piece) + 1
         if not rows:
-            raise ParseError("empty table", self.line(end) if stop else None, field)
+            raise ParseError("empty table", self.line(end) if stopped else None, field)
         self.pos = end
         return tuple(rows)
 

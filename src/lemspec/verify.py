@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import operator
 import time
+from json.encoder import encode_basestring_ascii as json_string
 from typing import Callable, Iterable, Sequence
 
 from . import natural_map as nmap
@@ -634,25 +634,43 @@ def run_all(descriptors: Sequence[InstanceDescriptor] | None = None) -> Verifica
     return VerificationReport(tuple(results))
 
 
+# The statements never change, so their block is encoded once.
+_STATEMENTS_JSON = "[" + ",".join(
+    f"""
+    {{
+      "claim": {json_string(s.claim)},
+      "id": {json_string(s.sid)},
+      "title": {json_string(s.title)}
+    }}"""
+    for s in STATEMENTS
+) + "\n  ]"
+
+
 def serialize_report(report: VerificationReport) -> str:
-    """Deterministic JSON; timing is deliberately omitted."""
-    payload = {
-        "statements": [
-            {"id": s.sid, "title": s.title, "claim": s.claim} for s in STATEMENTS
-        ],
-        "results": [
-            {
-                "statement": r.statement,
-                "instance": r.instance,
-                "verdict": r.verdict,
-                "witness": r.witness,
-                "detail": r.detail,
-            }
-            for r in report.results
-        ],
-        "summary": report.counts(),
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON; timing is deliberately omitted.
+
+    The bytes are those of ``json.dumps(payload, sort_keys=True, indent=2)``
+    and a newline, for the payload of ``statements`` (id, title, claim),
+    ``results`` (statement, instance, verdict, witness, detail) and
+    ``summary`` (the counts), written from a fixed template.
+    """
+    results = ",".join(
+        f"""
+    {{
+      "detail": {'null' if r.detail is None else json_string(r.detail)},
+      "instance": {json_string(r.instance)},
+      "statement": {json_string(r.statement)},
+      "verdict": {json_string(r.verdict)},
+      "witness": {'null' if r.witness is None else json_string(r.witness)}
+    }}"""
+        for r in report.results
+    )
+    results = f"[{results}\n  ]" if results else "[]"
+    summary = ",\n".join(f"    {json_string(k)}: {v}" for k, v in sorted(report.counts().items()))
+    return (
+        f'{{\n  "results": {results},\n  "statements": {_STATEMENTS_JSON},\n'
+        f'  "summary": {{\n{summary}\n  }}\n}}\n'
+    )
 
 
 def render_text(report: VerificationReport) -> str:

@@ -1,13 +1,14 @@
 import hashlib
 import itertools
 import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from lemspec import natural_map, spectra
-from lemspec.cli import main
+from lemspec.cli import COMMANDS, main, parse_args
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -380,3 +381,85 @@ def test_out_flag_writes_file(tmp_path):
     target = tmp_path / "list.txt"
     assert main(["catalog", "list", "--out", str(target)]) == 0
     assert "Z30-ideal-lattice" in target.read_text()
+
+
+USAGE_ERRORS = {
+    "no command": [],
+    "unknown command": ["bogus"],
+    "invalid choice": ["verify", "--format", "bogus"],
+    "invalid choice after =": ["topology", "Z6-ideal-lattice", "--which=bogus"],
+    "unknown option": ["verify", "--bogus", "x"],
+    "abbreviated option": ["verify", "--form", "structured"],
+    "single-dash option": ["spec", "-f", "structured", "Z6-ideal-lattice"],
+    "option without a value": ["catalog", "list", "--out"],
+    "missing positional": ["validate"],
+    "extra positional": ["validate", "Z6-ideal-lattice", "Z4-ideal-lattice"],
+    "unknown catalog action": ["catalog", "lst"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_1(case, capsys):
+    assert main(USAGE_ERRORS[case]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_every_command(flag, capsys):
+    assert main([flag]) == 0
+    out = capsys.readouterr().out
+    for name, command in COMMANDS.items():
+        assert f"  {name}" in out and command.help in out
+
+
+@pytest.mark.parametrize("name, flag", itertools.product(sorted(COMMANDS), ["-h", "--help"]))
+def test_command_help_names_every_option(name, flag, capsys):
+    # Help wins wherever it stands, even after an argument.
+    assert main([name, "x", flag]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: lemspec {name} ")
+    assert COMMANDS[name].positional.upper() in out
+    for key, choices in [*COMMANDS[name].options.items(), ("out", ())]:
+        assert f"--{key} " in out
+        assert all(choice in out for choice in choices)
+
+
+def test_option_forms_and_positions_parse_alike(tmp_path):
+    forms = [
+        ["topology", "Z6-ideal-lattice", "--which", "prime", "--format", "structured"],
+        ["topology", "--which=prime", "Z6-ideal-lattice", "--format=structured"],
+        ["topology", "--format", "text", "--which", "prime", "--format", "structured", "--", "Z6-ideal-lattice"],
+    ]
+    outputs = []
+    for k, argv in enumerate(forms):
+        target = tmp_path / f"{k}.json"
+        assert main([argv[0], f"--out={target}", *argv[1:]]) == 0
+        outputs.append(target.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0])["which"] == "prime"
+
+
+def test_parse_args_defaults():
+    handler, kwargs = parse_args(["verify"])
+    assert handler is COMMANDS["verify"].handler
+    assert kwargs == {"inputs": [], "format": "text", "out": None}
+    _, kwargs = parse_args(["export-dot", "--", "-odd.lem"])
+    assert kwargs == {"input": "-odd.lem", "target": "lattice", "out": None}
+
+
+def test_commands_import_no_argparse_gettext_or_locale():
+    # Those modules cost milliseconds on every command.  Without site
+    # (-S) nothing else in the interpreter's start-up loads them.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import io, sys, contextlib\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import lemspec, lemspec.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = lemspec.cli.main(['verify', 'Z6-ideal-lattice', '--format', 'structured'])\n"
+        "print(rc, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 []\n", "")

@@ -9,6 +9,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 from test_scan_reference import family_state, point_state
 
 from lemspec import spectra, verify
@@ -35,6 +36,8 @@ from lemspec.memo import release
 from lemspec.rings import make_zn
 from lemspec.verify import (
     STATEMENTS,
+    StatementResult,
+    VerificationReport,
     render_text,
     run_all,
     serialize_report,
@@ -132,6 +135,60 @@ def test_serialized_shape(full_report):
     ]
     # timing is deliberately excluded so reports stay byte-comparable
     assert "seconds" not in json.dumps(payload)
+
+
+def reference_serialization(report: VerificationReport) -> str:
+    """The report as ``json.dumps`` writes it; ``serialize_report`` must
+    give the same bytes from its template."""
+    payload = {
+        "statements": [{"id": s.sid, "title": s.title, "claim": s.claim} for s in STATEMENTS],
+        "results": [
+            {
+                "statement": r.statement,
+                "instance": r.instance,
+                "verdict": r.verdict,
+                "witness": r.witness,
+                "detail": r.detail,
+            }
+            for r in report.results
+        ],
+        "summary": report.counts(),
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_serializer_matches_json_dumps_on_catalog_reports(full_report):
+    reports = [full_report, VerificationReport(())]
+    reports += [
+        VerificationReport(tuple(r for r in full_report.results if r.instance == d.name))
+        for d in catalog()
+    ]
+    for report in reports:
+        assert serialize_report(report) == reference_serialization(report)
+
+
+# Any code point, lone surrogates included, and the characters JSON escapes.
+_TEXT = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\x80\u2028\ud800\ufeff\u00e9\U0001f600'),
+    )
+)
+_RESULTS = st.builds(
+    StatementResult,
+    statement=_TEXT,
+    instance=_TEXT,
+    verdict=st.sampled_from(sorted(VerificationReport(()).counts())),
+    witness=st.none() | _TEXT,
+    detail=st.none() | _TEXT,
+    seconds=st.floats(min_value=0, max_value=10),
+)
+
+
+@given(st.lists(_RESULTS, max_size=4))
+def test_serializer_matches_json_dumps_on_arbitrary_text(results):
+    report = VerificationReport(tuple(results))
+    assert serialize_report(report) == reference_serialization(report)
 
 
 def test_render_text(full_report):
