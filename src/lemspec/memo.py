@@ -5,7 +5,8 @@
 methods are closures over the field names, so importing lemspec neither
 imports ``dataclasses`` nor calls ``exec``.  Instances keep a ``__dict__``,
 which is where ``per_object`` and ``functools.cached_property`` put the
-data derived from them.
+data derived from them, and where ``preset`` puts an answer of a
+``per_object`` function that a builder knows by construction.
 """
 
 from __future__ import annotations
@@ -127,6 +128,12 @@ def per_object(fn):
             return value
 
     return wrapper
+
+
+def preset(fn, obj, value, *args) -> None:
+    """Keep ``value`` as the answer of the ``per_object`` function ``fn`` on
+    ``obj`` and ``args``, for a builder that knows it by construction."""
+    obj.__dict__.setdefault("_memo", {})[(fn, *args)] = value
 
 
 def release(*objs) -> None:

@@ -13,11 +13,12 @@ construction, unchecked.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Sequence
 
 from .errors import AxiomViolation, ImproperIdeal, ZeroRing
 from .lattices import generated
-from .memo import UNHASHED, per_object, record
+from .memo import UNHASHED, per_object, preset, record
 from .rowscan import first_bad_pair, first_failure, freeze, gather, gathers, generators
 
 Table = tuple[tuple[int, ...], ...]
@@ -156,18 +157,40 @@ def make_ring(
 
 
 def make_zn(n: int) -> FiniteRing:
-    """The ring of integers mod n, n >= 2."""
+    """The ring of integers mod n, n >= 2, with its ideals and their primality.
+
+    The ideals of Z_n are the dZ_n for the divisors d of n, and dZ_n is
+    prime exactly when d is prime (for d = n, the zero ideal is prime
+    exactly when n is).  They are kept on the ring as the answers of
+    ``all_ideals`` and ``is_prime_ideal``, so no ideal of Z_n is searched
+    for; every other ring, quotients included, takes the generic search.
+    """
     if n < 2:
         raise ZeroRing("Z_n needs n >= 2")
     # Row a of + is 0..n-1 rotated left by a; row a of * counts up in steps
-    # of a, reduced mod n.  Both hold rng's own ints, so past 256 the tables
-    # keep n int objects, not one per entry.
+    # of a, reduced mod n, with period n/gcd(a, n), and row n - a is row a
+    # negated.  Both tables hold rng's own ints, so past 256 they keep n int
+    # objects, not one per entry.
     rng = tuple(range(n))
+    neg = rng[:1] + rng[:0:-1]
     add = tuple(rng[a:] + rng[:a] for a in rng)
-    mul = ((0,) * n,) + tuple(
-        tuple(map(rng.__getitem__, map(n.__rmod__, range(0, a * n, a)))) for a in range(1, n)
-    )
-    return FiniteRing(n, add, mul, 0, 1, f"Z{n}")
+    mul = [rng[:1] * n] * n
+    for a in range(1, n // 2 + 1):
+        g = math.gcd(a, n)
+        period = tuple(map(rng.__getitem__, map(n.__rmod__, range(0, a * n // g, a))))
+        mul[a] = period * g
+        mul[n - a] = tuple(map(neg.__getitem__, period)) * g
+    ring = FiniteRing(n, add, tuple(mul), 0, 1, f"Z{n}")
+    # Descending d gives ascending size n/d, the canonical order.
+    ideals = []
+    for d in range(n, 0, -1):
+        if n % d == 0:
+            ideal = Ideal(ring, frozenset(rng[::d]))
+            ideals.append(ideal)
+            prime = d > 1 and all(d % k for k in range(2, math.isqrt(d) + 1))
+            preset(_is_prime, ring, prime, ideal.members)
+    preset(all_ideals, ring, tuple(ideals))
+    return ring
 
 
 def product_ring(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:

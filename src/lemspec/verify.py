@@ -8,10 +8,11 @@ subsets reach (``lattices.generated``), and its witness is a generating
 family of the failing state.  The scans keep sets of points as int masks,
 point k of the spectrum as bit k.  A statement about every scalar r, or every
 pair r, s, is checked on one scalar per class of equal action rows
-(``le_modules.scalar_classes``): those loops read r only through its row,
-and rs only through (rs)e = r(se), which by M3 depends only on the rows
-of r and s.  The representatives are the least members, scanned in the
-order of the full loop, so a failure names the same first witness.
+(``le_modules.scalar_classes``): the loops of P3.1, T3.5, P5.1 and T5.3
+read r only through its row (P5.1's ring side by the argument in
+``_check_dr``), and rs only through (rs)e = r(se), which by M3 depends only
+on the rows of r and s.  The representatives are the least members, scanned
+in the order of the full loop, so a failure names the same first witness.
 Serialization omits timing so repeated runs are byte-identical.
 """
 
@@ -269,7 +270,18 @@ def _check_connectedness(nm: nmap.NaturalMap) -> Outcome:
 
 @_on_map
 def _check_dr(nm: nmap.NaturalMap) -> Outcome:
-    for r in range(nm.instance.ring.order):
+    """The preimage of D_r̄ under psi is X_r, checked on one scalar per
+    class of equal action rows.
+
+    X_r holds the points p with re not below p.  For a point p, r̄ lies
+    outside psi(p) exactly when r lies outside (p:e), as (p:e) contains
+    Ann, and r is in (p:e) exactly when re <= p.  So both sides read r only
+    through re, which its action row holds.  As psi is onto (see
+    ``build_natural_map``), every prime P containing Ann is (p:e) for some
+    point p, so D_r̄ itself is fixed by the row too.  The witness is the
+    least scalar of the first failing class, as in the full loop.
+    """
+    for r in scalar_classes(nm.instance):
         if not nmap.dr_preimage_check(nm, r):
             return FALSIFIED, f"r={r}", None
     return VERIFIED, None, None

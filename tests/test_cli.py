@@ -114,13 +114,16 @@ ZN_REPORT_DIGESTS = {
     42: "f68df0870b4a87d23b4854bb174b12954c1875eb51c2bc7b6aa9014c04d44a24",
     45: "a234b8e7c612cb8ca737749582ca501bb6f968e0f11abc8cb3e2dfc2df1c8ff4",
     210: "6b90656e8342f0b877437e302aa89f54af26cd249e3203c926aecb9dbeb605ae",
+    840: "1d4667c421e2c33ec9b61c046581803c34823dc4821688aef0ecf3f478e4b799",
+    1680: "5ef7526a6eae42694c4a00faf4c501d7c055d10dc257f405f60751caac7f5a1f",
 }
 
 
 @pytest.mark.parametrize("n", sorted(ZN_REPORT_DIGESTS))
 def test_verify_zn_report_bytes_are_pinned(n, tmp_path, capsys):
     # Rings beyond the catalog, where scalars fall into few classes of equal
-    # action rows; the digests were taken from scans over every scalar.
+    # action rows; the digests were taken from scans over every scalar, and
+    # for Z840 and Z1680 from ideals found by the generic search.
     path = tmp_path / f"Z{n}.lem"
     path.write_text(f"name Z{n}-ideal-lattice\nring zn {n}\nmodule ideal-lattice\n")
     assert main(["verify", str(path), "--format", "structured"]) == 0

@@ -1,14 +1,17 @@
 """The ideal helpers of ``lemspec.rings`` against element-by-element scans.
 
 ``is_ideal``, ``is_prime_ideal``, ``principal_ideal`` and ``ideal_product``
-work a table row at a time, and ``make_zn`` builds its rows from ranges.
-The references here test one element, or one pair of elements, at a time.
+work a table row at a time, and ``make_zn`` builds its rows from ranges and
+hands over its ideals dZ_n and their primality.  The references here test
+one element, or one pair of elements, at a time, or search the ideals of
+the same tables as a ring built by ``make_ring``, which hands nothing over.
 """
 
 import random
 
 import pytest
 
+from lemspec import rings
 from lemspec.rings import (
     FiniteRing,
     all_ideals,
@@ -119,8 +122,20 @@ def test_ideal_product_matches_the_additive_closure_of_products(ring):
             assert got == ref_ideal_product(ring, i.members, j.members), (i, j)
 
 
+@pytest.mark.parametrize("n", [*range(2, 121), 840])
+def test_zn_hands_over_the_ideals_the_generic_search_finds(monkeypatch, n):
+    ring = make_zn(n)
+    searched = make_ring(n, ring.add, ring.mul)
+    expected = [(i.members, is_prime_ideal(searched, i)) for i in all_ideals(searched)]
+    # The handed-over answers are read without any search.
+    monkeypatch.setattr(rings, "generated", None)
+    monkeypatch.setattr(rings, "gather", None)
+    assert [(i.members, is_prime_ideal(ring, i)) for i in all_ideals(ring)] == expected
+    assert all(i.ring is ring for i in all_ideals(ring))
+
+
 def test_zn_tables_are_the_residues():
-    for n in range(2, 121):
+    for n in (*range(2, 121), 840):
         ring = make_zn(n)
         rng = range(n)
         assert ring.add == tuple(tuple((a + b) % n for b in rng) for a in rng), n

@@ -18,7 +18,7 @@ import sys
 import pytest
 
 import lemspec
-from lemspec.memo import UNHASHED, per_object, record
+from lemspec.memo import UNHASHED, per_object, preset, record, release
 
 
 def shapes(decorate, unhashed, by_identity):
@@ -159,6 +159,21 @@ def test_derived_data_lands_in_dict():
     assert x.__dict__["doubled"] == 10
     assert list(x.__dict__["_memo"].values()) == [15]
     assert x == Derived(5) and hash(x) == hash((5,))
+
+
+@per_object
+def scaled(obj, k):
+    return k * obj.size
+
+
+def test_preset_answers_stand_until_released():
+    x = Derived(5)
+    preset(tripled, x, -1)
+    preset(scaled, x, -2, 4)
+    assert (tripled(x), scaled(x, 4), scaled(x, 5)) == (-1, -2, 25)
+    assert x == Derived(5) and hash(x) == hash((5,))
+    release(x)
+    assert (tripled(x), scaled(x, 4)) == (15, 20)
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

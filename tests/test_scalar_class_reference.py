@@ -1,5 +1,5 @@
-"""The scalar loops of P3.1, T3.5 and T5.3 and the submodule and prime
-tests against loops over every scalar.
+"""The scalar loops of P3.1, T3.5, P5.1 and T5.3 and the submodule and
+prime tests against loops over every scalar.
 
 lemspec scans one scalar per class of equal action rows
 (``le_modules.scalar_classes``).  The references here are the plain loops
@@ -30,6 +30,7 @@ from lemspec.le_modules import (
     submodule_elements,
 )
 from lemspec.memo import release
+from lemspec.natural_map import build_natural_map, dr_preimage_check
 from lemspec.rings import all_ideals
 
 
@@ -73,6 +74,15 @@ def ref_scalar_union(mod: LeModuleInstance) -> tuple[int, int] | None:
         rse = mod.action[mod.ring.mul[r][s]][top]
         if vs(mod, re) | vs(mod, se) != vs(mod, rse):
             return r, s
+    return None
+
+
+def ref_dr_witness(mod: LeModuleInstance) -> int | None:
+    """P5.1: the first r whose basic open D_r̄ has a preimage other than X_r."""
+    nm = build_natural_map(mod)
+    for r in range(mod.ring.order):
+        if not dr_preimage_check(nm, r):
+            return r
     return None
 
 
@@ -142,6 +152,11 @@ def test_class_scans_match_the_scalar_by_scalar_loops(name):
     assert ref_scalar_action_variety(mod) is None
     for sid in ("P3.1", "T3.5", "T5.3"):
         assert CHECKS[sid](mod)[:2] == (verify.VERIFIED, None), (name, sid)
+    if build_natural_map(mod).degenerate:
+        assert CHECKS["P5.1"](mod)[0] == verify.NOT_APPLICABLE
+    else:
+        assert ref_dr_witness(mod) is None
+        assert CHECKS["P5.1"](mod) == (verify.VERIFIED, None, None), name
     release(mod, mod.ring)
 
 
@@ -230,4 +245,18 @@ def test_planted_failure_names_the_first_scalar_in_p31(monkeypatch, name):
         else:
             assert outcome == (verify.FALSIFIED, f"r={expected}", "scalar-action-variety")
             shared |= _shares_its_row(mod, expected)
+    assert shared
+
+
+@pytest.mark.parametrize("name", PLANTED)
+def test_planted_failure_names_the_first_scalar_in_p51(monkeypatch, name):
+    # Planting V(x) changes X_r for each r with re = x, while the preimage of
+    # D_r̄ is read from the natural map, so P5.1 fails first at the least
+    # such r.
+    shared = False
+    for mod, _ in _planted(monkeypatch, name, plain=True):
+        expected = ref_dr_witness(mod)
+        assert expected is not None
+        assert CHECKS["P5.1"](mod) == (verify.FALSIFIED, f"r={expected}", None)
+        shared |= _shares_its_row(mod, expected)
     assert shared
