@@ -88,6 +88,7 @@ from .spectra import (
     basic_open,
     build_topologies,
     closure,
+    decode,
     generic_points,
     irreducible_components,
     is_irreducible,

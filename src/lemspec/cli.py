@@ -189,7 +189,7 @@ def cmd_topology(input: str, which: str, format: str, out: str | None) -> int:
         "which": which,
         "points": [mod.label(p) for p in top.points],
         "closed_sets": [
-            [mod.label(p) for p in sorted(c)] for c in top.closed_sets
+            [mod.label(p) for p in spectra.decode(top.points, c)] for c in top.closed_sets
         ],
         "properties": {
             "t0": props.is_t0,

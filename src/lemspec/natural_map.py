@@ -5,13 +5,13 @@ map is onto whenever the module is not degenerate (see
 ``build_natural_map``), and that is asserted once, where it is built.
 Continuity, injectivity, openness, and the induced equivalences
 (connectedness, spectrality, components) are checked clause by clause so
-truth-vector comparisons stay visible in reports.
+truth-vector comparisons stay visible in reports.  Sets of points are int
+masks (``spectra``), those of the reduced ring in ``spec_ring`` order.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 
 from .errors import EmptySpectrum, InternalError
 from .le_modules import (
@@ -39,6 +39,7 @@ from .rings import (
     variety_ring,
 )
 from .spectra import (
+    all_points,
     basic_open,
     build_topologies,
     closures_by_point,
@@ -46,6 +47,7 @@ from .spectra import (
     irreducible_components,
     point_set_properties,
     ring_space,
+    variety,
     variety_star,
 )
 
@@ -80,8 +82,23 @@ class NaturalMap:
         imgs = self.images()
         return len(set(imgs)) == len(imgs)
 
-    def preimage(self, targets: frozenset[Ideal]) -> frozenset[int]:
-        return frozenset(p for p, img in self.table if img in targets)
+    @functools.cached_property
+    def fibers(self) -> tuple[int, ...]:
+        """For each prime of the reduced ring, in ``spec_ring`` order, the
+        mask of the points that map to it: a colon fiber."""
+        images = self.images()
+        return tuple(
+            sum(1 << k for k, img in enumerate(images) if img == prime)
+            for prime in spec_ring(self.quotient).points
+        )
+
+    def preimage(self, targets: int) -> int:
+        """The points over the ring primes of a mask."""
+        return sum(m for j, m in enumerate(self.fibers) if targets >> j & 1)
+
+    def image(self, points: int) -> int:
+        """The ring primes over which a mask of points has a point."""
+        return sum(1 << j for j, m in enumerate(self.fibers) if m & points)
 
 
 def _require_map(nm: NaturalMap) -> None:
@@ -145,21 +162,13 @@ def continuity_check(nm: NaturalMap) -> bool:
     """Preimages of ring varieties match varieties of ideal actions,
     for every ideal containing the annihilator."""
     _require_map(nm)
-    mod = nm.instance
-    ok = True
-    for i in all_ideals(mod.ring):
-        if not nm.annihilator_ideal.members <= i.members:
-            continue
-        ibar = push_ideal(i, nm.projection, nm.quotient)
-        pre = nm.preimage(variety_ring(nm.quotient, ibar))
-        direct = frozenset(
-            p for p in spectrum(mod)
-            if mod.lattice.leq[ideal_action(mod, i)][p]
-        )
-        if pre != direct:
-            ok = False
-            break
-    return ok
+    mod, ann = nm.instance, nm.annihilator_ideal.members
+    return all(
+        nm.preimage(variety_ring(nm.quotient, push_ideal(i, nm.projection, nm.quotient)))
+        == variety(mod, ideal_action(mod, i))
+        for i in all_ideals(mod.ring)
+        if ann <= i.members
+    )
 
 
 @record
@@ -184,10 +193,7 @@ def injectivity_battery(nm: NaturalMap) -> EquivalenceReport:
     _require_map(nm)
     mod = nm.instance
     points = spectrum(mod)
-    separated = all(
-        variety_star(mod, p) != variety_star(mod, q) or p == q
-        for p, q in itertools.combinations(points, 2)
-    )
+    separated = len({variety_star(mod, p) for p in points}) == len(points)
     return EquivalenceReport(
         ("psi-injective", "vstar-separated", "colon-fibers-at-most-one"),
         (nm.is_injective(), separated, _fibers_at_most_one(mod)),
@@ -213,21 +219,20 @@ class OpenClosedReport:
 @per_object
 def surjectivity_and_openclosed(nm: NaturalMap) -> OpenClosedReport:
     """Images of colon varieties and their complements are the ring
-    varieties and their complements (the map is onto)."""
+    varieties and their complements (the map is onto).
+
+    The image of a set of points is the set of images of the colon fibers
+    it meets (``NaturalMap.image``), exactly, as psi is constant on a fiber.
+    """
     _require_map(nm)
     mod = nm.instance
-    points = frozenset(spectrum(mod))
-    ring_points = frozenset(spec_ring(nm.quotient).points)
-    closed_ok = True
-    open_ok = True
+    full, ring_full = all_points(mod), (1 << len(nm.fibers)) - 1
+    closed_ok = open_ok = True
     for n in submodule_elements(mod):
-        nbar = push_ideal(colon(mod, n), nm.projection, nm.quotient)
-        target = variety_ring(nm.quotient, nbar)
+        target = variety_ring(nm.quotient, push_ideal(colon(mod, n), nm.projection, nm.quotient))
         vs = variety_star(mod, n)
-        if frozenset(map(nm.image_of, vs)) != target:
-            closed_ok = False
-        if frozenset(map(nm.image_of, points - vs)) != ring_points - target:
-            open_ok = False
+        closed_ok &= nm.image(vs) == target
+        open_ok &= nm.image(full ^ vs) == ring_full ^ target
     return OpenClosedReport(closed_ok, open_ok)
 
 

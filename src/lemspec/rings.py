@@ -306,14 +306,14 @@ def spec_ring(ring: FiniteRing) -> RingSpectrum:
     return RingSpectrum(ring, points)
 
 
-def variety_ring(ring: FiniteRing, i: Ideal) -> frozenset[Ideal]:
-    """Primes containing the ideal."""
-    return frozenset(p for p in spec_ring(ring).points if i.members <= p.members)
+def variety_ring(ring: FiniteRing, i: Ideal) -> int:
+    """Primes containing the ideal, as a mask: bit k for ``spec_ring``'s k-th."""
+    return sum(1 << k for k, p in enumerate(spec_ring(ring).points) if i.members <= p.members)
 
 
-def basic_open_ring(ring: FiniteRing, r: int) -> frozenset[Ideal]:
-    """Primes avoiding r, i.e. the complement of the variety of rR."""
-    return frozenset(p for p in spec_ring(ring).points if r not in p.members)
+def basic_open_ring(ring: FiniteRing, r: int) -> int:
+    """Primes avoiding r, i.e. the complement of the variety of rR, as a mask."""
+    return sum(1 << k for k, p in enumerate(spec_ring(ring).points) if r not in p.members)
 
 
 def quotient_ring(ring: FiniteRing, i: Ideal) -> tuple[FiniteRing, tuple[int, ...]]:

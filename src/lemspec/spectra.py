@@ -3,13 +3,20 @@
 Three closed-set families exist on the point set: plain varieties, colon
 varieties, and varieties of ideal actions.  The colon and ideal-action
 families always satisfy the topology axioms and coincide; the plain family
-is a topology only for "top" instances.  Everything here is finite, so
-spaces are kept as canonical tuples of frozensets and compared literally.
+is a topology only for "top" instances.
+
+A set of points has one representation: an int mask in which bit k stands
+for ``points[k]`` of its space, the module spectrum in index order or the
+ring spectrum in canonical order.  Unions, intersections and complements
+are ``|``, ``&`` and ``^``.  ``decode`` is the one way from a mask back to
+points, for output.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from typing import Iterable, NamedTuple
 
 from .errors import EmptyFamily, NotTopLeModule, TopologyAxiomViolation
@@ -39,16 +46,19 @@ from .rings import (
 class SpectrumTopology:
     """A finite point set with a canonical family of closed subsets.
 
+    Each closed set is an int mask: bit k stands for ``points[k]``.
     ``label`` is one of "quasi", "star", "prime" for module spectra, or
     "ring" for the Zariski topology on a ring spectrum.
     """
 
     points: tuple
-    closed_sets: tuple[frozenset, ...]
+    closed_sets: tuple[int, ...]
     label: str
 
-    def point_set(self) -> frozenset:
-        return frozenset(self.points)
+    @property
+    def full(self) -> int:
+        """The mask of every point."""
+        return (1 << len(self.points)) - 1
 
 
 class Topologies(NamedTuple):
@@ -57,22 +67,33 @@ class Topologies(NamedTuple):
     quasi: SpectrumTopology | None
 
 
-def canonical_family(points: tuple, sets: Iterable[frozenset]) -> tuple[frozenset, ...]:
-    """Deduplicate and sort subsets by (size, member positions)."""
-    pos = {p: k for k, p in enumerate(points)}
+def decode(points: tuple, mask: int) -> tuple:
+    """The points of a mask, in point order."""
+    # Read backwards, bin(mask) has bit k as its k-th character.
+    return tuple(itertools.compress(points, map("1".__eq__, reversed(bin(mask)))))
 
-    def key(s: frozenset):
-        return (len(s), sorted(pos[p] for p in s))
+
+def canonical_family(points: tuple, sets: Iterable[int]) -> tuple[int, ...]:
+    """Deduplicate and sort masks by (size, member positions ascending).
+
+    Of two masks of one size, the one that holds the lowest bit at which
+    they differ comes first: it is the greater when bit 0 is read as the
+    most significant digit.
+    """
+    width = f"0{len(points)}b"
+
+    def key(s: int):
+        return s.bit_count(), -int(format(s, width)[::-1], 2)
 
     return tuple(sorted(set(sets), key=key))
 
 
-def _validate_family(points: tuple, sets: tuple[frozenset, ...], label: str) -> None:
-    universe = frozenset(points)
+def _validate_family(top: SpectrumTopology) -> None:
+    label, sets = top.label, top.closed_sets
     family = set(sets)
-    if frozenset() not in family:
+    if 0 not in family:
         raise TopologyAxiomViolation(f"{label}: empty set missing")
-    if universe not in family:
+    if top.full not in family:
         raise TopologyAxiomViolation(f"{label}: full point set missing")
     for a, b in itertools.combinations_with_replacement(sets, 2):
         if a | b not in family:
@@ -82,49 +103,60 @@ def _validate_family(points: tuple, sets: tuple[frozenset, ...], label: str) -> 
 
 
 @per_object
-def variety(mod: LeModuleInstance, x: int) -> frozenset[int]:
+def point_bits(mod: LeModuleInstance) -> dict[int, int]:
+    """p -> the bit of p, 1 << k for the k-th point of the spectrum."""
+    return {p: 1 << k for k, p in enumerate(spectrum(mod))}
+
+
+@per_object
+def fiber_masks(mod: LeModuleInstance) -> dict[frozenset[int], int]:
+    """The colon fibers (``le_modules.colon_fibers``) as masks."""
+    bits = point_bits(mod)
+    return {c: sum(map(bits.__getitem__, fiber)) for c, fiber in colon_fibers(mod).items()}
+
+
+def all_points(mod: LeModuleInstance) -> int:
+    """The mask of the whole spectrum."""
+    return (1 << len(spectrum(mod))) - 1
+
+
+@per_object
+def variety(mod: LeModuleInstance, x: int) -> int:
     """Primes above x.  Meant for submodule elements, defined for any x."""
-    leq = mod.lattice.leq
-    return frozenset(p for p in spectrum(mod) if leq[x][p])
+    bits = point_bits(mod)
+    return sum(itertools.compress(bits.values(), map(mod.lattice.leq[x].__getitem__, bits)))
 
 
 @per_object
-def variety_star(mod: LeModuleInstance, x: int) -> frozenset[int]:
-    """Primes whose colon ideal contains the colon ideal of x."""
+def variety_star(mod: LeModuleInstance, x: int) -> int:
+    """Primes whose colon ideal contains the colon ideal of x: the union of
+    the colon fibers above (x:e), which are disjoint."""
     cx = colon_set(mod, x)
-    return frozenset(p for c, fiber in colon_fibers(mod).items() if cx <= c for p in fiber)
+    return sum(m for c, m in fiber_masks(mod).items() if cx <= c)
 
 
 @per_object
-def quasi_family(mod: LeModuleInstance) -> tuple[frozenset, ...]:
-    points = spectrum(mod)
-    return canonical_family(points, (variety(mod, n) for n in submodule_elements(mod)))
+def quasi_family(mod: LeModuleInstance) -> tuple[int, ...]:
+    return canonical_family(spectrum(mod), (variety(mod, n) for n in submodule_elements(mod)))
 
 
 @per_object
-def star_family(mod: LeModuleInstance) -> tuple[frozenset, ...]:
-    points = spectrum(mod)
-    return canonical_family(
-        points, (variety_star(mod, n) for n in submodule_elements(mod))
-    )
+def star_family(mod: LeModuleInstance) -> tuple[int, ...]:
+    return canonical_family(spectrum(mod), (variety_star(mod, n) for n in submodule_elements(mod)))
 
 
 @per_object
-def prime_family(mod: LeModuleInstance) -> tuple[frozenset, ...]:
-    points = spectrum(mod)
-    return canonical_family(
-        points, (variety(mod, ideal_action(mod, i)) for i in all_ideals(mod.ring))
-    )
+def prime_family(mod: LeModuleInstance) -> tuple[int, ...]:
+    actions = (ideal_action(mod, i) for i in all_ideals(mod.ring))
+    return canonical_family(spectrum(mod), (variety(mod, ie) for ie in actions))
 
 
 @per_object
 def is_top_le_module(mod: LeModuleInstance) -> bool:
     """The plain variety family is closed under pairwise unions."""
     family = set(quasi_family(mod))
-    for a, b in itertools.combinations_with_replacement(quasi_family(mod), 2):
-        if a | b not in family:
-            return False
-    return True
+    pairs = itertools.combinations_with_replacement(quasi_family(mod), 2)
+    return all(a | b in family for a, b in pairs)
 
 
 @per_object
@@ -137,14 +169,14 @@ def build_topologies(mod: LeModuleInstance) -> Topologies:
     points = spectrum(mod)
     star = SpectrumTopology(points, star_family(mod), "star")
     prime = SpectrumTopology(points, prime_family(mod), "prime")
-    _validate_family(points, star.closed_sets, "star")
-    _validate_family(points, prime.closed_sets, "prime")
+    _validate_family(star)
+    _validate_family(prime)
     if star.closed_sets != prime.closed_sets:
         raise TopologyAxiomViolation("star and prime closed-set families differ")
     quasi = None
     if is_top_le_module(mod):
         quasi = SpectrumTopology(points, quasi_family(mod), "quasi")
-        _validate_family(points, quasi.closed_sets, "quasi")
+        _validate_family(quasi)
     return Topologies(star, prime, quasi)
 
 
@@ -172,21 +204,16 @@ def vstar_decomposition_check(mod: LeModuleInstance, n: int) -> bool:
     cn = Ideal(mod.ring, colon_set(mod, n))
     ce = ideal_action(mod, cn)
     vs = variety_star(mod, n)
-    fibers = colon_fibers(mod)
-    union = frozenset(
-        p
-        for prime in spec_ring(mod.ring).points
-        if cn.members <= prime.members
-        for p in fibers.get(prime.members, ())
-    )
+    fibers = fiber_masks(mod)
+    primes = (pr.members for pr in spec_ring(mod.ring).points if cn.members <= pr.members)
+    union = sum(fibers.get(c, 0) for c in primes)
     return vs == union == variety_star(mod, ce) == variety(mod, ce)
 
 
 @per_object
-def basic_open(mod: LeModuleInstance, r: int) -> frozenset[int]:
+def basic_open(mod: LeModuleInstance, r: int) -> int:
     """X_r: the complement of the variety of r acting on the top."""
-    points = frozenset(spectrum(mod))
-    return points - variety(mod, mod.action[r][mod.lattice.top])
+    return all_points(mod) ^ variety(mod, mod.action[r][mod.lattice.top])
 
 
 @record
@@ -208,8 +235,7 @@ class BasisReport:
 @per_object
 def basis_checks(mod: LeModuleInstance) -> BasisReport:
     """X_rs = X_r n X_s; V*(Ie) = intersection of V*(ae); opens are unions of X_r."""
-    ring = mod.ring
-    top = mod.lattice.top
+    ring, top = mod.ring, mod.lattice.top
     # X_r reads r through re only, and X_rs through (rs)e = r(se) (M3), so
     # the pair identity depends on the action rows of r and s alone.
     classes = scalar_classes(mod)
@@ -220,10 +246,10 @@ def basis_checks(mod: LeModuleInstance) -> BasisReport:
             break
 
     ideal_ok, ideal_wit = True, None
-    points = frozenset(spectrum(mod))
+    full = all_points(mod)
     for i in all_ideals(ring):
         vs = variety_star(mod, ideal_action(mod, i))
-        inter = points
+        inter = full
         for ae in {mod.action[a][top] for a in i.members}:
             inter &= variety_star(mod, ae)
         if vs != inter:
@@ -233,10 +259,10 @@ def basis_checks(mod: LeModuleInstance) -> BasisReport:
     basics = [basic_open(mod, r) for r in classes]
     covers_ok, cover_wit = True, None
     for closed in star_family(mod):
-        u = points - closed
-        union = frozenset().union(*(b for b in basics if b <= u)) if u else frozenset()
+        u = full ^ closed
+        union = functools.reduce(operator.or_, (b for b in basics if not b & ~u), 0)
         if union != u:
-            covers_ok, cover_wit = False, (tuple(sorted(u)),)
+            covers_ok, cover_wit = False, (decode(spectrum(mod), u),)
             break
     return BasisReport(pair_ok, pair_wit, ideal_ok, ideal_wit, covers_ok, cover_wit)
 
@@ -247,28 +273,19 @@ def ring_space(ring: FiniteRing) -> SpectrumTopology:
     points = spec_ring(ring).points
     closed = canonical_family(points, (variety_ring(ring, i) for i in all_ideals(ring)))
     space = SpectrumTopology(points, closed, "ring")
-    _validate_family(points, closed, "ring")
+    _validate_family(space)
     return space
 
 
-def closure(top: SpectrumTopology, y: Iterable) -> frozenset:
+def closure(top: SpectrumTopology, y: int) -> int:
     """Smallest closed superset."""
-    target = frozenset(y)
-    acc = top.point_set()
-    for c in top.closed_sets:
-        if target <= c:
-            acc &= c
-    return acc
+    return functools.reduce(operator.and_, (c for c in top.closed_sets if not y & ~c), top.full)
 
 
 @per_object
-def closures_by_point(top: SpectrumTopology) -> dict:
+def closures_by_point(top: SpectrumTopology) -> dict[object, int]:
     """p -> cl{p} for every point, in point order, computed once per space."""
-    return {p: closure(top, [p]) for p in top.points}
-
-
-def is_closed(top: SpectrumTopology, y: Iterable) -> bool:
-    return frozenset(y) in set(top.closed_sets)
+    return {p: closure(top, 1 << k) for k, p in enumerate(top.points)}
 
 
 def im_meet(mod: LeModuleInstance, y: Iterable[int]) -> int:
@@ -279,40 +296,35 @@ def im_meet(mod: LeModuleInstance, y: Iterable[int]) -> int:
     return meet_all(mod.lattice, points)
 
 
-def is_irreducible(top: SpectrumTopology, y: Iterable) -> bool:
+def is_irreducible(top: SpectrumTopology, y: int) -> bool:
     """Nonempty, and not covered by two closed sets unless one suffices."""
-    target = frozenset(y)
-    if not target:
+    if not y:
         raise EmptyFamily("irreducibility is undefined for the empty set")
-    for c1, c2 in itertools.combinations_with_replacement(top.closed_sets, 2):
-        if target <= (c1 | c2) and not (target <= c1 or target <= c2):
-            return False
-    return True
+    pairs = itertools.combinations_with_replacement(top.closed_sets, 2)
+    return not any(not y & ~(c1 | c2) and y & ~c1 and y & ~c2 for c1, c2 in pairs)
 
 
-def point_closures(top: SpectrumTopology) -> tuple[frozenset, ...]:
+def point_closures(top: SpectrumTopology) -> tuple[int, ...]:
     """The irreducible closed sets: on a finite space, the point closures."""
     return canonical_family(top.points, closures_by_point(top).values())
 
 
-def irreducible_components(top: SpectrumTopology) -> tuple[frozenset, ...]:
+def irreducible_components(top: SpectrumTopology) -> tuple[int, ...]:
     """Maximal irreducible closed subsets, via maximal point closures."""
     cls = point_closures(top)
-    return canonical_family(
-        top.points, (c for c in cls if not any(c < d for d in cls))
-    )
+    maximal = (c for c in cls if not any(c != d and c | d == d for d in cls))
+    return canonical_family(top.points, maximal)
 
 
-def generic_points(top: SpectrumTopology, y: Iterable) -> tuple:
+def generic_points(top: SpectrumTopology, y: int) -> tuple:
     """Points whose closure is exactly y (y should be closed), in point order.
 
     Such points lie in y, as p lies in cl{p}.  On a finite space a closed set
     has one exactly when it is irreducible, that is, a point closure.
     """
-    target = frozenset(y)
-    if not target:
+    if not y:
         raise EmptyFamily("generic points are undefined for the empty set")
-    return tuple(p for p, c in closures_by_point(top).items() if c == target)
+    return tuple(p for p, c in closures_by_point(top).items() if c == y)
 
 
 QUASI_COMPACT_NOTE = "finite space: quasi-compactness holds automatically"
@@ -339,14 +351,12 @@ def point_set_properties(top: SpectrumTopology) -> SpaceProperties:
     sets; on a finite space only T0 can fail, since every irreducible closed
     set is a point closure cl{p}, which has p as a generic point.
     """
-    pts = top.point_set()
+    full = top.full
     family = set(top.closed_sets)
     cls = closures_by_point(top)
     t0 = len(set(cls.values())) == len(cls)
-    t1 = all(c == {p} for p, c in cls.items())
-    connected = bool(pts) and not any(
-        c and c != pts and (pts - c) in family for c in family
-    )
+    t1 = all(c == 1 << k for k, c in enumerate(cls.values()))
+    connected = bool(full) and not any(c and c != full and full ^ c in family for c in family)
     return SpaceProperties(t0, t1, connected, True, t0)
 
 
@@ -363,4 +373,4 @@ def phi_and_t1_check(mod: LeModuleInstance) -> bool:
 def specialization_pairs(top: SpectrumTopology) -> tuple[tuple, ...]:
     """Ordered pairs (p, q), p != q, with q in the closure of {p}."""
     cls = closures_by_point(top)
-    return tuple((p, q) for p in top.points for q in top.points if q != p and q in cls[p])
+    return tuple((p, q) for p, c in cls.items() for q in decode(top.points, c) if q != p)

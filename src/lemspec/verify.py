@@ -5,14 +5,16 @@ verified, falsified (with a witness), hypothesis-not-met, or not-applicable.
 Every check is exhaustive.  A statement about every subset Y of points, or
 every family of submodule elements, is checked on the states that such
 subsets reach (``lattices.generated``), and its witness is a generating
-family of the failing state.  The scans keep sets of points as int masks,
-point k of the spectrum as bit k.  A statement about every scalar r, or every
-pair r, s, is checked on one scalar per class of equal action rows
-(``le_modules.scalar_classes``): the loops of P3.1, T3.5, P5.1 and T5.3
-read r only through its row (P5.1's ring side by the argument in
-``_check_dr``), and rs only through (rs)e = r(se), which by M3 depends only
-on the rows of r and s.  The representatives are the least members, scanned
-in the order of the full loop, so a failure names the same first witness.
+family of the failing state.  Sets of points are the int masks of
+``spectra`` (point k of the spectrum is bit k), used as they come: the
+scans combine them with & and |, and nothing is decoded.  A statement about
+every scalar r, or every pair r, s, is checked on one scalar per class of
+equal action rows (``le_modules.scalar_classes``): the loops of P3.1, T3.5,
+P5.1 and T5.3 read r only through its row (P5.1's ring side by the argument
+in ``_check_dr``), and rs only through (rs)e = r(se), which by M3 depends
+only on the rows of r and s.  The representatives are the least members,
+scanned in the order of the full loop, so a failure names the same first
+witness.
 Serialization omits timing so repeated runs are byte-identical.
 """
 
@@ -52,30 +54,13 @@ NOT_APPLICABLE = "not-applicable"
 Outcome = tuple[str, str | None, str | None]
 
 
-@per_object
-def _point_codec(mod: LeModuleInstance) -> tuple[Callable, Callable]:
-    """Encode a set of points as an int mask, point k of the spectrum as bit
-    k, and decode a mask back to a frozenset."""
-    points = spectrum(mod)
-    bit = {p: 1 << k for k, p in enumerate(points)}
+def _closures(mod: LeModuleInstance) -> dict[int, int]:
+    """p -> cl{p} in the star topology, for each point p.
 
-    def encode(ys: Iterable[int]) -> int:
-        return sum(map(bit.__getitem__, ys))
-
-    @functools.cache
-    def decode(mask: int) -> frozenset[int]:
-        # Read backwards, bin(mask) has bit k as its k-th character.
-        return frozenset(itertools.compress(points, map("1".__eq__, reversed(bin(mask)))))
-
-    return encode, decode
-
-
-@per_object
-def _closure_masks(mod: LeModuleInstance) -> dict[int, int]:
-    """The closure of each point, as a mask."""
-    encode, _ = _point_codec(mod)
-    closures = spectra.closures_by_point(spectra.build_topologies(mod).star)
-    return {p: encode(c) for p, c in closures.items()}
+    Y is irreducible iff cl Y is, and the irreducible closed sets of a
+    finite space are its point closures, the values of this table.
+    """
+    return spectra.closures_by_point(spectra.build_topologies(mod).star)
 
 
 def family_states(mod: LeModuleInstance) -> dict[tuple, tuple[int, ...]]:
@@ -85,37 +70,30 @@ def family_states(mod: LeModuleInstance) -> dict[tuple, tuple[int, ...]]:
     and for submodule elements n and l that sum is add[n][l]: n + l is a
     submodule element, by M1 and monotonicity, and as n + n <= n and
     l + l <= l, n + l lies above every finite sum of n and l.  The scan
-    intersects the varieties as masks, with &, and decodes each distinct
-    mask once.
+    intersects the varieties, which are masks, with &.
     """
-    encode, decode = _point_codec(mod)
     v, vs, add = spectra.variety, spectra.variety_star, mod.add
     singletons = {
-        n: (encode(vs(mod, n)), encode(v(mod, n)), ideal_action(mod, colon(mod, n)), n)
+        n: (vs(mod, n), v(mod, n), ideal_action(mod, colon(mod, n)), n)
         for n in submodule_elements(mod)
     }
 
     def combine(a: tuple, b: tuple) -> tuple:
         return a[0] & b[0], a[1] & b[1], add[a[2]][b[2]], add[a[3]][b[3]]
 
-    return {
-        (decode(star), decode(plain), colon_sum, plain_sum): fam
-        for (star, plain, colon_sum, plain_sum), fam in generated(singletons, combine).items()
-    }
+    return generated(singletons, combine)
 
 
 @per_object
-def point_states(mod: LeModuleInstance) -> dict[tuple[int, frozenset], tuple[int, ...]]:
+def point_states(mod: LeModuleInstance) -> dict[tuple[int, int], tuple[int, ...]]:
     """(meet of Y, closure of Y) over each nonempty set Y of points.
 
     On a finite space the closure of Y is the union of its point closures:
-    the scan ORs their masks and decodes each distinct mask once.
+    the scan ORs their masks.
     """
-    _, decode = _point_codec(mod)
     meet = mod.lattice.meet_table
-    singletons = {p: (p, c) for p, c in _closure_masks(mod).items()}
-    states = generated(singletons, lambda a, b: (meet[a[0]][b[0]], a[1] | b[1]))
-    return {(m, decode(c)): ys for (m, c), ys in states.items()}
+    singletons = {p: (p, c) for p, c in _closures(mod).items()}
+    return generated(singletons, lambda a, b: (meet[a[0]][b[0]], a[1] | b[1]))
 
 
 def _y_witness(mod: LeModuleInstance, ys: Iterable[int]) -> str:
@@ -145,12 +123,12 @@ def _check_adjunction(mod: LeModuleInstance) -> Outcome:
 
 
 def _check_variety_identities(mod: LeModuleInstance) -> Outcome:
-    pts = frozenset(spectrum(mod))
+    full = spectra.all_points(mod)
     v, vs = spectra.variety, spectra.variety_star
-    if not (vs(mod, mod.zero_m) == pts == v(mod, mod.zero_m)):
+    if not (vs(mod, mod.zero_m) == full == v(mod, mod.zero_m)):
         return FALSIFIED, "n=0_M", None
     top = mod.lattice.top
-    if not (vs(mod, top) == frozenset() == v(mod, top)):
+    if not (vs(mod, top) == 0 == v(mod, top)):
         return FALSIFIED, "n=e", None
     for (inter_star, inter_plain, colon_sum, plain_sum), fam in family_states(mod).items():
         if inter_star != vs(mod, colon_sum):
@@ -159,9 +137,9 @@ def _check_variety_identities(mod: LeModuleInstance) -> Outcome:
             return FALSIFIED, f"family={[mod.label(n) for n in fam]}", "plain-sum"
     meet = mod.lattice.meet_table
     submods = submodule_elements(mod)
-    encode, _ = _point_codec(mod)
-    star = {n: encode(vs(mod, n)) for n in submods}
-    plain = {n: encode(v(mod, n)) for n in submods}
+    pts = spectra.point_bits(mod)
+    star = {n: vs(mod, n) for n in submods}
+    plain = {n: v(mod, n) for n in submods}
     colons = {n: colon_set(mod, n) for n in submods}
     for i, n in enumerate(submods):
         sn, pn, cn, n_prime = star[n], plain[n], colons[n], n in pts
@@ -317,26 +295,32 @@ def _check_closure_formula(mod: LeModuleInstance) -> Outcome:
 
 def _check_point_closures(mod: LeModuleInstance) -> Outcome:
     points = spectrum(mod)
-    encode, _ = _point_codec(mod)
-    closures = _closure_masks(mod)
+    bits = spectra.point_bits(mod)
+    closures = _closures(mod)
     colons = {p: colon_set(mod, p) for p in points}
-    fibers = colon_fibers(mod)
-    star = {p: encode(spectra.variety_star(mod, p)) for p in points}
+    fiber_masks = spectra.fiber_masks(mod)
+    star = {p: spectra.variety_star(mod, p) for p in points}
+    # The points q with one V*(q), as a mask for each distinct V*(q).
+    by_star: dict[int, int] = {}
+    for q in points:
+        by_star[star[q]] = by_star.get(star[q], 0) | bits[q]
     for p in points:
         closure = closures[p]
         if closure != star[p]:
             return FALSIFIED, f"p={mod.label(p)}", "closure-formula"
-        colon_incl = encode(q for q in points if colons[p] <= colons[q])
-        vs_incl = encode(q for q in points if not star[q] & ~star[p])
+        # The q whose colon ideal contains (p:e), and those with V*(q)
+        # inside V*(p); both are unions of disjoint masks.
+        colon_incl = sum(m for c, m in fiber_masks.items() if colons[p] <= c)
+        vs_incl = sum(m for s, m in by_star.items() if not s & ~star[p])
         # The first q at which "q in cl{p}", the colon inclusion and the V*
         # inclusion are not all equal.
         bad = (closure ^ colon_incl) | (colon_incl ^ vs_incl)
         if bad:
             q = points[(bad & -bad).bit_length() - 1]
             return FALSIFIED, f"p={mod.label(p)}, q={mod.label(q)}", "specialization"
-        singleton_closed = closure == encode([p])
-        maximal = not any(colons[p] < c for c in fibers)
-        fiber_one = len(fibers[colons[p]]) == 1
+        singleton_closed = closure == bits[p]
+        maximal = not any(colons[p] < c for c in fiber_masks)
+        fiber_one = fiber_masks[colons[p]].bit_count() == 1
         if singleton_closed != (maximal and fiber_one):
             return FALSIFIED, f"p={mod.label(p)}", "closed-point-criterion"
     if not spectra.phi_and_t1_check(mod):
@@ -347,7 +331,7 @@ def _check_point_closures(mod: LeModuleInstance) -> Outcome:
 def _check_vstar_irreducible(mod: LeModuleInstance) -> Outcome:
     # A closed set of a finite space is irreducible iff it is a point closure.
     closed = set(spectra.build_topologies(mod).star.closed_sets)
-    irreducible = _irreducible_closures(mod)
+    irreducible = set(_closures(mod).values())
     for p in spectrum(mod):
         vp = spectra.variety_star(mod, p)
         if vp not in closed:
@@ -357,16 +341,10 @@ def _check_vstar_irreducible(mod: LeModuleInstance) -> Outcome:
     return VERIFIED, None, None
 
 
-def _irreducible_closures(mod: LeModuleInstance) -> set[frozenset]:
-    # Y is irreducible iff cl Y is, and the irreducible closed sets of a
-    # finite space are its point closures.
-    return set(spectra.closures_by_point(spectra.build_topologies(mod).star).values())
-
-
 def _check_irreducible_prime(mod: LeModuleInstance) -> Outcome:
-    irreducible = _irreducible_closures(mod)
+    irreducible = set(_closures(mod).values())
     # The spectrum is the set of prime submodule elements.
-    points = frozenset(spectrum(mod))
+    points = spectra.point_bits(mod)
     for (meet, closure), ys in point_states(mod).items():
         irr = closure in irreducible
         if meet in points and not irr:
@@ -381,20 +359,20 @@ def _check_irreducible_families(mod: LeModuleInstance) -> Outcome:
     # points p <= q, (p:e) lies inside (q:e), so cl{q} = V*(q) lies inside
     # V*(p) = cl{p}, and the union of the point closures along a chain is
     # the closure of its least point, which is irreducible.
-    irreducible = _irreducible_closures(mod)
-    _, decode = _point_codec(mod)
-    closures = _closure_masks(mod)
+    irreducible = set(_closures(mod).values())
+    closures = _closures(mod)
+    fiber_masks = spectra.fiber_masks(mod)
     primes = {pr.members for pr in spec_ring(mod.ring).points}
     maximal = {m.members for m in maximal_ideals(mod.ring)}
     fibers = colon_fibers(mod)
     for c, fiber in fibers.items():
         if c not in primes:
             continue
-        closure = decode(functools.reduce(operator.or_, map(closures.__getitem__, fiber)))
+        closure = functools.reduce(operator.or_, map(closures.__getitem__, fiber))
         if closure not in irreducible:
             return FALSIFIED, _y_witness(mod, fiber), "colon-fiber-implies-irreducible"
         # The fiber is closed iff it is its own closure.
-        if c in maximal and closure != frozenset(fiber):
+        if c in maximal and closure != fiber_masks[c]:
             return (
                 FALSIFIED,
                 _y_witness(mod, fiber),

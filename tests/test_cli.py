@@ -134,6 +134,7 @@ def test_verify_zn_report_bytes_are_pinned(n, tmp_path, capsys):
 POWER_MODULE_DIGESTS = {
     (2, 4): "062c89728621177ae9830fd2d9f6fc0be1478698868731b92c552e5ae4d70f92",
     (4, 3): "5fec11a6881af93d2ad9f09c377745f64d29d799526e63e192e887fef15de5b2",
+    (3, 4): "5c2d7f18740c8119063ce2087074b89706809dac25ba469fb6ed0097f0463c46",
 }
 
 
@@ -171,6 +172,119 @@ def test_power_module_topology_bytes_are_pinned(m, k, which, tmp_path, capsys):
     assert main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == POWER_MODULE_TOPOLOGY_DIGESTS[m, k, which]
+
+
+# (exit code, sha256 of stdout and stderr) of ``topology NAME --which W
+# --format F`` on each catalog instance.  The closed sets are listed in the
+# order of ``spectra.canonical_family``; the digests were taken when the
+# closed sets were frozensets.  The quasi family is not a topology on two
+# instances, which exit 1 with an error.
+CATALOG_TOPOLOGY_DIGESTS = {
+    ('Z12-ideal-lattice', 'prime', 'structured'): (0, '0881987de07ce75525395bcb3d9b2b7bca582b76527b27bdaed20e303e7bd483'),
+    ('Z12-ideal-lattice', 'prime', 'text'): (0, 'b7eeaa98dfdd84639cc8f74dceca0b0edeb5d468293fbc1dc0f70ed886d6eedd'),
+    ('Z12-ideal-lattice', 'quasi', 'structured'): (0, '0e66f71f2edfaf2c6139dda9def7e601c311e1e5fa1b9f749da8ea702bd8e7f7'),
+    ('Z12-ideal-lattice', 'quasi', 'text'): (0, '2d40439a350f5672e4891a52bfa22fdcac71298e1b919865cd7545d7fb68317e'),
+    ('Z12-ideal-lattice', 'star', 'structured'): (0, '33044e904e1e04e70059dd73cc727a7e8b69c71006b5c1f3d00be172caa42038'),
+    ('Z12-ideal-lattice', 'star', 'text'): (0, '4b060700013a33d45381154db7cf778c80ee113e84a8d97c9a4ed112381cd1d0'),
+    ('Z2-ideal-lattice', 'prime', 'structured'): (0, 'fed1bbf814e3e78583625c7f34fe5ad28d9ed34c0e275855517de073ca0d815a'),
+    ('Z2-ideal-lattice', 'prime', 'text'): (0, 'd2858caee4a635ac1c65f2b4829767a4e6d33670ff5a87df7e2a43f43cc6ecc4'),
+    ('Z2-ideal-lattice', 'quasi', 'structured'): (0, '1a6c1e55a4a07c3aabafd168da234cbedcdd65e98766b45ee62e528a48e57541'),
+    ('Z2-ideal-lattice', 'quasi', 'text'): (0, 'ddecff93847ff81daf07d646e78d028c02eaaf73320a743e900bd0b28ccb4369'),
+    ('Z2-ideal-lattice', 'star', 'structured'): (0, '69d48ec8d7fecfb9d4ae7950469b032777ae4a7f3fcb7c9b10ab4a73672b145e'),
+    ('Z2-ideal-lattice', 'star', 'text'): (0, 'bdf2cb095709d7dbc8aff1184ee5103270a45b1246898d8277595ad148d715b1'),
+    ('Z2xZ2-ideal-lattice', 'prime', 'structured'): (0, '2ddcecf018ac0deed36677f23f6cbbec0b1ab4b2ac0cdd3ab2ea4488ef840540'),
+    ('Z2xZ2-ideal-lattice', 'prime', 'text'): (0, '0e1069b7f4969ed71afb3f7b546ebd53ff36fc0c21213a4c7b2c9dbd14859d72'),
+    ('Z2xZ2-ideal-lattice', 'quasi', 'structured'): (0, '4f846dbd5d55527c7dea056e78be242eb6ba55137be97ec964174330b28bfeef'),
+    ('Z2xZ2-ideal-lattice', 'quasi', 'text'): (0, 'd73aeda120a15ef4aba5fc33e7ed13037df939b0a084c81cedb589f75cc1ff20'),
+    ('Z2xZ2-ideal-lattice', 'star', 'structured'): (0, 'e9160ac4ea57d04feb433475b1662c773ad49482e32f8f8affd9f5f5e97de4fd'),
+    ('Z2xZ2-ideal-lattice', 'star', 'text'): (0, '1f0c21f0a932c369daf1d9fd08534db16870a99eec992349c1818bc6524e55f2'),
+    ('Z2xZ2-over-Z2-submodules', 'prime', 'structured'): (0, '65712a5e21b31c094daf1ebdd790d03de0cfea70be07751c0eb05b175f2e94a2'),
+    ('Z2xZ2-over-Z2-submodules', 'prime', 'text'): (0, '25d736632d0680fa183c8715768879152a7ae0b2a511a850061a674ebf1a4a22'),
+    ('Z2xZ2-over-Z2-submodules', 'quasi', 'structured'): (1, 'cab97bc3788003bbc69f233c55a903d861ef3fd09ba681bcbda6f717ed290b23'),
+    ('Z2xZ2-over-Z2-submodules', 'quasi', 'text'): (1, 'cab97bc3788003bbc69f233c55a903d861ef3fd09ba681bcbda6f717ed290b23'),
+    ('Z2xZ2-over-Z2-submodules', 'star', 'structured'): (0, '39e7a467b4477a752aa174efbfea3e9e7535cba87385dd82efa72bea6c2035a0'),
+    ('Z2xZ2-over-Z2-submodules', 'star', 'text'): (0, '9564cd3eb7cd601eb5e73813953c41985d0e4409fc522029cc65617535353b4f'),
+    ('Z2xZ3-ideal-lattice', 'prime', 'structured'): (0, '33165423cf82b0b9a1d5c9ca77393ce8eee2405f217330ae109135e40488586e'),
+    ('Z2xZ3-ideal-lattice', 'prime', 'text'): (0, 'afd25ae740320ded5a2fdd10d2171085067eb3937a90580f9be1cc8babd957ba'),
+    ('Z2xZ3-ideal-lattice', 'quasi', 'structured'): (0, 'fb1049f0cc77266498b7dfe9d564792a5749558ab5007578600e8d6ec5b0897b'),
+    ('Z2xZ3-ideal-lattice', 'quasi', 'text'): (0, '8bdb179ea5105edff7072f5034d2c61c2f063c05697b3efd1e1deaa14c5caf0d'),
+    ('Z2xZ3-ideal-lattice', 'star', 'structured'): (0, '49557ba18d123fd7d4cd9df2c09b3fe24c271185e4f2216a9cf940a7d795b04b'),
+    ('Z2xZ3-ideal-lattice', 'star', 'text'): (0, 'c19b15fd3857e7316e48e360fe1a7176d6b196c8f8a1e1a2b8d46177f385e358'),
+    ('Z2xZ4-over-Z4-submodules', 'prime', 'structured'): (0, 'f29f7c81c1479ad686cc580fbda70ed89c10a293a751415de189eeba66771d7f'),
+    ('Z2xZ4-over-Z4-submodules', 'prime', 'text'): (0, 'bc26d421e09fa07bcffaaadc1daafab51fa94c7c2d04abcbd7e08939ccd2c051'),
+    ('Z2xZ4-over-Z4-submodules', 'quasi', 'structured'): (1, '622cc67b2ced9cf9edf9d2090330d1dc4915000ad8ec2752f3a3fa7aa00fe872'),
+    ('Z2xZ4-over-Z4-submodules', 'quasi', 'text'): (1, '622cc67b2ced9cf9edf9d2090330d1dc4915000ad8ec2752f3a3fa7aa00fe872'),
+    ('Z2xZ4-over-Z4-submodules', 'star', 'structured'): (0, 'e36b3a059a88f13f2f50892f4e72589b0d2059890cbbbec7b1020da15e348c22'),
+    ('Z2xZ4-over-Z4-submodules', 'star', 'text'): (0, '5844dc6a6fe0b952cb69078f0c99f759ea66d8c082d4dc928702ab5acac541aa'),
+    ('Z3-ideal-lattice', 'prime', 'structured'): (0, '46f1d91b9b5ed16cb04efbf48b91a8589ce26cd1db9d1e04233c3f9fd3f8d5f8'),
+    ('Z3-ideal-lattice', 'prime', 'text'): (0, '4b1ddd270bc1668326e5b18050e5ca5631e799fda8eec3bdf232310be0979e63'),
+    ('Z3-ideal-lattice', 'quasi', 'structured'): (0, '8993c8f09f77042d21acf1a3423f8501f4694a957d5e3cb87564e0e8b3de86c4'),
+    ('Z3-ideal-lattice', 'quasi', 'text'): (0, 'be77554d6ae717b5af64cada601e88031b4f9ecc9ff2ddd671a05cf989300153'),
+    ('Z3-ideal-lattice', 'star', 'structured'): (0, '716bfc88abdf3dd2ef87ef5d4aa4abd36a161c88b3b4d4e4e1e279f239768b36'),
+    ('Z3-ideal-lattice', 'star', 'text'): (0, '15e417a86b7732ea7e89d88b705b50dcbb0c361466c4881a1ae353c35b80fc6f'),
+    ('Z30-ideal-lattice', 'prime', 'structured'): (0, '8dc520c96ac6f9570def5f17dd9a533d930a3ca75dfdbb8f1bd36dd8395d1caa'),
+    ('Z30-ideal-lattice', 'prime', 'text'): (0, '6ed3fbc241ef7332e0724ae54936c88490fb2b6f6b998e1270a2f30265301204'),
+    ('Z30-ideal-lattice', 'quasi', 'structured'): (0, '6d85433c3fdbc51124a9b9b8cbf057ae13add18e5908787734263e7004772fde'),
+    ('Z30-ideal-lattice', 'quasi', 'text'): (0, 'd0ea305253fbfed649912881ea3b65ffd803127000bcb427387efc274dea0bdd'),
+    ('Z30-ideal-lattice', 'star', 'structured'): (0, '4ecc9111f0f3ae2cae31b24325e805b9fe5d0725be6f6263835c8ad5bf3d3887'),
+    ('Z30-ideal-lattice', 'star', 'text'): (0, '38b97f6e5240ec15b5bc852e5235a82dbe01d288c8630f5aee165139f8e8b69c'),
+    ('Z4-ideal-lattice', 'prime', 'structured'): (0, '74a736220916bdfcdcf16fd003f82b47428806783febfae79ff9c100e3e6c04c'),
+    ('Z4-ideal-lattice', 'prime', 'text'): (0, 'f249fe3c054295360d6217dd80642a306ac86ba8a215f9bf4c4c67f436678a85'),
+    ('Z4-ideal-lattice', 'quasi', 'structured'): (0, '2f0372614ebd723804d88e54ce0d243c9e89a48ad3024f97ac9f94081309ae6a'),
+    ('Z4-ideal-lattice', 'quasi', 'text'): (0, '56dbd6a2ce257dd3e0d412e8dc268d8a7652756c8cfe90d271e71c7bb8d43a2c'),
+    ('Z4-ideal-lattice', 'star', 'structured'): (0, 'c6ac8f706c0883ac99bbfb14aa4dbbcbbfcfe4fda330876a292a3eada6c90f10'),
+    ('Z4-ideal-lattice', 'star', 'text'): (0, '9a0828c109f9dadda74969acbad9d7ed1c5d4858248318f1767fdb202455341d'),
+    ('Z4-over-Z4-submodules', 'prime', 'structured'): (0, '64c3f5c625333c69b51119b0b6792f6bcd7a648a5ced66f75051b9812250c393'),
+    ('Z4-over-Z4-submodules', 'prime', 'text'): (0, 'e78000c6a736c133fee52db67977e845b28e7e55e289acbee554c38c4c53821f'),
+    ('Z4-over-Z4-submodules', 'quasi', 'structured'): (0, '2f356491ea66e135b13dbefc6c72ac6d5ddb3eb7d8d7e825e4bbb4d0f6fcb19c'),
+    ('Z4-over-Z4-submodules', 'quasi', 'text'): (0, '7dc919fb381cd7cffb29b0f09ea40fc3277da1e114448469e923da07341f26bc'),
+    ('Z4-over-Z4-submodules', 'star', 'structured'): (0, 'c2baaf00900da8248a7762e5c34d3f5555f50067e528d777cdb4ec75829bb8bc'),
+    ('Z4-over-Z4-submodules', 'star', 'text'): (0, '9d03837e2cfff50e9457268a5ff2a618ab849274c42c31ef89edc0b1bb810884'),
+    ('Z5-ideal-lattice', 'prime', 'structured'): (0, '33cb94b6ce0ff52e2f2f39653379a6666525d88d1f0bb374e0928419cddb06dc'),
+    ('Z5-ideal-lattice', 'prime', 'text'): (0, '2264df202dcbe477b8b22f96a495e39befa74aad1882145ea46ad45863a97516'),
+    ('Z5-ideal-lattice', 'quasi', 'structured'): (0, '0a9f61631cc9dcf6c36e09dddaf27068ba1b573dd686ea212ad6d7a255088364'),
+    ('Z5-ideal-lattice', 'quasi', 'text'): (0, '48a1f872c7ba326c247c7255387966e20f9ea752c50bace9d98f9a76bb7ab1a3'),
+    ('Z5-ideal-lattice', 'star', 'structured'): (0, '70e72ffe04334de78390e0d38f4243faee96df1d734ac059538f6aac9256382e'),
+    ('Z5-ideal-lattice', 'star', 'text'): (0, '42a2fb476845a66408e209574302d6154f3e5278a8e310dc3e5bbd2c4608c7ad'),
+    ('Z6-ideal-lattice', 'prime', 'structured'): (0, 'df053b606ba1dda0b6c248a748bdf93b678078121ce2935925b657a71506104d'),
+    ('Z6-ideal-lattice', 'prime', 'text'): (0, 'bb36977dab3798a5901e18434d2ddc1b0184c21e24997e5b601fe4050bea8aa5'),
+    ('Z6-ideal-lattice', 'quasi', 'structured'): (0, '4ba84fab2003c4fbf71c2bc901f8c069320c96aab482e10e0a273dc3229afc71'),
+    ('Z6-ideal-lattice', 'quasi', 'text'): (0, '33a4e7a285f0cadce024f145fcb9f89b1cf68094b92e4a63618d5ea3752762a2'),
+    ('Z6-ideal-lattice', 'star', 'structured'): (0, '0c0b61ed62fd5615d5d3ac7df754d4a079d80ed2ee484526c8e1ef7efa8196a1'),
+    ('Z6-ideal-lattice', 'star', 'text'): (0, '20d58f27a9b0f1c6a51fa932aff171f8ebc2e790d185257294cf4243cb898147'),
+    ('Z6-over-Z6-submodules', 'prime', 'structured'): (0, '5220d5eeec613a0c3551a144b2f262ece1191994a612c3b7877ef886dc726625'),
+    ('Z6-over-Z6-submodules', 'prime', 'text'): (0, 'd3abd6dfc694083d9d21c0935dd34d78ff6ec30fd2dc638be25444b21601c617'),
+    ('Z6-over-Z6-submodules', 'quasi', 'structured'): (0, 'd34f875d465f0fc6d09a9c2da7b2e8e43c7f5e9e468da0bd73f4f761d465fc06'),
+    ('Z6-over-Z6-submodules', 'quasi', 'text'): (0, '3237e656898c15c66c908342ba1db0c8fe708867e5f3f0f5c45ce9b6f33c0106'),
+    ('Z6-over-Z6-submodules', 'star', 'structured'): (0, 'e0aab0880eafb429d9269bf403cf308fb7852682d014570e55449dfb19dcc144'),
+    ('Z6-over-Z6-submodules', 'star', 'text'): (0, 'f3207991a87509821474f26d385c677e72417f08dad4ed108d7a461dd6a50831'),
+    ('Z8-ideal-lattice', 'prime', 'structured'): (0, 'eaf0a339178f3a3057fee11e4f97bb03acf820bb5f37018ed905e718894b6b76'),
+    ('Z8-ideal-lattice', 'prime', 'text'): (0, 'e5db0f69a6da121ba0626f77bba37447c2368732d153e6811b0ddff2f5076a62'),
+    ('Z8-ideal-lattice', 'quasi', 'structured'): (0, '648066e20afd015c60076f082c42fd1c7bb85175db07344765ab7b0eca859d89'),
+    ('Z8-ideal-lattice', 'quasi', 'text'): (0, '8c75dc16af19fefa3d33b0f0a09c1c618349d63853ac31ade8385f14cadc5f69'),
+    ('Z8-ideal-lattice', 'star', 'structured'): (0, '79886433b42c6a23f41ade3c356a84d7623283b8f1ab0c21afb8386a217b5442'),
+    ('Z8-ideal-lattice', 'star', 'text'): (0, 'ecde9a4557909dd0d2f86643c25afca526c972f1bc2b0309da90af6fae7943db'),
+    ('Z9-ideal-lattice', 'prime', 'structured'): (0, '5b5dee42253fbf0e1f964ba6054645b28478689506826699f266d03365161748'),
+    ('Z9-ideal-lattice', 'prime', 'text'): (0, '1e3480004c17b48bcb45f1a6cfc0afeed07a1f85415e6ed60ef51f4143d6bdc2'),
+    ('Z9-ideal-lattice', 'quasi', 'structured'): (0, 'b63d062419038b15a6cde8a06b65f6685cd5c4fdeec2079cfe0e19d36e31a031'),
+    ('Z9-ideal-lattice', 'quasi', 'text'): (0, '7cbcf4e5cef6244810de48fb10efe1c268dfd6116cf6f42365dba9233bb654a2'),
+    ('Z9-ideal-lattice', 'star', 'structured'): (0, 'c129147fd65183bcc2e95ad7f606af65dd0330fd2b4c3aeca33ace8f58b1e81a'),
+    ('Z9-ideal-lattice', 'star', 'text'): (0, 'bd40b9647e9fa5ea6c1b3b48cead9451cd86119aabcc5aea6debba827b3127a6'),
+    ('three-chain-over-Z2', 'prime', 'structured'): (0, 'ea24e2e0b004d890d0ef534dfc2e52b219ff4b5e055a39cf92006d3c13457c57'),
+    ('three-chain-over-Z2', 'prime', 'text'): (0, '36d54db55bc0a02cd154bb211d3f79e63d14fb62c3e403de99f663f58a5e5e50'),
+    ('three-chain-over-Z2', 'quasi', 'structured'): (0, 'dac4dc0292e49e138b441c0a11a9bfd03b933fa7edee8bb5cd4cf44e24fde5fc'),
+    ('three-chain-over-Z2', 'quasi', 'text'): (0, '9316b65aa676a9db2795fa88d476e61eaea532d0d9760a5b55d38143a08a19ed'),
+    ('three-chain-over-Z2', 'star', 'structured'): (0, '1bd4af63c7ba86ce0d324088d476ec35aaf338b94d6855ce448110acd2615691'),
+    ('three-chain-over-Z2', 'star', 'text'): (0, '7460ee0ebad19f8056ef42b7a2147ba65d6b25725c9092a2ac6df62be94e7049'),
+}
+
+
+@pytest.mark.parametrize("name, which, fmt", sorted(CATALOG_TOPOLOGY_DIGESTS))
+def test_catalog_topology_bytes_are_pinned(name, which, fmt, capsys):
+    rc = main(["topology", name, "--which", which, "--format", fmt])
+    captured = capsys.readouterr()
+    digest = hashlib.sha256((captured.out + captured.err).encode()).hexdigest()
+    assert (rc, digest) == CATALOG_TOPOLOGY_DIGESTS[name, which, fmt]
 
 
 def test_export_dot_lattice(capsys):
@@ -352,7 +466,7 @@ def test_validate_output_bytes_are_pinned(case, tmp_path, capsys):
 def test_internal_error_exit_code(monkeypatch, capsys):
     # A star family without the empty set is a fault of lemspec, not of the input.
     def broken(mod):
-        return (frozenset(spectra.spectrum(mod)),)
+        return (spectra.all_points(mod),)
 
     monkeypatch.setattr(spectra, "star_family", broken)
     assert main(["verify", "Z6-ideal-lattice"]) == 4

@@ -2,9 +2,11 @@
 
 ``spectra.closures_by_point`` computes cl{p} once per space, and T0, T1,
 generic points, specialization, C6.3 and T6.6 are read from that table.  The
-references here are the earlier definitions: a ``closure`` call per point,
-pairwise comparisons, membership in the closed-set family, and
-``is_closed`` plus ``is_irreducible``.  They run on the catalog, both
+references here are the definitions, on frozensets (``frozenset_reference``):
+the closure of each point as an intersection of closed sets, pairwise
+comparisons, membership in the closed-set family, and an irreducibility
+scan.  They call no ``spectra`` code, and the star family they read is
+checked against V* from colon inclusion.  They run on the catalog, both
 benchmark ladders, three power modules and the instances of the prime
 reference, on every topology each one has.
 """
@@ -14,13 +16,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from frozenset_reference import ModuleSets, Space, canonical
 from test_prime_reference import PRIME_CASES
 from test_scan_reference import _ladder_instances
 
 from lemspec import natural_map as nmap
 from lemspec import spectra, verify
 from lemspec.instances import build_instance, catalog, parse_descriptor
-from lemspec.le_modules import spectrum
 from lemspec.memo import release
 from lemspec.rings import minimal_primes
 from lemspec.spectra import SpectrumTopology
@@ -31,55 +33,57 @@ import workloads  # noqa: E402
 POWER_MODULES = ((2, 4), (4, 3), (3, 3))
 
 
-def ref_is_t0(top: SpectrumTopology) -> bool:
+def ref_is_t0(space: Space) -> bool:
     return all(
-        spectra.closure(top, [p]) != spectra.closure(top, [q])
-        for p, q in itertools.combinations(top.points, 2)
+        space.closure([p]) != space.closure([q])
+        for p, q in itertools.combinations(space.points, 2)
     )
 
 
-def ref_is_t1(top: SpectrumTopology) -> bool:
-    family = set(top.closed_sets)
-    return all(frozenset([p]) in family for p in top.points)
+def ref_is_t1(space: Space) -> bool:
+    return all(frozenset([p]) in space.closed for p in space.points)
 
 
-def ref_generic_points(top: SpectrumTopology, y) -> tuple:
+def ref_generic_points(space: Space, y) -> tuple:
     target = frozenset(y)
-    pos = {p: k for k, p in enumerate(top.points)}
-    out = [p for p in target if spectra.closure(top, [p]) == target]
-    return tuple(sorted(out, key=pos.__getitem__))
+    return tuple(p for p in space.points if p in target and space.closure([p]) == target)
 
 
-def ref_specialization_pairs(top: SpectrumTopology) -> tuple:
+def ref_specialization_pairs(space: Space) -> tuple:
     out = []
-    for p in top.points:
-        c = spectra.closure(top, [p])
-        out.extend((p, q) for q in top.points if q != p and q in c)
+    for p in space.points:
+        c = space.closure([p])
+        out.extend((p, q) for q in space.points if q != p and q in c)
     return tuple(out)
+
+
+def ref_components(space: Space) -> tuple:
+    """The maximal point closures, in the canonical order."""
+    cls = {space.closure([p]) for p in space.points}
+    return canonical(space.points, (c for c in cls if not any(c < d for d in cls)))
 
 
 def ref_vstar_irreducible(mod) -> tuple:
     """C6.3 with an O(|family|^2) irreducibility scan for each point."""
-    top = spectra.build_topologies(mod).star
-    for p in spectrum(mod):
-        vp = spectra.variety_star(mod, p)
-        if not spectra.is_closed(top, vp):
+    ref = ModuleSets(mod)
+    for p in ref.points:
+        vp = ref.vs[p]
+        if not ref.is_closed(vp):
             return verify.FALSIFIED, f"p={mod.label(p)}", "not closed"
-        if not spectra.is_irreducible(top, vp):
+        if not ref.is_irreducible(vp):
             return verify.FALSIFIED, f"p={mod.label(p)}", "not irreducible"
     return verify.VERIFIED, None, None
 
 
 def ref_component_minimal_prime_bijection(nm) -> bool:
     """T6.6 with a generic-point search for every point closure and component."""
-    mod = nm.instance
-    space = spectra.build_topologies(mod).star
-    star_closed = {spectra.variety_star(mod, p) for p in spectrum(mod)}
-    for y in {spectra.closure(space, [p]) for p in space.points}:
+    space = ModuleSets(nm.instance)
+    star_closed = {space.vs[p] for p in space.points}
+    for y in {space.closure([p]) for p in space.points}:
         if y not in star_closed or not ref_generic_points(space, y):
             return False
     images = []
-    for comp in spectra.irreducible_components(space):
+    for comp in ref_components(space):
         gens = ref_generic_points(space, comp)
         if not gens:
             return False
@@ -117,20 +121,23 @@ def _spaces(mod) -> list[SpectrumTopology]:
 
 
 def _check_space(top: SpectrumTopology) -> None:
+    space = Space.of(top)
     props = spectra.point_set_properties(top)
-    assert props.is_t0 == ref_is_t0(top)
-    assert props.is_t1 == ref_is_t1(top)
-    assert spectra.specialization_pairs(top) == ref_specialization_pairs(top)
-    assert spectra.point_closures(top) == spectra.canonical_family(
-        top.points, (spectra.closure(top, [p]) for p in top.points)
-    )
+    assert props.is_t0 == ref_is_t0(space)
+    assert props.is_t1 == ref_is_t1(space)
+    assert spectra.specialization_pairs(top) == ref_specialization_pairs(space)
+    closures = canonical(space.points, (space.closure([p]) for p in space.points))
+    assert tuple(map(space.set, spectra.point_closures(top))) == closures
+    assert tuple(map(space.set, spectra.irreducible_components(top))) == ref_components(space)
     for y in top.closed_sets[1:]:
-        assert spectra.generic_points(top, y) == ref_generic_points(top, y), sorted(y)
+        assert spectra.generic_points(top, y) == ref_generic_points(space, space.set(y)), y
 
 
 def test_table_reads_match_the_definitions():
     count = 0
     for mod in _instances():
+        star = Space.of(spectra.build_topologies(mod).star)
+        assert star.closed == ModuleSets(mod).closed, mod.name
         for top in _spaces(mod):
             _check_space(top)
         c63 = next(s.check for s in verify.STATEMENTS if s.sid == "C6.3")
@@ -145,11 +152,9 @@ def test_table_reads_match_the_definitions():
 
 
 # Two points with one closure: the indiscrete space, neither T0 nor T1.
-INDISCRETE = SpectrumTopology((0, 1), (frozenset(), frozenset({0, 1})), "hand")
+INDISCRETE = SpectrumTopology((0, 1), (0b00, 0b11), "hand")
 # The Sierpinski space: T0, but {1} is not closed, so not T1.
-SIERPINSKI = SpectrumTopology(
-    (0, 1), (frozenset(), frozenset({0}), frozenset({0, 1})), "hand"
-)
+SIERPINSKI = SpectrumTopology((0, 1), (0b00, 0b01, 0b11), "hand")
 
 
 @pytest.mark.parametrize(
@@ -162,12 +167,13 @@ SIERPINSKI = SpectrumTopology(
 )
 def test_hand_built_spaces(top, t0, t1, pairs, generic):
     props = spectra.point_set_properties(top)
+    space = Space.of(top)
     assert (props.is_t0, props.is_t1, props.is_spectral) == (t0, t1, t0)
-    assert (ref_is_t0(top), ref_is_t1(top)) == (t0, t1)
-    assert spectra.specialization_pairs(top) == ref_specialization_pairs(top) == pairs
+    assert (ref_is_t0(space), ref_is_t1(space)) == (t0, t1)
+    assert spectra.specialization_pairs(top) == ref_specialization_pairs(space) == pairs
     # The whole space is the one component, with these generic points.
-    assert spectra.irreducible_components(top) == (frozenset({0, 1}),)
-    assert spectra.generic_points(top, {0, 1}) == generic
+    assert spectra.irreducible_components(top) == (0b11,)
+    assert spectra.generic_points(top, 0b11) == generic
     _check_space(top)
 
 
@@ -183,12 +189,11 @@ def test_run_all_computes_each_point_closure_once(descs, bound, monkeypatch):
     real = spectra.closure
 
     def counted(top, y):
-        y = tuple(y)
         calls.append((top, y))  # spaces hash by identity; the list keeps them alive
         return real(top, y)
 
     monkeypatch.setattr(spectra, "closure", counted)
     verify.run_all(descs)
-    assert all(len(y) == 1 for _, y in calls)
+    assert all(y.bit_count() == 1 for _, y in calls)
     assert len(set(calls)) == len(calls)
     assert len(calls) <= bound

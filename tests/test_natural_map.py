@@ -49,10 +49,34 @@ def test_psi_table_z6(z6_module):
 
 
 def test_preimage_z6(z6_module):
+    # Masks: bit j for the j-th prime of the reduced ring, bit k for the
+    # k-th point of the spectrum (1, 2).
     nm = build_natural_map(z6_module)
-    img1 = nm.image_of(1)
-    assert nm.preimage(frozenset({img1})) == frozenset({1})
-    assert nm.preimage(frozenset()) == frozenset()
+    j = spec_ring(nm.quotient).points.index(nm.image_of(1))
+    assert nm.preimage(1 << j) == 0b01
+    assert nm.preimage(0) == 0
+    assert nm.image(0b01) == 1 << j
+    assert nm.image(0b11) == 0b11
+
+
+def test_image_and_preimage_read_the_map_point_by_point(all_instances):
+    # Over every set of points (bit k for the k-th point) and of ring primes
+    # (bit j for the j-th prime of the reduced ring): the image holds the
+    # image of each point, and the preimage the points whose image it holds.
+    # Klein's four points all map to one prime, so a mask that meets a fiber
+    # without covering it is among those checked.
+    for mod in all_instances:
+        nm = build_natural_map(mod)
+        if nm.degenerate:
+            continue
+        primes = spec_ring(nm.quotient).points
+        image_bit = [1 << primes.index(img) for img in nm.images()]
+        for points in range(1 << len(image_bit)):
+            bits = [b for k, b in enumerate(image_bit) if points >> k & 1]
+            assert nm.image(points) == sum(set(bits)), (mod.name, points)
+        for targets in range(1 << len(primes)):
+            want = sum(1 << k for k, b in enumerate(image_bit) if targets & b)
+            assert nm.preimage(targets) == want, (mod.name, targets)
 
 
 def test_injectivity_battery_z6(z6_module):

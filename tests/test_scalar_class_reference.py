@@ -89,10 +89,11 @@ def ref_dr_witness(mod: LeModuleInstance) -> int | None:
 def ref_basis_witnesses(mod: LeModuleInstance) -> tuple:
     """T5.3's (pair, ideal, cover) witnesses, each None when its clause holds."""
     ring, top = mod.ring, mod.lattice.top
-    points = frozenset(spectrum(mod))
+    points = spectrum(mod)
+    full = (1 << len(points)) - 1
 
-    def basic(r: int) -> frozenset[int]:
-        return points - spectra.variety(mod, mod.action[r][top])
+    def basic(r: int) -> int:
+        return full ^ spectra.variety(mod, mod.action[r][top])
 
     pair = None
     for r, s in itertools.product(range(ring.order), repeat=2):
@@ -101,7 +102,7 @@ def ref_basis_witnesses(mod: LeModuleInstance) -> tuple:
             break
     ideal = None
     for i in all_ideals(ring):
-        inter = points
+        inter = full
         for a in sorted(i.members):
             inter &= spectra.variety_star(mod, mod.action[a][top])
         if spectra.variety_star(mod, ideal_action(mod, i)) != inter:
@@ -110,10 +111,13 @@ def ref_basis_witnesses(mod: LeModuleInstance) -> tuple:
     basics = [basic(r) for r in range(ring.order)]
     cover = None
     for closed in spectra.star_family(mod):
-        u = points - closed
-        union = frozenset().union(*(b for b in basics if b <= u))
+        u = full ^ closed
+        union = 0
+        for b in basics:
+            if b | u == u:
+                union |= b
         if union != u:
-            cover = (tuple(sorted(u)),)
+            cover = (tuple(p for k, p in enumerate(points) if u >> k & 1),)
             break
     return pair, ideal, cover
 
@@ -176,7 +180,7 @@ def _shares_its_row(mod: LeModuleInstance, r: int) -> bool:
 
 def _planted(monkeypatch, name: str, plain: bool):
     """Fresh copies of the instance, one per value x = re, with V*(x), and
-    V(x) too when ``plain``, changed by one point.
+    V(x) too when ``plain``, changed by one point (the first, bit 0).
 
     The changed varieties are still functions of re, so the class scans stay
     exact, but the identities that read V(re) or V*(re) now fail.  The
@@ -188,7 +192,7 @@ def _planted(monkeypatch, name: str, plain: bool):
     for planted in targets:
         mod = build_instance(DESCRIPTORS[name])
         spectra.build_topologies(mod)
-        flip = frozenset(spectrum(mod)[:1])
+        flip = 1
 
         def variety(m, x, mod=mod, planted=planted, flip=flip):
             return real_v(m, x) ^ flip if m is mod and x == planted else real_v(m, x)

@@ -3,7 +3,9 @@
 ``verify`` checks these statements on the states that nonempty subsets
 reach, closed from the singleton states by ``lattices.generated``.  The
 reference here lists every nonempty subset of points or of submodule
-elements instead, so it runs only where 2^k subsets are few.
+elements instead, so it runs only where 2^k subsets are few.  It keeps its
+point sets as frozensets (``frozenset_reference``) and calls no ``spectra``
+code.
 """
 
 import ast
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import pytest
+from frozenset_reference import ModuleSets
 
 from lemspec import spectra, verify
 from lemspec.errors import EmptyFamily
@@ -24,7 +27,7 @@ from lemspec.instances import (
     product_module_tables,
     submodule_lattice_le_module,
 )
-from lemspec.lattices import make_lattice
+from lemspec.lattices import make_lattice, meet_all
 from lemspec.le_modules import (
     LeModuleInstance,
     colon,
@@ -59,15 +62,15 @@ class ImplicationCheck:
 
 
 def irreducibility_criteria(
-    mod: LeModuleInstance, y: Iterable[int]
+    ref: ModuleSets, y: Iterable[int]
 ) -> tuple[ImplicationCheck, ...]:
     """Evaluate each sufficient or necessary condition for y irreducible."""
+    mod = ref.mod
     target = frozenset(y)
     if not target:
         raise EmptyFamily("criteria are undefined for the empty set")
-    tops = spectra.build_topologies(mod)
-    irr = spectra.is_irreducible(tops.star, target)
-    meet = spectra.im_meet(mod, target)
+    irr = ref.is_irreducible(target)
+    meet = meet_all(mod.lattice, target)
     meet_colon = colon_set(mod, meet)
     colon_prime = is_prime_ideal(mod.ring, meet_colon)
     lat = mod.lattice
@@ -97,7 +100,7 @@ def irreducibility_criteria(
         ImplicationCheck(
             "colon-fiber-of-maximal-ideal-closed-irreducible",
             is_fiber and fiber_maximal,
-            irr and spectra.is_closed(tops.star, target),
+            irr and ref.is_closed(target),
         ),
         ImplicationCheck(
             "prime-colon-meet-with-nonempty-fiber-implies-irreducible",
@@ -121,22 +124,35 @@ CRITERIA = {
 }
 
 
-def family_state(mod: LeModuleInstance, fam: tuple[int, ...]) -> tuple:
+def family_state(ref: ModuleSets, fam: tuple[int, ...]) -> tuple:
     """(n V*(n), n V(n), sum of (n:e)e, sum of n), straight from the family."""
-    inter_star = inter_plain = frozenset(spectrum(mod))
+    mod = ref.mod
+    inter_star = inter_plain = frozenset(ref.points)
     for n in fam:
-        inter_star &= spectra.variety_star(mod, n)
-        inter_plain &= spectra.variety(mod, n)
+        inter_star &= ref.vs[n]
+        inter_plain &= ref.v[n]
     colon_sum = sum_submodule_elements(
         mod, [ideal_action(mod, colon(mod, n)) for n in fam]
     )
     return inter_star, inter_plain, colon_sum, sum_submodule_elements(mod, fam)
 
 
-def point_state(mod: LeModuleInstance, ys: tuple[int, ...]) -> tuple:
+def point_state(ref: ModuleSets, ys: tuple[int, ...]) -> tuple:
     """(meet of Y, closure of Y), the closure as the least closed superset."""
-    top = spectra.build_topologies(mod).star
-    return spectra.im_meet(mod, ys), spectra.closure(top, ys)
+    return meet_all(ref.mod.lattice, ys), ref.closure(ys)
+
+
+def decoded_family_states(ref: ModuleSets) -> dict[tuple, tuple[int, ...]]:
+    """``verify.family_states`` with its masks as frozensets."""
+    return {
+        (ref.set(star), ref.set(plain), colon_sum, plain_sum): fam
+        for (star, plain, colon_sum, plain_sum), fam in verify.family_states(ref.mod).items()
+    }
+
+
+def decoded_point_states(ref: ModuleSets) -> dict[tuple, tuple[int, ...]]:
+    """``verify.point_states`` with its masks as frozensets."""
+    return {(m, ref.set(c)): ys for (m, c), ys in verify.point_states(ref.mod).items()}
 
 
 def _is_chain(mod: LeModuleInstance, ys: tuple[int, ...]) -> bool:
@@ -144,31 +160,29 @@ def _is_chain(mod: LeModuleInstance, ys: tuple[int, ...]) -> bool:
     return all(leq[a][b] or leq[b][a] for a, b in itertools.combinations(ys, 2))
 
 
-def _family_fails(mod: LeModuleInstance, fam: tuple[int, ...]) -> bool:
-    inter_star, inter_plain, colon_sum, plain_sum = family_state(mod, fam)
-    return inter_star != spectra.variety_star(
-        mod, colon_sum
-    ) or inter_plain != spectra.variety(mod, plain_sum)
+def _family_fails(ref: ModuleSets, fam: tuple[int, ...]) -> bool:
+    inter_star, inter_plain, colon_sum, plain_sum = family_state(ref, fam)
+    return inter_star != ref.vs[colon_sum] or inter_plain != ref.v[plain_sum]
 
 
-def _closure_fails(mod: LeModuleInstance, ys: tuple[int, ...]) -> bool:
-    top = spectra.build_topologies(mod).star
+def _closure_fails(ref: ModuleSets, ys: tuple[int, ...]) -> bool:
     y = frozenset(ys)
-    vs = spectra.variety_star(mod, spectra.im_meet(mod, ys))
-    return vs != spectra.closure(top, y) or spectra.is_closed(top, y) != (vs == y)
+    vs = ref.vs[meet_all(ref.mod.lattice, ys)]
+    return vs != ref.closure(y) or ref.is_closed(y) != (vs == y)
 
 
 def reference_verdict(mod: LeModuleInstance, sid: str) -> str:
     """The verdict of a subset statement's subset clauses, subset by subset."""
+    ref = ModuleSets(mod)
     if sid == "P3.1":
-        failed = any(_family_fails(mod, fam) for fam in _subsets(submodule_elements(mod)))
+        failed = any(_family_fails(ref, fam) for fam in _subsets(submodule_elements(mod)))
     elif sid == "P6.1":
-        failed = any(_closure_fails(mod, ys) for ys in _subsets(spectrum(mod)))
+        failed = any(_closure_fails(ref, ys) for ys in _subsets(spectrum(mod)))
     else:
         failed = any(
             check.name in CRITERIA[sid] and not check.holds
             for ys in _subsets(spectrum(mod))
-            for check in irreducibility_criteria(mod, ys)
+            for check in irreducibility_criteria(ref, ys)
         )
     return verify.FALSIFIED if failed else verify.VERIFIED
 
@@ -232,25 +246,27 @@ def test_verdicts_match_the_subset_by_subset_scan(instances):
 
 def test_family_states_are_the_states_of_every_family(instances):
     for mod in _small(instances, 16, 16):
-        brute = {family_state(mod, fam) for fam in _subsets(submodule_elements(mod))}
-        states = verify.family_states(mod)
+        ref = ModuleSets(mod)
+        brute = {family_state(ref, fam) for fam in _subsets(submodule_elements(mod))}
+        states = decoded_family_states(ref)
         assert set(states) == brute, mod.name
         for state, fam in states.items():
-            assert family_state(mod, fam) == state, (mod.name, fam)
+            assert family_state(ref, fam) == state, (mod.name, fam)
 
 
 def test_point_and_chain_states_are_the_states_of_every_subset(instances):
     for mod in _small(instances, 16, 1000):
+        ref = ModuleSets(mod)
         subsets = _subsets(spectrum(mod))
-        states = verify.point_states(mod)
-        assert set(states) == {point_state(mod, ys) for ys in subsets}, mod.name
+        states = decoded_point_states(ref)
+        assert set(states) == {point_state(ref, ys) for ys in subsets}, mod.name
         for state, ys in states.items():
-            assert point_state(mod, ys) == state, (mod.name, ys)
+            assert point_state(ref, ys) == state, (mod.name, ys)
         # P6.5 does not scan chains: the meet of a chain is its least point,
         # and its closure is that point's closure, which is irreducible.
-        closures = {p: point_state(mod, (p,))[1] for p in spectrum(mod)}
+        closures = {p: point_state(ref, (p,))[1] for p in spectrum(mod)}
         for ys in filter(lambda ys: _is_chain(mod, ys), subsets):
-            least, closure = point_state(mod, ys)
+            least, closure = point_state(ref, ys)
             assert least in ys and closure == closures[least], (mod.name, ys)
 
 
@@ -259,8 +275,8 @@ def ref_chain_states(mod: LeModuleInstance) -> dict:
     points, grown from the top of the lattice down: a chain is its least
     point p alone or p below a chain of points above p."""
     leq = mod.lattice.leq
-    top = spectra.build_topologies(mod).star
-    closures = {p: spectra.closure(top, [p]) for p in spectrum(mod)}
+    ref = ModuleSets(mod)
+    closures = {p: ref.closure([p]) for p in spectrum(mod)}
     by_least: dict[int, dict[frozenset, tuple[int, ...]]] = {}
     for p in sorted(closures, key=lambda p: -sum(row[p] for row in leq)):
         mine = {closures[p]: (p,)}
@@ -275,16 +291,18 @@ def ref_chain_states(mod: LeModuleInstance) -> dict:
 def test_every_chain_union_is_the_closure_of_its_least_point(instances):
     for mod in instances:
         top = spectra.build_topologies(mod).star
+        ref = ModuleSets(mod)
         for (least, union), chain in ref_chain_states(mod).items():
             assert chain[0] == least, (mod.name, chain)
-            assert union == spectra.closure(top, [least]), (mod.name, chain)
+            assert ref.mask(union) == spectra.closure(top, ref.mask([least])), (mod.name, chain)
 
 
 def test_irreducible_iff_closure_is_a_point_closure(instances):
     for mod in _small(instances, 12, 1000):
         top = spectra.build_topologies(mod).star
+        ref = ModuleSets(mod)
         cls = set(spectra.point_closures(top))
-        for ys in _subsets(spectrum(mod)):
+        for ys in map(ref.mask, _subsets(spectrum(mod))):
             irr = spectra.is_irreducible(top, ys)
             assert (spectra.closure(top, ys) in cls) == irr, (mod.name, ys)
 
@@ -299,6 +317,7 @@ def _witness(mod: LeModuleInstance, text: str) -> tuple[int, ...]:
 def test_a_planted_failure_names_a_failing_family(monkeypatch, sid):
     mod = build_instance(next(d for d in catalog() if d.name == "Z30-ideal-lattice"))
     spectra.build_topologies(mod)
+    ref = ModuleSets(mod)
     real = spectra.variety_star
     # 6Z30, the meet of the points 2Z30 and 3Z30: no single point or
     # submodule element sees the planted V*(6Z30) = {} on one side only.
@@ -307,13 +326,14 @@ def test_a_planted_failure_names_a_failing_family(monkeypatch, sid):
     assert planted not in spectrum(mod) and planted != mod.zero_m
 
     def variety_star(m, x):
-        return frozenset() if m is mod and x == planted else real(m, x)
+        return 0 if m is mod and x == planted else real(m, x)
 
     monkeypatch.setattr(spectra, "variety_star", variety_star)
+    ref.vs[planted] = frozenset()
     check = next(s.check for s in verify.STATEMENTS if s.sid == sid)
     verdict, witness, _ = check(mod)
     assert verdict == verify.FALSIFIED
     found = _witness(mod, witness)
     assert len(found) > 1
-    assert (_family_fails if sid == "P3.1" else _closure_fails)(mod, found)
+    assert (_family_fails if sid == "P3.1" else _closure_fails)(ref, found)
     release(mod)

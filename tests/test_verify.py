@@ -9,8 +9,14 @@ import itertools
 import json
 
 import pytest
+from frozenset_reference import ModuleSets
 from hypothesis import given, strategies as st
-from test_scan_reference import family_state, point_state
+from test_scan_reference import (
+    decoded_family_states,
+    decoded_point_states,
+    family_state,
+    point_state,
+)
 
 from lemspec import spectra, verify
 from lemspec.instances import (
@@ -300,30 +306,29 @@ def test_mask_scans_decode_to_the_reference_states(m, k):
     # for the family or point set that reaches it.  F2^4 and (Z4)^3 have too
     # many subsets to list, so every reached state is checked instead.
     mod = _power_module(m, k)
-    for state, fam in verify.family_states(mod).items():
-        assert family_state(mod, fam) == state, fam
-    for state, ys in verify.point_states(mod).items():
-        assert point_state(mod, ys) == state, ys
+    ref = ModuleSets(mod)
+    for state, fam in decoded_family_states(ref).items():
+        assert family_state(ref, fam) == state, fam
+    for state, ys in decoded_point_states(ref).items():
+        assert point_state(ref, ys) == state, ys
     release(mod)
 
 
-def _reference_point_closures(mod) -> tuple:
+def _reference_point_closures(ref: ModuleSets) -> tuple:
     """P6.2's point clauses, one frozenset comparison per pair of points."""
-    top = spectra.build_topologies(mod).star
-    family = set(top.closed_sets)
-    points = spectrum(mod)
+    mod, points = ref.mod, ref.points
     colons = {p: colon_set(mod, p) for p in points}
     fibers = colon_fibers(mod)
     for p in points:
-        if spectra.closure(top, [p]) != spectra.variety_star(mod, p):
+        if ref.closure([p]) != ref.vs[p]:
             return verify.FALSIFIED, f"p={mod.label(p)}", "closure-formula"
         for q in points:
-            in_closure = q in spectra.closure(top, [p])
+            in_closure = q in ref.closure([p])
             colon_incl = colons[p] <= colons[q]
-            vs_incl = spectra.variety_star(mod, q) <= spectra.variety_star(mod, p)
+            vs_incl = ref.vs[q] <= ref.vs[p]
             if not (in_closure == colon_incl == vs_incl):
                 return verify.FALSIFIED, f"p={mod.label(p)}, q={mod.label(q)}", "specialization"
-        singleton_closed = frozenset([p]) in family
+        singleton_closed = ref.is_closed([p])
         maximal = not any(colons[p] < c for c in fibers)
         if singleton_closed != (maximal and len(fibers[colons[p]]) == 1):
             return verify.FALSIFIED, f"p={mod.label(p)}", "closed-point-criterion"
@@ -331,8 +336,9 @@ def _reference_point_closures(mod) -> tuple:
 
 
 def test_planted_point_failures_name_the_reference_witness(monkeypatch):
-    # V*(x) is changed by one point, for each point x and each point flipped;
-    # the topology is built first, from the true varieties.
+    # V*(x) is changed by one point, for each point x and each point flipped:
+    # one bit of the mask, and one member of the reference's frozenset.  The
+    # topology is built first, from the true varieties.
     check = next(s.check for s in STATEMENTS if s.sid == "P6.2")
     real = spectra.variety_star
     details = set()
@@ -341,12 +347,15 @@ def test_planted_point_failures_name_the_reference_witness(monkeypatch):
         for planted, flipped in itertools.product(spectrum(probe), repeat=2):
             mod = build_instance(find_descriptor(name))
             spectra.build_topologies(mod)
+            ref = ModuleSets(mod)
+            flip = ref.mask([flipped])
 
-            def variety_star(m, x, mod=mod, planted=planted, flip=frozenset([flipped])):
+            def variety_star(m, x, mod=mod, planted=planted, flip=flip):
                 return real(m, x) ^ flip if m is mod and x == planted else real(m, x)
 
             monkeypatch.setattr(spectra, "variety_star", variety_star)
-            expected = _reference_point_closures(mod)
+            ref.vs[planted] ^= {flipped}
+            expected = _reference_point_closures(ref)
             assert expected is not None
             assert check(mod) == expected, (name, planted, flipped)
             details.add(expected[2])
@@ -359,29 +368,29 @@ def test_planted_point_failures_name_the_reference_witness(monkeypatch):
 PAIR_CLAUSES = ("star-union", "plain-union", "colon-transfer", "prime-converse")
 
 
-def _reference_pairs(mod) -> tuple | None:
+def _reference_pairs(ref: ModuleSets) -> tuple | None:
     """P3.1's clauses on pairs of submodule elements, on frozensets."""
-    v, vs = spectra.variety, spectra.variety_star
+    mod, v, vs = ref.mod, ref.v, ref.vs
     meet = mod.lattice.meet_table
     for n, l in itertools.combinations_with_replacement(submodule_elements(mod), 2):
         witness = f"n={mod.label(n)}, l={mod.label(l)}"
-        if vs(mod, n) | vs(mod, l) != vs(mod, meet[n][l]):
+        if vs[n] | vs[l] != vs[meet[n][l]]:
             return verify.FALSIFIED, witness, "star-union"
-        if not (v(mod, n) | v(mod, l)) <= v(mod, meet[n][l]):
+        if not (v[n] | v[l]) <= v[meet[n][l]]:
             return verify.FALSIFIED, witness, "plain-union"
         same_colon = colon_set(mod, n) == colon_set(mod, l)
-        if same_colon and vs(mod, n) != vs(mod, l):
+        if same_colon and vs[n] != vs[l]:
             return verify.FALSIFIED, witness, "colon-transfer"
         both_prime = is_prime_submodule_element(mod, n) and is_prime_submodule_element(mod, l)
-        if both_prime and vs(mod, n) == vs(mod, l) and not same_colon:
+        if both_prime and vs[n] == vs[l] and not same_colon:
             return verify.FALSIFIED, witness, "prime-converse"
     return None
 
 
 def test_planted_pair_failures_name_the_reference_witness(monkeypatch):
     # V(x) or V*(x) is changed, for each submodule element x other than 0_M
-    # and e (whose clauses come first), by one point or to the variety of a
-    # point.
+    # and e (whose clauses come first), by one point (one bit of the mask) or
+    # to the variety of a point; the reference gets the same frozenset.
     monkeypatch.setattr(verify, "family_states", lambda mod: {})
     check = next(s.check for s in STATEMENTS if s.sid == "P3.1")
     real = {"variety": spectra.variety, "variety_star": spectra.variety_star}
@@ -392,16 +401,19 @@ def test_planted_pair_failures_name_the_reference_witness(monkeypatch):
         planted_at = set(submodule_elements(probe)) - {probe.zero_m, probe.lattice.top}
         for planted, which in itertools.product(sorted(planted_at), sorted(real)):
             true = real[which](probe, planted)
-            values = {true ^ {f} for f in points} | {real[which](probe, q) for q in points}
-            for value in sorted(values - {true}, key=sorted):
+            values = {true ^ 1 << k for k in range(len(points))}
+            values |= {real[which](probe, q) for q in points}
+            for value in sorted(values - {true}):
                 mod = build_instance(find_descriptor(name))
                 spectra.build_topologies(mod)
+                ref = ModuleSets(mod)
 
                 def changed(m, x, mod=mod, planted=planted, value=value, fn=real[which]):
                     return value if m is mod and x == planted else fn(m, x)
 
                 monkeypatch.setattr(spectra, which, changed)
-                expected = _reference_pairs(mod)
+                (ref.v if which == "variety" else ref.vs)[planted] = ref.set(value)
+                expected = _reference_pairs(ref)
                 outcome = check(mod)
                 if expected is None:
                     assert outcome[2] not in PAIR_CLAUSES, (name, planted, value, which)
