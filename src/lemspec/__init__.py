@@ -42,7 +42,6 @@ from .le_modules import (
     ideal_action,
     is_prime_submodule_element,
     is_submodule_element,
-    galois_adjunction_check,
     make_le_module,
     spectrum,
     spectrum_at,

@@ -28,8 +28,8 @@ from .lattices import FiniteBoundedLattice, make_lattice
 from .memo import record
 from .rings import (
     FiniteRing,
-    all_ideals,
     check_table_shape,
+    ideal_table,
     make_ring,
     make_zn,
     product_ring,
@@ -106,8 +106,7 @@ def build_ring(spec: RingSpec) -> FiniteRing:
 
 def ideal_lattice_le_module(ring: FiniteRing, name: str) -> LeModuleInstance:
     """The lattice of all ideals, with ideal sum and elementwise action."""
-    ideals = all_ideals(ring)
-    index = {i.members: k for k, i in enumerate(ideals)}
+    ideals, index = ideal_table(ring)[:2]
     size = len(ideals)
     leq = [[ideals[a].members <= ideals[b].members for b in range(size)] for a in range(size)]
     lattice = make_lattice(size, leq)
@@ -128,18 +127,16 @@ def _action_rows(
 
     The row of r depends only on rR: if rR = sR then s = rt and r = su for
     some t, u, so sI = r(tI) <= rI and rI = s(uI) <= sI.  So each distinct
-    row is computed once, and scalars with the same rR share it.
+    row is computed once, and scalars with the same rR, by its index in the
+    ring's ``ideal_table``, share it.
     """
     picks = [gather(m) for m in members]
-    rows: dict[frozenset[int], tuple[int, ...]] = {}
-    out = []
-    for r, mul_r in enumerate(ring.mul):
-        key = frozenset(mul_r)
-        if key not in rows:
-            act_r = act[r]
-            rows[key] = tuple(index[frozenset(g(act_r))] for g in picks)
-        out.append(rows[key])
-    return tuple(out)
+    principal = ideal_table(ring)[3]
+    rows: dict[int, tuple[int, ...]] = {}
+    for r, k in enumerate(principal):
+        if k not in rows:
+            rows[k] = tuple(index[frozenset(g(act[r]))] for g in picks)
+    return tuple(map(rows.__getitem__, principal))
 
 
 def _lattice_le_module(

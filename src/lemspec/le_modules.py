@@ -20,7 +20,7 @@ from typing import Iterable
 from .errors import AxiomViolation, EmptyFamily, NotPrimeIdeal
 from .lattices import FiniteBoundedLattice, generated, join_all
 from .memo import per_object, record
-from .rings import FiniteRing, Ideal, is_prime_ideal
+from .rings import FiniteRing, Ideal, all_ideals, ideal_table, is_prime_ideal
 from .rowscan import first_bad, first_bad_pair, first_failure, freeze, gathers, generators
 
 IntTable = tuple[tuple[int, ...], ...]
@@ -283,19 +283,19 @@ def annihilator(mod: LeModuleInstance) -> Ideal:
 
 
 @per_object
+def ideal_actions(mod: LeModuleInstance) -> tuple[int, ...]:
+    """Ie for each ideal I of ``all_ideals``, in that order: the submodule
+    element generated by {a*e : a in I}."""
+    col = [row[mod.lattice.top] for row in mod.action]
+    return tuple(
+        sum_submodule_elements(mod, sorted({mod.zero_m, *map(col.__getitem__, i.members)}))
+        for i in all_ideals(mod.ring)
+    )
+
+
 def ideal_action(mod: LeModuleInstance, ideal: Ideal) -> int:
-    """The submodule element generated by {a*e : a in I}."""
-    top = mod.lattice.top
-    seed = {mod.action[a][top] for a in ideal.members}
-    seed.add(mod.zero_m)
-    return sum_submodule_elements(mod, sorted(seed))
-
-
-def galois_adjunction_check(mod: LeModuleInstance, ideal: Ideal, n: int) -> bool:
-    """Ie <= n holds exactly when I is inside (n : e)."""
-    lhs = mod.lattice.leq[ideal_action(mod, ideal)][n]
-    rhs = ideal.members <= colon_set(mod, n)
-    return lhs == rhs
+    """Ie for an ideal I of the ring, read from ``ideal_actions``."""
+    return ideal_actions(mod)[ideal_table(mod.ring)[1][ideal.members]]
 
 
 def is_prime_submodule_element(mod: LeModuleInstance, p: int) -> bool:

@@ -20,6 +20,7 @@ from .le_modules import (
     colon,
     colon_fibers,
     ideal_action,
+    ideal_actions,
     spectrum,
     submodule_elements,
 )
@@ -165,8 +166,8 @@ def continuity_check(nm: NaturalMap) -> bool:
     mod, ann = nm.instance, nm.annihilator_ideal.members
     return all(
         nm.preimage(variety_ring(nm.quotient, push_ideal(i, nm.projection, nm.quotient)))
-        == variety(mod, ideal_action(mod, i))
-        for i in all_ideals(mod.ring)
+        == variety(mod, ie)
+        for i, ie in zip(all_ideals(mod.ring), ideal_actions(mod))
         if ann <= i.members
     )
 

@@ -8,6 +8,10 @@ at additive generators only, n²·|G| cells instead of n³, which is exact by
 the closure arguments in ``rowscan.generators``.  ``make_zn``,
 ``product_ring`` and ``quotient_ring`` build rings that are valid by
 construction, unchecked.
+
+Ideals are held by index into one table per ring, ``ideal_table``, which
+also gives each ideal's generators and the index of each rR; a product of
+ideals sums the (ab)R over their generators a and b.
 """
 
 from __future__ import annotations
@@ -157,13 +161,14 @@ def make_ring(
 
 
 def make_zn(n: int) -> FiniteRing:
-    """The ring of integers mod n, n >= 2, with its ideals and their primality.
+    """The ring of integers mod n, n >= 2, with its ideal table and primality.
 
-    The ideals of Z_n are the dZ_n for the divisors d of n, and dZ_n is
-    prime exactly when d is prime (for d = n, the zero ideal is prime
-    exactly when n is).  They are kept on the ring as the answers of
-    ``all_ideals`` and ``is_prime_ideal``, so no ideal of Z_n is searched
-    for; every other ring, quotients included, takes the generic search.
+    The ideals of Z_n are the dZ_n for the divisors d of n, rZ_n is
+    gcd(r, n)Z_n, and dZ_n is prime exactly when d is prime (for d = n, the
+    zero ideal is prime exactly when n is).  They are kept on the ring as
+    the answers of ``ideal_table`` and ``is_prime_ideal``, so no ideal of
+    Z_n is searched for; every other ring, quotients included, takes the
+    generic search.
     """
     if n < 2:
         raise ZeroRing("Z_n needs n >= 2")
@@ -182,14 +187,15 @@ def make_zn(n: int) -> FiniteRing:
         mul[n - a] = tuple(map(neg.__getitem__, period)) * g
     ring = FiniteRing(n, add, tuple(mul), 0, 1, f"Z{n}")
     # Descending d gives ascending size n/d, the canonical order.
-    ideals = []
-    for d in range(n, 0, -1):
-        if n % d == 0:
-            ideal = Ideal(ring, frozenset(rng[::d]))
-            ideals.append(ideal)
-            prime = d > 1 and all(d % k for k in range(2, math.isqrt(d) + 1))
-            preset(_is_prime, ring, prime, ideal.members)
-    preset(all_ideals, ring, tuple(ideals))
+    divisors = [d for d in range(n, 0, -1) if n % d == 0]
+    ideals = tuple(Ideal(ring, frozenset(rng[::d])) for d in divisors)
+    for d, ideal in zip(divisors, ideals):
+        prime = d > 1 and all(d % k for k in range(2, math.isqrt(d) + 1))
+        preset(_is_prime, ring, prime, ideal.members)
+    at = {d: k for k, d in enumerate(divisors)}
+    index = {i.members: k for k, i in enumerate(ideals)}
+    gens = tuple((d % n,) for d in divisors)
+    preset(ideal_table, ring, (ideals, index, gens, tuple(at[math.gcd(r, n)] for r in rng)))
     return ring
 
 
@@ -244,41 +250,49 @@ def _ideal_sum(add: Table, i: frozenset[int], p: Iterable[int]) -> frozenset[int
 
 
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
-    """IJ for ideals I and J, as the sum of the ideals gJ over generators g of I.
+    """IJ for ideals I and J: the sum of the (ab)R over the generators a of
+    I and b of J in ``ideal_table``; over a principal ideal ring, one lookup.
 
-    The generators are picked greedily in increasing order: g joins when it
-    is outside the ideal the earlier ones generate.  With I = Rg_1 + ... +
-    Rg_k, IJ = (Rg_1)J + ... + (Rg_k)J, and (Rg)J = gJ = {gb : b in J},
-    which is an ideal since J is.
+    This is exact.  With I = Σ aR and J = Σ bR, each xy with x in I and y
+    in J is a sum of terms (ra)(sb) = (rs)(ab), so IJ lies inside Σ (ab)R;
+    and each (ab)R lies in IJ, as IJ is an ideal (Atiyah–Macdonald, ch. 1).
     """
     ring = i.ring
-    add, mul = ring.add, ring.mul
-    in_j = gather(sorted(j.members))
-    span = product = frozenset({ring.zero})
-    for g in sorted(i.members):
-        if g not in span:
-            span = _ideal_sum(add, span, mul[g])
-            product = _ideal_sum(add, product, in_j(mul[g]))
-    return Ideal(ring, product)
+    ideals, index, gens, principal = ideal_table(ring)
+    mul, gj = ring.mul, gens[index[j.members]]
+    first, *rest = {principal[mul[a][b]] for a in gens[index[i.members]] for b in gj}
+    product = ideals[first].members
+    for k in rest:
+        product = _ideal_sum(ring.add, product, ideals[k].members)
+    return ideals[index[product]]
 
 
 def ideal_intersect(i: Ideal, j: Ideal) -> Ideal:
     return Ideal(i.ring, i.members & j.members)
 
 
-def ideal_sort_key(i: Ideal) -> tuple:
-    return (len(i.members), i.sorted_members())
-
-
 @per_object
-def all_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
-    """Every ideal, found by closing the principal ideals under ideal sum."""
+def ideal_table(ring: FiniteRing) -> tuple:
+    """Every ideal in canonical order, the index of each member set, a tuple
+    of elements generating each ideal, and the index of rR for each r.
+
+    The principal ideals, each keyed by its least generator, are closed
+    under ideal sum; the family that first reaches an ideal generates it.
+    """
     add = ring.add
-    principals = (principal_ideal(ring, r).members for r in range(ring.order))
-    known = generated({p: p for p in principals}, lambda i, p: _ideal_sum(add, i, p))
-    ideals = [Ideal(ring, m) for m in known]
-    ideals.sort(key=ideal_sort_key)
-    return tuple(ideals)
+    least: dict[frozenset[int], int] = {}
+    firsts = [least.setdefault(frozenset(row), r) for r, row in enumerate(ring.mul)]
+    principals = {r: m for m, r in least.items()}
+    found = generated(principals, lambda i, p: _ideal_sum(add, i, p))
+    order = sorted(found, key=lambda m: (len(m), sorted(m)))
+    index = {m: k for k, m in enumerate(order)}
+    ideals = tuple(Ideal(ring, m) for m in order)
+    return ideals, index, tuple(map(found.get, order)), tuple(index[principals[r]] for r in firsts)
+
+
+def all_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
+    """Every ideal, in canonical order (see ``ideal_table``)."""
+    return ideal_table(ring)[0]
 
 
 def is_prime_ideal(ring: FiniteRing, i: Ideal | frozenset[int]) -> bool:
@@ -354,15 +368,9 @@ def idempotents(ring: FiniteRing) -> frozenset[int]:
 def minimal_primes(ring: FiniteRing) -> tuple[Ideal, ...]:
     """Primes with no strictly smaller prime, in canonical order."""
     points = spec_ring(ring).points
-    out = [
-        p
-        for p in points
-        if not any(q.members < p.members for q in points)
-    ]
-    return tuple(sorted(out, key=ideal_sort_key))
+    return tuple(p for p in points if not any(q.members < p.members for q in points))
 
 
 def maximal_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
     proper = [i for i in all_ideals(ring) if i.is_proper()]
-    out = [i for i in proper if not any(i.members < j.members for j in proper)]
-    return tuple(sorted(out, key=ideal_sort_key))
+    return tuple(i for i in proper if not any(i.members < j.members for j in proper))

@@ -9,7 +9,8 @@ A set of points has one representation: an int mask in which bit k stands
 for ``points[k]`` of its space, the module spectrum in index order or the
 ring spectrum in canonical order.  Unions, intersections and complements
 are ``|``, ``&`` and ``^``.  ``decode`` is the one way from a mask back to
-points, for output.
+points, for output.  Ideals are read by their index in the ring's
+``rings.ideal_table``, with Ie from ``le_modules.ideal_actions``.
 """
 
 from __future__ import annotations
@@ -23,23 +24,17 @@ from .errors import EmptyFamily, NotTopLeModule, TopologyAxiomViolation
 from .lattices import meet_all
 from .le_modules import (
     LeModuleInstance,
+    colon,
     colon_fibers,
     colon_set,
     ideal_action,
+    ideal_actions,
     scalar_classes,
     spectrum,
     submodule_elements,
 )
 from .memo import per_object, record
-from .rings import (
-    FiniteRing,
-    Ideal,
-    all_ideals,
-    ideal_intersect,
-    ideal_product,
-    spec_ring,
-    variety_ring,
-)
+from .rings import FiniteRing, Ideal, all_ideals, ideal_product, ideal_table, spec_ring, variety_ring
 
 
 @record(eq=False)
@@ -147,8 +142,7 @@ def star_family(mod: LeModuleInstance) -> tuple[int, ...]:
 
 @per_object
 def prime_family(mod: LeModuleInstance) -> tuple[int, ...]:
-    actions = (ideal_action(mod, i) for i in all_ideals(mod.ring))
-    return canonical_family(spectrum(mod), (variety(mod, ie) for ie in actions))
+    return canonical_family(spectrum(mod), (variety(mod, ie) for ie in ideal_actions(mod)))
 
 
 @per_object
@@ -187,21 +181,25 @@ def quasi_topology(mod: LeModuleInstance) -> SpectrumTopology:
     return build_topologies(mod).quasi
 
 
-def union_intersection_check(mod: LeModuleInstance, i: Ideal, j: Ideal) -> bool:
-    """V(Ie) u V(Je) = V((I n J)e) = V((IJ)e), and the colon-variety analogue."""
-    ie, je = ideal_action(mod, i), ideal_action(mod, j)
-    ke = ideal_action(mod, ideal_intersect(i, j))
-    pe = ideal_action(mod, ideal_product(i, j))
-    u = variety(mod, ie) | variety(mod, je)
-    if not (u == variety(mod, ke) == variety(mod, pe)):
-        return False
-    us = variety_star(mod, ie) | variety_star(mod, je)
-    return us == variety_star(mod, ke) == variety_star(mod, pe)
+def first_bad_ideal_pair(mod: LeModuleInstance) -> tuple[Ideal, Ideal] | None:
+    """The first I, J in ``combinations_with_replacement`` order over
+    ``all_ideals`` with V(Ie) u V(Je) = V((I n J)e) = V((IJ)e), or its V*
+    analogue, false, or None.  V and V* are read once per ideal index."""
+    ideals, index = ideal_table(mod.ring)[:2]
+    actions = ideal_actions(mod)
+    v = [variety(mod, x) for x in actions]
+    vs = [variety_star(mod, x) for x in actions]
+    for k, l in itertools.combinations_with_replacement(range(len(ideals)), 2):
+        i, j = ideals[k], ideals[l]
+        m, p = index[i.members & j.members], index[ideal_product(i, j).members]
+        if not (v[k] | v[l] == v[m] == v[p] and vs[k] | vs[l] == vs[m] == vs[p]):
+            return i, j
+    return None
 
 
 def vstar_decomposition_check(mod: LeModuleInstance, n: int) -> bool:
     """V*(n) agrees with the colon-fiber union, V*((n:e)e), and V((n:e)e)."""
-    cn = Ideal(mod.ring, colon_set(mod, n))
+    cn = colon(mod, n)
     ce = ideal_action(mod, cn)
     vs = variety_star(mod, n)
     fibers = fiber_masks(mod)
@@ -247,8 +245,8 @@ def basis_checks(mod: LeModuleInstance) -> BasisReport:
 
     ideal_ok, ideal_wit = True, None
     full = all_points(mod)
-    for i in all_ideals(ring):
-        vs = variety_star(mod, ideal_action(mod, i))
+    for i, ie in zip(all_ideals(ring), ideal_actions(mod)):
+        vs = variety_star(mod, ie)
         inter = full
         for ae in {mod.action[a][top] for a in i.members}:
             inter &= variety_star(mod, ae)
@@ -362,12 +360,11 @@ def point_set_properties(top: SpectrumTopology) -> SpaceProperties:
 
 def phi_and_t1_check(mod: LeModuleInstance) -> bool:
     """T1 holds exactly when colon ideals are maximal in their family and
-    every colon fiber is a singleton."""
+    every colon fiber is a singleton.  The first clause always holds: the
+    colon ideal of a point is prime (L2.1), and a prime P of a finite
+    commutative ring is maximal, as R/P is a finite domain, so a field."""
     t1 = point_set_properties(build_topologies(mod).star).is_t1
-    fibers = colon_fibers(mod)
-    maximal = all(not any(c < q for q in fibers) for c in fibers)
-    fibers_small = all(len(f) <= 1 for f in fibers.values())
-    return t1 == (maximal and fibers_small)
+    return t1 == all(len(f) <= 1 for f in colon_fibers(mod).values())
 
 
 def specialization_pairs(top: SpectrumTopology) -> tuple[tuple, ...]:

@@ -14,7 +14,9 @@ P5.1 and T5.3 read r only through its row (P5.1's ring side by the argument
 in ``_check_dr``), and rs only through (rs)e = r(se), which by M3 depends
 only on the rows of r and s.  The representatives are the least members,
 scanned in the order of the full loop, so a failure names the same first
-witness.
+witness.  The loops over ideals (L2.1, P3.1, T3.5, T5.3) run over indices
+into the ring's ``rings.ideal_table``, in its order, reading Ie from
+``le_modules.ideal_actions``; T3.5 finds I n J and IJ by index.
 Serialization omits timing so repeated runs are byte-identical.
 """
 
@@ -38,13 +40,13 @@ from .le_modules import (
     colon,
     colon_fibers,
     colon_set,
-    galois_adjunction_check,
     ideal_action,
+    ideal_actions,
     scalar_classes,
     spectrum,
     submodule_elements,
 )
-from .rings import all_ideals, is_prime_ideal, maximal_ideals, spec_ring
+from .rings import all_ideals, ideal_table, is_prime_ideal, maximal_ideals, spec_ring
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"
@@ -107,15 +109,16 @@ def _fmt_clauses(report: nmap.EquivalenceReport) -> str:
 
 
 def _check_adjunction(mod: LeModuleInstance) -> Outcome:
-    ideals, submods = all_ideals(mod.ring), submodule_elements(mod)
-    for i in ideals:
-        for n in submods:
-            if not galois_adjunction_check(mod, i, n):
-                return (
-                    FALSIFIED,
-                    f"I={i.sorted_members()}, n={mod.label(n)}",
-                    None,
-                )
+    """Ie <= n reads one ``leq`` row per ideal, and I lies inside the ideal
+    (n:e) (``le_modules.colon``) exactly when its generators do."""
+    ideals, gens = all_ideals(mod.ring), ideal_table(mod.ring)[2]
+    submods = submodule_elements(mod)
+    colons = [colon_set(mod, n) for n in submods]
+    for i, g, ie in zip(ideals, gens, ideal_actions(mod)):
+        below = mod.lattice.leq[ie]
+        for n, c in zip(submods, colons):
+            if below[n] != c.issuperset(g):
+                return FALSIFIED, f"I={i.sorted_members()}, n={mod.label(n)}", None
     for p in spectrum(mod):
         if not is_prime_ideal(mod.ring, colon(mod, p)):
             return FALSIFIED, f"p={mod.label(p)}", None
@@ -158,8 +161,7 @@ def _check_variety_identities(mod: LeModuleInstance) -> Outcome:
     for n in submodule_elements(mod):
         if not spectra.vstar_decomposition_check(mod, n):
             return FALSIFIED, f"n={mod.label(n)}", "decomposition"
-    for i in all_ideals(mod.ring):
-        ie = ideal_action(mod, i)
+    for i, ie in zip(all_ideals(mod.ring), ideal_actions(mod)):
         if v(mod, ie) != vs(mod, ie):
             return FALSIFIED, f"I={i.sorted_members()}", "ideal-action-variety"
     for r in scalar_classes(mod):
@@ -173,13 +175,9 @@ def _check_families_identical(mod: LeModuleInstance) -> Outcome:
     # build_topologies raises an InternalError unless the colon-variety and
     # ideal-action families are the same.
     spectra.build_topologies(mod)
-    for i, j in itertools.combinations_with_replacement(all_ideals(mod.ring), 2):
-        if not spectra.union_intersection_check(mod, i, j):
-            return (
-                FALSIFIED,
-                f"I={i.sorted_members()}, J={j.sorted_members()}",
-                None,
-            )
+    bad = spectra.first_bad_ideal_pair(mod)
+    if bad is not None:
+        return FALSIFIED, f"I={bad[0].sorted_members()}, J={bad[1].sorted_members()}", None
     top = mod.lattice.top
     vs = spectra.variety_star
     # (rs)e = r(se) by M3, so this clause depends on the rows of r and s alone.
@@ -294,10 +292,12 @@ def _check_closure_formula(mod: LeModuleInstance) -> Outcome:
 
 
 def _check_point_closures(mod: LeModuleInstance) -> Outcome:
+    """The colon ideal of a point is prime (L2.1), so maximal, as the ring
+    is finite: the q whose colon ideal contains (p:e) are p's colon fiber,
+    and (p:e) is maximal among the colon ideals."""
     points = spectrum(mod)
     bits = spectra.point_bits(mod)
     closures = _closures(mod)
-    colons = {p: colon_set(mod, p) for p in points}
     fiber_masks = spectra.fiber_masks(mod)
     star = {p: spectra.variety_star(mod, p) for p in points}
     # The points q with one V*(q), as a mask for each distinct V*(q).
@@ -308,9 +308,9 @@ def _check_point_closures(mod: LeModuleInstance) -> Outcome:
         closure = closures[p]
         if closure != star[p]:
             return FALSIFIED, f"p={mod.label(p)}", "closure-formula"
-        # The q whose colon ideal contains (p:e), and those with V*(q)
-        # inside V*(p); both are unions of disjoint masks.
-        colon_incl = sum(m for c, m in fiber_masks.items() if colons[p] <= c)
+        # The q whose colon ideal contains (p:e), the colon fiber of p, and
+        # those with V*(q) inside V*(p), a union of disjoint masks.
+        colon_incl = fiber_masks[colon_set(mod, p)]
         vs_incl = sum(m for s, m in by_star.items() if not s & ~star[p])
         # The first q at which "q in cl{p}", the colon inclusion and the V*
         # inclusion are not all equal.
@@ -318,10 +318,7 @@ def _check_point_closures(mod: LeModuleInstance) -> Outcome:
         if bad:
             q = points[(bad & -bad).bit_length() - 1]
             return FALSIFIED, f"p={mod.label(p)}, q={mod.label(q)}", "specialization"
-        singleton_closed = closure == bits[p]
-        maximal = not any(colons[p] < c for c in fiber_masks)
-        fiber_one = fiber_masks[colons[p]].bit_count() == 1
-        if singleton_closed != (maximal and fiber_one):
+        if (closure == bits[p]) != (colon_incl.bit_count() == 1):
             return FALSIFIED, f"p={mod.label(p)}", "closed-point-criterion"
     if not spectra.phi_and_t1_check(mod):
         return FALSIFIED, "T1 criterion", None

@@ -16,11 +16,7 @@ from lemspec.cli import main
 from lemspec.errors import AxiomViolation
 from lemspec.instances import build_instance, catalog, find_descriptor
 from lemspec.lattices import make_lattice
-from lemspec.le_modules import (
-    galois_adjunction_check,
-    make_le_module,
-    spectrum,
-)
+from lemspec.le_modules import make_le_module, spectrum
 from lemspec.natural_map import (
     build_natural_map,
     component_minimal_prime_bijection,
@@ -43,10 +39,10 @@ from lemspec.spectra import (
     phi_and_t1_check,
     point_closures,
     point_set_properties,
-    union_intersection_check,
     vstar_decomposition_check,
 )
 from lemspec.verify import run_all, serialize_report
+from test_ideal_index_reference import galois_adjunction_check, union_intersection_check
 
 ALL = tuple(build_instance(d) for d in catalog())
 

