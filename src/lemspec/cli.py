@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import json
 import sys
+from json.encoder import encode_basestring_ascii as json_string
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import natural_map as nmap
 from . import spectra, verify
@@ -49,7 +50,7 @@ from .instances import (
     find_descriptor,
     parse_descriptor,
 )
-from .le_modules import LeModuleInstance, colon, spectrum, submodule_elements
+from .le_modules import colon, spectrum, submodule_elements
 
 _AXIOM_ERRORS = (
     AxiomViolation,
@@ -109,72 +110,79 @@ def cmd_validate(input: str, out: str | None) -> int:
     return 0
 
 
-def _spec_payload(mod: LeModuleInstance) -> dict:
-    nm = nmap.build_natural_map(mod)
-    points = []
-    for p in spectrum(mod):
-        row = {
-            "index": p,
-            "label": mod.label(p),
-            "colon": _members(colon(mod, p)),
-            "image": None if nm.degenerate else _members(nm.image_of(p)),
-        }
-        points.append(row)
-    payload = {
-        "instance": mod.name,
-        "ring": {"name": mod.ring.name, "order": mod.ring.order},
-        "lattice_size": mod.lattice.size,
-        "submodule_elements": [mod.label(n) for n in submodule_elements(mod)],
-        "annihilator": _members(nm.annihilator_ideal),
-        "degenerate": nm.degenerate,
-        "points": points,
-        "quotient_order": None if nm.degenerate else nm.quotient.order,
-        "ring_spectrum_size": None
-        if nm.degenerate
-        else len(spectra.ring_space(nm.quotient).points),
-        "injective": None if nm.degenerate else nm.is_injective(),
-        # build_natural_map raises unless the map is onto.
-        "surjective": None if nm.degenerate else True,
-    }
-    return payload
-
-
-def _spec_text(payload: dict) -> str:
-    lines = [
-        f"instance: {payload['instance']}",
-        f"ring: {payload['ring']['name']} (order {payload['ring']['order']})",
-        f"annihilator: {payload['annihilator']}",
-    ]
-    if payload["degenerate"]:
-        lines.append("degenerate: the annihilator is the whole ring; spectrum empty")
-    for row in payload["points"]:
-        image = "" if row["image"] is None else f"  image {row['image']}"
-        lines.append(f"point {row['label']}  colon {row['colon']}{image}")
-    if not payload["points"]:
-        lines.append("spectrum: empty")
-    if not payload["degenerate"]:
-        lines.append(
-            f"reduced ring order {payload['quotient_order']}, "
-            f"spectrum size {payload['ring_spectrum_size']}"
-        )
-        lines.append(
-            f"natural map: injective={payload['injective']} "
-            f"surjective={payload['surjective']}"
-        )
-    return "\n".join(lines) + "\n"
+def _array(items: Iterable, indent: str, encode: Callable[..., str] = str) -> str:
+    """A JSON array of the items, each written by ``encode`` (``str`` for
+    ints and for items already encoded), laid out as ``json.dumps(...,
+    indent=2)`` lays out one that starts at ``indent``."""
+    inner = f",\n{indent}  ".join(map(encode, items))
+    return f"[\n{indent}  {inner}\n{indent}]" if inner else "[]"
 
 
 def cmd_spec(input: str, format: str, out: str | None) -> int:
+    """The structured form is the bytes of ``json.dumps(..., sort_keys=True,
+    indent=2)`` of these fields, written from a template."""
     mod = build_instance(_resolve(input))
-    payload = _spec_payload(mod)
+    nm = nmap.build_natural_map(mod)
+    ann = _members(nm.annihilator_ideal)
+    # (index, label, colon ideal, image in the reduced ring) of each point
+    rows = [
+        (p, mod.label(p), _members(colon(mod, p)), None if nm.degenerate else _members(nm.image_of(p)))
+        for p in spectrum(mod)
+    ]
+    # Order and spectrum size of R/Ann, and psi injective and onto:
+    # build_natural_map raises unless the map is onto.
+    reduced = (None,) * 4
+    if not nm.degenerate:
+        reduced = (nm.quotient.order, len(spectra.ring_space(nm.quotient).points), nm.is_injective(), True)
     if format == "structured":
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
-    else:
-        _emit(_spec_text(payload), out)
+        order, size, injective, onto = map(json.dumps, reduced)
+        points = _array(
+            (
+                f"""{{
+      "colon": {_array(c, '      ')},
+      "image": {'null' if image is None else _array(image, '      ')},
+      "index": {p},
+      "label": {json_string(label)}
+    }}"""
+                for p, label, c, image in rows
+            ),
+            "  ",
+        )
+        text = f"""{{
+  "annihilator": {_array(ann, '  ')},
+  "degenerate": {json.dumps(nm.degenerate)},
+  "injective": {injective},
+  "instance": {json_string(mod.name)},
+  "lattice_size": {mod.lattice.size},
+  "points": {points},
+  "quotient_order": {order},
+  "ring": {{
+    "name": {json_string(mod.ring.name)},
+    "order": {mod.ring.order}
+  }},
+  "ring_spectrum_size": {size},
+  "submodule_elements": {_array(map(mod.label, submodule_elements(mod)), '  ', json_string)},
+  "surjective": {onto}
+}}
+"""
+        _emit(text, out)
+        return 0
+    lines = [f"instance: {mod.name}", f"ring: {mod.ring.name} (order {mod.ring.order})", f"annihilator: {ann}"]
+    if nm.degenerate:
+        lines.append("degenerate: the annihilator is the whole ring; spectrum empty")
+    for _, label, c, image in rows:
+        lines.append(f"point {label}  colon {c}" + ("" if image is None else f"  image {image}"))
+    if not rows:
+        lines.append("spectrum: empty")
+    if not nm.degenerate:
+        lines.append(f"reduced ring order {reduced[0]}, spectrum size {reduced[1]}")
+        lines.append(f"natural map: injective={reduced[2]} surjective={reduced[3]}")
+    _emit("\n".join(lines) + "\n", out)
     return 0
 
 
 def cmd_topology(input: str, which: str, format: str, out: str | None) -> int:
+    """The structured form is written from a template, as ``cmd_spec``'s."""
     mod = build_instance(_resolve(input))
     tops = spectra.build_topologies(mod)
     if which == "star":
@@ -184,37 +192,34 @@ def cmd_topology(input: str, which: str, format: str, out: str | None) -> int:
     else:
         top = spectra.quasi_topology(mod)
     props = spectra.point_set_properties(top)
-    payload = {
-        "instance": mod.name,
-        "which": which,
-        "points": [mod.label(p) for p in top.points],
-        "closed_sets": [
-            [mod.label(p) for p in spectra.decode(top.points, c)] for c in top.closed_sets
-        ],
-        "properties": {
-            "t0": props.is_t0,
-            "t1": props.is_t1,
-            "connected": props.is_connected,
-            "quasi_compact": props.is_quasi_compact,
-            "spectral": props.is_spectral,
-        },
-        "note": props.note,
+    points = [mod.label(p) for p in top.points]
+    closed = [[mod.label(p) for p in spectra.decode(top.points, c)] for c in top.closed_sets]
+    flags = {
+        "t0": props.is_t0,
+        "t1": props.is_t1,
+        "connected": props.is_connected,
+        "quasi_compact": props.is_quasi_compact,
+        "spectral": props.is_spectral,
     }
     if format == "structured":
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+        properties = ",\n".join(f"    {json_string(k)}: {json.dumps(v)}" for k, v in sorted(flags.items()))
+        text = f"""{{
+  "closed_sets": {_array((_array(c, '    ', json_string) for c in closed), '  ')},
+  "instance": {json_string(mod.name)},
+  "note": {json_string(props.note)},
+  "points": {_array(points, '  ', json_string)},
+  "properties": {{
+{properties}
+  }},
+  "which": {json_string(which)}
+}}
+"""
+        _emit(text, out)
         return 0
-    lines = [
-        f"instance: {payload['instance']} ({which})",
-        f"points: {payload['points']}",
-        f"closed sets ({len(payload['closed_sets'])}):",
-    ]
-    for c in payload["closed_sets"]:
-        lines.append(f"  {c}")
-    lines.append(
-        "properties: "
-        + " ".join(f"{k}={v}" for k, v in payload["properties"].items())
-    )
-    lines.append(f"note: {payload['note']}")
+    lines = [f"instance: {mod.name} ({which})", f"points: {points}", f"closed sets ({len(closed)}):"]
+    lines += (f"  {c}" for c in closed)
+    lines.append("properties: " + " ".join(f"{k}={v}" for k, v in flags.items()))
+    lines.append(f"note: {props.note}")
     _emit("\n".join(lines) + "\n", out)
     return 0
 

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence, Union
 
 from .errors import ModuleAxiomViolation, ParseError
 from .le_modules import LeModuleInstance, make_le_module
-from .lattices import FiniteBoundedLattice, make_lattice
+from .lattices import FiniteBoundedLattice, join_rows, lattice_of_sets, make_lattice
 from .memo import record
 from .rings import (
     FiniteRing,
@@ -107,9 +107,7 @@ def build_ring(spec: RingSpec) -> FiniteRing:
 def ideal_lattice_le_module(ring: FiniteRing, name: str) -> LeModuleInstance:
     """The lattice of all ideals, with ideal sum and elementwise action."""
     ideals, index = ideal_table(ring)[:2]
-    size = len(ideals)
-    leq = [[ideals[a].members <= ideals[b].members for b in range(size)] for a in range(size)]
-    lattice = make_lattice(size, leq)
+    lattice = lattice_of_sets([i.members for i in ideals])
     members = [i.sorted_members() for i in ideals]
     action = _action_rows(ring, ring.mul, members, index)
     labels = tuple(_set_label(m) for m in members)
@@ -156,9 +154,7 @@ def _lattice_le_module(
     (M3), 1I = I, 0I = 0 and r0 = 0 (M4) hold element by element.  So the
     laws that make_le_module scans for hold by construction.
     """
-    return LeModuleInstance(
-        ring, lattice, lattice.join_table, lattice.bottom, action, name, labels
-    )
+    return LeModuleInstance(ring, lattice, join_rows(lattice), lattice.bottom, action, name, labels)
 
 
 def _check_classical_module(
@@ -254,9 +250,7 @@ def submodule_lattice_le_module(
                 frontier.append(grown)
     ordered = sorted(submodules, key=lambda s: (len(s), sorted(s)))
     index = {s: k for k, s in enumerate(ordered)}
-    lat_size = len(ordered)
-    leq = [[ordered[a] <= ordered[b] for b in range(lat_size)] for a in range(lat_size)]
-    lattice = make_lattice(lat_size, leq)
+    lattice = lattice_of_sets(ordered)
     maction = _action_rows(ring, act_t, [sorted(s) for s in ordered], index)
     labels = tuple(_set_label(s) for s in ordered)
     return _lattice_le_module(ring, lattice, maction, name, labels)

@@ -1,20 +1,22 @@
-"""Finite bounded lattices from an order table.
+"""Finite bounded lattices, held as the up-set and down-set of each element.
 
-``leq`` is a boolean matrix over 0..size-1.  Validation runs in the order
-poset axioms, then bounds, then binary lub/glb, so an antichain of two
-maximal elements reports a missing top rather than a missing join.
+Bit b of ``up[a]`` is set when a <= b, and of ``down[a]`` when b <= a; the
+join of a and b is the element whose up-set is ``up[a] & up[b]``, the meet
+likewise.  ``make_lattice`` validates an order table in the order poset
+axioms, bounds, binary lub/glb, so an antichain of two maximal elements
+reports a missing top rather than a missing join.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from operator import itemgetter
+import operator
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import EmptyFamily, NotALattice, NotAPoset, Unbounded
 from .memo import record
 
-BoolTable = tuple[tuple[bool, ...], ...]
 IntTable = tuple[tuple[int, ...], ...]
 G = TypeVar("G")
 S = TypeVar("S", bound=Hashable)
@@ -22,65 +24,80 @@ S = TypeVar("S", bound=Hashable)
 
 @record
 class FiniteBoundedLattice:
-    """A finite lattice with precomputed join and meet tables."""
+    """A finite lattice: the up-set and the down-set of each element, as masks."""
 
     size: int
-    leq: BoolTable
     top: int
     bottom: int
-    join_table: IntTable
-    meet_table: IntTable
+    up: tuple[int, ...]
+    down: tuple[int, ...]
+
+    @functools.cached_property
+    def by_up(self) -> dict[int, int]:
+        """The element with each up-set."""
+        return {mask: a for a, mask in enumerate(self.up)}
+
+    @functools.cached_property
+    def by_down(self) -> dict[int, int]:
+        """The element with each down-set."""
+        return {mask: a for a, mask in enumerate(self.down)}
+
+    @functools.cached_property
+    def leq(self) -> tuple[tuple[bool, ...], ...]:
+        """The order as a table, leq[a][b] for a <= b, built on first use."""
+        width = f"0{self.size}b"
+        return tuple(tuple(map("1".__eq__, reversed(format(u, width)))) for u in self.up)
 
     def le(self, a: int, b: int) -> bool:
-        return self.leq[a][b]
+        return self.up[a] >> b & 1 == 1
 
     def join(self, a: int, b: int) -> int:
-        return self.join_table[a][b]
+        return self.by_up[self.up[a] & self.up[b]]
 
     def meet(self, a: int, b: int) -> int:
-        return self.meet_table[a][b]
+        return self.by_down[self.down[a] & self.down[b]]
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Pairs (a, b) with a < b and nothing strictly between."""
+        """Pairs (a, b) with a < b and nothing strictly between, in order:
+        the b are the elements of a's strict up-set S above no other of S."""
+        strict = [u ^ 1 << a for a, u in enumerate(self.up)]
         out = []
-        for a, b in itertools.product(range(self.size), repeat=2):
-            if a == b or not self.leq[a][b]:
-                continue
-            between = any(
-                z != a and z != b and self.leq[a][z] and self.leq[z][b]
-                for z in range(self.size)
-            )
-            if not between:
-                out.append((a, b))
+        for a, s in enumerate(strict):
+            above = functools.reduce(operator.or_, map(strict.__getitem__, elements(s)), 0)
+            out += ((a, b) for b in elements(s & ~above))
         return tuple(out)
 
 
+def elements(mask: int) -> list[int]:
+    """The indices of the set bits of a mask, in increasing order."""
+    # Read backwards, bin(mask) has bit k as its k-th character.
+    return list(itertools.compress(itertools.count(), map("1".__eq__, reversed(bin(mask)))))
+
+
 def make_lattice(size: int, leq: Sequence[Sequence[bool]]) -> FiniteBoundedLattice:
-    """Validate the order table and precompute join/meet tables."""
+    """Validate the order table and return its lattice; raises on the first
+    law that fails, with the witness a cell-by-cell scan would name."""
     if size < 1:
         raise ValueError("size must be positive")
-    table: BoolTable = tuple(tuple(map(bool, row)) for row in leq)
-    if len(table) != size or any(len(row) != size for row in table):
+    if len(leq) != size or any(len(row) != size for row in leq):
         raise ValueError(f"leq must be a {size}x{size} table")
 
     rng = range(size)
-    # up[a] and down[a] are bitmasks of the elements above and below a; the
-    # lowest set bit of a nonzero mask is the first witness a scan over
-    # increasing indices would meet.
+    # The lowest set bit of a mask is the first witness a scan would meet.
     bits = [1 << x for x in rng]
-    up = [sum(itertools.compress(bits, row)) for row in table]
-    down = [sum(itertools.compress(bits, col)) for col in zip(*table)]
+    up = tuple(sum(itertools.compress(bits, row)) for row in leq)
+    down = tuple(sum(itertools.compress(bits, col)) for col in zip(*leq))
     for a in rng:
-        if not table[a][a]:
+        if not up[a] >> a & 1:
             raise NotAPoset("reflexivity", (a,))
     for a in rng:
         both = up[a] & down[a] & ~(1 << a)
         if both:
-            raise NotAPoset("antisymmetry", (a, _lowest(both)))
-    for a in rng:
-        for b in itertools.compress(rng, table[a]):
-            if up[b] & ~up[a]:
-                raise NotAPoset("transitivity", (a, b, _lowest(up[b] & ~up[a])))
+            raise NotAPoset("antisymmetry", (a, elements(both)[0]))
+    for a, row in enumerate(leq):
+        if functools.reduce(operator.or_, itertools.compress(up, row), 0) & ~up[a]:
+            b = next(b for b in itertools.compress(rng, row) if up[b] & ~up[a])
+            raise NotAPoset("transitivity", (a, b, elements(up[b] & ~up[a])[0]))
 
     full = (1 << size) - 1
     top = next((t for t in rng if down[t] == full), None)
@@ -91,56 +108,65 @@ def make_lattice(size: int, leq: Sequence[Sequence[bool]]) -> FiniteBoundedLatti
         raise Unbounded("no least element")
 
     # In a poset, u is the least upper bound of a and b exactly when the
-    # elements above u are those above both; antisymmetry makes u unique.
-    # Both tables are symmetric, so row a copies its entries b < a from the
-    # rows before it, in one C call, and looks up only b >= a.  Those rows
-    # had every bound, so row a is what a full lookup would give, and a
-    # missing bound is first met at the same (a, b).
-    lub = {mask: u for u, mask in enumerate(up)}
-    glb = {mask: l for l, mask in enumerate(down)}
-    join_rows: list[tuple[int, ...]] = []
-    meet_rows: list[tuple[int, ...]] = []
-    for a in rng:
-        before, ua, da = itemgetter(a), up[a], down[a]
-        jrow = list(map(before, join_rows))
-        jrow += [lub.get(ua & mask) for mask in up[a:]]
-        mrow = list(map(before, meet_rows))
-        mrow += [glb.get(da & mask) for mask in down[a:]]
-        if None in jrow or None in mrow:
-            b = min(row.index(None) for row in (jrow, mrow) if None in row)
-            kind = "least upper bound" if jrow[b] is None else "greatest lower bound"
-            raise NotALattice(kind, (a, b))
-        join_rows.append(tuple(jrow))
-        meet_rows.append(tuple(mrow))
-    return FiniteBoundedLattice(size, table, top, bottom, tuple(join_rows), tuple(meet_rows))
+    # elements above u are those above both.  A finite poset with a least
+    # element in which every pair has a join is a lattice (Davey and
+    # Priestley, Introduction to Lattices and Order, 2nd ed., 2002, ch. 2),
+    # so only joins are looked for, one C-level scan per row.  Where one is
+    # missing, the rows are scanned in order, joins before meets at each
+    # cell, for the first bound missing.
+    ups = set(up)
+    if not all(ups.issuperset(map(ua.__and__, up[a:])) for a, ua in enumerate(up)):
+        downs = set(down)
+        for a, b in itertools.product(rng, repeat=2):
+            if up[a] & up[b] not in ups:
+                raise NotALattice("least upper bound", (a, b))
+            if down[a] & down[b] not in downs:
+                raise NotALattice("greatest lower bound", (a, b))
+    return FiniteBoundedLattice(size, top, bottom, up, down)
 
 
-def _lowest(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
+def lattice_of_sets(sets: Sequence[frozenset[int]]) -> FiniteBoundedLattice:
+    """The lattice of distinct ideals or submodules under inclusion,
+    unchecked.  With holders[x] the mask of the sets holding x, the sets
+    above A are the AND of holders[x] over x in A, and those below A hold
+    nothing outside A."""
+    full = (1 << len(sets)) - 1
+    holders: dict[int, int] = {}
+    for k, s in enumerate(sets):
+        for x in s:
+            holders[x] = holders.get(x, 0) | 1 << k
+    every, get = holders.keys(), holders.__getitem__
+    up = tuple(functools.reduce(operator.and_, map(get, s), full) for s in sets)
+    down = tuple(full ^ functools.reduce(operator.or_, map(get, every - s), 0) for s in sets)
+    return FiniteBoundedLattice(len(sets), down.index(full), up.index(full), up, down)
+
+
+def join_rows(lat: FiniteBoundedLattice) -> IntTable:
+    """The join as a table.  It is symmetric, so row a copies its entries
+    b < a from the rows before it, in one C call, and looks up only b >= a."""
+    lub, up = lat.by_up, lat.up
+    rows: list[tuple[int, ...]] = []
+    for a, ua in enumerate(up):
+        row = list(map(operator.itemgetter(a), rows))
+        row += map(lub.__getitem__, map(ua.__and__, up[a:]))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def join_all(lat: FiniteBoundedLattice, elems: Iterable[int]) -> int:
-    """Join of a nonempty family."""
-    it = iter(elems)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise EmptyFamily("join over the empty family is undefined") from None
-    for x in it:
-        acc = lat.join_table[acc][x]
-    return acc
+    """Join of a nonempty family: the element above exactly what is above all."""
+    ups = list(map(lat.up.__getitem__, elems))
+    if not ups:
+        raise EmptyFamily("join over the empty family is undefined")
+    return lat.by_up[functools.reduce(operator.and_, ups)]
 
 
 def meet_all(lat: FiniteBoundedLattice, elems: Iterable[int]) -> int:
-    """Meet of a nonempty family."""
-    it = iter(elems)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise EmptyFamily("meet over the empty family is undefined") from None
-    for x in it:
-        acc = lat.meet_table[acc][x]
-    return acc
+    """Meet of a nonempty family: the element below exactly what is below all."""
+    downs = list(map(lat.down.__getitem__, elems))
+    if not downs:
+        raise EmptyFamily("meet over the empty family is undefined")
+    return lat.by_down[functools.reduce(operator.and_, downs)]
 
 
 def generated(

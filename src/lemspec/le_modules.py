@@ -18,7 +18,7 @@ from operator import getitem
 from typing import Iterable
 
 from .errors import AxiomViolation, EmptyFamily, NotPrimeIdeal
-from .lattices import FiniteBoundedLattice, generated, join_all
+from .lattices import FiniteBoundedLattice, elements, generated, join_all, join_rows
 from .memo import per_object, record
 from .rings import FiniteRing, Ideal, all_ideals, ideal_table, is_prime_ideal
 from .rowscan import first_bad, first_bad_pair, first_failure, freeze, gathers, generators
@@ -80,11 +80,6 @@ def make_le_module(
             raise ValueError(f"table entry {v} out of range")
     if not 0 <= zero_m < n:
         raise ValueError("zero_m out of range")
-    # Rows compare fastest when equal entries are one int object, as they
-    # are across the tables of one parsed descriptor.  Past 256 elements the
-    # join table's ints are others, so a sum equal to it stands for both.
-    join_is_sum = add_t == lattice.join_table
-    jt = add_t if join_is_sum else lattice.join_table
 
     # Each law is checked a row at a time over its last index; the witness of
     # a failed row is the first failing cell, as a loop over the indices in
@@ -94,24 +89,25 @@ def make_le_module(
     if add_t[zero_m] != identity:
         x = first_failure((add_t[zero_m], identity))[0]
         raise AxiomViolation("monoid", (zero_m, x), "identity fails")
-    # A sum that is the least upper bound in ``lattice.leq`` is commutative
-    # and associative (see ``_sum_is_lub``); any other sum is scanned.
+    # A sum that is the least upper bound in the order is the join, written
+    # ∘, which is idempotent, commutative and associative (``_sum_is_lub``):
+    # then m∘(x∘y) = (m∘x)∘(m∘y), which is S, and M5, r(x∘y) = rx∘ry, is M1.
+    # Any other sum is scanned, against the join as a table for S and M5.
+    # A law whose good values of one index are closed under + is checked at
+    # the additive generators only: associativity by Light's test, then S
+    # and M1, whose closure arguments use associativity alone and which
+    # first fail at a generator (see ``rowscan.generators``).  M5 keeps its
+    # full scan: reducing it would need generators of the join.
     add_get = gathers(add_t)
-    certified = join_is_sum and _sum_is_lub(lattice.leq, add_get)
-    if not certified:
+    join_is_sum = _sum_is_lub(lattice.up, add_get)
+    if not join_is_sum:
         add_cols = tuple(zip(*add_t))
         for x in rng:
             if add_t[x] != add_cols[x]:
                 y = first_failure((add_t[x], add_cols[x]))[0]
                 raise AxiomViolation("monoid", (x, y), "commutativity fails")
-    # A law whose good values of one index are closed under + is checked at
-    # the additive generators only: associativity by Light's test, then S
-    # and M1, whose closure arguments use associativity alone and which
-    # first fail at a generator (see ``rowscan.generators``).  M5 keeps its
-    # full scan unless the sum is the join: reducing it would need
-    # generators of the join, a table not re-checked here.
     gens = generators(add_t)
-    if not certified:
+    if not join_is_sum:
 
         def assoc(x: int, y: int) -> tuple[tuple, tuple]:
             # (x+y)+z against x+(y+z)
@@ -121,21 +117,13 @@ def make_le_module(
         if bad is not None:
             z = first_failure(assoc(*bad))[0]
             raise AxiomViolation("monoid", (*bad, z), "associativity fails")
+        jt = join_rows(lattice)
+        join_get = gathers(jt)
 
-    # When the sum is the join, as in every submodule lattice, write both
-    # as ∘.  By associativity and commutativity, checked above,
-    # (m∘x)∘(m∘y) = (m∘m)∘(x∘y), so S holds at every (m, x, y) once
-    # m∘m = m, and fails at (m, 0_M, 0_M) otherwise: S is idempotence, and
-    # the scan runs only to name the first witness.  M5, r(x∘y) =
-    # rx∘ry, is then M1 itself.  Neither argument uses a law of the join
-    # table, so a doctored one is judged the same way.
-    join_get = add_get if join_is_sum else gathers(jt)
+        def s_law(m: int, x: int) -> tuple[tuple, tuple]:
+            # m + (x v y) against (m+x) v (m+y)
+            return join_get[x](add_t[m]), add_get[m](jt[add_t[m][x]])
 
-    def s_law(m: int, x: int) -> tuple[tuple, tuple]:
-        # m + (x v y) against (m+x) v (m+y)
-        return join_get[x](add_t[m]), add_get[m](jt[add_t[m][x]])
-
-    if not (join_is_sum and tuple(map(getitem, add_t, rng)) == identity):
         bad = first_bad(s_law, itertools.product(gens, rng))
         if bad is not None:
             raise AxiomViolation("S", (*bad, first_failure(s_law(*bad))[0]))
@@ -150,18 +138,20 @@ def make_le_module(
     bad = first_bad(m1, itertools.product(rr, gens))
     if bad is not None:
         raise AxiomViolation("M1", (*bad, first_failure(m1(*bad))[0]))
-    # M2 holds at m when (r1+r2)m <= r1m + r2m, M3 when (r1r2)m = r1(r2m).
-    # ``below`` is a list: tuple(map(...)) would be resized after it is built,
-    # and every such tuple freed would stay on the interpreter's tuple free
-    # list, up to 2000 of each size.
-    leq_rows = [get(lattice.leq) for get in act_get]
-    holds = [True] * n
+    # M2 holds at m when (r1+r2)m <= r1m + r2m: character r1m + r2m of the
+    # up-set of (r1+r2)m, as a string of bits from bit 0, is "1".  M3 holds
+    # when (r1r2)m = r1(r2m).  ``below`` is a list: tuple(map(...)) would be
+    # resized after it is built, and every such tuple freed would stay on
+    # the interpreter's tuple free list, up to 2000 of each size.
+    up_bits = [format(u, f"0{n}b")[::-1] for u in lattice.up]
+    up_rows = [get(up_bits) for get in act_get]
+    holds = ["1"] * n
     for r1 in rr:
         sum_rows = act_get[r1](add_t)
         for r2 in rr:
             s = ring.add[r1][r2]
             p = ring.mul[r1][r2]
-            below = list(map(getitem, leq_rows[s], map(getitem, sum_rows, act_t[r2])))
+            below = list(map(getitem, up_rows[s], map(getitem, sum_rows, act_t[r2])))
             scaled = act_get[r2](act_t[r1])
             if below != holds or act_t[p] != scaled:
                 m, law = first_failure((below, holds), (act_t[p], scaled))
@@ -187,22 +177,29 @@ def make_le_module(
     return LeModuleInstance(ring, lattice, add_t, zero_m, act_t, name, labels)
 
 
-def _sum_is_lub(leq, add_get) -> bool:
+def _sum_is_lub(up, add_get) -> bool:
     """Whether the sum, read through ``add_get`` (``rowscan.gathers`` of its
-    table), is the least upper bound in ``leq``: U(a + b) = U(a) & U(b),
-    where U(x) is the mask of the elements above x, and U is one-to-one.
+    table), is the least upper bound for the up-sets ``up``:
+    U(a + b) = U(a) & U(b), where U(x) = ``up[x]``, and U is one-to-one.
 
     Then + is commutative, as & is, and associative, as
     U((a+b)+c) = U(a) & U(b) & U(c) = U(a+(b+c)).
-    No law of ``leq`` is assumed, so a doctored order or join table either
-    passes a true certificate or is scanned law by law.  Cost: n row
-    comparisons in C, against n·|G| for Light's test alone.
+    No law of the order is assumed, so a hand-built lattice either passes a
+    true certificate or is scanned law by law.  Cost: n row comparisons in
+    C, against n·|G| for Light's test alone.
     """
-    bits = [1 << x for x in range(len(leq))]
-    up = [sum(itertools.compress(bits, row)) for row in leq]
     return len(set(up)) == len(up) and all(
         tuple(map(ua.__and__, up)) == get(up) for ua, get in zip(up, add_get)
     )
+
+
+@per_object
+def _scalars_by_row(mod: LeModuleInstance) -> dict[tuple[int, ...], list[int]]:
+    """Each distinct action row, with the scalars that have it, in order."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for r, row in enumerate(mod.action):
+        groups.setdefault(row, []).append(r)
+    return groups
 
 
 @per_object
@@ -224,18 +221,15 @@ def scalar_classes(mod: LeModuleInstance) -> tuple[int, ...]:
     the same order, fail first at the same (r, s).  Keeping any other
     member of a class could name a later pair.
     """
-    least: dict[tuple[int, ...], int] = {}
-    for r, row in enumerate(mod.action):
-        least.setdefault(row, r)
-    return tuple(least.values())
+    return tuple(members[0] for members in _scalars_by_row(mod).values())
 
 
 def is_submodule_element(mod: LeModuleInstance, n: int) -> bool:
     """n + n <= n and r n <= n for every scalar r."""
-    lat = mod.lattice
-    if not lat.leq[mod.add[n][n]][n]:
+    below = mod.lattice.down[n]
+    if not below >> mod.add[n][n] & 1:
         return False
-    return all(lat.leq[mod.action[r][n]][n] for r in scalar_classes(mod))
+    return all(below >> mod.action[r][n] & 1 for r in scalar_classes(mod))
 
 
 @per_object
@@ -257,11 +251,12 @@ def sum_submodule_elements(mod: LeModuleInstance, family: Iterable[int]) -> int:
 
 @per_object
 def colon_set(mod: LeModuleInstance, x: int) -> frozenset[int]:
-    """Scalars sending the top below x; an ideal when x is a submodule element."""
-    top = mod.lattice.top
-    return frozenset(
-        r for r in range(mod.ring.order) if mod.lattice.leq[mod.action[r][top]][x]
-    )
+    """Scalars sending the top below x; an ideal when x is a submodule
+    element.  It reads r only through re, so one bit test takes or leaves
+    each class of scalars with equal action rows."""
+    below, top = mod.lattice.down[x], mod.lattice.top
+    classes = _scalars_by_row(mod).items()
+    return frozenset(itertools.chain.from_iterable(rs for row, rs in classes if below >> row[top] & 1))
 
 
 @per_object
@@ -320,11 +315,8 @@ def spectrum(mod: LeModuleInstance) -> tuple[int, ...]:
     class (``scalar_classes``) is enough.
     """
     lat, top = mod.lattice, mod.lattice.top
-    rng = range(lat.size)
-    bits = [1 << x for x in rng]
-    cols = tuple(zip(*lat.leq))
-    down = [sum(itertools.compress(bits, col)) for col in cols]
-    below = [list(itertools.compress(rng, col)) for col in cols]
+    down = lat.down
+    bits = [1 << x for x in range(lat.size)]
     rows = []  # (re, pre.__getitem__), one per scalar class
     for r in scalar_classes(mod):
         row = mod.action[r]
@@ -332,15 +324,12 @@ def spectrum(mod: LeModuleInstance) -> tuple[int, ...]:
         for bit, x in zip(bits, row):
             pre[x] |= bit
         rows.append((row[top], pre.__getitem__))
-    return tuple(
-        p
-        for p in submodule_elements(mod)
-        if p != top
-        and all(
-            down[p] >> re & 1 or not sum(map(pre, below[p])) & ~down[p]
-            for re, pre in rows
-        )
-    )
+    points = []
+    for p in submodule_elements(mod):
+        below = elements(down[p])
+        if p != top and all(down[p] >> re & 1 or not sum(map(pre, below)) & ~down[p] for re, pre in rows):
+            points.append(p)
+    return tuple(points)
 
 
 @per_object

@@ -366,11 +366,12 @@ def idempotents(ring: FiniteRing) -> frozenset[int]:
 
 
 def minimal_primes(ring: FiniteRing) -> tuple[Ideal, ...]:
-    """Primes with no strictly smaller prime, in canonical order."""
-    points = spec_ring(ring).points
-    return tuple(p for p in points if not any(q.members < p.members for q in points))
+    """Primes with no strictly smaller prime: all, as each is maximal."""
+    return spec_ring(ring).points
 
 
 def maximal_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
-    proper = [i for i in all_ideals(ring) if i.is_proper()]
-    return tuple(i for i in proper if not any(i.members < j.members for j in proper))
+    """Maximal ideals, in canonical order: the primes.  A maximal ideal is
+    prime, and a prime P of a finite commutative ring is maximal, as R/P is
+    a finite domain, so a field."""
+    return spec_ring(ring).points

@@ -21,7 +21,7 @@ import operator
 from typing import Iterable, NamedTuple
 
 from .errors import EmptyFamily, NotTopLeModule, TopologyAxiomViolation
-from .lattices import meet_all
+from .lattices import elements
 from .le_modules import (
     LeModuleInstance,
     colon,
@@ -64,8 +64,7 @@ class Topologies(NamedTuple):
 
 def decode(points: tuple, mask: int) -> tuple:
     """The points of a mask, in point order."""
-    # Read backwards, bin(mask) has bit k as its k-th character.
-    return tuple(itertools.compress(points, map("1".__eq__, reversed(bin(mask)))))
+    return tuple(map(points.__getitem__, elements(mask)))
 
 
 def canonical_family(points: tuple, sets: Iterable[int]) -> tuple[int, ...]:
@@ -119,7 +118,7 @@ def all_points(mod: LeModuleInstance) -> int:
 def variety(mod: LeModuleInstance, x: int) -> int:
     """Primes above x.  Meant for submodule elements, defined for any x."""
     bits = point_bits(mod)
-    return sum(itertools.compress(bits.values(), map(mod.lattice.leq[x].__getitem__, bits)))
+    return sum(map(bits.get, elements(mod.lattice.up[x]), itertools.repeat(0)))
 
 
 @per_object
@@ -284,14 +283,6 @@ def closure(top: SpectrumTopology, y: int) -> int:
 def closures_by_point(top: SpectrumTopology) -> dict[object, int]:
     """p -> cl{p} for every point, in point order, computed once per space."""
     return {p: closure(top, 1 << k) for k, p in enumerate(top.points)}
-
-
-def im_meet(mod: LeModuleInstance, y: Iterable[int]) -> int:
-    """Lattice meet of a nonempty set of points."""
-    points = list(y)
-    if not points:
-        raise EmptyFamily("meet over no points is undefined")
-    return meet_all(mod.lattice, points)
 
 
 def is_irreducible(top: SpectrumTopology, y: int) -> bool:

@@ -46,7 +46,7 @@ from .le_modules import (
     spectrum,
     submodule_elements,
 )
-from .rings import all_ideals, ideal_table, is_prime_ideal, maximal_ideals, spec_ring
+from .rings import all_ideals, ideal_table, is_prime_ideal
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"
@@ -91,11 +91,13 @@ def point_states(mod: LeModuleInstance) -> dict[tuple[int, int], tuple[int, ...]
     """(meet of Y, closure of Y) over each nonempty set Y of points.
 
     On a finite space the closure of Y is the union of its point closures:
-    the scan ORs their masks.
+    the scan ORs their masks.  It carries each meet as its down-set, the
+    AND of the down-sets of Y, and names each state's meet once at the end.
     """
-    meet = mod.lattice.meet_table
-    singletons = {p: (p, c) for p, c in _closures(mod).items()}
-    return generated(singletons, lambda a, b: (meet[a[0]][b[0]], a[1] | b[1]))
+    lat = mod.lattice
+    singletons = {p: (lat.down[p], c) for p, c in _closures(mod).items()}
+    found = generated(singletons, lambda a, b: (a[0] & b[0], a[1] | b[1]))
+    return {(lat.by_down[d], c): ys for (d, c), ys in found.items()}
 
 
 def _y_witness(mod: LeModuleInstance, ys: Iterable[int]) -> str:
@@ -109,15 +111,15 @@ def _fmt_clauses(report: nmap.EquivalenceReport) -> str:
 
 
 def _check_adjunction(mod: LeModuleInstance) -> Outcome:
-    """Ie <= n reads one ``leq`` row per ideal, and I lies inside the ideal
+    """Ie <= n reads one up-set mask per ideal, and I lies inside the ideal
     (n:e) (``le_modules.colon``) exactly when its generators do."""
     ideals, gens = all_ideals(mod.ring), ideal_table(mod.ring)[2]
     submods = submodule_elements(mod)
     colons = [colon_set(mod, n) for n in submods]
     for i, g, ie in zip(ideals, gens, ideal_actions(mod)):
-        below = mod.lattice.leq[ie]
+        above = mod.lattice.up[ie]
         for n, c in zip(submods, colons):
-            if below[n] != c.issuperset(g):
+            if above >> n & 1 != c.issuperset(g):
                 return FALSIFIED, f"I={i.sorted_members()}, n={mod.label(n)}", None
     for p in spectrum(mod):
         if not is_prime_ideal(mod.ring, colon(mod, p)):
@@ -126,6 +128,14 @@ def _check_adjunction(mod: LeModuleInstance) -> Outcome:
 
 
 def _check_variety_identities(mod: LeModuleInstance) -> Outcome:
+    """V*(n) u V*(l) = V*(n ^ l) runs over pairs of colon classes: V*(x)
+    reads x only through (x:e), and (n ^ l : e) = (n:e) n (l:e).  The least
+    members of the classes, paired in order, name the first witness of the
+    loop over every pair (the argument of ``le_modules.scalar_classes``).
+    The definitions settle the other pair clauses, which are not scanned: a
+    prime above n is above n ^ l; V* is defined from the colon set; and for
+    points with V*(n) = V*(l), n lies in V*(l), so (l:e) lies in (n:e), and
+    the other way round."""
     full = spectra.all_points(mod)
     v, vs = spectra.variety, spectra.variety_star
     if not (vs(mod, mod.zero_m) == full == v(mod, mod.zero_m)):
@@ -138,26 +148,12 @@ def _check_variety_identities(mod: LeModuleInstance) -> Outcome:
             return FALSIFIED, f"family={[mod.label(n) for n in fam]}", "colon-sum"
         if inter_plain != v(mod, plain_sum):
             return FALSIFIED, f"family={[mod.label(n) for n in fam]}", "plain-sum"
-    meet = mod.lattice.meet_table
-    submods = submodule_elements(mod)
-    pts = spectra.point_bits(mod)
-    star = {n: vs(mod, n) for n in submods}
-    plain = {n: v(mod, n) for n in submods}
-    colons = {n: colon_set(mod, n) for n in submods}
-    for i, n in enumerate(submods):
-        sn, pn, cn, n_prime = star[n], plain[n], colons[n], n in pts
-        for l in submods[i:]:
-            m = meet[n][l]
-            if sn | star[l] != star[m]:
-                return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "star-union"
-            if (pn | plain[l]) & ~plain[m]:
-                return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "plain-union"
-            same_colon = cn == colons[l]
-            if same_colon and sn != star[l]:
-                return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "colon-transfer"
-            # The spectrum is the set of prime submodule elements.
-            if n_prime and l in pts and sn == star[l] and not same_colon:
-                return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "prime-converse"
+    least: dict[frozenset[int], int] = {}
+    for n in submodule_elements(mod):
+        least.setdefault(colon_set(mod, n), n)
+    for n, l in itertools.combinations_with_replacement(least.values(), 2):
+        if vs(mod, n) | vs(mod, l) != vs(mod, mod.lattice.meet(n, l)):
+            return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "star-union"
     for n in submodule_elements(mod):
         if not spectra.vstar_decomposition_check(mod, n):
             return FALSIFIED, f"n={mod.label(n)}", "decomposition"
@@ -356,20 +352,18 @@ def _check_irreducible_families(mod: LeModuleInstance) -> Outcome:
     # points p <= q, (p:e) lies inside (q:e), so cl{q} = V*(q) lies inside
     # V*(p) = cl{p}, and the union of the point closures along a chain is
     # the closure of its least point, which is irreducible.
+    # Every colon fiber is that of a maximal ideal: a point's colon ideal
+    # is prime (L2.1), hence maximal (``rings.maximal_ideals``).
     irreducible = set(_closures(mod).values())
     closures = _closures(mod)
     fiber_masks = spectra.fiber_masks(mod)
-    primes = {pr.members for pr in spec_ring(mod.ring).points}
-    maximal = {m.members for m in maximal_ideals(mod.ring)}
     fibers = colon_fibers(mod)
     for c, fiber in fibers.items():
-        if c not in primes:
-            continue
         closure = functools.reduce(operator.or_, map(closures.__getitem__, fiber))
         if closure not in irreducible:
             return FALSIFIED, _y_witness(mod, fiber), "colon-fiber-implies-irreducible"
         # The fiber is closed iff it is its own closure.
-        if c in maximal and closure != fiber_masks[c]:
+        if closure != fiber_masks[c]:
             return (
                 FALSIFIED,
                 _y_witness(mod, fiber),

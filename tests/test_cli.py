@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from lemspec import natural_map, spectra
+from lemspec.instances import build_instance, catalog, find_descriptor, parse_descriptor
+from lemspec.le_modules import colon, spectrum, submodule_elements
 from lemspec.cli import COMMANDS, main, parse_args
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -297,6 +299,51 @@ def test_catalog_topology_bytes_are_pinned(name, which, fmt, capsys):
     captured = capsys.readouterr()
     digest = hashlib.sha256((captured.out + captured.err).encode()).hexdigest()
     assert (rc, digest) == CATALOG_TOPOLOGY_DIGESTS[name, which, fmt]
+
+
+# sha256 of ``spec NAME --format structured`` on each catalog instance.  The
+# digests were taken when the output was written by ``json.dumps``.
+CATALOG_SPEC_DIGESTS = {
+    'Z2-ideal-lattice': 'ae954008193f4cadf6b65ee89173bd4636084912f956b3759f6cdeb4bc1a37d6',
+    'Z3-ideal-lattice': 'b6fcc60a46df3ca38d8bb2f4eb31d2e26b993e50cf5f5db540e825d06acdcfb0',
+    'Z4-ideal-lattice': 'ee7f840e8ae5b68d9973ad3ffc2b706008c58d148c2cf0059c290ad374253445',
+    'Z5-ideal-lattice': 'c413d6da15388b891394a16341bc723dfec34d9ce9d2edfb088703c97b160f01',
+    'Z6-ideal-lattice': '41a9882f5733ec30e667ef514e016d0ac1dbe618886c7e1f89860aafa23d184f',
+    'Z8-ideal-lattice': '1642dac1f5d622a12232fb07a437ca7bd1163168513df2da3e2285fd6310cd81',
+    'Z9-ideal-lattice': '425f4d7b45b617c583ef82df51d5da066a85ac06425b84ce783eafc7f8f3f4ca',
+    'Z12-ideal-lattice': '4b68e4b8ea53bf676a2f982843fe1ee74ee752c23b7ce73fb27b9ddc1177f8d3',
+    'Z30-ideal-lattice': '31eff0a4d8017774ae2e7f75468fb5e944fd850bb2ee652b8c339a0c34d41b08',
+    'Z2xZ3-ideal-lattice': '2daa08770a0fa4d8944cb2e6012572d4c35e25e355dfd0ad5784a563ae205681',
+    'Z2xZ2-ideal-lattice': 'b35e78baac62931a44d53ed0d3177068f7190ed8bd6350f267899c0ff4386caa',
+    'Z2xZ2-over-Z2-submodules': 'e1cfbbb68a47b348c5d9c7b67e4ff88b2a57ed1a43d2cc95bff948141b7566e0',
+    'Z4-over-Z4-submodules': 'b66481c81c439e25233dde1754a87fac052130b6bfcedcb0bda851d160b9f47d',
+    'Z6-over-Z6-submodules': 'b98bef8bc6f6f174b6eb35d433699a49f7328456e10836d78f94753ea7415b12',
+    'Z2xZ4-over-Z4-submodules': '8a4a351de10f28eab08661926b1c081a81e24867b957b980805f8316eecd7d62',
+    'three-chain-over-Z2': '705b0786c6ac37d6bd41ece046f88f032960694e7d079cc3cdcd8811fa0498aa',
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_SPEC_DIGESTS))
+def test_catalog_spec_bytes_are_pinned(name, capsys):
+    assert main(["spec", name, "--format", "structured"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CATALOG_SPEC_DIGESTS[name]
+
+
+def test_spec_and_lattice_dot_of_hundreds_of_points_are_pinned(tmp_path, capsys):
+    # F2^5 over Z2: 374 elements and 373 points.  Both digests were taken
+    # when the spec was written by ``json.dumps`` and the covers came from
+    # a scan over every triple of elements.
+    path = tmp_path / "F2^5.lem"
+    path.write_text(workloads.power_module_descriptor(2, 5))
+    expected = {
+        "spec": "70b2d58a611b34d86aab6bd23b63a81e1bb6390504a7e146b8ab3dc0573e40cd",
+        "export-dot": "5c5a6c5103f32a9a3e476fdbeb1e3ea2d1c8c7b62817acee924046928812d3fc",
+    }
+    flags = {"spec": ["--format", "structured"], "export-dot": ["--target", "lattice"]}
+    for command, digest in expected.items():
+        assert main([command, str(path), *flags[command]]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, command
 
 
 def test_export_dot_lattice(capsys):
@@ -592,3 +639,73 @@ def test_commands_import_no_argparse_gettext_or_locale():
     )
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "0 []\n", "")
+
+
+def _spec_payload(mod) -> dict:
+    """The fields ``spec --format structured`` writes."""
+    nm = natural_map.build_natural_map(mod)
+    reduced = not nm.degenerate
+    return {
+        "instance": mod.name,
+        "ring": {"name": mod.ring.name, "order": mod.ring.order},
+        "lattice_size": mod.lattice.size,
+        "submodule_elements": [mod.label(n) for n in submodule_elements(mod)],
+        "annihilator": list(nm.annihilator_ideal.sorted_members()),
+        "degenerate": nm.degenerate,
+        "points": [
+            {
+                "index": p,
+                "label": mod.label(p),
+                "colon": list(colon(mod, p).sorted_members()),
+                "image": list(nm.image_of(p).sorted_members()) if reduced else None,
+            }
+            for p in spectrum(mod)
+        ],
+        "quotient_order": nm.quotient.order if reduced else None,
+        "ring_spectrum_size": len(spectra.ring_space(nm.quotient).points) if reduced else None,
+        "injective": nm.is_injective() if reduced else None,
+        "surjective": True if reduced else None,
+    }
+
+
+def _topology_payload(mod, which: str) -> dict:
+    """The fields ``topology --format structured`` writes."""
+    top = getattr(spectra.build_topologies(mod), which)
+    props = spectra.point_set_properties(top)
+    return {
+        "instance": mod.name,
+        "which": which,
+        "points": [mod.label(p) for p in top.points],
+        "closed_sets": [[mod.label(p) for p in spectra.decode(top.points, c)] for c in top.closed_sets],
+        "properties": {
+            "t0": props.is_t0,
+            "t1": props.is_t1,
+            "connected": props.is_connected,
+            "quasi_compact": props.is_quasi_compact,
+            "spectral": props.is_spectral,
+        },
+        "note": props.note,
+    }
+
+
+def test_structured_spec_and_topology_are_json_dumps_of_their_fields(tmp_path, capsys):
+    """The templates write what ``json.dumps(..., sort_keys=True, indent=2)``
+    writes, on the catalog, on F2^5, on a name that JSON must escape and on
+    a degenerate instance, whose fields are null and whose lists are empty."""
+    odd = tmp_path / "odd.lem"
+    odd.write_text('name q"\\\u00e9-Z6\nring zn 6\nmodule ideal-lattice\n')
+    degenerate = tmp_path / "degenerate.lem"
+    degenerate.write_text("name d\nring zn 2\nmodule explicit size 1 zero 0 leq 1 add 0 action 0 ; 0\n")
+    power = tmp_path / "F2^5.lem"
+    power.write_text(workloads.power_module_descriptor(2, 5))
+    inputs = [*map(str, (odd, degenerate, power)), *(d.name for d in catalog())]
+    for text in inputs:
+        desc = find_descriptor(text) or parse_descriptor(Path(text).read_text())
+        mod = build_instance(desc)
+        assert main(["spec", text, "--format", "structured"]) == 0
+        expected = json.dumps(_spec_payload(mod), sort_keys=True, indent=2) + "\n"
+        assert capsys.readouterr().out == expected, text
+        for which in ("star", "prime"):
+            assert main(["topology", text, "--which", which, "--format", "structured"]) == 0
+            expected = json.dumps(_topology_payload(mod, which), sort_keys=True, indent=2) + "\n"
+            assert capsys.readouterr().out == expected, (text, which)

@@ -8,7 +8,8 @@ Ie from the submodule elements that {ae : a in I} generates and IJ as the
 additive closure of the products.  Planted failures check that the index
 loops name the same first (I, J) or (I, n), not only the same verdict.
 P6.2 settles its colon clauses by a theorem; the scans it no longer runs
-are kept here.
+are kept here, as are the pairwise scans that ``rings.minimal_primes`` and
+``rings.maximal_ideals`` ran, and P6.5's prime and maximal colon filters.
 """
 
 import itertools
@@ -32,7 +33,8 @@ from lemspec.le_modules import (
     sum_submodule_elements,
 )
 from lemspec.memo import preset, release
-from lemspec.rings import Ideal, all_ideals, ideal_intersect
+from lemspec.natural_map import build_natural_map
+from lemspec.rings import Ideal, all_ideals, ideal_intersect, maximal_ideals, minimal_primes, spec_ring
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -197,3 +199,30 @@ def test_colon_inclusion_is_the_colon_fiber():
             assert not any(cp < c for c in masks), (mod.name, p)
         assert all(not any(c < q for q in fibers) for c in fibers), mod.name
         release(mod, mod.ring)
+
+
+def ref_minimal_primes(ring):
+    points = spec_ring(ring).points
+    return tuple(p for p in points if not any(q.members < p.members for q in points))
+
+
+def ref_maximal_ideals(ring):
+    proper = [i for i in all_ideals(ring) if i.is_proper()]
+    return tuple(i for i in proper if not any(i.members < j.members for j in proper))
+
+
+@pytest.mark.parametrize("name", sorted(DESCRIPTORS))
+def test_primes_are_the_minimal_primes_and_the_maximal_ideals(name):
+    # In a finite commutative ring every prime is maximal, hence minimal.
+    mod = build_instance(DESCRIPTORS[name])
+    nm = build_natural_map(mod)
+    for ring in (mod.ring, nm.quotient):
+        if ring is not None:
+            expected = spec_ring(ring).points
+            assert ref_minimal_primes(ring) == ref_maximal_ideals(ring) == expected, (name, ring.name)
+            assert minimal_primes(ring) == maximal_ideals(ring) == expected
+    # P6.5 no longer skips the colon fibers of non-primes, nor tests for
+    # maximal ones: every point's colon ideal is a maximal ideal.
+    maximal = {m.members for m in ref_maximal_ideals(mod.ring)}
+    assert set(colon_fibers(mod)) <= maximal, name
+    release(mod, mod.ring, nm.quotient)

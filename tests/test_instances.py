@@ -1,5 +1,8 @@
+import ast
 import gc
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +31,10 @@ from lemspec.natural_map import build_natural_map
 from lemspec.spectra import basis_checks, build_topologies
 from lemspec.verify import STATEMENTS
 from lemspec.rings import make_zn
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
+from test_ideal_index_reference import f2xy_descriptor  # noqa: E402
 
 EXPECTED_NAMES = (
     "Z2-ideal-lattice",
@@ -115,6 +122,36 @@ def test_built_modules_pass_full_validation(all_instances):
             mod.element_labels,
         )
         assert rebuilt == mod, mod.name
+
+
+def _member_sets(mod):
+    """The members of each element of a built lattice, read from its labels."""
+    return [frozenset(ast.literal_eval(label)) for label in mod.element_labels]
+
+
+def test_built_lattice_masks_are_the_subset_order(all_instances):
+    """Ideal and submodule lattices come from member masks; their up-sets
+    and down-sets must be those of the frozenset subset order, and their
+    covers those of a scan over every triple where that is small."""
+    texts = [workloads.power_module_descriptor(m, k) for m, k in ((2, 5), (3, 4), (8, 3))]
+    extra = [build_instance(parse_descriptor(t)) for t in (*texts, f2xy_descriptor())]
+    built = [mod for mod in all_instances if mod.element_labels is not None]
+    assert len(built) == 15
+    ladders = _ladder_instances()
+    for mod in (*built, *ladders, *extra):
+        sets = _member_sets(mod)
+        n = len(sets)
+        leq = [[a <= b for b in sets] for a in sets]
+        up = tuple(sum(1 << b for b in range(n) if leq[a][b]) for a in range(n))
+        down = tuple(sum(1 << a for a in range(n) if leq[a][b]) for b in range(n))
+        lat = mod.lattice
+        assert (lat.size, lat.up, lat.down) == (n, up, down), mod.name
+        assert sets[lat.bottom] == min(sets, key=len) and sets[lat.top] == max(sets, key=len)
+        if n <= 64:
+            between = lambda a, b: any(leq[a][z] and leq[z][b] for z in set(range(n)) - {a, b})
+            covers = [(a, b) for a in range(n) for b in range(n) if a != b and leq[a][b] and not between(a, b)]
+            assert list(lat.covers()) == covers, mod.name
+    release(*ladders, *extra)
 
 
 def test_every_catalog_entry_builds(all_instances):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lemspec.errors import EmptyFamily, NotALattice, NotAPoset, Unbounded
-from lemspec.lattices import chain_lattice, generated, join_all, make_lattice, meet_all
+from lemspec.lattices import chain_lattice, generated, join_all, join_rows, make_lattice, meet_all
 
 
 def leq_from_pairs(size, pairs):
@@ -110,10 +110,12 @@ def test_join_all_order_independent(elems, rng):
 
 
 def test_tables_match_pairwise_ops():
-    lat = DIAMOND
-    for a, b in itertools.product(range(lat.size), repeat=2):
-        assert lat.join_table[a][b] == lat.join(a, b)
-        assert lat.meet_table[a][b] == lat.meet(a, b)
+    # join_rows fills its rows below the diagonal from the rows before.
+    for lat in (DIAMOND, chain_lattice(5)):
+        rows = join_rows(lat)
+        for a, b in itertools.product(range(lat.size), repeat=2):
+            assert rows[a][b] == lat.join(a, b) == lat.join(b, a)
+            assert lat.le(a, lat.join(a, b)) and lat.le(lat.meet(a, b), a)
 
 
 def test_generated_names_a_first_shortest_family():

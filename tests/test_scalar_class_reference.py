@@ -55,6 +55,12 @@ def ref_is_prime_submodule_element(mod: LeModuleInstance, p: int) -> bool:
     return True
 
 
+def ref_colon_set(mod: LeModuleInstance, x: int) -> frozenset[int]:
+    """(x : e) as a scan over every scalar."""
+    top = mod.lattice.top
+    return frozenset(r for r in range(mod.ring.order) if mod.lattice.leq[mod.action[r][top]][x])
+
+
 def ref_scalar_action_variety(mod: LeModuleInstance) -> int | None:
     """P3.1's last clause: the first r with V(re) != V*(re)."""
     top = mod.lattice.top
@@ -161,6 +167,21 @@ def test_class_scans_match_the_scalar_by_scalar_loops(name):
     else:
         assert ref_dr_witness(mod) is None
         assert CHECKS["P5.1"](mod) == (verify.VERIFIED, None, None), name
+    release(mod, mod.ring)
+
+
+@pytest.mark.parametrize("name", sorted(DESCRIPTORS))
+def test_colon_sets_match_the_scalar_by_scalar_scan(name):
+    mod = build_instance(DESCRIPTORS[name])
+    for x in range(mod.lattice.size):
+        assert colon_set(mod, x) == ref_colon_set(mod, x), (name, x)
+    release(mod, mod.ring)
+
+
+def test_colon_sets_of_a_ring_in_the_thousands_match_the_scan():
+    mod = build_instance(_ideal_lattice("Z5040-ideal-lattice", ZnSpec(5040)))
+    for x in submodule_elements(mod):
+        assert colon_set(mod, x) == ref_colon_set(mod, x), x
     release(mod, mod.ring)
 
 

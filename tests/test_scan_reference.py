@@ -307,6 +307,38 @@ def test_irreducible_iff_closure_is_a_point_closure(instances):
             assert (spectra.closure(top, ys) in cls) == irr, (mod.name, ys)
 
 
+PAIR_CLAUSES = ("star-union", "plain-union", "colon-transfer", "prime-converse")
+
+
+def reference_pairs(ref: ModuleSets) -> tuple | None:
+    """P3.1's four pair clauses over every pair of submodule elements, on
+    frozensets: the loop that P3.1 ran before it went over colon classes."""
+    mod, v, vs = ref.mod, ref.v, ref.vs
+    for n, l in itertools.combinations_with_replacement(submodule_elements(mod), 2):
+        witness = f"n={mod.label(n)}, l={mod.label(l)}"
+        m = meet_all(mod.lattice, (n, l))
+        if vs[n] | vs[l] != vs[m]:
+            return verify.FALSIFIED, witness, "star-union"
+        if not (v[n] | v[l]) <= v[m]:
+            return verify.FALSIFIED, witness, "plain-union"
+        same_colon = colon_set(mod, n) == colon_set(mod, l)
+        if same_colon and vs[n] != vs[l]:
+            return verify.FALSIFIED, witness, "colon-transfer"
+        both_prime = is_prime_submodule_element(mod, n) and is_prime_submodule_element(mod, l)
+        if both_prime and vs[n] == vs[l] and not same_colon:
+            return verify.FALSIFIED, witness, "prime-converse"
+    return None
+
+
+def test_no_pair_clause_fails_on_any_instance(instances):
+    # P3.1 scans star-union over pairs of colon classes and leaves the other
+    # three clauses to the definitions, which settle them on every instance.
+    check = next(s.check for s in verify.STATEMENTS if s.sid == "P3.1")
+    for mod in instances:
+        assert reference_pairs(ModuleSets(mod)) is None, mod.name
+        assert check(mod)[0] == verify.VERIFIED, mod.name
+
+
 def _witness(mod: LeModuleInstance, text: str) -> tuple[int, ...]:
     """The elements a witness ``Y=[...]`` or ``family=[...]`` names."""
     by_label = {mod.label(x): x for x in range(mod.lattice.size)}
@@ -322,7 +354,7 @@ def test_a_planted_failure_names_a_failing_family(monkeypatch, sid):
     # 6Z30, the meet of the points 2Z30 and 3Z30: no single point or
     # submodule element sees the planted V*(6Z30) = {} on one side only.
     p, q = spectrum(mod)[:2]
-    planted = mod.lattice.meet_table[p][q]
+    planted = mod.lattice.meet(p, q)
     assert planted not in spectrum(mod) and planted != mod.zero_m
 
     def variety_star(m, x):

@@ -12,6 +12,7 @@ from frozenset_reference import ModuleSets, Space, canonical
 from hypothesis import given, strategies as st
 
 from lemspec.errors import EmptyFamily, NotTopLeModule
+from lemspec.lattices import meet_all
 from lemspec.le_modules import colon, ideal_action, spectrum
 from lemspec.rings import all_ideals, basic_open_ring, make_zn
 from lemspec.spectra import (
@@ -23,7 +24,6 @@ from lemspec.spectra import (
     closure,
     decode,
     generic_points,
-    im_meet,
     irreducible_components,
     is_irreducible,
     is_top_le_module,
@@ -254,11 +254,11 @@ def test_specialization_pairs(z6_module, klein_module):
     assert len(pairs) == 12  # indiscrete on 4 points
 
 
-def test_im_meet_z6(z6_module):
-    assert im_meet(z6_module, [1, 2]) == 0
-    assert im_meet(z6_module, [1]) == 1
+def test_meet_all_of_points_z6(z6_module):
+    assert meet_all(z6_module.lattice, [1, 2]) == 0
+    assert meet_all(z6_module.lattice, [1]) == 1
     with pytest.raises(EmptyFamily):
-        im_meet(z6_module, [])
+        meet_all(z6_module.lattice, [])
 
 
 def test_irreducibility_criteria_hold_on_all_subsets(z6_module, klein_module):

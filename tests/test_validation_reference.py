@@ -5,7 +5,9 @@ with: the same exception type, the same law and the same witness on a bad
 table, and the same join and meet tables on a good lattice.  Inputs are
 seeded one-cell and symmetric two-cell mutants of small valid tables, whose
 first failures land on every law; sizes 1 and 2 are included, because with
-one index ``itemgetter`` returns an item instead of a tuple.
+one index ``itemgetter`` returns an item instead of a tuple.  A lattice
+keeps its order as masks; the join and meet tables that the references
+read are built here from its ``join`` and ``meet``.
 """
 
 import itertools
@@ -14,6 +16,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lemspec import instances, le_modules, rowscan
 from lemspec.errors import (
@@ -80,6 +83,14 @@ def ref_ring(order, add, mul):
     return zero, one
 
 
+def join_table(lat):
+    return tuple(tuple(lat.join(a, b) for b in range(lat.size)) for a in range(lat.size))
+
+
+def meet_table(lat):
+    return tuple(tuple(lat.meet(a, b) for b in range(lat.size)) for a in range(lat.size))
+
+
 def ref_lattice(size, leq):
     rng = range(size)
     for a in rng:
@@ -133,7 +144,7 @@ def ref_le_module(ring, lattice, add, zero_m, act):
     for x, y, z in itertools.product(rng, repeat=3):
         if add[add[x][y]][z] != add[x][add[y][z]]:
             raise AxiomViolation("monoid", (x, y, z), "associativity fails")
-    jt = lattice.join_table
+    jt = join_table(lattice)
     for m, x, y in itertools.product(rng, repeat=3):
         if add[m][jt[x][y]] != jt[add[m][x]][add[m][y]]:
             raise AxiomViolation("S", (m, x, y))
@@ -401,7 +412,7 @@ def test_generators_reach_every_index():
         # Greedy in index order: each generator is missed by the ones before it.
         assert all(g not in reached(table, gens[:i]) for i, g in enumerate(gens))
     # A zero that no sum reaches, as in a join, is a generator too.
-    assert generators(chain_lattice(4).join_table) == [0, 1, 2, 3]
+    assert generators(join_table(chain_lattice(4))) == [0, 1, 2, 3]
 
 
 def test_freeze_keeps_int_tables_and_converts_the_rest():
@@ -466,7 +477,7 @@ def test_ring_scan_matches_reference():
 
 def lattice_outcome_new(size, leq):
     lat = make_lattice(size, leq)
-    return lat.top, lat.bottom, lat.join_table, lat.meet_table
+    return lat.top, lat.bottom, join_table(lat), meet_table(lat)
 
 
 def small_orders():
@@ -538,6 +549,32 @@ def test_lattice_scan_matches_reference():
     assert {"reflexivity", "antisymmetry", "transitivity"} <= laws
 
 
+@st.composite
+def orders(draw):
+    """An order table on up to 8 elements: the reflexive and transitive
+    closure of random pairs a < b, often with a least and a greatest
+    element added, and sometimes with one cell flipped."""
+    n = draw(st.integers(1, 8))
+    index = st.integers(0, n - 1)
+    pairs = draw(st.sets(st.tuples(index, index).filter(lambda p: p[0] < p[1]), max_size=12))
+    if draw(st.booleans()):
+        pairs |= {(0, b) for b in range(1, n)} | {(a, n - 1) for a in range(n - 1)}
+    leq = [[a == b or (a, b) in pairs for b in range(n)] for a in range(n)]
+    for k, a, b in itertools.product(range(n), repeat=3):
+        leq[a][b] = leq[a][b] or (leq[a][k] and leq[k][b])
+    if draw(st.booleans()):
+        a, b = draw(index), draw(index)
+        leq[a][b] = not leq[a][b]
+    return freeze(leq)
+
+
+@settings(max_examples=400, deadline=None)
+@given(orders())
+def test_lattice_scan_matches_reference_on_random_orders(leq):
+    size = len(leq)
+    assert outcome(lattice_outcome_new, size, leq) == outcome(ref_lattice, size, leq)
+
+
 # --- le-modules ------------------------------------------------------------------
 
 
@@ -562,6 +599,25 @@ def grid_module(k1, k2):
     return make_zn(2), lat, add, 0, ((0,) * n, tuple(range(n)))
 
 
+def top_sum_module(lat, ring, scalars):
+    """The lattice with x + 0 = x and every other sum the top, over ``ring``.
+
+    This sum is not the join once there are three elements, and S holds:
+    for m and x v y nonzero both sides are the top.  An action row that
+    keeps nonzero elements nonzero and the top fixed keeps +, whether or
+    not it keeps the join.  ``scalars`` maps each scalar other than 0 and 1
+    to its row.
+    """
+    n = lat.size
+    add = tuple(
+        tuple(x if y == lat.bottom else y if x == lat.bottom else lat.top for y in range(n))
+        for x in range(n)
+    )
+    action = [scalars.get(r, tuple(range(n))) for r in range(ring.order)]
+    action[ring.zero] = (lat.bottom,) * n
+    return ring, lat, add, lat.bottom, tuple(action)
+
+
 def le_module_cases():
     """(ring, lattice, add, zero, action) of valid le-modules, sizes 1 and 2 included."""
     z2 = make_zn(2)
@@ -572,7 +628,11 @@ def le_module_cases():
     for d in catalog():
         mod = build_instance(d)
         cases.append((mod.ring, mod.lattice, mod.add, mod.zero_m, mod.action))
-    return cases + [grid_module(1, 6), grid_module(3, 3), grid_module(2, 4)]
+    cases += [grid_module(1, 6), grid_module(3, 3), grid_module(2, 4)]
+    # Sums that are not the join, over Z3 with 2 acting as the identity.
+    for n in (4, 5):
+        cases.append(top_sum_module(chain_lattice(n), make_zn(3), {}))
+    return cases
 
 
 def le_module_outcome_new(ring, lattice, add, zero_m, action):
@@ -583,7 +643,7 @@ def test_le_module_scan_matches_reference(monkeypatch):
     rng = random.Random("le-modules")
     results = []
     assoc_off_generators = s_after_non_generator = 0
-    m5_as_m1 = s_by_idempotence = 0
+    m5_as_m1 = 0
     certified = fell_back = 0
     verdicts = []  # what the least-upper-bound certificate said, per call
     real = le_modules._sum_is_lub
@@ -600,32 +660,31 @@ def test_le_module_scan_matches_reference(monkeypatch):
             cases += [(a, action) for a in mutants(add, range(n), rng, 25, sym)]
         cases += [(add, a) for a in mutants(action, range(n), rng, 50)]
         cases = [(lat, a, b) for a, b in cases]
-        # A doctored join table is what lets a row fail first at M5.
-        for sym in (False, True):
-            for jt in mutants(lat.join_table, range(n), rng, 25, sym):
-                cases.append((replace(lat, join_table=jt), add, action))
-        # A join table doctored to equal a sum that is not the join: where
-        # the sum is not idempotent, as on the three-chain, S fails and only
-        # the full S scan names the witness.
-        if add != lat.join_table:
-            cases.append((replace(lat, join_table=add), add, action))
-        for bad_lat, bad_add, bad_act in cases:
-            expected = outcome(ref_le_module, ring, bad_lat, bad_add, zero, bad_act)
+        # The lattice's own join as the sum, where the sum is another: its
+        # action may break M5, which the join-sum reports as M1.  And the
+        # sum under the chain order of the indices, whose join it is not
+        # (on the 3 x 3 grid, S fails first at the generator 3, past the
+        # non-generator 2).
+        if add != join_table(lat):
+            cases.append((lat, join_table(lat), action))
+        if n > 2:
+            cases.append((chain_lattice(n), add, action))
+        for case_lat, bad_add, bad_act in cases:
+            jt = join_table(case_lat)
+            expected = outcome(ref_le_module, ring, case_lat, bad_add, zero, bad_act)
             verdicts.clear()
-            got = outcome(le_module_outcome_new, ring, bad_lat, bad_add, zero, bad_act)
-            assert got == expected, (bad_lat, bad_add, bad_act)
+            got = outcome(le_module_outcome_new, ring, case_lat, bad_add, zero, bad_act)
+            assert got == expected, (case_lat, bad_add, bad_act)
             results.append(expected)
-            # A valid sum that is the lattice's own join takes the
-            # certificate; a join table doctored to equal a sum that is not
-            # the least upper bound falls back to the scans, matched above.
-            if bad_add != bad_lat.join_table:
+            # Past the identity row, the certificate says whether the sum
+            # is the join; only a sum that is not is scanned for S and M5.
+            is_join = bad_add == jt
+            if bad_add[zero] != tuple(range(n)):
                 assert verdicts == []
-            elif bad_add == lat.join_table:
-                assert verdicts == [True]
-                certified += 1
             else:
-                assert verdicts == [False]
-                fell_back += 1
+                assert verdicts == [is_join]
+                certified += is_join
+                fell_back += not is_join
             # S and M1 fail first at a generator: the generators below an
             # index generate it, and their good values are closed under +.
             # Associativity's are not, so it can fail first off them.
@@ -636,25 +695,42 @@ def test_le_module_scan_matches_reference(monkeypatch):
                 at = expected[2][0 if expected[1] == "S" else 1]
                 assert at in gens, expected
                 s_after_non_generator += expected[1] == "S" and at > min_non_generator(gens)
-            # Where the sum is the join, S is checked as idempotence and M5,
-            # then the same law as M1, is not scanned.
-            if bad_add == bad_lat.join_table:
+            # Where the sum is the join, S holds and M5, then the same law
+            # as M1, is not scanned.
+            if is_join:
+                assert expected[1] not in ("S", "M5"), expected
                 if expected[1] == "M1":
                     r, x, y = expected[2]
-                    jt = bad_lat.join_table
                     assert bad_act[r][jt[x][y]] != jt[bad_act[r][x]][bad_act[r][y]]
                     m5_as_m1 += 1
-                s_by_idempotence += expected[1] == "S"
         assert results[-len(cases)] == ("ok", None)
-    assert {"monoid", "S", "M1", "M2", "M3", "M4", "M5"} <= seen_failures(results)
+    # M5 first: ``test_m5_is_scanned_where_the_sum_is_not_the_join``.
+    assert {"monoid", "S", "M1", "M2", "M3", "M4"} <= seen_failures(results)
     # Only the full rescan names these associativity witnesses.
     assert assoc_off_generators > 0
     assert s_after_non_generator > 0
-    # An action that breaks M5 on a join-sum instance is reported at M1, and
-    # a non-idempotent join-sum reaches the full S scan.
+    # An action that breaks M5 on a join-sum instance is reported at M1.
     assert m5_as_m1 > 0
-    assert s_by_idempotence > 0
     assert certified > 0 and fell_back > 0, (certified, fell_back)
+
+
+def test_m5_is_scanned_where_the_sum_is_not_the_join():
+    """The top sum on a chain over Z3, with 2 acting by a row that keeps the
+    sum but not the join; both rows swap two middle elements."""
+    cases = [
+        (chain_lattice(4), (0, 2, 1, 3), (2, 1, 2)),
+        (chain_lattice(5), (0, 1, 3, 2, 4), (2, 2, 3)),
+    ]
+    for lat, row, witness in cases:
+        ring, lat, add, zero, action = top_sum_module(lat, make_zn(3), {2: row})
+        expected = outcome(ref_le_module, ring, lat, add, zero, action)
+        assert expected[:3] == ("AxiomViolation", "M5", witness)
+        assert outcome(le_module_outcome_new, ring, lat, add, zero, action) == expected
+        # With the join as the sum, the same row breaks M1 instead.
+        jt = join_table(lat)
+        expected = outcome(ref_le_module, ring, lat, jt, zero, action)
+        assert expected[:2] == ("AxiomViolation", "M1")
+        assert outcome(le_module_outcome_new, ring, lat, jt, zero, action) == expected
 
 
 # --- classical modules -------------------------------------------------------
@@ -739,7 +815,7 @@ def test_a_hand_built_order_that_is_no_poset_is_not_certified():
     # U(a + b) for any sum at all, and only U being one-to-one keeps this
     # noncommutative join-sum from passing the certificate.
     add = ((0, 1), (0, 1))
-    lat = FiniteBoundedLattice(2, ((True, True), (True, True)), 1, 0, add, add)
+    lat = FiniteBoundedLattice(2, 1, 0, (0b11, 0b11), (0b11, 0b11))
     expected = outcome(ref_le_module, make_zn(2), lat, add, 0, ((0, 0), (0, 1)))
     assert expected[:3] == ("AxiomViolation", "monoid", (0, 1))
     assert outcome(le_module_outcome_new, make_zn(2), lat, add, 0, ((0, 0), (0, 1))) == expected
