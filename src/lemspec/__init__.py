@@ -9,14 +9,12 @@ and checks a catalog of structural statements instance by instance.
 from .errors import (
     AxiomViolation,
     EmptyFamily,
-    EmptySpectrum,
     ImproperIdeal,
     InternalError,
     LemspecError,
     ModuleAxiomViolation,
     NotALattice,
     NotAPoset,
-    NotPrimeIdeal,
     NotTopLeModule,
     ParseError,
     TopologyAxiomViolation,
@@ -44,7 +42,6 @@ from .le_modules import (
     is_submodule_element,
     make_le_module,
     spectrum,
-    spectrum_at,
     submodule_elements,
     sum_submodule_elements,
 )
@@ -53,9 +50,7 @@ from .natural_map import (
     build_natural_map,
     connectedness_equivalence,
     continuity_check,
-    finite_spec_criterion,
     homeomorphism_check,
-    image_closed_criterion,
     injectivity_battery,
     is_multiplication_le_module,
     spectral_battery,

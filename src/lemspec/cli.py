@@ -28,14 +28,12 @@ from .dot import lattice_dot, specialization_dot
 from .errors import (
     AxiomViolation,
     EmptyFamily,
-    EmptySpectrum,
     ImproperIdeal,
     InternalError,
     LemspecError,
     ModuleAxiomViolation,
     NotALattice,
     NotAPoset,
-    NotPrimeIdeal,
     NotTopLeModule,
     ParseError,
     Unbounded,
@@ -64,9 +62,7 @@ _INPUT_ERRORS = (
     ParseError,
     NotTopLeModule,
     EmptyFamily,
-    EmptySpectrum,
     ImproperIdeal,
-    NotPrimeIdeal,
     OSError,
     ValueError,
 )

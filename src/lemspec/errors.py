@@ -35,16 +35,8 @@ class ImproperIdeal(LemspecError):
     """An operation required a proper ideal but received the whole ring."""
 
 
-class NotPrimeIdeal(LemspecError):
-    """An operation required a prime ideal."""
-
-
 class EmptyFamily(LemspecError):
     """Joins, meets, sums, and intersections over the empty family are undefined here."""
-
-
-class EmptySpectrum(LemspecError):
-    """An operation required at least one prime element."""
 
 
 class NotAPoset(LemspecError):

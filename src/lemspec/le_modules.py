@@ -17,10 +17,10 @@ import itertools
 from operator import getitem
 from typing import Iterable
 
-from .errors import AxiomViolation, EmptyFamily, NotPrimeIdeal
+from .errors import AxiomViolation, EmptyFamily
 from .lattices import FiniteBoundedLattice, elements, generated, join_all, join_rows
 from .memo import per_object, record
-from .rings import FiniteRing, Ideal, all_ideals, ideal_table, is_prime_ideal
+from .rings import FiniteRing, Ideal, all_ideals, ideal_table
 from .rowscan import first_bad, first_bad_pair, first_failure, freeze, gathers, generators
 
 IntTable = tuple[tuple[int, ...], ...]
@@ -340,10 +340,3 @@ def colon_fibers(mod: LeModuleInstance) -> dict[frozenset[int], tuple[int, ...]]
         c = colon_set(mod, p)
         fibers[c] = fibers.get(c, ()) + (p,)
     return fibers
-
-
-def spectrum_at(mod: LeModuleInstance, prime: Ideal) -> tuple[int, ...]:
-    """Primes of the module whose colon ideal is the given ring prime."""
-    if not is_prime_ideal(mod.ring, prime):
-        raise NotPrimeIdeal(f"{sorted(prime.members)} is not prime in {mod.ring.name}")
-    return colon_fibers(mod).get(prime.members, ())

@@ -5,20 +5,22 @@ map is onto whenever the module is not degenerate (see
 ``build_natural_map``), and that is asserted once, where it is built.
 Continuity, injectivity, openness, and the induced equivalences
 (connectedness, spectrality, components) are checked clause by clause so
-truth-vector comparisons stay visible in reports.  Sets of points are int
-masks (``spectra``), those of the reduced ring in ``spec_ring`` order.
+truth-vector comparisons stay visible in reports.  Each map has one
+spectrality battery (``spectral_battery``), kept on the map: P4.2 reports
+the three clauses it takes from ``injectivity_battery``, T7.1 all six, and
+T7.2, T7.3 and T7.4 read the clauses they restate.  Sets of points are int masks (``spectra``), those
+of the reduced ring in ``spec_ring`` order.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .errors import EmptySpectrum, InternalError
+from .errors import InternalError
 from .le_modules import (
     LeModuleInstance,
     annihilator,
     colon,
-    colon_fibers,
     ideal_action,
     ideal_actions,
     spectrum,
@@ -44,6 +46,7 @@ from .spectra import (
     basic_open,
     build_topologies,
     closures_by_point,
+    colon_fibers_at_most_one,
     generic_points,
     irreducible_components,
     point_set_properties,
@@ -140,8 +143,8 @@ def build_natural_map(mod: LeModuleInstance) -> NaturalMap:
     R. L. McCasland, M. E. Moore and P. F. Smith, Comm. Algebra 25 (1997).
     It settles the "onto psi" hypotheses of T4.3, T4.5, P5.1, T5.4, T6.6,
     T7.1 and T7.2, and T7.3's "closed image", as the image is the whole
-    spectrum.  A map that is not onto is a fault of lemspec and raises
-    InternalError.
+    ring spectrum, which is closed.  A map that is not onto is a fault of
+    lemspec and raises InternalError.
     """
     ann = annihilator(mod)
     if not ann.is_proper():
@@ -183,9 +186,8 @@ class EquivalenceReport:
     def equivalent(self) -> bool:
         return len(set(self.values)) <= 1
 
-    @property
-    def all_true(self) -> bool:
-        return all(self.values)
+    def __getitem__(self, name: str) -> bool:
+        return self.values[self.names.index(name)]
 
 
 @per_object
@@ -197,14 +199,8 @@ def injectivity_battery(nm: NaturalMap) -> EquivalenceReport:
     separated = len({variety_star(mod, p) for p in points}) == len(points)
     return EquivalenceReport(
         ("psi-injective", "vstar-separated", "colon-fibers-at-most-one"),
-        (nm.is_injective(), separated, _fibers_at_most_one(mod)),
+        (nm.is_injective(), separated, colon_fibers_at_most_one(mod)),
     )
-
-
-def _fibers_at_most_one(mod: LeModuleInstance) -> bool:
-    """No ring prime is the colon ideal of two spectrum points."""
-    fibers = colon_fibers(mod)
-    return all(len(fibers.get(p.members, ())) <= 1 for p in spec_ring(mod.ring).points)
 
 
 @record
@@ -306,11 +302,15 @@ def component_minimal_prime_bijection(nm: NaturalMap) -> bool:
     return set(images) == set(minimal_primes(nm.quotient))
 
 
+@per_object
 def spectral_battery(nm: NaturalMap) -> EquivalenceReport:
-    """The six equivalent faces of spectrality (the map is onto)."""
+    """The six equivalent faces of spectrality (the map is onto).
+
+    Three clauses are read from ``injectivity_battery``, so P4.2 and this
+    battery share one computation of them.
+    """
     _require_map(nm)
-    mod = nm.instance
-    props = point_set_properties(build_topologies(mod).star)
+    props = point_set_properties(build_topologies(nm.instance).star)
     inj = injectivity_battery(nm)
     # A finite space homeomorphic to Spec(R/Ann) has as many points, so onto psi
     # is injective, and T4.3 checks that a bijective psi is a homeomorphism.
@@ -327,9 +327,9 @@ def spectral_battery(nm: NaturalMap) -> EquivalenceReport:
         (
             props.is_spectral,
             props.is_t0,
-            inj.values[1],
-            inj.values[2],
-            inj.values[0],
+            inj["vstar-separated"],
+            inj["colon-fibers-at-most-one"],
+            inj["psi-injective"],
             homeo,
         ),
     )
@@ -340,41 +340,6 @@ def is_multiplication_le_module(mod: LeModuleInstance) -> bool:
     return all(
         ideal_action(mod, colon(mod, n)) == n for n in submodule_elements(mod)
     )
-
-
-def multiplication_spectral_check(nm: NaturalMap) -> bool:
-    """Multiplication instances must have spectral spectra (the map is onto)."""
-    _require_map(nm)
-    if not is_multiplication_le_module(nm.instance):
-        raise InternalError("requires a multiplication instance")
-    return point_set_properties(build_topologies(nm.instance).star).is_spectral
-
-
-@record
-class ImageClosedReport:
-    spectral: bool
-    injective: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.spectral == self.injective
-
-
-def image_closed_criterion(nm: NaturalMap) -> ImageClosedReport:
-    """With a closed image, spectral is the same as injective.  The image
-    is the whole ring spectrum, which is closed."""
-    _require_map(nm)
-    props = point_set_properties(build_topologies(nm.instance).star)
-    return ImageClosedReport(props.is_spectral, nm.is_injective())
-
-
-def finite_spec_criterion(mod: LeModuleInstance) -> bool:
-    """Nonempty finite spectra: spectral equals all colon fibers small."""
-    points = spectrum(mod)
-    if not points:
-        raise EmptySpectrum(f"{mod.name} has no prime elements")
-    spectral = point_set_properties(build_topologies(mod).star).is_spectral
-    return spectral == _fibers_at_most_one(mod)
 
 
 def dr_preimage_check(nm: NaturalMap, r: int) -> bool:

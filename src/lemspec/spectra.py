@@ -349,13 +349,21 @@ def point_set_properties(top: SpectrumTopology) -> SpaceProperties:
     return SpaceProperties(t0, t1, connected, True, t0)
 
 
+@per_object
+def colon_fibers_at_most_one(mod: LeModuleInstance) -> bool:
+    """No two points share a colon ideal: the colon fibers, which are
+    nonempty and partition the spectrum, are as many as the points.  Each
+    fiber is that of a ring prime, as the colon ideal of a point is (L2.1)."""
+    return len(colon_fibers(mod)) == len(spectrum(mod))
+
+
 def phi_and_t1_check(mod: LeModuleInstance) -> bool:
     """T1 holds exactly when colon ideals are maximal in their family and
     every colon fiber is a singleton.  The first clause always holds: the
     colon ideal of a point is prime (L2.1), and a prime P of a finite
     commutative ring is maximal, as R/P is a finite domain, so a field."""
     t1 = point_set_properties(build_topologies(mod).star).is_t1
-    return t1 == all(len(f) <= 1 for f in colon_fibers(mod).values())
+    return t1 == colon_fibers_at_most_one(mod)
 
 
 def specialization_pairs(top: SpectrumTopology) -> tuple[tuple, ...]:

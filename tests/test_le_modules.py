@@ -10,12 +10,13 @@ import pytest
 from test_ideal_index_reference import galois_adjunction_check
 from test_scan_reference import _ladder_instances
 
-from lemspec.errors import AxiomViolation, EmptyFamily, NotPrimeIdeal
+from lemspec.errors import AxiomViolation, EmptyFamily
 from lemspec.instances import build_instance, catalog, ideal_lattice_le_module
 from lemspec.lattices import chain_lattice
 from lemspec.le_modules import (
     annihilator,
     colon,
+    colon_fibers,
     colon_set,
     ideal_action,
     is_prime_submodule_element,
@@ -23,7 +24,6 @@ from lemspec.le_modules import (
     make_le_module,
     scalar_classes,
     spectrum,
-    spectrum_at,
     sum_submodule_elements,
     submodule_elements,
 )
@@ -190,11 +190,13 @@ def test_spectrum_sizes_across_catalog(all_instances):
 
 
 def test_spectrum_at(z6_module):
+    # The points at a ring prime P, those with colon ideal P, are P's colon
+    # fiber; a non-prime ideal has none.
     ring = z6_module.ring
-    assert spectrum_at(z6_module, principal_ideal(ring, 3)) == (1,)
-    assert spectrum_at(z6_module, principal_ideal(ring, 2)) == (2,)
-    with pytest.raises(NotPrimeIdeal):
-        spectrum_at(z6_module, Ideal(ring, frozenset({0})))
+    fibers = colon_fibers(z6_module)
+    assert fibers[principal_ideal(ring, 3).members] == (1,)
+    assert fibers[principal_ideal(ring, 2).members] == (2,)
+    assert frozenset({0}) not in fibers
 
 
 def test_klein_points_share_colon(klein_module):

@@ -1,7 +1,7 @@
 import pytest
 
-from lemspec import natural_map
-from lemspec.errors import EmptySpectrum, InternalError
+from lemspec import natural_map, spectra
+from lemspec.errors import InternalError
 from lemspec.instances import (
     ExplicitModuleSpec,
     InstanceDescriptor,
@@ -15,16 +15,15 @@ from lemspec.natural_map import (
     connectedness_equivalence,
     continuity_check,
     dr_preimage_check,
-    finite_spec_criterion,
     homeomorphism_check,
-    image_closed_criterion,
     injectivity_battery,
     is_multiplication_le_module,
-    multiplication_spectral_check,
     spectral_battery,
     surjectivity_and_openclosed,
 )
+from lemspec.memo import per_object
 from lemspec.rings import spec_ring
+from lemspec.verify import FALSIFIED, STATEMENTS, run_all
 
 NON_MULT = {"Z2xZ2-over-Z2-submodules", "Z2xZ4-over-Z4-submodules"}
 
@@ -87,13 +86,13 @@ def test_injectivity_battery_z6(z6_module):
         "colon-fibers-at-most-one",
     )
     assert report.values == (True, True, True)
-    assert report.equivalent and report.all_true
+    assert report.equivalent
 
 
 def test_injectivity_battery_klein(klein_module):
     report = injectivity_battery(build_natural_map(klein_module))
     assert report.values == (False, False, False)
-    assert report.equivalent and not report.all_true
+    assert report.equivalent
 
 
 def test_continuity_everywhere(all_instances):
@@ -168,7 +167,7 @@ def test_psi_checks_run_once_per_map(monkeypatch):
     nm = build_natural_map(mod)
     assert nm.is_injective()
     pushes, scans = [], []
-    real_push, real_scan = natural_map.push_ideal, natural_map._fibers_at_most_one
+    real_push, real_scan = natural_map.push_ideal, natural_map.colon_fibers_at_most_one
 
     def counted_push(*args):
         pushes.append(args)
@@ -179,7 +178,7 @@ def test_psi_checks_run_once_per_map(monkeypatch):
         return real_scan(m)
 
     monkeypatch.setattr(natural_map, "push_ideal", counted_push)
-    monkeypatch.setattr(natural_map, "_fibers_at_most_one", counted_scan)
+    monkeypatch.setattr(natural_map, "colon_fibers_at_most_one", counted_scan)
     assert homeomorphism_check(nm)
     assert pushes
     first = len(pushes)
@@ -196,27 +195,37 @@ def test_multiplication_flags(all_instances):
 
 
 def test_multiplication_spectral(all_instances):
+    # T7.2 reads the battery's "spectral" clause once the multiplication
+    # hypothesis holds.
     for mod in all_instances:
         nm = build_natural_map(mod)
-        if mod.name in NON_MULT:
-            with pytest.raises(InternalError):
-                multiplication_spectral_check(nm)
-        else:
-            assert multiplication_spectral_check(nm), mod.name
+        if mod.name not in NON_MULT:
+            assert spectral_battery(nm)["spectral"], mod.name
+    verdicts = {r.instance: (r.verdict, r.detail) for r in run_all().for_statement("T7.2")}
+    assert {name for name, v in verdicts.items() if v[0] != "verified"} == NON_MULT
+    for name in NON_MULT:
+        assert verdicts[name] == ("hypothesis-not-met", "multiplication=False surjective=True")
 
 
 def test_image_closed_criterion(z6_module, klein_module):
-    report = image_closed_criterion(build_natural_map(z6_module))
-    assert report.spectral and report.injective
-    assert report.ok
-    report = image_closed_criterion(build_natural_map(klein_module))
-    assert not report.spectral and not report.injective
-    assert report.ok
+    # T7.3 compares the battery's "spectral" and "psi-injective" clauses.
+    report = spectral_battery(build_natural_map(z6_module))
+    assert report["spectral"] and report["psi-injective"]
+    report = spectral_battery(build_natural_map(klein_module))
+    assert not report["spectral"] and not report["psi-injective"]
+    results = run_all([find_descriptor(m.name) for m in (z6_module, klein_module)])
+    assert [(r.verdict, r.detail) for r in results.for_statement("T7.3")] == [
+        ("verified", "spectral=True injective=True"),
+        ("verified", "spectral=False injective=False"),
+    ]
 
 
 def test_finite_spec_criterion(all_instances):
+    # T7.4 compares the battery's "spectral" and "colon-fibers-at-most-one".
     for mod in all_instances:
-        assert finite_spec_criterion(mod), mod.name
+        report = spectral_battery(build_natural_map(mod))
+        assert report["spectral"] == report["colon-fibers-at-most-one"], mod.name
+        assert report["colon-fibers-at-most-one"] == spectra.colon_fibers_at_most_one(mod)
 
 
 def test_degenerate_map():
@@ -227,5 +236,49 @@ def test_degenerate_map():
     assert nm.quotient is None and nm.projection is None
     with pytest.raises(InternalError):
         continuity_check(nm)
-    with pytest.raises(EmptySpectrum):
-        finite_spec_criterion(mod)
+    with pytest.raises(InternalError):
+        spectral_battery(nm)
+    # psi is onto, so the degenerate module is the one with an empty spectrum.
+    finite_spec = next(s.check for s in STATEMENTS if s.sid == "T7.4")
+    assert finite_spec(mod) == ("hypothesis-not-met", None, "empty spectrum")
+
+
+def test_criteria_read_the_spectral_battery(monkeypatch, z6_module):
+    # A planted battery whose "spectral" clause disagrees with the others:
+    # T7.3 and T7.4 must report it, naming the battery's values.
+    names = spectral_battery(build_natural_map(z6_module)).names
+    planted = natural_map.EquivalenceReport(names, (False, True, True, True, True, True))
+    monkeypatch.setattr(natural_map, "spectral_battery", lambda nm: planted)
+    checks = {s.sid: s.check for s in STATEMENTS}
+    assert checks["T7.3"](z6_module) == (FALSIFIED, "spectral=False injective=True", None)
+    assert checks["T7.4"](z6_module) == (
+        FALSIFIED,
+        "spectral=False colon-fibers-at-most-one=True",
+        None,
+    )
+    assert checks["T7.2"](z6_module) == (FALSIFIED, "spectrum not spectral", None)
+
+
+def test_spectrality_scans_run_once_per_run(monkeypatch):
+    # T7.4 reads the colon-fiber clause that P4.2 computed, and T7.2 checks
+    # the multiplication hypothesis once.
+    counts = {"fibers": 0, "multiplication": 0}
+    real_fibers = spectra.colon_fibers_at_most_one.__wrapped__
+    real_mult = natural_map.is_multiplication_le_module
+
+    def fibers(mod):
+        counts["fibers"] += 1
+        return real_fibers(mod)
+
+    def multiplication(mod):
+        counts["multiplication"] += 1
+        return real_mult(mod)
+
+    # One memoised function for both callers, P6.2 (spectra) and the battery.
+    shared = per_object(fibers)
+    monkeypatch.setattr(spectra, "colon_fibers_at_most_one", shared)
+    monkeypatch.setattr(natural_map, "colon_fibers_at_most_one", shared)
+    monkeypatch.setattr(natural_map, "is_multiplication_le_module", multiplication)
+    report = run_all([find_descriptor("Z6-ideal-lattice")])
+    assert report.counts()["falsified"] == 0
+    assert counts == {"fibers": 1, "multiplication": 1}
