@@ -113,19 +113,22 @@ def record(cls=None, *, eq: bool = True):
 def per_object(fn):
     """Memoise ``fn(obj, *args)`` on ``obj``: computed once, freed with ``obj``.
 
-    Values live in ``obj.__dict__``, which every ``record`` has, so no cache
-    key hashes ``obj`` and nothing outlives it.
+    Values live in the dict ``obj._memo``, keyed ``(wrapper, *args)``, so no
+    cache key hashes ``obj`` and nothing outlives it.  A hit is one
+    attribute read and one dict probe; the first call on ``obj`` makes the
+    dict, past a record's ``__setattr__``, which raises.
     """
 
     @functools.wraps(fn)
     def wrapper(obj, *args):
-        memo = obj.__dict__.setdefault("_memo", {})
-        key = (wrapper, *args)
         try:
-            return memo[key]
+            return obj._memo[(wrapper, *args)]
+        except AttributeError:
+            _setattr(obj, "_memo", {})
         except KeyError:
-            value = memo[key] = fn(obj, *args)
-            return value
+            pass
+        value = obj._memo[(wrapper, *args)] = fn(obj, *args)
+        return value
 
     return wrapper
 

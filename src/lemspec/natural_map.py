@@ -51,8 +51,8 @@ from .spectra import (
     irreducible_components,
     point_set_properties,
     ring_space,
-    variety,
-    variety_star,
+    varieties,
+    variety_stars,
 )
 
 
@@ -167,9 +167,10 @@ def continuity_check(nm: NaturalMap) -> bool:
     for every ideal containing the annihilator."""
     _require_map(nm)
     mod, ann = nm.instance, nm.annihilator_ideal.members
+    v = varieties(mod)
     return all(
         nm.preimage(variety_ring(nm.quotient, push_ideal(i, nm.projection, nm.quotient)))
-        == variety(mod, ie)
+        == v[ie]
         for i, ie in zip(all_ideals(mod.ring), ideal_actions(mod))
         if ann <= i.members
     )
@@ -196,7 +197,7 @@ def injectivity_battery(nm: NaturalMap) -> EquivalenceReport:
     _require_map(nm)
     mod = nm.instance
     points = spectrum(mod)
-    separated = len({variety_star(mod, p) for p in points}) == len(points)
+    separated = len(set(map(variety_stars(mod).__getitem__, points))) == len(points)
     return EquivalenceReport(
         ("psi-injective", "vstar-separated", "colon-fibers-at-most-one"),
         (nm.is_injective(), separated, colon_fibers_at_most_one(mod)),
@@ -224,12 +225,12 @@ def surjectivity_and_openclosed(nm: NaturalMap) -> OpenClosedReport:
     _require_map(nm)
     mod = nm.instance
     full, ring_full = all_points(mod), (1 << len(nm.fibers)) - 1
+    vs = variety_stars(mod)
     closed_ok = open_ok = True
     for n in submodule_elements(mod):
         target = variety_ring(nm.quotient, push_ideal(colon(mod, n), nm.projection, nm.quotient))
-        vs = variety_star(mod, n)
-        closed_ok &= nm.image(vs) == target
-        open_ok &= nm.image(full ^ vs) == ring_full ^ target
+        closed_ok &= nm.image(vs[n]) == target
+        open_ok &= nm.image(full ^ vs[n]) == ring_full ^ target
     return OpenClosedReport(closed_ok, open_ok)
 
 
@@ -287,7 +288,7 @@ def component_minimal_prime_bijection(nm: NaturalMap) -> bool:
     _require_map(nm)
     mod = nm.instance
     space = build_topologies(mod).star
-    star_closed = {variety_star(mod, p) for p in spectrum(mod)}
+    star_closed = set(map(variety_stars(mod).__getitem__, spectrum(mod)))
     if not set(closures_by_point(space).values()) <= star_closed:
         return False
     # Finite space: cl{p} has generic point p, and a component is a maximal cl{p}.

@@ -115,33 +115,58 @@ def all_points(mod: LeModuleInstance) -> int:
 
 
 @per_object
-def variety(mod: LeModuleInstance, x: int) -> int:
-    """Primes above x.  Meant for submodule elements, defined for any x."""
-    bits = point_bits(mod)
-    return sum(map(bits.get, elements(mod.lattice.up[x]), itertools.repeat(0)))
+def varieties(mod: LeModuleInstance) -> tuple[int, ...]:
+    """V(x), the primes above x, for every lattice element x: bit k of V(x)
+    is set for each x below the k-th point.  Meant for submodule elements."""
+    table = [0] * mod.lattice.size
+    for k, p in enumerate(spectrum(mod)):
+        for x in elements(mod.lattice.down[p]):
+            table[x] |= 1 << k
+    return tuple(table)
 
 
 @per_object
+def variety_stars(mod: LeModuleInstance) -> tuple[int, ...]:
+    """V*(x), the primes whose colon ideal contains (x:e), for every
+    lattice element x: the union of the colon fibers, which are disjoint,
+    above (x:e), computed once per distinct colon set."""
+    colons = [colon_set(mod, x) for x in range(mod.lattice.size)]
+    fibers = fiber_masks(mod).items()
+    by_colon = {cx: sum(m for c, m in fibers if cx <= c) for cx in set(colons)}
+    return tuple(map(by_colon.__getitem__, colons))
+
+
+def variety(mod: LeModuleInstance, x: int) -> int:
+    """V(x), read from ``varieties``."""
+    return varieties(mod)[x]
+
+
 def variety_star(mod: LeModuleInstance, x: int) -> int:
-    """Primes whose colon ideal contains the colon ideal of x: the union of
-    the colon fibers above (x:e), which are disjoint."""
-    cx = colon_set(mod, x)
-    return sum(m for c, m in fiber_masks(mod).items() if cx <= c)
+    """V*(x), read from ``variety_stars``."""
+    return variety_stars(mod)[x]
+
+
+def basic_open(mod: LeModuleInstance, r: int) -> int:
+    """X_r: the complement of the variety of r acting on the top."""
+    return all_points(mod) ^ varieties(mod)[mod.action[r][mod.lattice.top]]
 
 
 @per_object
 def quasi_family(mod: LeModuleInstance) -> tuple[int, ...]:
-    return canonical_family(spectrum(mod), (variety(mod, n) for n in submodule_elements(mod)))
+    v = varieties(mod)
+    return canonical_family(spectrum(mod), map(v.__getitem__, submodule_elements(mod)))
 
 
 @per_object
 def star_family(mod: LeModuleInstance) -> tuple[int, ...]:
-    return canonical_family(spectrum(mod), (variety_star(mod, n) for n in submodule_elements(mod)))
+    vs = variety_stars(mod)
+    return canonical_family(spectrum(mod), map(vs.__getitem__, submodule_elements(mod)))
 
 
 @per_object
 def prime_family(mod: LeModuleInstance) -> tuple[int, ...]:
-    return canonical_family(spectrum(mod), (variety(mod, ie) for ie in ideal_actions(mod)))
+    v = varieties(mod)
+    return canonical_family(spectrum(mod), map(v.__getitem__, ideal_actions(mod)))
 
 
 @per_object
@@ -186,8 +211,8 @@ def first_bad_ideal_pair(mod: LeModuleInstance) -> tuple[Ideal, Ideal] | None:
     analogue, false, or None.  V and V* are read once per ideal index."""
     ideals, index = ideal_table(mod.ring)[:2]
     actions = ideal_actions(mod)
-    v = [variety(mod, x) for x in actions]
-    vs = [variety_star(mod, x) for x in actions]
+    v = list(map(varieties(mod).__getitem__, actions))
+    vs = list(map(variety_stars(mod).__getitem__, actions))
     for k, l in itertools.combinations_with_replacement(range(len(ideals)), 2):
         i, j = ideals[k], ideals[l]
         m, p = index[i.members & j.members], index[ideal_product(i, j).members]
@@ -200,17 +225,11 @@ def vstar_decomposition_check(mod: LeModuleInstance, n: int) -> bool:
     """V*(n) agrees with the colon-fiber union, V*((n:e)e), and V((n:e)e)."""
     cn = colon(mod, n)
     ce = ideal_action(mod, cn)
-    vs = variety_star(mod, n)
+    vs = variety_stars(mod)
     fibers = fiber_masks(mod)
     primes = (pr.members for pr in spec_ring(mod.ring).points if cn.members <= pr.members)
     union = sum(fibers.get(c, 0) for c in primes)
-    return vs == union == variety_star(mod, ce) == variety(mod, ce)
-
-
-@per_object
-def basic_open(mod: LeModuleInstance, r: int) -> int:
-    """X_r: the complement of the variety of r acting on the top."""
-    return all_points(mod) ^ variety(mod, mod.action[r][mod.lattice.top])
+    return vs[n] == union == vs[ce] == varieties(mod)[ce]
 
 
 @record
@@ -233,27 +252,27 @@ class BasisReport:
 def basis_checks(mod: LeModuleInstance) -> BasisReport:
     """X_rs = X_r n X_s; V*(Ie) = intersection of V*(ae); opens are unions of X_r."""
     ring, top = mod.ring, mod.lattice.top
+    full, v, vs = all_points(mod), varieties(mod), variety_stars(mod)
     # X_r reads r through re only, and X_rs through (rs)e = r(se) (M3), so
     # the pair identity depends on the action rows of r and s alone.
     classes = scalar_classes(mod)
+    opens = [full ^ v[row[top]] for row in mod.action]
     pair_ok, pair_wit = True, None
     for r, s in itertools.product(classes, repeat=2):
-        if basic_open(mod, ring.mul[r][s]) != basic_open(mod, r) & basic_open(mod, s):
+        if opens[ring.mul[r][s]] != opens[r] & opens[s]:
             pair_ok, pair_wit = False, (r, s)
             break
 
     ideal_ok, ideal_wit = True, None
-    full = all_points(mod)
     for i, ie in zip(all_ideals(ring), ideal_actions(mod)):
-        vs = variety_star(mod, ie)
         inter = full
         for ae in {mod.action[a][top] for a in i.members}:
-            inter &= variety_star(mod, ae)
-        if vs != inter:
+            inter &= vs[ae]
+        if vs[ie] != inter:
             ideal_ok, ideal_wit = False, (i.sorted_members(),)
             break
 
-    basics = [basic_open(mod, r) for r in classes]
+    basics = [opens[r] for r in classes]
     covers_ok, cover_wit = True, None
     for closed in star_family(mod):
         u = full ^ closed
@@ -355,15 +374,6 @@ def colon_fibers_at_most_one(mod: LeModuleInstance) -> bool:
     nonempty and partition the spectrum, are as many as the points.  Each
     fiber is that of a ring prime, as the colon ideal of a point is (L2.1)."""
     return len(colon_fibers(mod)) == len(spectrum(mod))
-
-
-def phi_and_t1_check(mod: LeModuleInstance) -> bool:
-    """T1 holds exactly when colon ideals are maximal in their family and
-    every colon fiber is a singleton.  The first clause always holds: the
-    colon ideal of a point is prime (L2.1), and a prime P of a finite
-    commutative ring is maximal, as R/P is a finite domain, so a field."""
-    t1 = point_set_properties(build_topologies(mod).star).is_t1
-    return t1 == colon_fibers_at_most_one(mod)
 
 
 def specialization_pairs(top: SpectrumTopology) -> tuple[tuple, ...]:

@@ -73,9 +73,9 @@ def family_states(mod: LeModuleInstance) -> dict[tuple, tuple[int, ...]]:
     l + l <= l, n + l lies above every finite sum of n and l.  The scan
     intersects the varieties, which are masks, with &.
     """
-    v, vs, add = spectra.variety, spectra.variety_star, mod.add
+    v, vs, add = spectra.varieties(mod), spectra.variety_stars(mod), mod.add
     singletons = {
-        n: (vs(mod, n), v(mod, n), ideal_action(mod, colon(mod, n)), n)
+        n: (vs[n], v[n], ideal_action(mod, colon(mod, n)), n)
         for n in submodule_elements(mod)
     }
 
@@ -136,32 +136,32 @@ def _check_variety_identities(mod: LeModuleInstance) -> Outcome:
     points with V*(n) = V*(l), n lies in V*(l), so (l:e) lies in (n:e), and
     the other way round."""
     full = spectra.all_points(mod)
-    v, vs = spectra.variety, spectra.variety_star
-    if not (vs(mod, mod.zero_m) == full == v(mod, mod.zero_m)):
+    v, vs = spectra.varieties(mod), spectra.variety_stars(mod)
+    if not (vs[mod.zero_m] == full == v[mod.zero_m]):
         return FALSIFIED, "n=0_M", None
     top = mod.lattice.top
-    if not (vs(mod, top) == 0 == v(mod, top)):
+    if not (vs[top] == 0 == v[top]):
         return FALSIFIED, "n=e", None
     for (inter_star, inter_plain, colon_sum, plain_sum), fam in family_states(mod).items():
-        if inter_star != vs(mod, colon_sum):
+        if inter_star != vs[colon_sum]:
             return FALSIFIED, f"family={[mod.label(n) for n in fam]}", "colon-sum"
-        if inter_plain != v(mod, plain_sum):
+        if inter_plain != v[plain_sum]:
             return FALSIFIED, f"family={[mod.label(n) for n in fam]}", "plain-sum"
     least: dict[frozenset[int], int] = {}
     for n in submodule_elements(mod):
         least.setdefault(colon_set(mod, n), n)
     for n, l in itertools.combinations_with_replacement(least.values(), 2):
-        if vs(mod, n) | vs(mod, l) != vs(mod, mod.lattice.meet(n, l)):
+        if vs[n] | vs[l] != vs[mod.lattice.meet(n, l)]:
             return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "star-union"
     for n in submodule_elements(mod):
         if not spectra.vstar_decomposition_check(mod, n):
             return FALSIFIED, f"n={mod.label(n)}", "decomposition"
     for i, ie in zip(all_ideals(mod.ring), ideal_actions(mod)):
-        if v(mod, ie) != vs(mod, ie):
+        if v[ie] != vs[ie]:
             return FALSIFIED, f"I={i.sorted_members()}", "ideal-action-variety"
     for r in scalar_classes(mod):
         re = mod.action[r][top]
-        if v(mod, re) != vs(mod, re):
+        if v[re] != vs[re]:
             return FALSIFIED, f"r={r}", "scalar-action-variety"
     return VERIFIED, None, None
 
@@ -174,12 +174,12 @@ def _check_families_identical(mod: LeModuleInstance) -> Outcome:
     if bad is not None:
         return FALSIFIED, f"I={bad[0].sorted_members()}, J={bad[1].sorted_members()}", None
     top = mod.lattice.top
-    vs = spectra.variety_star
+    vs = spectra.variety_stars(mod)
     # (rs)e = r(se) by M3, so this clause depends on the rows of r and s alone.
     for r, s in itertools.combinations_with_replacement(scalar_classes(mod), 2):
         re, se = mod.action[r][top], mod.action[s][top]
         rse = mod.action[mod.ring.mul[r][s]][top]
-        if vs(mod, re) | vs(mod, se) != vs(mod, rse):
+        if vs[re] | vs[se] != vs[rse]:
             return FALSIFIED, f"r={r}, s={s}", "scalar-union"
     is_top = spectra.is_top_le_module(mod)
     if is_top:
@@ -278,8 +278,9 @@ def _check_quasi_compact_base(nm: nmap.NaturalMap) -> Outcome:
 
 
 def _check_closure_formula(mod: LeModuleInstance) -> Outcome:
+    vs = spectra.variety_stars(mod)
     for (meet, closure), ys in point_states(mod).items():
-        if spectra.variety_star(mod, meet) != closure:
+        if vs[meet] != closure:
             return FALSIFIED, _y_witness(mod, ys), None
     # With cl Y = V*(meet of Y), "Y closed iff V*(meet of Y) = Y" is the
     # definition of a closed set.
@@ -289,12 +290,15 @@ def _check_closure_formula(mod: LeModuleInstance) -> Outcome:
 def _check_point_closures(mod: LeModuleInstance) -> Outcome:
     """The colon ideal of a point is prime (L2.1), so maximal, as the ring
     is finite: the q whose colon ideal contains (p:e) are p's colon fiber,
-    and (p:e) is maximal among the colon ideals."""
+    and (p:e) is maximal among the colon ideals.  The T1 clause, "T1 iff
+    every colon fiber has one point", is not checked apart: the loop
+    requires cl{p} = {p} exactly when p's colon fiber is {p}, T1 is "every
+    cl{p} = {p}", and every colon fiber is the fiber of some point."""
     points = spectrum(mod)
     bits = spectra.point_bits(mod)
     closures = _closures(mod)
     fiber_masks = spectra.fiber_masks(mod)
-    star = {p: spectra.variety_star(mod, p) for p in points}
+    star = spectra.variety_stars(mod)
     # The points q with one V*(q), as a mask for each distinct V*(q).
     by_star: dict[int, int] = {}
     for q in points:
@@ -315,8 +319,6 @@ def _check_point_closures(mod: LeModuleInstance) -> Outcome:
             return FALSIFIED, f"p={mod.label(p)}, q={mod.label(q)}", "specialization"
         if (closure == bits[p]) != (colon_incl.bit_count() == 1):
             return FALSIFIED, f"p={mod.label(p)}", "closed-point-criterion"
-    if not spectra.phi_and_t1_check(mod):
-        return FALSIFIED, "T1 criterion", None
     return VERIFIED, None, None
 
 
@@ -324,8 +326,9 @@ def _check_vstar_irreducible(mod: LeModuleInstance) -> Outcome:
     # A closed set of a finite space is irreducible iff it is a point closure.
     closed = set(spectra.build_topologies(mod).star.closed_sets)
     irreducible = set(_closures(mod).values())
+    vs = spectra.variety_stars(mod)
     for p in spectrum(mod):
-        vp = spectra.variety_star(mod, p)
+        vp = vs[p]
         if vp not in closed:
             return FALSIFIED, f"p={mod.label(p)}", "not closed"
         if vp not in irreducible:

@@ -9,7 +9,8 @@ test that compares the two does not check the mask code against itself:
 - a family is ordered by (size, positions in ascending order).
 
 ``Space.mask`` and ``Space.set`` translate between the two forms by the
-positions of the points, bit k for ``points[k]``.
+positions of the points, bit k for ``points[k]``.  ``plant`` changes
+entries of an instance's variety table, for the planted-fault tests.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import itertools
 from typing import Iterable
 
 from lemspec.le_modules import LeModuleInstance, colon_set, spectrum, submodule_elements
+from lemspec.memo import preset
 
 
 def canonical(points: tuple, sets: Iterable[frozenset]) -> tuple[frozenset, ...]:
@@ -28,6 +30,13 @@ def canonical(points: tuple, sets: Iterable[frozenset]) -> tuple[frozenset, ...]
 
 def to_set(points: tuple, mask: int) -> frozenset:
     return frozenset(p for k, p in enumerate(points) if mask >> k & 1)
+
+
+def plant(table, mod: LeModuleInstance, changed: dict[int, int]) -> None:
+    """Keep ``table(mod)``, a per-instance table such as ``spectra.varieties``
+    or ``spectra.variety_stars``, with entry x replaced by ``changed[x]``,
+    on ``mod`` alone, until ``mod`` is released."""
+    preset(table, mod, tuple(changed.get(x, value) for x, value in enumerate(table(mod))))
 
 
 class Space:

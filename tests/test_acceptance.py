@@ -35,13 +35,13 @@ from lemspec.spectra import (
     generic_points,
     irreducible_components,
     is_irreducible,
-    phi_and_t1_check,
     point_closures,
     point_set_properties,
     vstar_decomposition_check,
 )
 from lemspec.verify import run_all, serialize_report
 from test_ideal_index_reference import galois_adjunction_check, union_intersection_check
+from test_spectra import phi_and_t1_check
 
 ALL = tuple(build_instance(d) for d in catalog())
 

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from frozenset_reference import plant
 from test_ideal_reference import _f2_xy, ref_ideal_product
 from test_scan_reference import _ladder_instances
 
@@ -134,26 +135,18 @@ PLANTED = (
 
 @pytest.mark.parametrize("plain", [True, False])
 @pytest.mark.parametrize("name", PLANTED)
-def test_planted_ideal_pair_failures_name_the_reference_pair(monkeypatch, name, plain):
+def test_planted_ideal_pair_failures_name_the_reference_pair(name, plain):
     # V* of one ideal action x, and V(x) too when ``plain``, is changed by
     # the first point, on a fresh copy whose topologies were built from the
     # true varieties.  With V* alone changed, only the V* clause fails.
     probe = build_instance(DESCRIPTORS[name])
-    real_v, real_vs = spectra.variety, spectra.variety_star
     witnesses = set()
     for planted in sorted(set(ideal_actions(probe))):
         mod = build_instance(DESCRIPTORS[name])
         spectra.build_topologies(mod)
-
-        def variety(m, x, mod=mod, planted=planted):
-            return real_v(m, x) ^ 1 if m is mod and x == planted else real_v(m, x)
-
-        def variety_star(m, x, mod=mod, planted=planted):
-            return real_vs(m, x) ^ 1 if m is mod and x == planted else real_vs(m, x)
-
         if plain:
-            monkeypatch.setattr(spectra, "variety", variety)
-        monkeypatch.setattr(spectra, "variety_star", variety_star)
+            plant(spectra.varieties, mod, {planted: spectra.variety(mod, planted) ^ 1})
+        plant(spectra.variety_stars, mod, {planted: spectra.variety_star(mod, planted) ^ 1})
         expected = ref_ideal_pair(mod)
         assert spectra.first_bad_ideal_pair(mod) == expected, (name, planted)
         if expected is not None:

@@ -18,6 +18,7 @@ import sys
 import pytest
 
 import lemspec
+from lemspec.lattices import chain_lattice
 from lemspec.memo import UNHASHED, per_object, preset, record, release
 
 
@@ -174,6 +175,49 @@ def test_preset_answers_stand_until_released():
     assert x == Derived(5) and hash(x) == hash((5,))
     release(x)
     assert (tripled(x), scaled(x, 4)) == (15, 20)
+
+
+def test_first_call_makes_the_memo_past_the_frozen_setattr():
+    x = Derived(5)
+    assert "_memo" not in x.__dict__
+    with pytest.raises(AttributeError):
+        x._memo = {}
+    assert tripled(x) == 15
+    assert x.__dict__["_memo"] == {(tripled,): 15}
+
+
+def test_preset_and_release_decide_when_fn_runs():
+    calls = []
+
+    @per_object
+    def counted(obj, k):
+        calls.append(k)
+        return k + obj.size
+
+    x = Derived(5)
+    preset(counted, x, -1, 3)
+    assert counted(x, 3) == -1 and calls == []
+    assert counted(x, 4) == counted(x, 4) == 9 and calls == [4]
+    release(x)
+    assert counted(x, 3) == 8 and calls == [4, 3]
+
+
+def test_memo_sits_beside_cached_properties():
+    lat = chain_lattice(3)
+    by_up = lat.by_up
+
+    @per_object
+    def top_by_up(lattice):
+        return lattice.by_up[lattice.up[lattice.top]]
+
+    assert top_by_up(lat) == lat.top
+    by_down = lat.by_down
+    assert lat.__dict__["by_up"] is by_up and lat.__dict__["by_down"] is by_down
+    assert lat.__dict__["_memo"] == {(top_by_up,): lat.top}
+    release(lat)
+    assert "_memo" not in lat.__dict__
+    assert lat.by_up is by_up and lat.by_down is by_down
+    assert top_by_up(lat) == lat.top
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

@@ -10,6 +10,7 @@ that the class scans name the same first witness, not only the same verdict.
 import itertools
 
 import pytest
+from frozenset_reference import plant
 
 from lemspec import spectra, verify
 from lemspec.instances import (
@@ -199,7 +200,7 @@ def _shares_its_row(mod: LeModuleInstance, r: int) -> bool:
     return sum(row == mod.action[r] for row in mod.action) > 1
 
 
-def _planted(monkeypatch, name: str, plain: bool):
+def _planted(name: str, plain: bool):
     """Fresh copies of the instance, one per value x = re, with V*(x), and
     V(x) too when ``plain``, changed by one point (the first, bit 0).
 
@@ -209,21 +210,13 @@ def _planted(monkeypatch, name: str, plain: bool):
     """
     probe = build_instance(DESCRIPTORS[name])
     targets = sorted({row[probe.lattice.top] for row in probe.action})
-    real_v, real_vs = spectra.variety, spectra.variety_star
     for planted in targets:
         mod = build_instance(DESCRIPTORS[name])
         spectra.build_topologies(mod)
         flip = 1
-
-        def variety(m, x, mod=mod, planted=planted, flip=flip):
-            return real_v(m, x) ^ flip if m is mod and x == planted else real_v(m, x)
-
-        def variety_star(m, x, mod=mod, planted=planted, flip=flip):
-            return real_vs(m, x) ^ flip if m is mod and x == planted else real_vs(m, x)
-
         if plain:
-            monkeypatch.setattr(spectra, "variety", variety)
-        monkeypatch.setattr(spectra, "variety_star", variety_star)
+            plant(spectra.varieties, mod, {planted: spectra.variety(mod, planted) ^ flip})
+        plant(spectra.variety_stars, mod, {planted: spectra.variety_star(mod, planted) ^ flip})
         yield mod, planted
         release(mod)
 
@@ -233,7 +226,7 @@ def test_planted_failures_name_the_first_scalar_pair(monkeypatch, name):
     # T3.5's ideal-pair clause would meet the planted failure first.
     monkeypatch.setattr(spectra, "first_bad_ideal_pair", lambda mod: None)
     union_shared = pair_shared = False
-    for mod, _ in _planted(monkeypatch, name, plain=True):
+    for mod, _ in _planted(name, plain=True):
         expected = ref_scalar_union(mod)
         verdict, witness, detail = CHECKS["T3.5"](mod)
         if expected is None:
@@ -260,7 +253,7 @@ def test_planted_failure_names_the_first_scalar_in_p31(monkeypatch, name):
     monkeypatch.setattr(verify, "all_ideals", lambda ring: ())
     shared = False
     # Only V* is planted: with V changed alike, V(re) = V*(re) would hold.
-    for mod, planted in _planted(monkeypatch, name, plain=False):
+    for mod, planted in _planted(name, plain=False):
         if planted in (mod.zero_m, mod.lattice.top):
             continue  # the V*(0_M) and V*(e) clauses come first
         expected = ref_scalar_action_variety(mod)
@@ -274,12 +267,12 @@ def test_planted_failure_names_the_first_scalar_in_p31(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", PLANTED)
-def test_planted_failure_names_the_first_scalar_in_p51(monkeypatch, name):
+def test_planted_failure_names_the_first_scalar_in_p51(name):
     # Planting V(x) changes X_r for each r with re = x, while the preimage of
     # D_r̄ is read from the natural map, so P5.1 fails first at the least
     # such r.
     shared = False
-    for mod, _ in _planted(monkeypatch, name, plain=True):
+    for mod, _ in _planted(name, plain=True):
         expected = ref_dr_witness(mod)
         assert expected is not None
         assert CHECKS["P5.1"](mod) == (verify.FALSIFIED, f"r={expected}", None)

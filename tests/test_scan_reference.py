@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import pytest
-from frozenset_reference import ModuleSets
+from frozenset_reference import ModuleSets, plant
 
 from lemspec import spectra, verify
 from lemspec.errors import EmptyFamily
@@ -346,21 +346,17 @@ def _witness(mod: LeModuleInstance, text: str) -> tuple[int, ...]:
 
 
 @pytest.mark.parametrize("sid", ["P3.1", "P6.1"])
-def test_a_planted_failure_names_a_failing_family(monkeypatch, sid):
+def test_a_planted_failure_names_a_failing_family(sid):
     mod = build_instance(next(d for d in catalog() if d.name == "Z30-ideal-lattice"))
     spectra.build_topologies(mod)
     ref = ModuleSets(mod)
-    real = spectra.variety_star
     # 6Z30, the meet of the points 2Z30 and 3Z30: no single point or
     # submodule element sees the planted V*(6Z30) = {} on one side only.
     p, q = spectrum(mod)[:2]
     planted = mod.lattice.meet(p, q)
     assert planted not in spectrum(mod) and planted != mod.zero_m
 
-    def variety_star(m, x):
-        return 0 if m is mod and x == planted else real(m, x)
-
-    monkeypatch.setattr(spectra, "variety_star", variety_star)
+    plant(spectra.variety_stars, mod, {planted: 0})
     ref.vs[planted] = frozenset()
     check = next(s.check for s in verify.STATEMENTS if s.sid == sid)
     verdict, witness, _ = check(mod)

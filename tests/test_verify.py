@@ -9,7 +9,7 @@ import itertools
 import json
 
 import pytest
-from frozenset_reference import ModuleSets
+from frozenset_reference import ModuleSets, plant
 from hypothesis import given, strategies as st
 from test_scan_reference import (
     decoded_family_states,
@@ -335,12 +335,11 @@ def _reference_point_closures(ref: ModuleSets) -> tuple:
     return None
 
 
-def test_planted_point_failures_name_the_reference_witness(monkeypatch):
+def test_planted_point_failures_name_the_reference_witness():
     # V*(x) is changed by one point, for each point x and each point flipped:
     # one bit of the mask, and one member of the reference's frozenset.  The
     # topology is built first, from the true varieties.
     check = next(s.check for s in STATEMENTS if s.sid == "P6.2")
-    real = spectra.variety_star
     details = set()
     for name in ("Z30-ideal-lattice", "Z2xZ2-over-Z2-submodules", "Z2xZ4-over-Z4-submodules"):
         probe = build_instance(find_descriptor(name))
@@ -349,11 +348,7 @@ def test_planted_point_failures_name_the_reference_witness(monkeypatch):
             spectra.build_topologies(mod)
             ref = ModuleSets(mod)
             flip = ref.mask([flipped])
-
-            def variety_star(m, x, mod=mod, planted=planted, flip=flip):
-                return real(m, x) ^ flip if m is mod and x == planted else real(m, x)
-
-            monkeypatch.setattr(spectra, "variety_star", variety_star)
+            plant(spectra.variety_stars, mod, {planted: spectra.variety_star(mod, planted) ^ flip})
             ref.vs[planted] ^= {flipped}
             expected = _reference_point_closures(ref)
             assert expected is not None
@@ -391,11 +386,7 @@ def test_planted_pair_failures_name_the_reference_witness(monkeypatch):
                 mod = build_instance(find_descriptor(name))
                 spectra.build_topologies(mod)
                 ref = ModuleSets(mod)
-
-                def changed(m, x, mod=mod, members=members, value=value):
-                    return value if m is mod and x in members else real(m, x)
-
-                monkeypatch.setattr(spectra, "variety_star", changed)
+                plant(spectra.variety_stars, mod, dict.fromkeys(members, value))
                 for x in members:
                     ref.vs[x] = ref.set(value)
                 expected = reference_pairs(ref)
@@ -405,7 +396,6 @@ def test_planted_pair_failures_name_the_reference_witness(monkeypatch):
                 else:
                     assert outcome == expected, (name, planted, value)
                     details.add(expected[2])
-                monkeypatch.setattr(spectra, "variety_star", real)
                 release(mod)
     # V is not changed, and V* stays a function of the colon set.  A
     # prime-converse failure at (n, l) needs V*(n) = V*(l) with V*(n meet l)
