@@ -48,7 +48,7 @@ from .instances import (
     find_descriptor,
     parse_descriptor,
 )
-from .le_modules import colon, spectrum, submodule_elements
+from .le_modules import colon_sets, spectrum, submodule_elements
 
 _AXIOM_ERRORS = (
     AxiomViolation,
@@ -119,10 +119,10 @@ def cmd_spec(input: str, format: str, out: str | None) -> int:
     indent=2)`` of these fields, written from a template."""
     mod = build_instance(_resolve(input))
     nm = nmap.build_natural_map(mod)
-    ann = _members(nm.annihilator_ideal)
+    ann, colons = _members(nm.annihilator_ideal), colon_sets(mod)
     # (index, label, colon ideal, image in the reduced ring) of each point
     rows = [
-        (p, mod.label(p), _members(colon(mod, p)), None if nm.degenerate else _members(nm.image_of(p)))
+        (p, mod.label(p), sorted(colons[p]), None if nm.degenerate else _members(nm.image_of(p)))
         for p in spectrum(mod)
     ]
     # Order and spectrum size of R/Ann, and psi injective and onto:
@@ -422,6 +422,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except LemspecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

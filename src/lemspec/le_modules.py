@@ -194,15 +194,6 @@ def _sum_is_lub(up, add_get) -> bool:
 
 
 @per_object
-def _scalars_by_row(mod: LeModuleInstance) -> dict[tuple[int, ...], list[int]]:
-    """Each distinct action row, with the scalars that have it, in order."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for r, row in enumerate(mod.action):
-        groups.setdefault(row, []).append(r)
-    return groups
-
-
-@per_object
 def scalar_classes(mod: LeModuleInstance) -> tuple[int, ...]:
     """The least scalar of each class of scalars with equal action rows.
 
@@ -221,7 +212,10 @@ def scalar_classes(mod: LeModuleInstance) -> tuple[int, ...]:
     the same order, fail first at the same (r, s).  Keeping any other
     member of a class could name a later pair.
     """
-    return tuple(members[0] for members in _scalars_by_row(mod).values())
+    first: dict[tuple[int, ...], int] = {}
+    for r, row in enumerate(mod.action):
+        first.setdefault(row, r)
+    return tuple(first.values())
 
 
 def is_submodule_element(mod: LeModuleInstance, n: int) -> bool:
@@ -250,18 +244,29 @@ def sum_submodule_elements(mod: LeModuleInstance, family: Iterable[int]) -> int:
 
 
 @per_object
+def colon_sets(mod: LeModuleInstance) -> tuple[frozenset[int], ...]:
+    """(x : e) for every lattice element x: the scalars sending the top
+    below x, an ideal when x is a submodule element.  It reads r only
+    through re, so the scalars are grouped by re, and elements with the
+    same re values below them share one frozenset."""
+    top = mod.lattice.top
+    by_re: dict[int, list[int]] = {}
+    for r, row in enumerate(mod.action):
+        by_re.setdefault(row[top], []).append(r)
+    values = sum(1 << re for re in by_re)
+    keys = [below & values for below in mod.lattice.down]
+    chain = itertools.chain.from_iterable
+    shared = {key: frozenset(chain(map(by_re.get, elements(key)))) for key in set(keys)}
+    return tuple(map(shared.__getitem__, keys))
+
+
 def colon_set(mod: LeModuleInstance, x: int) -> frozenset[int]:
-    """Scalars sending the top below x; an ideal when x is a submodule
-    element.  It reads r only through re, so one bit test takes or leaves
-    each class of scalars with equal action rows."""
-    below, top = mod.lattice.down[x], mod.lattice.top
-    classes = _scalars_by_row(mod).items()
-    return frozenset(itertools.chain.from_iterable(rs for row, rs in classes if below >> row[top] & 1))
+    """(x : e), read from ``colon_sets``."""
+    return colon_sets(mod)[x]
 
 
-@per_object
 def colon(mod: LeModuleInstance, n: int) -> Ideal:
-    """The colon ideal (n : e) of a submodule element.
+    """The colon ideal (n : e) of a submodule element, from ``colon_sets``.
 
     It is an ideal by a theorem, so it is not re-checked.  Since 0_M is the
     bottom, 0_R e = 0_M <= n.  By M2 and + monotone (axiom S),
@@ -269,7 +274,7 @@ def colon(mod: LeModuleInstance, n: int) -> Ideal:
     closed under + is a subgroup.  By M3 and the action monotone (M5),
     (tr)e = t(re) <= tn <= n.
     """
-    return Ideal(mod.ring, colon_set(mod, n))
+    return Ideal(mod.ring, colon_sets(mod)[n])
 
 
 def annihilator(mod: LeModuleInstance) -> Ideal:
@@ -335,8 +340,8 @@ def spectrum(mod: LeModuleInstance) -> tuple[int, ...]:
 @per_object
 def colon_fibers(mod: LeModuleInstance) -> dict[frozenset[int], tuple[int, ...]]:
     """Spectrum points grouped by colon set, each group in spectrum order."""
+    colons = colon_sets(mod)
     fibers: dict[frozenset[int], tuple[int, ...]] = {}
     for p in spectrum(mod):
-        c = colon_set(mod, p)
-        fibers[c] = fibers.get(c, ()) + (p,)
+        fibers[colons[p]] = fibers.get(colons[p], ()) + (p,)
     return fibers

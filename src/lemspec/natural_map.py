@@ -20,8 +20,7 @@ from .errors import InternalError
 from .le_modules import (
     LeModuleInstance,
     annihilator,
-    colon,
-    ideal_action,
+    colon_sets,
     ideal_actions,
     spectrum,
     submodule_elements,
@@ -32,6 +31,7 @@ from .rings import (
     Ideal,
     all_ideals,
     basic_open_ring,
+    ideal_table,
     idempotents,
     is_prime_ideal,
     maximal_ideals,
@@ -90,11 +90,10 @@ class NaturalMap:
     def fibers(self) -> tuple[int, ...]:
         """For each prime of the reduced ring, in ``spec_ring`` order, the
         mask of the points that map to it: a colon fiber."""
-        images = self.images()
-        return tuple(
-            sum(1 << k for k, img in enumerate(images) if img == prime)
-            for prime in spec_ring(self.quotient).points
-        )
+        fibers = dict.fromkeys(spec_ring(self.quotient).points, 0)
+        for k, img in enumerate(self.images()):
+            fibers[img] |= 1 << k
+        return tuple(fibers.values())
 
     def preimage(self, targets: int) -> int:
         """The points over the ring primes of a mask."""
@@ -150,13 +149,17 @@ def build_natural_map(mod: LeModuleInstance) -> NaturalMap:
     if not ann.is_proper():
         return NaturalMap(mod, ann, True, None, None, ())
     quotient, projection = quotient_ring(mod.ring, ann)
+    colons = colon_sets(mod)
+    images: dict[frozenset[int], Ideal] = {}
     rows = []
     for p in spectrum(mod):
-        img = push_ideal(colon(mod, p), projection, quotient)
-        if not is_prime_ideal(quotient, img):
-            raise InternalError(f"image of colon of point {p} is not prime")
+        img = images.get(colons[p])
+        if img is None:
+            img = images[colons[p]] = push_ideal(Ideal(mod.ring, colons[p]), projection, quotient)
+            if not is_prime_ideal(quotient, img):
+                raise InternalError(f"image of colon of point {p} is not prime")
         rows.append((p, img))
-    if {img for _, img in rows} != set(spec_ring(quotient).points):
+    if set(images.values()) != set(spec_ring(quotient).points):
         raise InternalError("psi is not onto")
     return NaturalMap(mod, ann, False, quotient, projection, tuple(rows))
 
@@ -225,10 +228,10 @@ def surjectivity_and_openclosed(nm: NaturalMap) -> OpenClosedReport:
     _require_map(nm)
     mod = nm.instance
     full, ring_full = all_points(mod), (1 << len(nm.fibers)) - 1
-    vs = variety_stars(mod)
+    vs, colons = variety_stars(mod), colon_sets(mod)
     closed_ok = open_ok = True
     for n in submodule_elements(mod):
-        target = variety_ring(nm.quotient, push_ideal(colon(mod, n), nm.projection, nm.quotient))
+        target = variety_ring(nm.quotient, push_ideal(Ideal(mod.ring, colons[n]), nm.projection, nm.quotient))
         closed_ok &= nm.image(vs[n]) == target
         open_ok &= nm.image(full ^ vs[n]) == ring_full ^ target
     return OpenClosedReport(closed_ok, open_ok)
@@ -338,9 +341,8 @@ def spectral_battery(nm: NaturalMap) -> EquivalenceReport:
 
 def is_multiplication_le_module(mod: LeModuleInstance) -> bool:
     """Every submodule element equals the action of its colon ideal."""
-    return all(
-        ideal_action(mod, colon(mod, n)) == n for n in submodule_elements(mod)
-    )
+    colons, actions, index = colon_sets(mod), ideal_actions(mod), ideal_table(mod.ring)[1]
+    return all(actions[index[colons[n]]] == n for n in submodule_elements(mod))
 
 
 def dr_preimage_check(nm: NaturalMap, r: int) -> bool:

@@ -24,10 +24,8 @@ from .errors import EmptyFamily, NotTopLeModule, TopologyAxiomViolation
 from .lattices import elements
 from .le_modules import (
     LeModuleInstance,
-    colon,
     colon_fibers,
-    colon_set,
-    ideal_action,
+    colon_sets,
     ideal_actions,
     scalar_classes,
     spectrum,
@@ -97,16 +95,13 @@ def _validate_family(top: SpectrumTopology) -> None:
 
 
 @per_object
-def point_bits(mod: LeModuleInstance) -> dict[int, int]:
-    """p -> the bit of p, 1 << k for the k-th point of the spectrum."""
-    return {p: 1 << k for k, p in enumerate(spectrum(mod))}
-
-
-@per_object
 def fiber_masks(mod: LeModuleInstance) -> dict[frozenset[int], int]:
     """The colon fibers (``le_modules.colon_fibers``) as masks."""
-    bits = point_bits(mod)
-    return {c: sum(map(bits.__getitem__, fiber)) for c, fiber in colon_fibers(mod).items()}
+    colons = colon_sets(mod)
+    masks: dict[frozenset[int], int] = {}
+    for k, p in enumerate(spectrum(mod)):
+        masks[colons[p]] = masks.get(colons[p], 0) | 1 << k
+    return masks
 
 
 def all_points(mod: LeModuleInstance) -> int:
@@ -130,7 +125,7 @@ def variety_stars(mod: LeModuleInstance) -> tuple[int, ...]:
     """V*(x), the primes whose colon ideal contains (x:e), for every
     lattice element x: the union of the colon fibers, which are disjoint,
     above (x:e), computed once per distinct colon set."""
-    colons = [colon_set(mod, x) for x in range(mod.lattice.size)]
+    colons = colon_sets(mod)
     fibers = fiber_masks(mod).items()
     by_colon = {cx: sum(m for c, m in fibers if cx <= c) for cx in set(colons)}
     return tuple(map(by_colon.__getitem__, colons))
@@ -223,11 +218,11 @@ def first_bad_ideal_pair(mod: LeModuleInstance) -> tuple[Ideal, Ideal] | None:
 
 def vstar_decomposition_check(mod: LeModuleInstance, n: int) -> bool:
     """V*(n) agrees with the colon-fiber union, V*((n:e)e), and V((n:e)e)."""
-    cn = colon(mod, n)
-    ce = ideal_action(mod, cn)
+    cn = colon_sets(mod)[n]
+    ce = ideal_actions(mod)[ideal_table(mod.ring)[1][cn]]
     vs = variety_stars(mod)
     fibers = fiber_masks(mod)
-    primes = (pr.members for pr in spec_ring(mod.ring).points if cn.members <= pr.members)
+    primes = (pr.members for pr in spec_ring(mod.ring).points if cn <= pr.members)
     union = sum(fibers.get(c, 0) for c in primes)
     return vs[n] == union == vs[ce] == varieties(mod)[ce]
 

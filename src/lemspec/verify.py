@@ -36,10 +36,8 @@ from .lattices import generated
 from .memo import per_object, record, release
 from .le_modules import (
     LeModuleInstance,
-    colon,
     colon_fibers,
-    colon_set,
-    ideal_action,
+    colon_sets,
     ideal_actions,
     scalar_classes,
     spectrum,
@@ -74,10 +72,8 @@ def family_states(mod: LeModuleInstance) -> dict[tuple, tuple[int, ...]]:
     intersects the varieties, which are masks, with &.
     """
     v, vs, add = spectra.varieties(mod), spectra.variety_stars(mod), mod.add
-    singletons = {
-        n: (vs[n], v[n], ideal_action(mod, colon(mod, n)), n)
-        for n in submodule_elements(mod)
-    }
+    colons, actions, index = colon_sets(mod), ideal_actions(mod), ideal_table(mod.ring)[1]
+    singletons = {n: (vs[n], v[n], actions[index[colons[n]]], n) for n in submodule_elements(mod)}
 
     def combine(a: tuple, b: tuple) -> tuple:
         return a[0] & b[0], a[1] & b[1], add[a[2]][b[2]], add[a[3]][b[3]]
@@ -111,17 +107,16 @@ def _fmt_clauses(report: nmap.EquivalenceReport) -> str:
 
 def _check_adjunction(mod: LeModuleInstance) -> Outcome:
     """Ie <= n reads one up-set mask per ideal, and I lies inside the ideal
-    (n:e) (``le_modules.colon``) exactly when its generators do."""
+    (n:e) (``le_modules.colon_sets``) exactly when its generators do."""
     ideals, gens = all_ideals(mod.ring), ideal_table(mod.ring)[2]
-    submods = submodule_elements(mod)
-    colons = [colon_set(mod, n) for n in submods]
+    submods, colons = submodule_elements(mod), colon_sets(mod)
     for i, g, ie in zip(ideals, gens, ideal_actions(mod)):
         above = mod.lattice.up[ie]
-        for n, c in zip(submods, colons):
-            if above >> n & 1 != c.issuperset(g):
+        for n in submods:
+            if above >> n & 1 != colons[n].issuperset(g):
                 return FALSIFIED, f"I={i.sorted_members()}, n={mod.label(n)}", None
     for p in spectrum(mod):
-        if not is_prime_ideal(mod.ring, colon(mod, p)):
+        if not is_prime_ideal(mod.ring, colons[p]):
             return FALSIFIED, f"p={mod.label(p)}", None
     return VERIFIED, None, f"ideals={len(ideals)} submods={len(submods)}"
 
@@ -135,7 +130,7 @@ def _check_variety_identities(mod: LeModuleInstance) -> Outcome:
     prime above n is above n ^ l; V* is defined from the colon set; and for
     points with V*(n) = V*(l), n lies in V*(l), so (l:e) lies in (n:e), and
     the other way round."""
-    full = spectra.all_points(mod)
+    full, colons = spectra.all_points(mod), colon_sets(mod)
     v, vs = spectra.varieties(mod), spectra.variety_stars(mod)
     if not (vs[mod.zero_m] == full == v[mod.zero_m]):
         return FALSIFIED, "n=0_M", None
@@ -149,7 +144,7 @@ def _check_variety_identities(mod: LeModuleInstance) -> Outcome:
             return FALSIFIED, f"family={[mod.label(n) for n in fam]}", "plain-sum"
     least: dict[frozenset[int], int] = {}
     for n in submodule_elements(mod):
-        least.setdefault(colon_set(mod, n), n)
+        least.setdefault(colons[n], n)
     for n, l in itertools.combinations_with_replacement(least.values(), 2):
         if vs[n] | vs[l] != vs[mod.lattice.meet(n, l)]:
             return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "star-union"
@@ -295,21 +290,20 @@ def _check_point_closures(mod: LeModuleInstance) -> Outcome:
     requires cl{p} = {p} exactly when p's colon fiber is {p}, T1 is "every
     cl{p} = {p}", and every colon fiber is the fiber of some point."""
     points = spectrum(mod)
-    bits = spectra.point_bits(mod)
     closures = _closures(mod)
-    fiber_masks = spectra.fiber_masks(mod)
+    fiber_masks, colons = spectra.fiber_masks(mod), colon_sets(mod)
     star = spectra.variety_stars(mod)
     # The points q with one V*(q), as a mask for each distinct V*(q).
     by_star: dict[int, int] = {}
-    for q in points:
-        by_star[star[q]] = by_star.get(star[q], 0) | bits[q]
-    for p in points:
+    for k, q in enumerate(points):
+        by_star[star[q]] = by_star.get(star[q], 0) | 1 << k
+    for k, p in enumerate(points):
         closure = closures[p]
         if closure != star[p]:
             return FALSIFIED, f"p={mod.label(p)}", "closure-formula"
         # The q whose colon ideal contains (p:e), the colon fiber of p, and
         # those with V*(q) inside V*(p), a union of disjoint masks.
-        colon_incl = fiber_masks[colon_set(mod, p)]
+        colon_incl = fiber_masks[colons[p]]
         vs_incl = sum(m for s, m in by_star.items() if not s & ~star[p])
         # The first q at which "q in cl{p}", the colon inclusion and the V*
         # inclusion are not all equal.
@@ -317,7 +311,7 @@ def _check_point_closures(mod: LeModuleInstance) -> Outcome:
         if bad:
             q = points[(bad & -bad).bit_length() - 1]
             return FALSIFIED, f"p={mod.label(p)}, q={mod.label(q)}", "specialization"
-        if (closure == bits[p]) != (colon_incl.bit_count() == 1):
+        if (closure == 1 << k) != (colon_incl.bit_count() == 1):
             return FALSIFIED, f"p={mod.label(p)}", "closed-point-criterion"
     return VERIFIED, None, None
 
@@ -339,12 +333,12 @@ def _check_vstar_irreducible(mod: LeModuleInstance) -> Outcome:
 def _check_irreducible_prime(mod: LeModuleInstance) -> Outcome:
     irreducible = set(_closures(mod).values())
     # The spectrum is the set of prime submodule elements.
-    points = spectra.point_bits(mod)
+    points, colons = set(spectrum(mod)), colon_sets(mod)
     for (meet, closure), ys in point_states(mod).items():
         irr = closure in irreducible
         if meet in points and not irr:
             return FALSIFIED, _y_witness(mod, ys), "meet-prime-implies-irreducible"
-        if irr and not is_prime_ideal(mod.ring, colon_set(mod, meet)):
+        if irr and not is_prime_ideal(mod.ring, colons[meet]):
             return FALSIFIED, _y_witness(mod, ys), "irreducible-implies-colon-of-meet-prime"
     return VERIFIED, None, None
 
@@ -358,7 +352,7 @@ def _check_irreducible_families(mod: LeModuleInstance) -> Outcome:
     # is prime (L2.1), hence maximal (``rings.maximal_ideals``).
     irreducible = set(_closures(mod).values())
     closures = _closures(mod)
-    fiber_masks = spectra.fiber_masks(mod)
+    fiber_masks, colons = spectra.fiber_masks(mod), colon_sets(mod)
     fibers = colon_fibers(mod)
     for c, fiber in fibers.items():
         closure = functools.reduce(operator.or_, map(closures.__getitem__, fiber))
@@ -372,7 +366,7 @@ def _check_irreducible_families(mod: LeModuleInstance) -> Outcome:
                 "colon-fiber-of-maximal-ideal-closed-irreducible",
             )
     for (meet, closure), ys in point_states(mod).items():
-        c = colon_set(mod, meet)
+        c = colons[meet]
         if c in fibers and is_prime_ideal(mod.ring, c) and closure not in irreducible:
             return (
                 FALSIFIED,

@@ -7,14 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from lemspec import natural_map, spectra
-from lemspec.instances import build_instance, catalog, find_descriptor, parse_descriptor
+from lemspec import natural_map, spectra, verify
+from lemspec.instances import build_instance, catalog, find_descriptor, format_descriptor, parse_descriptor
 from lemspec.le_modules import colon, spectrum, submodule_elements
 from lemspec.cli import COMMANDS, main, parse_args
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
-from test_ideal_index_reference import f2xy_descriptor  # noqa: E402
+from test_ideal_index_reference import ANNIHILATED, f2xy_descriptor  # noqa: E402
 
 M3_DESCRIPTOR = """\
 name broken-scalars
@@ -330,6 +330,24 @@ def test_catalog_spec_bytes_are_pinned(name, capsys):
     assert digest == CATALOG_SPEC_DIGESTS[name]
 
 
+# sha256 of ``COMMAND FILE --format structured`` on Z6^2 over Z12, whose
+# annihilator {0, 6} is not 0: points map into Z12/(6), not Z12 itself.
+ANNIHILATED_DIGESTS = {
+    "spec": "6e6a948420f3903a834b90fdba5c02219910b5fd4c3a0d12e9384dd7e4ccfdc2",
+    "verify": "1efa2e26f9cbd6e7aeffd57a97115f41c18655c2d4dfda591d9f38e8b3749dba",
+    "topology": "de871dc25e499b6e99bced9f3058a9a6b7bb22248886fd59ba2c8a3427225c7d",
+}
+
+
+@pytest.mark.parametrize("command", sorted(ANNIHILATED_DIGESTS))
+def test_module_with_a_nonzero_annihilator_output_bytes_are_pinned(command, tmp_path, capsys):
+    path = tmp_path / "z6-2-over-z12.lem"
+    path.write_text(format_descriptor(ANNIHILATED[0]))
+    assert main([command, str(path), "--format", "structured"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == ANNIHILATED_DIGESTS[command]
+
+
 def test_spec_and_lattice_dot_of_hundreds_of_points_are_pinned(tmp_path, capsys):
     # F2^5 over Z2: 374 elements and 373 points.  Both digests were taken
     # when the spec was written by ``json.dumps`` and the covers came from
@@ -530,6 +548,17 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(spectra, "star_family", broken)
     assert main(["verify", "Z6-ideal-lattice"]) == 4
     assert "internal error: star: empty set missing" in capsys.readouterr().err
+
+
+def test_unexpected_exception_exit_code(monkeypatch, capsys):
+    # An exception that is no lemspec error is a fault of lemspec too, not
+    # bad input: it exits 4 with its type named, not 1 with a traceback.
+    def broken(mod):
+        raise KeyError(7)
+
+    monkeypatch.setattr(verify, "spectrum", broken)
+    assert main(["verify", "Z6-ideal-lattice"]) == 4
+    assert capsys.readouterr().err == "internal error: KeyError: 7\n"
 
 
 def test_non_onto_map_exit_code(monkeypatch, capsys):

@@ -22,7 +22,16 @@ from test_ideal_reference import _f2_xy, ref_ideal_product
 from test_scan_reference import _ladder_instances
 
 from lemspec import spectra, verify
-from lemspec.instances import build_instance, catalog, parse_descriptor
+from lemspec.instances import (
+    InstanceDescriptor,
+    SubmoduleLatticeSpec,
+    ZnSpec,
+    build_instance,
+    catalog,
+    mod_scaled_cyclic_tables,
+    parse_descriptor,
+    product_module_tables,
+)
 from lemspec.le_modules import (
     LeModuleInstance,
     colon_fibers,
@@ -50,13 +59,26 @@ def f2xy_descriptor() -> str:
     return workloads.explicit_ring_descriptor("F2xy-ideal-lattice", 8, ring.add, ring.mul)
 
 
+def annihilated_descriptor(a: int, b: int, m: int) -> InstanceDescriptor:
+    """The submodule lattice of Z_a + Z_b over Z_m, for a and b dividing m:
+    its annihilator is lcm(a, b)Z_m, which is not 0 when the lcm is less
+    than m, so the natural map goes to a proper quotient ring."""
+    tables = product_module_tables(mod_scaled_cyclic_tables(a, m), mod_scaled_cyclic_tables(b, m))
+    name = f"Z{a}^2-over-Z{m}" if a == b else f"Z{a}xZ{b}-over-Z{m}"
+    return InstanceDescriptor(name, ZnSpec(m), SubmoduleLatticeSpec(*tables))
+
+
+# No catalog instance has a nonzero annihilator.
+ANNIHILATED = tuple(annihilated_descriptor(*amb) for amb in ((6, 6, 12), (4, 6, 24), (6, 10, 60)))
+
+
 def _descriptors() -> dict:
     texts = [
         "name Z840-ideal-lattice\nring zn 840\nmodule ideal-lattice\n",
         *(workloads.power_module_descriptor(m, k) for m, k in ((2, 4), (4, 3), (3, 4))),
         f2xy_descriptor(),
     ]
-    descs = [*catalog(), *map(parse_descriptor, texts)]
+    descs = [*catalog(), *map(parse_descriptor, texts), *ANNIHILATED]
     return {d.name: d for d in descs}
 
 

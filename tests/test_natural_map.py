@@ -1,4 +1,5 @@
 import pytest
+from test_ideal_index_reference import ANNIHILATED
 
 from lemspec import natural_map, spectra
 from lemspec.errors import InternalError
@@ -7,8 +8,10 @@ from lemspec.instances import (
     InstanceDescriptor,
     ZnSpec,
     build_instance,
+    catalog,
     find_descriptor,
 )
+from lemspec.le_modules import colon, spectrum
 from lemspec.natural_map import (
     build_natural_map,
     component_minimal_prime_bijection,
@@ -21,8 +24,8 @@ from lemspec.natural_map import (
     spectral_battery,
     surjectivity_and_openclosed,
 )
-from lemspec.memo import per_object
-from lemspec.rings import spec_ring
+from lemspec.memo import per_object, release
+from lemspec.rings import push_ideal, spec_ring
 from lemspec.verify import FALSIFIED, STATEMENTS, run_all
 
 NON_MULT = {"Z2xZ2-over-Z2-submodules", "Z2xZ4-over-Z4-submodules"}
@@ -45,6 +48,24 @@ def test_psi_table_z6(z6_module):
     assert nm.image_of(2).sorted_members() == (0, 2, 4)
     with pytest.raises(KeyError):
         nm.image_of(0)
+
+
+@pytest.mark.parametrize("desc", [*catalog(), *ANNIHILATED], ids=lambda d: d.name)
+def test_map_table_and_fibers_match_the_per_point_and_per_prime_scans(desc):
+    # The map pushes each distinct colon ideal once and fills its fibers in
+    # one pass; the references push every point's and compare every image
+    # with every ring prime.
+    mod = build_instance(desc)
+    nm = build_natural_map(mod)
+    images = [push_ideal(colon(mod, p), nm.projection, nm.quotient) for p in spectrum(mod)]
+    assert nm.table == tuple(zip(spectrum(mod), images))
+    assert nm.fibers == tuple(
+        sum(1 << k for k, img in enumerate(images) if img == prime)
+        for prime in spec_ring(nm.quotient).points
+    )
+    if desc in ANNIHILATED:
+        assert nm.quotient.order < mod.ring.order
+    release(mod, mod.ring, nm.quotient)
 
 
 def test_preimage_z6(z6_module):

@@ -11,6 +11,7 @@ import json
 import pytest
 from frozenset_reference import ModuleSets, plant
 from hypothesis import given, strategies as st
+from test_ideal_index_reference import ANNIHILATED
 from test_scan_reference import (
     decoded_family_states,
     decoded_point_states,
@@ -297,6 +298,25 @@ def _power_module(m: int, k: int):
     for _ in range(k - 1):
         power = product_module_tables(power, tables)
     return submodule_lattice_le_module(make_zn(m), *power, f"Z{m}^{k}")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_instance(find_descriptor("Z6-ideal-lattice")),
+        lambda: _power_module(2, 4),
+        lambda: build_instance(ANNIHILATED[0]),
+    ],
+    ids=["Z6", "F2^4/Z2", "Z6^2/Z12"],
+)
+def test_module_memo_holds_no_per_element_entries(make):
+    # Derived data of a module is one table per function, read by index:
+    # after every statement, each memo key is (fn,), never (fn, element).
+    mod = make()
+    for stmt in STATEMENTS:
+        stmt.check(mod)
+    assert len(STATEMENTS) == 20
+    assert [key for key in mod._memo if len(key) != 1] == []
 
 
 @pytest.mark.parametrize("m, k", [(2, 3), (4, 2), (2, 4), (4, 3)])
