@@ -27,14 +27,11 @@ from . import spectra, verify
 from .dot import lattice_dot, specialization_dot
 from .errors import (
     AxiomViolation,
-    EmptyFamily,
-    ImproperIdeal,
     InternalError,
     LemspecError,
     ModuleAxiomViolation,
     NotALattice,
     NotAPoset,
-    NotTopLeModule,
     ParseError,
     Unbounded,
     UsageError,
@@ -58,14 +55,7 @@ _AXIOM_ERRORS = (
     Unbounded,
     ZeroRing,
 )
-_INPUT_ERRORS = (
-    ParseError,
-    NotTopLeModule,
-    EmptyFamily,
-    ImproperIdeal,
-    OSError,
-    ValueError,
-)
+_INPUT_ERRORS = (OSError, ValueError)
 
 
 def _resolve(text: str) -> InstanceDescriptor:

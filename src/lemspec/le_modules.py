@@ -338,10 +338,11 @@ def spectrum(mod: LeModuleInstance) -> tuple[int, ...]:
 
 
 @per_object
-def colon_fibers(mod: LeModuleInstance) -> dict[frozenset[int], tuple[int, ...]]:
-    """Spectrum points grouped by colon set, each group in spectrum order."""
+def colon_fibers(mod: LeModuleInstance) -> dict[frozenset[int], int]:
+    """Spectrum points grouped by colon set, each group a mask with bit k
+    for the k-th point of ``spectrum``: the fibers of the natural map."""
     colons = colon_sets(mod)
-    fibers: dict[frozenset[int], tuple[int, ...]] = {}
-    for p in spectrum(mod):
-        fibers[colons[p]] = fibers.get(colons[p], ()) + (p,)
+    fibers: dict[frozenset[int], int] = {}
+    for k, p in enumerate(spectrum(mod)):
+        fibers[colons[p]] = fibers.get(colons[p], 0) | 1 << k
     return fibers

@@ -1,25 +1,28 @@
 """The map from a module spectrum to the spectrum of the reduced ring.
 
-Each prime element p goes to the image of its colon ideal in R/Ann.  The
-map is onto whenever the module is not degenerate (see
-``build_natural_map``), and that is asserted once, where it is built.
-Continuity, injectivity, openness, and the induced equivalences
-(connectedness, spectrality, components) are checked clause by clause so
-truth-vector comparisons stay visible in reports.  Each map has one
-spectrality battery (``spectral_battery``), kept on the map: P4.2 reports
-the three clauses it takes from ``injectivity_battery``, T7.1 all six, and
-T7.2, T7.3 and T7.4 read the clauses they restate.  Sets of points are int masks (``spectra``), those
-of the reduced ring in ``spec_ring`` order.
+Each prime element p goes to the image of its colon ideal in R/Ann, so
+the map is kept as its colon fibers, one mask of points per prime of R/Ann
+(``NaturalMap.fibers``).  The map is onto whenever the module is not
+degenerate (see ``build_natural_map``), and that is asserted once, where
+it is built.  Continuity, injectivity, openness, and the induced
+equivalences (connectedness, spectrality, components) are checked clause
+by clause so truth-vector comparisons stay visible in reports.  Each map
+has one spectrality battery (``spectral_battery``), kept on the map: P4.2
+reports the three clauses it takes from ``injectivity_battery``, T7.1 all
+six, and T7.2, T7.3 and T7.4 read the clauses they restate.  Sets of
+points are int masks (``spectra``), those of the reduced ring in
+``spec_ring`` order.
 """
 
 from __future__ import annotations
 
-import functools
+import bisect
 
 from .errors import InternalError
 from .le_modules import (
     LeModuleInstance,
     annihilator,
+    colon_fibers,
     colon_sets,
     ideal_actions,
     spectrum,
@@ -60,9 +63,10 @@ from .spectra import (
 class NaturalMap:
     """The colon-ideal map into the spectrum of the reduced ring.
 
-    When the annihilator is the whole ring the module collapses and there
-    is no reduced ring; ``degenerate`` marks that case and ``table`` is
-    empty.
+    ``fibers`` holds, for each prime of the reduced ring in ``spec_ring``
+    order, the mask of the points that map to it: a colon fiber.  When the
+    annihilator is the whole ring the module collapses and there is no
+    reduced ring; ``degenerate`` marks that case and ``fibers`` is empty.
     """
 
     instance: LeModuleInstance
@@ -70,30 +74,22 @@ class NaturalMap:
     degenerate: bool
     quotient: FiniteRing | None
     projection: tuple[int, ...] | None
-    table: tuple[tuple[int, Ideal], ...]
+    fibers: tuple[int, ...]
 
     def image_of(self, p: int) -> Ideal:
-        return self._images[p]
-
-    @functools.cached_property
-    def _images(self) -> dict[int, Ideal]:
-        return dict(self.table)
+        """The image of a point; KeyError for any other element."""
+        points = spectrum(self.instance)
+        k = bisect.bisect_left(points, p)
+        if points[k : k + 1] != (p,):
+            raise KeyError(p)
+        j = next(j for j, m in enumerate(self.fibers) if m >> k & 1)
+        return spec_ring(self.quotient).points[j]
 
     def images(self) -> tuple[Ideal, ...]:
-        return tuple(img for _, img in self.table)
+        return tuple(map(self.image_of, spectrum(self.instance)))
 
     def is_injective(self) -> bool:
-        imgs = self.images()
-        return len(set(imgs)) == len(imgs)
-
-    @functools.cached_property
-    def fibers(self) -> tuple[int, ...]:
-        """For each prime of the reduced ring, in ``spec_ring`` order, the
-        mask of the points that map to it: a colon fiber."""
-        fibers = dict.fromkeys(spec_ring(self.quotient).points, 0)
-        for k, img in enumerate(self.images()):
-            fibers[img] |= 1 << k
-        return tuple(fibers.values())
+        return all(m.bit_count() == 1 for m in self.fibers)
 
     def preimage(self, targets: int) -> int:
         """The points over the ring primes of a mask."""
@@ -111,7 +107,8 @@ def _require_map(nm: NaturalMap) -> None:
 
 @per_object
 def build_natural_map(mod: LeModuleInstance) -> NaturalMap:
-    """Quotient by the annihilator and tabulate p -> image of (p:e).
+    """Quotient by the annihilator and map each colon fiber to the image of
+    its colon ideal.
 
     The map is onto.  Ann = R exactly when e = 1e <= 0_M, the one-element
     module; that is the degenerate case, with no reduced ring.  Otherwise
@@ -149,19 +146,15 @@ def build_natural_map(mod: LeModuleInstance) -> NaturalMap:
     if not ann.is_proper():
         return NaturalMap(mod, ann, True, None, None, ())
     quotient, projection = quotient_ring(mod.ring, ann)
-    colons = colon_sets(mod)
-    images: dict[frozenset[int], Ideal] = {}
-    rows = []
-    for p in spectrum(mod):
-        img = images.get(colons[p])
-        if img is None:
-            img = images[colons[p]] = push_ideal(Ideal(mod.ring, colons[p]), projection, quotient)
-            if not is_prime_ideal(quotient, img):
-                raise InternalError(f"image of colon of point {p} is not prime")
-        rows.append((p, img))
-    if set(images.values()) != set(spec_ring(quotient).points):
+    fibers = dict.fromkeys(spec_ring(quotient).points, 0)
+    for c, mask in colon_fibers(mod).items():
+        img = push_ideal(Ideal(mod.ring, c), projection, quotient)
+        if img not in fibers:
+            raise InternalError(f"image of colon ideal {sorted(c)} is not prime")
+        fibers[img] |= mask
+    if not all(fibers.values()):
         raise InternalError("psi is not onto")
-    return NaturalMap(mod, ann, False, quotient, projection, tuple(rows))
+    return NaturalMap(mod, ann, False, quotient, projection, tuple(fibers.values()))
 
 
 @per_object

@@ -94,16 +94,6 @@ def _validate_family(top: SpectrumTopology) -> None:
             raise TopologyAxiomViolation(f"{label}: not closed under intersection")
 
 
-@per_object
-def fiber_masks(mod: LeModuleInstance) -> dict[frozenset[int], int]:
-    """The colon fibers (``le_modules.colon_fibers``) as masks."""
-    colons = colon_sets(mod)
-    masks: dict[frozenset[int], int] = {}
-    for k, p in enumerate(spectrum(mod)):
-        masks[colons[p]] = masks.get(colons[p], 0) | 1 << k
-    return masks
-
-
 def all_points(mod: LeModuleInstance) -> int:
     """The mask of the whole spectrum."""
     return (1 << len(spectrum(mod))) - 1
@@ -126,7 +116,7 @@ def variety_stars(mod: LeModuleInstance) -> tuple[int, ...]:
     lattice element x: the union of the colon fibers, which are disjoint,
     above (x:e), computed once per distinct colon set."""
     colons = colon_sets(mod)
-    fibers = fiber_masks(mod).items()
+    fibers = colon_fibers(mod).items()
     by_colon = {cx: sum(m for c, m in fibers if cx <= c) for cx in set(colons)}
     return tuple(map(by_colon.__getitem__, colons))
 
@@ -176,16 +166,16 @@ def is_top_le_module(mod: LeModuleInstance) -> bool:
 def build_topologies(mod: LeModuleInstance) -> Topologies:
     """Construct the always-defined topologies, plus the quasi one if it exists.
 
-    The colon-variety and ideal-action families are asserted equal; a
-    mismatch would be an implementation bug.
+    The colon-variety and ideal-action families are asserted equal, so the
+    topology axioms are checked on their one family once; a failure of
+    either would be an implementation bug.
     """
     points = spectrum(mod)
     star = SpectrumTopology(points, star_family(mod), "star")
-    prime = SpectrumTopology(points, prime_family(mod), "prime")
     _validate_family(star)
-    _validate_family(prime)
-    if star.closed_sets != prime.closed_sets:
+    if star.closed_sets != prime_family(mod):
         raise TopologyAxiomViolation("star and prime closed-set families differ")
+    prime = SpectrumTopology(points, star.closed_sets, "prime")
     quasi = None
     if is_top_le_module(mod):
         quasi = SpectrumTopology(points, quasi_family(mod), "quasi")
@@ -217,14 +207,16 @@ def first_bad_ideal_pair(mod: LeModuleInstance) -> tuple[Ideal, Ideal] | None:
 
 
 def vstar_decomposition_check(mod: LeModuleInstance, n: int) -> bool:
-    """V*(n) agrees with the colon-fiber union, V*((n:e)e), and V((n:e)e)."""
-    cn = colon_sets(mod)[n]
-    ce = ideal_actions(mod)[ideal_table(mod.ring)[1][cn]]
+    """V*(n) = V*((n:e)e) = V((n:e)e).
+
+    The claim's other form of V*(n), the union of the colon fibers at the
+    ring primes that contain (n:e), is not compared apart: V*(n) is the
+    union of the fibers at the colon sets that contain (n:e)
+    (``variety_stars``), and each colon set of a point is a prime (L2.1's
+    second clause), so the two unions run over the same fibers."""
+    ce = ideal_actions(mod)[ideal_table(mod.ring)[1][colon_sets(mod)[n]]]
     vs = variety_stars(mod)
-    fibers = fiber_masks(mod)
-    primes = (pr.members for pr in spec_ring(mod.ring).points if cn <= pr.members)
-    union = sum(fibers.get(c, 0) for c in primes)
-    return vs[n] == union == vs[ce] == varieties(mod)[ce]
+    return vs[n] == vs[ce] == varieties(mod)[ce]
 
 
 @record

@@ -291,7 +291,7 @@ def _check_point_closures(mod: LeModuleInstance) -> Outcome:
     cl{p} = {p}", and every colon fiber is the fiber of some point."""
     points = spectrum(mod)
     closures = _closures(mod)
-    fiber_masks, colons = spectra.fiber_masks(mod), colon_sets(mod)
+    fibers, colons = colon_fibers(mod), colon_sets(mod)
     star = spectra.variety_stars(mod)
     # The points q with one V*(q), as a mask for each distinct V*(q).
     by_star: dict[int, int] = {}
@@ -303,7 +303,7 @@ def _check_point_closures(mod: LeModuleInstance) -> Outcome:
             return FALSIFIED, f"p={mod.label(p)}", "closure-formula"
         # The q whose colon ideal contains (p:e), the colon fiber of p, and
         # those with V*(q) inside V*(p), a union of disjoint masks.
-        colon_incl = fiber_masks[colons[p]]
+        colon_incl = fibers[colons[p]]
         vs_incl = sum(m for s, m in by_star.items() if not s & ~star[p])
         # The first q at which "q in cl{p}", the colon inclusion and the V*
         # inclusion are not all equal.
@@ -350,16 +350,16 @@ def _check_irreducible_families(mod: LeModuleInstance) -> Outcome:
     # the closure of its least point, which is irreducible.
     # Every colon fiber is that of a maximal ideal: a point's colon ideal
     # is prime (L2.1), hence maximal (``rings.maximal_ideals``).
-    irreducible = set(_closures(mod).values())
     closures = _closures(mod)
-    fiber_masks, colons = spectra.fiber_masks(mod), colon_sets(mod)
-    fibers = colon_fibers(mod)
-    for c, fiber in fibers.items():
+    irreducible = set(closures.values())
+    points, colons, fibers = spectrum(mod), colon_sets(mod), colon_fibers(mod)
+    for mask in fibers.values():
+        fiber = spectra.decode(points, mask)
         closure = functools.reduce(operator.or_, map(closures.__getitem__, fiber))
         if closure not in irreducible:
             return FALSIFIED, _y_witness(mod, fiber), "colon-fiber-implies-irreducible"
         # The fiber is closed iff it is its own closure.
-        if closure != fiber_masks[c]:
+        if closure != mask:
             return (
                 FALSIFIED,
                 _y_witness(mod, fiber),

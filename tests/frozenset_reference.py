@@ -79,11 +79,13 @@ class Space:
 
 
 class ModuleSets(Space):
-    """V and V* of every element of an instance, and its star topology.
+    """V and V* of every element of an instance, its colon fibers, and its
+    star topology.
 
     ``v`` and ``vs`` are lists indexed by lattice element, so a test can
     plant a changed variety in them; the closed sets are taken first, from
-    the true V*.
+    the true V*.  ``fibers`` maps each colon set of a point to the points
+    that share it.
     """
 
     def __init__(self, mod: LeModuleInstance):
@@ -92,6 +94,7 @@ class ModuleSets(Space):
         colons = {p: colon_set(mod, p) for p in points}
         size = mod.lattice.size
         self.mod = mod
+        self.fibers = {c: frozenset(p for p in points if colons[p] == c) for c in colons.values()}
         self.v = [frozenset(p for p in points if leq[x][p]) for x in range(size)]
         self.vs = [
             frozenset(p for p in points if colon_set(mod, x) <= colons[p]) for x in range(size)

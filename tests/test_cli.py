@@ -563,9 +563,9 @@ def test_unexpected_exception_exit_code(monkeypatch, capsys):
 
 def test_non_onto_map_exit_code(monkeypatch, capsys):
     # The map is onto on every non-degenerate module; keeping one of Z6's two
-    # points leaves a prime of Z6 that no point maps to.
-    real = natural_map.spectrum
-    monkeypatch.setattr(natural_map, "spectrum", lambda mod: real(mod)[:1])
+    # colon fibers leaves a prime of Z6 that no point maps to.
+    real = natural_map.colon_fibers
+    monkeypatch.setattr(natural_map, "colon_fibers", lambda mod: dict(list(real(mod).items())[:1]))
     assert main(["verify", "Z6-ideal-lattice"]) == 4
     assert "internal error: psi is not onto" in capsys.readouterr().err
 

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from frozenset_reference import plant
+from frozenset_reference import ModuleSets, plant
 from test_ideal_reference import _f2_xy, ref_ideal_product
 from test_scan_reference import _ladder_instances
 
@@ -204,15 +204,17 @@ def test_colon_inclusion_is_the_colon_fiber():
     # P6.2 and phi_and_t1_check take these scans as settled: the colon ideal
     # of a point is prime, so maximal, and two colon ideals of points are
     # equal or incomparable.
+    # The engine's fibers, as masks, are the reference's, grouped from
+    # ``colon_set`` point by point.
     for mod in _instances():
-        fibers = colon_fibers(mod)
-        masks = spectra.fiber_masks(mod)
+        ref = ModuleSets(mod)
+        masks = colon_fibers(mod)
+        assert {c: ref.set(m) for c, m in masks.items()} == ref.fibers, mod.name
         for p in spectrum(mod):
             cp = colon_set(mod, p)
             assert sum(m for c, m in masks.items() if cp <= c) == masks[cp], (mod.name, p)
             assert sum(m for c, m in masks.items() if cp >= c) == masks[cp], (mod.name, p)
-            assert not any(cp < c for c in masks), (mod.name, p)
-        assert all(not any(c < q for q in fibers) for c in fibers), mod.name
+            assert not any(cp < c for c in ref.fibers), (mod.name, p)
         release(mod, mod.ring)
 
 

@@ -191,11 +191,11 @@ def test_spectrum_sizes_across_catalog(all_instances):
 
 def test_spectrum_at(z6_module):
     # The points at a ring prime P, those with colon ideal P, are P's colon
-    # fiber; a non-prime ideal has none.
+    # fiber, a mask over the spectrum (1, 2); a non-prime ideal has none.
     ring = z6_module.ring
     fibers = colon_fibers(z6_module)
-    assert fibers[principal_ideal(ring, 3).members] == (1,)
-    assert fibers[principal_ideal(ring, 2).members] == (2,)
+    assert fibers[principal_ideal(ring, 3).members] == 0b01
+    assert fibers[principal_ideal(ring, 2).members] == 0b10
     assert frozenset({0}) not in fibers
 
 

@@ -31,7 +31,6 @@ from lemspec.lattices import make_lattice, meet_all
 from lemspec.le_modules import (
     LeModuleInstance,
     colon,
-    colon_fibers,
     colon_set,
     ideal_action,
     is_prime_submodule_element,
@@ -77,11 +76,8 @@ def irreducibility_criteria(
     chain = all(
         lat.leq[a][b] or lat.leq[b][a] for a, b in itertools.combinations(target, 2)
     )
-    fibers = colon_fibers(mod)
-    fiber_primes = [
-        pr for pr in spec_ring(mod.ring).points
-        if frozenset(fibers.get(pr.members, ())) == target
-    ]
+    fibers = ref.fibers
+    fiber_primes = [pr for pr in spec_ring(mod.ring).points if fibers.get(pr.members) == target]
     is_fiber = bool(fiber_primes)
     fiber_maximal = any(
         not any(pr.members < i.members for i in all_ideals(mod.ring) if i.is_proper())
@@ -336,6 +332,33 @@ def test_no_pair_clause_fails_on_any_instance(instances):
     check = next(s.check for s in verify.STATEMENTS if s.sid == "P3.1")
     for mod in instances:
         assert reference_pairs(ModuleSets(mod)) is None, mod.name
+        assert check(mod)[0] == verify.VERIFIED, mod.name
+
+
+def reference_decomposition(ref: ModuleSets) -> str | None:
+    """P3.1's "decomposition" clause as the claim states it, on frozensets:
+    V*(n), the union of the colon fibers at the ring primes that contain
+    (n:e), V*((n:e)e) and V((n:e)e) agree for every submodule element n."""
+    mod, primes = ref.mod, spec_ring(ref.mod.ring).points
+    for n in submodule_elements(mod):
+        cn = colon_set(mod, n)
+        union = frozenset().union(*(ref.fibers.get(pr.members, ()) for pr in primes if cn <= pr.members))
+        ce = ideal_action(mod, colon(mod, n))
+        if not ref.vs[n] == union == ref.vs[ce] == ref.v[ce]:
+            return f"n={mod.label(n)}"
+    return None
+
+
+def test_no_decomposition_clause_fails_on_any_instance(instances):
+    # P3.1 compares V*(n) with V*((n:e)e) and V((n:e)e) and leaves the
+    # fiber union to the definitions: V*(n) is the union of the fibers at
+    # the colon sets that contain (n:e), and every colon set of a point is
+    # a prime (L2.1), so both unions run over the same fibers.
+    check = next(s.check for s in verify.STATEMENTS if s.sid == "P3.1")
+    for mod in instances:
+        ref = ModuleSets(mod)
+        assert all(is_prime_ideal(mod.ring, c) for c in ref.fibers), mod.name
+        assert reference_decomposition(ref) is None, mod.name
         assert check(mod)[0] == verify.VERIFIED, mod.name
 
 

@@ -34,7 +34,6 @@ from lemspec.instances import (
     submodule_lattice_le_module,
 )
 from lemspec.le_modules import (
-    colon_fibers,
     colon_set,
     spectrum,
     submodule_elements,
@@ -338,7 +337,7 @@ def _reference_point_closures(ref: ModuleSets) -> tuple:
     """P6.2's point clauses, one frozenset comparison per pair of points."""
     mod, points = ref.mod, ref.points
     colons = {p: colon_set(mod, p) for p in points}
-    fibers = colon_fibers(mod)
+    fibers = ref.fibers
     for p in points:
         if ref.closure([p]) != ref.vs[p]:
             return verify.FALSIFIED, f"p={mod.label(p)}", "closure-formula"
