@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence, Union
 
 from .errors import ModuleAxiomViolation, ParseError
 from .le_modules import LeModuleInstance, make_le_module
-from .lattices import FiniteBoundedLattice, join_rows, lattice_of_sets, make_lattice
+from .lattices import join_rows, lattice_of_sets, make_lattice
 from .memo import record
 from .rings import (
     FiniteRing,
@@ -33,6 +33,7 @@ from .rings import (
     make_ring,
     make_zn,
     product_ring,
+    sub_objects,
 )
 from .rowscan import first_bad, first_bad_pair, first_failure, freeze, gather, gathers, generators
 
@@ -92,10 +93,6 @@ class InstanceDescriptor:
     module: ModuleSpec
 
 
-def _set_label(members: Sequence[int]) -> str:
-    return "{" + ",".join(str(m) for m in sorted(members)) + "}"
-
-
 def build_ring(spec: RingSpec) -> FiniteRing:
     if isinstance(spec, ZnSpec):
         return make_zn(spec.n)
@@ -106,45 +103,14 @@ def build_ring(spec: RingSpec) -> FiniteRing:
 
 def ideal_lattice_le_module(ring: FiniteRing, name: str) -> LeModuleInstance:
     """The lattice of all ideals, with ideal sum and elementwise action."""
-    ideals, index = ideal_table(ring)[:2]
-    lattice = lattice_of_sets([i.members for i in ideals])
-    members = [i.sorted_members() for i in ideals]
-    action = _action_rows(ring, ring.mul, members, index)
-    labels = tuple(_set_label(m) for m in members)
-    return _lattice_le_module(ring, lattice, action, name, labels)
-
-
-def _action_rows(
-    ring: FiniteRing,
-    act: IntTable,
-    members: Sequence[Sequence[int]],
-    index: dict[frozenset[int], int],
-) -> IntTable:
-    """The action on ideals (submodules): row r holds, for each lattice
-    element m, the index of rI = {act[r][x] : x in I}, I = ``members[m]``.
-
-    The row of r depends only on rR: if rR = sR then s = rt and r = su for
-    some t, u, so sI = r(tI) <= rI and rI = s(uI) <= sI.  So each distinct
-    row is computed once, and scalars with the same rR, by its index in the
-    ring's ``ideal_table``, share it.
-    """
-    picks = [gather(m) for m in members]
-    principal = ideal_table(ring)[3]
-    rows: dict[int, tuple[int, ...]] = {}
-    for r, k in enumerate(principal):
-        if k not in rows:
-            rows[k] = tuple(index[frozenset(g(act[r]))] for g in picks)
-    return tuple(map(rows.__getitem__, principal))
+    return _lattice_le_module(ring, ring.mul, list(ideal_table(ring)[1]), name)
 
 
 def _lattice_le_module(
-    ring: FiniteRing,
-    lattice: FiniteBoundedLattice,
-    action: IntTable,
-    name: str,
-    labels: tuple[str, ...],
+    ring: FiniteRing, act: IntTable, sets: Sequence[frozenset[int]], name: str
 ) -> LeModuleInstance:
-    """The le-module of the ideals or submodules of a ring or module, unchecked.
+    """The le-module of the ideals or submodules ``sets``, in canonical
+    order, of a ring or module with action table ``act``, unchecked.
 
     I + J is the least ideal (submodule) holding I and J, so the sum is the
     lattice join and the zero ideal (submodule) is the bottom; a join is a
@@ -153,7 +119,25 @@ def _lattice_le_module(
     r(I + J) = rI + rJ (M1, M5), (r + s)I <= rI + sI (M2), (rs)I = r(sI)
     (M3), 1I = I, 0I = 0 and r0 = 0 (M4) hold element by element.  So the
     laws that make_le_module scans for hold by construction.
+
+    Row r of the action holds, for each lattice element m, the index of
+    rI = {act[r][x] : x in I}, I = ``sets[m]``.  The row of r depends only
+    on rR: if rR = sR then s = rt and r = su for some t, u, so
+    sI = r(tI) <= rI and rI = s(uI) <= sI.  So each distinct row is
+    computed once, and scalars with the same rR, by its index in the ring's
+    ``ideal_table``, share it.
     """
+    index = {s: k for k, s in enumerate(sets)}
+    members = [sorted(s) for s in sets]
+    picks = [gather(m) for m in members]
+    principal = ideal_table(ring)[3]
+    rows: dict[int, tuple[int, ...]] = {}
+    for r, k in enumerate(principal):
+        if k not in rows:
+            rows[k] = tuple(index[frozenset(g(act[r]))] for g in picks)
+    action = tuple(map(rows.__getitem__, principal))
+    labels = tuple("{" + ",".join(map(str, m)) + "}" for m in members)
+    lattice = lattice_of_sets(sets)
     return LeModuleInstance(ring, lattice, join_rows(lattice), lattice.bottom, action, name, labels)
 
 
@@ -233,27 +217,10 @@ def submodule_lattice_le_module(
     add_t, act_t = freeze(add), freeze(action)
     _check_classical_module(ring, size, zero, add_t, act_t)
 
-    # In a module the submodule generated by a submodule B and an element g
-    # is B + Rg, which depends on g only through Rg, column g of the action,
-    # and is B itself when Rg lies in B.
-    cyclic = {frozenset(column) for column in zip(*act_t)}
-    submodules: set[frozenset[int]] = {frozenset({zero})}
-    frontier = [frozenset({zero})]
-    while frontier:
-        base = frontier.pop()
-        for multiples in cyclic:
-            if multiples <= base:
-                continue
-            grown = frozenset(add_t[b][m] for b in base for m in multiples)
-            if grown not in submodules:
-                submodules.add(grown)
-                frontier.append(grown)
-    ordered = sorted(submodules, key=lambda s: (len(s), sorted(s)))
-    index = {s: k for k, s in enumerate(ordered)}
-    lattice = lattice_of_sets(ordered)
-    maction = _action_rows(ring, act_t, [sorted(s) for s in ordered], index)
-    labels = tuple(_set_label(s) for s in ordered)
-    return _lattice_le_module(ring, lattice, maction, name, labels)
+    # The submodules are the sums of the cyclic submodules Rg, the columns
+    # of the action; R0 = {0} is one of them.
+    cyclic = [frozenset(column) for column in zip(*act_t)]
+    return _lattice_le_module(ring, act_t, list(sub_objects(add_t, cyclic)), name)
 
 
 def build_instance(desc: InstanceDescriptor) -> LeModuleInstance:

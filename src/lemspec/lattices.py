@@ -127,9 +127,10 @@ def make_lattice(size: int, leq: Sequence[Sequence[bool]]) -> FiniteBoundedLatti
 
 def lattice_of_sets(sets: Sequence[frozenset[int]]) -> FiniteBoundedLattice:
     """The lattice of distinct ideals or submodules under inclusion,
-    unchecked.  With holders[x] the mask of the sets holding x, the sets
-    above A are the AND of holders[x] over x in A, and those below A hold
-    nothing outside A."""
+    unchecked; its join is their sum (``rings._ideal_sum``), for ideals and
+    submodules alike.  With holders[x] the mask of the sets holding x, the
+    sets above A are the AND of holders[x] over x in A, and those below A
+    hold nothing outside A."""
     full = (1 << len(sets)) - 1
     holders: dict[int, int] = {}
     for k, s in enumerate(sets):

@@ -16,8 +16,10 @@ ideals sums the (ab)R over their generators a and b.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from typing import Iterable, Sequence
 
 from .errors import AxiomViolation, ImproperIdeal, ZeroRing
@@ -236,17 +238,41 @@ def principal_ideal(ring: FiniteRing, r: int) -> Ideal:
     return Ideal(ring, frozenset(ring.mul[r]))
 
 
-def _ideal_sum(add: Table, i: frozenset[int], p: Iterable[int]) -> frozenset[int]:
-    """I + P for ideals I and P; P's elements may come with repeats.
+def _ideal_sum(add: Table, i: frozenset[int], p: frozenset[int]) -> frozenset[int]:
+    """I + P for ideals, or submodules, I and P.
 
     I + P is the union of the cosets b + I over b in P; a b already in the
-    sum adds nothing, as its coset is there.
+    sum adds nothing, as its coset is there.  The sum is symmetric, so the
+    larger of the two is I, and is the sum when it holds the other.  Past
+    that test I has two members or more, as an I of one member is {0} and
+    holds P, so ``coset`` gives a tuple.
     """
-    total = set(i)
+    if len(p) > len(i):
+        i, p = p, i
+    if p <= i:
+        return i
+    coset, total = operator.itemgetter(*i), set(i)
     for b in p:
         if b not in total:
-            total.update(map(add[b].__getitem__, i))
+            total.update(coset(add[b]))
     return frozenset(total)
+
+
+def sub_objects(
+    add: Table, cyclic: Sequence[frozenset[int]]
+) -> dict[frozenset[int], tuple[int, ...]]:
+    """Every sum of the cyclic sub-objects ``cyclic[g]``, the ideals rR or the
+    submodules Rg, in canonical order (by size, then members), each with the
+    first family of generators that reaches it.
+
+    Every ideal or submodule is the sum of the cyclic ones of its members, so
+    these are all of them.  Each distinct cyclic set is keyed by its least g.
+    """
+    least: dict[frozenset[int], int] = {}
+    for g, c in enumerate(cyclic):
+        least.setdefault(c, g)
+    found = generated({g: c for c, g in least.items()}, functools.partial(_ideal_sum, add))
+    return {s: found[s] for s in sorted(found, key=lambda s: (len(s), sorted(s)))}
 
 
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
@@ -276,18 +302,14 @@ def ideal_table(ring: FiniteRing) -> tuple:
     """Every ideal in canonical order, the index of each member set, a tuple
     of elements generating each ideal, and the index of rR for each r.
 
-    The principal ideals, each keyed by its least generator, are closed
-    under ideal sum; the family that first reaches an ideal generates it.
+    The ideals are the sums of the principal ideals (``sub_objects``); the
+    family that first reaches an ideal generates it.
     """
-    add = ring.add
-    least: dict[frozenset[int], int] = {}
-    firsts = [least.setdefault(frozenset(row), r) for r, row in enumerate(ring.mul)]
-    principals = {r: m for m, r in least.items()}
-    found = generated(principals, lambda i, p: _ideal_sum(add, i, p))
-    order = sorted(found, key=lambda m: (len(m), sorted(m)))
-    index = {m: k for k, m in enumerate(order)}
-    ideals = tuple(Ideal(ring, m) for m in order)
-    return ideals, index, tuple(map(found.get, order)), tuple(index[principals[r]] for r in firsts)
+    principals = [frozenset(row) for row in ring.mul]
+    found = sub_objects(ring.add, principals)
+    index = {m: k for k, m in enumerate(found)}
+    ideals = tuple(Ideal(ring, m) for m in found)
+    return ideals, index, tuple(found.values()), tuple(map(index.__getitem__, principals))
 
 
 def all_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:

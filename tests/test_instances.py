@@ -30,7 +30,7 @@ from lemspec.memo import release
 from lemspec.natural_map import build_natural_map
 from lemspec.spectra import basis_checks, build_topologies
 from lemspec.verify import STATEMENTS
-from lemspec.rings import make_zn
+from lemspec.rings import make_zn, product_ring
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -154,6 +154,37 @@ def test_built_lattice_masks_are_the_subset_order(all_instances):
     release(*ladders, *extra)
 
 
+def _closed_subsets(spec):
+    """Every subset of a classical module's elements that holds zero and is
+    closed under + and the action, by a scan over all subsets, in canonical
+    order."""
+    subsets = (frozenset(x for x in range(spec.size) if bits >> x & 1) for bits in range(1 << spec.size))
+    found = [
+        s
+        for s in subsets
+        if spec.zero in s
+        and all(spec.add[x][y] in s for x in s for y in s)
+        and all(row[x] in s for row in spec.action for x in s)
+    ]
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+@pytest.mark.parametrize("mk", [*workloads.POINT_LADDER, (2, 5), (3, 4)])
+def test_submodule_search_finds_the_brute_force_submodules(mk):
+    mod = build_instance(parse_descriptor(workloads.power_module_descriptor(*mk)))
+    assert _member_sets(mod) == workloads.submodules(*mk)
+    release(mod)
+
+
+def test_submodule_search_finds_every_closed_subset():
+    descs = [d for d in catalog() if d.name.endswith("-submodules")]
+    assert len(descs) == 4
+    for desc in descs:
+        mod = build_instance(desc)
+        assert _member_sets(mod) == _closed_subsets(desc.module), desc.name
+        release(mod)
+
+
 def test_every_catalog_entry_builds(all_instances):
     assert len(all_instances) == 16
     assert all(mod.lattice.size >= 2 for mod in all_instances)
@@ -239,12 +270,20 @@ def test_ideal_lattice_labels():
 
 
 def test_submodule_lattice_agrees_with_ideal_lattice():
-    size, zero, add, action = cyclic_module_tables(6)
-    mod = submodule_lattice_le_module(make_zn(6), size, zero, add, action, "twin")
-    ideal_mod = ideal_lattice_le_module(make_zn(6), "ref")
-    assert {mod.label(p) for p in spectrum(mod)} == {
-        ideal_mod.label(p) for p in spectrum(ideal_mod)
+    """The ideals of R are the submodules of R over itself, so the two
+    builders give the same le-module, element order and labels included."""
+    rings = {
+        "Z6": make_zn(6),
+        "Z12": make_zn(12),
+        "Z30": make_zn(30),
+        "Z2xZ2": product_ring(make_zn(2), make_zn(2)),
+        "Z2xZ4": product_ring(make_zn(2), make_zn(4)),
+        "F2xy": build_ring(parse_descriptor(f2xy_descriptor()).ring),
     }
+    for name, ring in rings.items():
+        mod = submodule_lattice_le_module(ring, ring.order, ring.zero, ring.add, ring.mul, name)
+        assert mod == ideal_lattice_le_module(ring, name), name
+        release(mod, ring)
 
 
 def test_classical_module_validation():
