@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyFamily, NotTopLeModule, TopologyAxiomViolation
 from .lattices import elements
@@ -206,17 +206,19 @@ def first_bad_ideal_pair(mod: LeModuleInstance) -> tuple[Ideal, Ideal] | None:
     return None
 
 
-def vstar_decomposition_check(mod: LeModuleInstance, n: int) -> bool:
-    """V*(n) = V*((n:e)e) = V((n:e)e).
+def vstar_decomposition_failures(mod: LeModuleInstance, xs: Iterable[int]) -> Iterator[int]:
+    """The x of ``xs`` with V*(x) = V*((x:e)e) = V((x:e)e) false, in order.
 
-    The claim's other form of V*(n), the union of the colon fibers at the
-    ring primes that contain (n:e), is not compared apart: V*(n) is the
-    union of the fibers at the colon sets that contain (n:e)
-    (``variety_stars``), and each colon set of a point is a prime (L2.1's
-    second clause), so the two unions run over the same fibers."""
-    ce = ideal_actions(mod)[ideal_table(mod.ring)[1][colon_sets(mod)[n]]]
-    vs = variety_stars(mod)
-    return vs[n] == vs[ce] == varieties(mod)[ce]
+    The claim's third form of V*(x), the union of the colon fibers at the
+    ring primes that contain (x:e), is V*(x) itself: ``variety_stars``
+    unions the fibers at the colon sets that contain (x:e), and each colon
+    set of a point is a prime (L2.1's second clause)."""
+    index, actions, colons = ideal_table(mod.ring)[1], ideal_actions(mod), colon_sets(mod)
+    v, vs = varieties(mod), variety_stars(mod)
+    for x in xs:
+        ce = actions[index[colons[x]]]
+        if not vs[x] == vs[ce] == v[ce]:
+            yield x
 
 
 @record

@@ -2,10 +2,10 @@
 
 Each registered statement is checked on each instance and classified as
 verified, falsified (with a witness), hypothesis-not-met, or not-applicable.
-Every check is exhaustive.  A statement about every subset Y of points, or
-every family of submodule elements, is checked on the states that such
-subsets reach (``lattices.generated``), and its witness is a generating
-family of the failing state.  Sets of points are the int masks of
+Every check is exhaustive.  A statement about every set Y of points is
+checked on the states that such sets reach (``lattices.generated``), and
+its witness is a generating family of the failing state; P3.1's sums over
+families follow from the definitions.  Sets of points are the int masks of
 ``spectra`` (point k of the spectrum is bit k), used as they come: the
 scans combine them with & and |, and nothing is decoded.  A statement about
 every scalar r, or every pair r, s, is checked on one scalar per class of
@@ -62,25 +62,6 @@ def _closures(mod: LeModuleInstance) -> dict[int, int]:
     return spectra.closures_by_point(spectra.build_topologies(mod).star)
 
 
-def family_states(mod: LeModuleInstance) -> dict[tuple, tuple[int, ...]]:
-    """(n V*(n), n V(n), sum of (n:e)e, sum of n) over each nonempty family.
-
-    By axiom S the sum of a union of families is the sum of the two sums,
-    and for submodule elements n and l that sum is add[n][l]: n + l is a
-    submodule element, by M1 and monotonicity, and as n + n <= n and
-    l + l <= l, n + l lies above every finite sum of n and l.  The scan
-    intersects the varieties, which are masks, with &.
-    """
-    v, vs, add = spectra.varieties(mod), spectra.variety_stars(mod), mod.add
-    colons, actions, index = colon_sets(mod), ideal_actions(mod), ideal_table(mod.ring)[1]
-    singletons = {n: (vs[n], v[n], actions[index[colons[n]]], n) for n in submodule_elements(mod)}
-
-    def combine(a: tuple, b: tuple) -> tuple:
-        return a[0] & b[0], a[1] & b[1], add[a[2]][b[2]], add[a[3]][b[3]]
-
-    return generated(singletons, combine)
-
-
 @per_object
 def point_states(mod: LeModuleInstance) -> dict[tuple[int, int], tuple[int, ...]]:
     """(meet of Y, closure of Y) over each nonempty set Y of points.
@@ -123,13 +104,17 @@ def _check_adjunction(mod: LeModuleInstance) -> Outcome:
 
 def _check_variety_identities(mod: LeModuleInstance) -> Outcome:
     """V*(n) u V*(l) = V*(n ^ l) runs over pairs of colon classes: V*(x)
-    reads x only through (x:e), and (n ^ l : e) = (n:e) n (l:e).  The least
-    members of the classes, paired in order, name the first witness of the
-    loop over every pair (the argument of ``le_modules.scalar_classes``).
-    The definitions settle the other pair clauses, which are not scanned: a
-    prime above n is above n ^ l; V* is defined from the colon set; and for
-    points with V*(n) = V*(l), n lies in V*(l), so (l:e) lies in (n:e), and
-    the other way round."""
+    reads x only through (x:e), and (n ^ l : e) = (n:e) n (l:e); the least
+    members of the classes, paired in order, name the loop's first witness
+    (the argument of ``le_modules.scalar_classes``).  The definitions settle
+    the other clauses.  Pairs: a prime above n is above n ^ l; V* is read
+    from the colon set; and points with one V* lie in each other's V*, so
+    have one colon ideal.  Sums of families n_i: by S, x <= y gives
+    y + z = (x + z) v (y + z), and 0_M is the bottom, so for a point p above
+    every n_i, n_i <= sum n_i <= p + ... + p <= p: n V(n_i) = V(sum n_i).
+    With c_n = (n:e)e, every (n:e) in (q:e) gives every c_n <= q (L2.1), so
+    sum c_n <= q and (sum c_n : e) lies in (q:e); and back, as c_n <= sum c_n,
+    (n:e) lies in (c_n:e), inside (sum c_n : e): n V*(n_i) = V*(sum c_n)."""
     full, colons = spectra.all_points(mod), colon_sets(mod)
     v, vs = spectra.varieties(mod), spectra.variety_stars(mod)
     if not (vs[mod.zero_m] == full == v[mod.zero_m]):
@@ -137,20 +122,14 @@ def _check_variety_identities(mod: LeModuleInstance) -> Outcome:
     top = mod.lattice.top
     if not (vs[top] == 0 == v[top]):
         return FALSIFIED, "n=e", None
-    for (inter_star, inter_plain, colon_sum, plain_sum), fam in family_states(mod).items():
-        if inter_star != vs[colon_sum]:
-            return FALSIFIED, f"family={[mod.label(n) for n in fam]}", "colon-sum"
-        if inter_plain != v[plain_sum]:
-            return FALSIFIED, f"family={[mod.label(n) for n in fam]}", "plain-sum"
     least: dict[frozenset[int], int] = {}
     for n in submodule_elements(mod):
         least.setdefault(colons[n], n)
     for n, l in itertools.combinations_with_replacement(least.values(), 2):
         if vs[n] | vs[l] != vs[mod.lattice.meet(n, l)]:
             return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "star-union"
-    for n in submodule_elements(mod):
-        if not spectra.vstar_decomposition_check(mod, n):
-            return FALSIFIED, f"n={mod.label(n)}", "decomposition"
+    for n in spectra.vstar_decomposition_failures(mod, submodule_elements(mod)):
+        return FALSIFIED, f"n={mod.label(n)}", "decomposition"
     for i, ie in zip(all_ideals(mod.ring), ideal_actions(mod)):
         if v[ie] != vs[ie]:
             return FALSIFIED, f"I={i.sorted_members()}", "ideal-action-variety"
@@ -176,8 +155,7 @@ def _check_families_identical(mod: LeModuleInstance) -> Outcome:
         rse = mod.action[mod.ring.mul[r][s]][top]
         if vs[re] | vs[se] != vs[rse]:
             return FALSIFIED, f"r={r}, s={s}", "scalar-union"
-    is_top = spectra.is_top_le_module(mod)
-    if is_top:
+    if spectra.is_top_le_module(mod):
         if not set(spectra.star_family(mod)) <= set(spectra.quasi_family(mod)):
             return FALSIFIED, "star family not inside quasi family", None
         return VERIFIED, None, "top instance: finer-topology clause checked"

@@ -258,7 +258,6 @@ def test_planted_failures_name_the_first_scalar_pair(monkeypatch, name):
 @pytest.mark.parametrize("name", PLANTED)
 def test_planted_failure_names_the_first_scalar_in_p31(monkeypatch, name):
     # Empty the clauses before the scalar one, so that it is reached.
-    monkeypatch.setattr(verify, "family_states", lambda mod: {})
     monkeypatch.setattr(verify, "submodule_elements", lambda mod: ())
     monkeypatch.setattr(verify, "all_ideals", lambda ring: ())
     shared = False

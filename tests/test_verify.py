@@ -12,13 +12,7 @@ import pytest
 from frozenset_reference import ModuleSets, plant
 from hypothesis import given, strategies as st
 from test_ideal_index_reference import ANNIHILATED
-from test_scan_reference import (
-    decoded_family_states,
-    decoded_point_states,
-    family_state,
-    point_state,
-    reference_pairs,
-)
+from test_scan_reference import decoded_point_states, point_state, reference_pairs
 
 from lemspec import spectra, verify
 from lemspec.instances import (
@@ -320,14 +314,12 @@ def test_module_memo_holds_no_per_element_entries(make):
 
 @pytest.mark.parametrize("m, k", [(2, 3), (4, 2), (2, 4), (4, 3)])
 def test_mask_scans_decode_to_the_reference_states(m, k):
-    # The scans combine states as int masks over the spectrum index; each
-    # decoded state must be the one the reference computes from frozensets
-    # for the family or point set that reaches it.  F2^4 and (Z4)^3 have too
+    # The point scan combines states as int masks over the spectrum index;
+    # each decoded state must be the one the reference computes from
+    # frozensets for the point set that reaches it.  F2^4 and (Z4)^3 have too
     # many subsets to list, so every reached state is checked instead.
     mod = _power_module(m, k)
     ref = ModuleSets(mod)
-    for state, fam in decoded_family_states(ref).items():
-        assert family_state(ref, fam) == state, fam
     for state, ys in decoded_point_states(ref).items():
         assert point_state(ref, ys) == state, ys
     release(mod)
@@ -379,14 +371,13 @@ def test_planted_point_failures_name_the_reference_witness():
     assert details == {"closure-formula", "specialization"}
 
 
-def test_planted_pair_failures_name_the_reference_witness(monkeypatch):
+def test_planted_pair_failures_name_the_reference_witness():
     # V*(x) is changed, for every x of one colon class other than those of
     # 0_M and e (whose clauses come first), by one point (one bit of the
     # mask) or to the variety of a point; the reference gets the same
     # frozensets.  P3.1 pairs one element of each colon class, which is
     # exact while V* reads x only through (x:e), as a fault planted in a
     # whole class keeps it.
-    monkeypatch.setattr(verify, "family_states", lambda mod: {})
     check = next(s.check for s in STATEMENTS if s.sid == "P3.1")
     real = spectra.variety_star
     details = set()
