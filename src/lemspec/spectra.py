@@ -9,8 +9,8 @@ A set of points has one representation: an int mask in which bit k stands
 for ``points[k]`` of its space, the module spectrum in index order or the
 ring spectrum in canonical order.  Unions, intersections and complements
 are ``|``, ``&`` and ``^``.  ``decode`` is the one way from a mask back to
-points, for output.  Ideals are read by their index in the ring's
-``rings.ideal_table``, with Ie from ``le_modules.ideal_actions``.
+points, for output.  The ideal-action family reads Ie for each ideal from
+``le_modules.ideal_actions``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import EmptyFamily, NotTopLeModule, TopologyAxiomViolation
 from .lattices import elements
@@ -32,7 +32,7 @@ from .le_modules import (
     submodule_elements,
 )
 from .memo import per_object, record
-from .rings import FiniteRing, Ideal, all_ideals, ideal_product, ideal_table, spec_ring, variety_ring
+from .rings import FiniteRing, all_ideals, spec_ring, variety_ring
 
 
 @record(eq=False)
@@ -190,86 +190,20 @@ def quasi_topology(mod: LeModuleInstance) -> SpectrumTopology:
     return build_topologies(mod).quasi
 
 
-def first_bad_ideal_pair(mod: LeModuleInstance) -> tuple[Ideal, Ideal] | None:
-    """The first I, J in ``combinations_with_replacement`` order over
-    ``all_ideals`` with V(Ie) u V(Je) = V((I n J)e) = V((IJ)e), or its V*
-    analogue, false, or None.  V and V* are read once per ideal index."""
-    ideals, index = ideal_table(mod.ring)[:2]
-    actions = ideal_actions(mod)
-    v = list(map(varieties(mod).__getitem__, actions))
-    vs = list(map(variety_stars(mod).__getitem__, actions))
-    for k, l in itertools.combinations_with_replacement(range(len(ideals)), 2):
-        i, j = ideals[k], ideals[l]
-        m, p = index[i.members & j.members], index[ideal_product(i, j).members]
-        if not (v[k] | v[l] == v[m] == v[p] and vs[k] | vs[l] == vs[m] == vs[p]):
-            return i, j
-    return None
-
-
-def vstar_decomposition_failures(mod: LeModuleInstance, xs: Iterable[int]) -> Iterator[int]:
-    """The x of ``xs`` with V*(x) = V*((x:e)e) = V((x:e)e) false, in order.
-
-    The claim's third form of V*(x), the union of the colon fibers at the
-    ring primes that contain (x:e), is V*(x) itself: ``variety_stars``
-    unions the fibers at the colon sets that contain (x:e), and each colon
-    set of a point is a prime (L2.1's second clause)."""
-    index, actions, colons = ideal_table(mod.ring)[1], ideal_actions(mod), colon_sets(mod)
-    v, vs = varieties(mod), variety_stars(mod)
-    for x in xs:
-        ce = actions[index[colons[x]]]
-        if not vs[x] == vs[ce] == v[ce]:
-            yield x
-
-
-@record
-class BasisReport:
-    """Outcome of the basis identities for the open sets {X_r}."""
-
-    pair_identity_ok: bool
-    pair_witness: tuple | None
-    ideal_identity_ok: bool
-    ideal_witness: tuple | None
-    covers_ok: bool
-    cover_witness: tuple | None
-
-    @property
-    def ok(self) -> bool:
-        return self.pair_identity_ok and self.ideal_identity_ok and self.covers_ok
-
-
 @per_object
-def basis_checks(mod: LeModuleInstance) -> BasisReport:
-    """X_rs = X_r n X_s; V*(Ie) = intersection of V*(ae); opens are unions of X_r."""
-    ring, top = mod.ring, mod.lattice.top
-    full, v, vs = all_points(mod), varieties(mod), variety_stars(mod)
-    # X_r reads r through re only, and X_rs through (rs)e = r(se) (M3), so
-    # the pair identity depends on the action rows of r and s alone.
-    classes = scalar_classes(mod)
-    opens = [full ^ v[row[top]] for row in mod.action]
-    pair_ok, pair_wit = True, None
-    for r, s in itertools.product(classes, repeat=2):
-        if opens[ring.mul[r][s]] != opens[r] & opens[s]:
-            pair_ok, pair_wit = False, (r, s)
-            break
+def uncovered_open(mod: LeModuleInstance) -> int | None:
+    """The first open set, the complement of a closed set in
+    ``star_family`` order, that is not a union of basic opens X_r, or None.
 
-    ideal_ok, ideal_wit = True, None
-    for i, ie in zip(all_ideals(ring), ideal_actions(mod)):
-        inter = full
-        for ae in {mod.action[a][top] for a in i.members}:
-            inter &= vs[ae]
-        if vs[ie] != inter:
-            ideal_ok, ideal_wit = False, (i.sorted_members(),)
-            break
-
-    basics = [opens[r] for r in classes]
-    covers_ok, cover_wit = True, None
+    X_r reads r only through re, so one scalar per class of equal action
+    rows (``scalar_classes``) gives every basic open."""
+    full, v, top = all_points(mod), varieties(mod), mod.lattice.top
+    basics = [full ^ v[mod.action[r][top]] for r in scalar_classes(mod)]
     for closed in star_family(mod):
         u = full ^ closed
-        union = functools.reduce(operator.or_, (b for b in basics if not b & ~u), 0)
-        if union != u:
-            covers_ok, cover_wit = False, (decode(spectrum(mod), u),)
-            break
-    return BasisReport(pair_ok, pair_wit, ideal_ok, ideal_wit, covers_ok, cover_wit)
+        if functools.reduce(operator.or_, (b for b in basics if not b & ~u), 0) != u:
+            return u
+    return None
 
 
 @per_object

@@ -8,15 +8,16 @@ its witness is a generating family of the failing state; P3.1's sums over
 families follow from the definitions.  Sets of points are the int masks of
 ``spectra`` (point k of the spectrum is bit k), used as they come: the
 scans combine them with & and |, and nothing is decoded.  A statement about
-every scalar r, or every pair r, s, is checked on one scalar per class of
-equal action rows (``le_modules.scalar_classes``): the loops of P3.1, T3.5,
-P5.1 and T5.3 read r only through its row (P5.1's ring side by the argument
-in ``_check_dr``), and rs only through (rs)e = r(se), which by M3 depends
-only on the rows of r and s.  The representatives are the least members,
-scanned in the order of the full loop, so a failure names the same first
-witness.  The loops over ideals (L2.1, P3.1, T3.5, T5.3) run over indices
-into the ring's ``rings.ideal_table``, in its order, reading Ie from
-``le_modules.ideal_actions``; T3.5 finds I n J and IJ by index.
+every scalar r is checked on one scalar per class of equal action rows
+(``le_modules.scalar_classes``): the loops of P5.1 and T5.3 read r only
+through its row (P5.1's ring side by the argument in ``_check_dr``).  The
+representatives are the least members, scanned in the order of the full
+loop, so a failure names the same first witness.  The loop over ideals
+(L2.1) runs over indices into the ring's ``rings.ideal_table``, in its
+order, reading Ie from ``le_modules.ideal_actions``.  L2.1's two clauses,
+checked on every instance, settle the identities about Ie and re that
+P3.1, T3.5 and T5.3 state, so those are not scanned
+(``_check_variety_identities``).
 Serialization omits timing so repeated runs are byte-identical.
 """
 
@@ -114,7 +115,18 @@ def _check_variety_identities(mod: LeModuleInstance) -> Outcome:
     every n_i, n_i <= sum n_i <= p + ... + p <= p: n V(n_i) = V(sum n_i).
     With c_n = (n:e)e, every (n:e) in (q:e) gives every c_n <= q (L2.1), so
     sum c_n <= q and (sum c_n : e) lies in (q:e); and back, as c_n <= sum c_n,
-    (n:e) lies in (c_n:e), inside (sum c_n : e): n V*(n_i) = V*(sum c_n)."""
+    (n:e) lies in (c_n:e), inside (sum c_n : e): n V*(n_i) = V*(sum c_n).
+
+    L2.1 settles the clauses about Ie and re, from its two clauses, which
+    are checked on every instance: (a) Ie <= n iff I lies in (n:e), for
+    every submodule element n, points included; (b) the colon ideal
+    P = (q:e) of every point q is a proper prime.  Let q be a point.
+    Scalar action: re <= q iff r is in P, by the definition of the colon;
+    r is in (re:e), and each t in (re:e) has te <= re, so (re:e) lies in P
+    iff re <= q: V*(re) = V(re).  Ideal action: by (a), q is in V(Ie) iff
+    I lies in P; I lies in (Ie:e) by (a), and Ie <= q puts (Ie:e) inside P,
+    so V*(Ie) = V(Ie).  Decomposition: with I = (n:e), (a) gives
+    V*(n) = V((n:e)e), which is V*((n:e)e) by the ideal-action identity."""
     full, colons = spectra.all_points(mod), colon_sets(mod)
     v, vs = spectra.varieties(mod), spectra.variety_stars(mod)
     if not (vs[mod.zero_m] == full == v[mod.zero_m]):
@@ -128,33 +140,23 @@ def _check_variety_identities(mod: LeModuleInstance) -> Outcome:
     for n, l in itertools.combinations_with_replacement(least.values(), 2):
         if vs[n] | vs[l] != vs[mod.lattice.meet(n, l)]:
             return FALSIFIED, f"n={mod.label(n)}, l={mod.label(l)}", "star-union"
-    for n in spectra.vstar_decomposition_failures(mod, submodule_elements(mod)):
-        return FALSIFIED, f"n={mod.label(n)}", "decomposition"
-    for i, ie in zip(all_ideals(mod.ring), ideal_actions(mod)):
-        if v[ie] != vs[ie]:
-            return FALSIFIED, f"I={i.sorted_members()}", "ideal-action-variety"
-    for r in scalar_classes(mod):
-        re = mod.action[r][top]
-        if v[re] != vs[re]:
-            return FALSIFIED, f"r={r}", "scalar-action-variety"
     return VERIFIED, None, None
 
 
 def _check_families_identical(mod: LeModuleInstance) -> Outcome:
-    # build_topologies raises an InternalError unless the colon-variety and
-    # ideal-action families are the same.
+    """``spectra.build_topologies`` raises unless the colon-variety and
+    ideal-action families are one family, closed under unions and
+    intersections; the finer-topology clause is checked here.
+
+    L2.1's clauses (a) and (b) (``_check_variety_identities``) settle the
+    unions of varieties of actions.  Let q be a point and P = (q:e).  By
+    (b), (rs)e <= q iff rs is in P iff r or s is in P, so
+    V*(re) u V*(se) = V*((rs)e), as V* is V on re.  By (a) and (b),
+    (I n J)e <= q iff I n J lies in P iff IJ does iff I or J does, as
+    IJ lies in I n J and P is prime (Atiyah-Macdonald, ch. 1), so
+    V(Ie) u V(Je) = V((I n J)e) = V((IJ)e), and so for V*, which is V on
+    ideal actions."""
     spectra.build_topologies(mod)
-    bad = spectra.first_bad_ideal_pair(mod)
-    if bad is not None:
-        return FALSIFIED, f"I={bad[0].sorted_members()}, J={bad[1].sorted_members()}", None
-    top = mod.lattice.top
-    vs = spectra.variety_stars(mod)
-    # (rs)e = r(se) by M3, so this clause depends on the rows of r and s alone.
-    for r, s in itertools.combinations_with_replacement(scalar_classes(mod), 2):
-        re, se = mod.action[r][top], mod.action[s][top]
-        rse = mod.action[mod.ring.mul[r][s]][top]
-        if vs[re] | vs[se] != vs[rse]:
-            return FALSIFIED, f"r={r}, s={s}", "scalar-union"
     if spectra.is_top_le_module(mod):
         if not set(spectra.star_family(mod)) <= set(spectra.quasi_family(mod)):
             return FALSIFIED, "star family not inside quasi family", None
@@ -232,11 +234,18 @@ def _check_dr(nm: nmap.NaturalMap) -> Outcome:
 
 
 def _check_basis(mod: LeModuleInstance) -> Outcome:
-    rep = spectra.basis_checks(mod)
-    if rep.ok:
+    """Every open set is a union of basic opens: ``spectra.uncovered_open``.
+
+    L2.1's clauses (a) and (b) (``_check_variety_identities``) settle the
+    other two.  Let q be a point and P = (q:e).  q is in X_r iff re is not
+    below q iff r is not in P, so by (b) X_rs = X_r n X_s.  q is in V*(Ie)
+    iff I lies in P, by the ideal-action identity and (a), iff every a of I
+    is in P iff every ae <= q, so V*(Ie) is the intersection of the
+    V*(ae), as V* is V on ae."""
+    u = spectra.uncovered_open(mod)
+    if u is None:
         return VERIFIED, None, None
-    witness = rep.pair_witness or rep.ideal_witness or rep.cover_witness
-    return FALSIFIED, str(witness), None
+    return FALSIFIED, str((spectra.decode(spectrum(mod), u),)), None
 
 
 @_on_map
@@ -245,7 +254,7 @@ def _check_quasi_compact_base(nm: nmap.NaturalMap) -> Outcome:
     # The opens are closed under intersection: build_topologies has asserted,
     # through _validate_family, that their complements are closed under union.
     spectra.build_topologies(mod)
-    if not spectra.basis_checks(mod).covers_ok:
+    if spectra.uncovered_open(mod) is not None:
         return FALSIFIED, "basic opens do not cover", None
     return VERIFIED, None, spectra.QUASI_COMPACT_NOTE
 

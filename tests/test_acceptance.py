@@ -11,6 +11,7 @@ import random
 import time
 
 import pytest
+from frozenset_reference import ModuleSets
 
 from lemspec.cli import main
 from lemspec.errors import AxiomViolation
@@ -29,7 +30,6 @@ from lemspec.natural_map import (
 )
 from lemspec.rings import all_ideals
 from lemspec.spectra import (
-    basis_checks,
     build_topologies,
     closure,
     generic_points,
@@ -37,10 +37,12 @@ from lemspec.spectra import (
     is_irreducible,
     point_closures,
     point_set_properties,
-    vstar_decomposition_failures,
+    uncovered_open,
 )
 from lemspec.verify import run_all, serialize_report
 from test_ideal_index_reference import galois_adjunction_check, union_intersection_check
+from test_scalar_class_reference import ref_basis_witnesses
+from test_scan_reference import reference_decomposition
 from test_spectra import phi_and_t1_check
 
 ALL = tuple(build_instance(d) for d in catalog())
@@ -114,7 +116,7 @@ def test_criterion_3_topology_identities():
         for mod in ALL:
             tops = build_topologies(mod)
             assert tops.star.closed_sets == tops.prime.closed_sets, mod.name
-            assert list(vstar_decomposition_failures(mod, range(mod.lattice.size))) == [], mod.name
+            assert reference_decomposition(ModuleSets(mod)) is None, mod.name
             for i, j in itertools.product(all_ideals(mod.ring), repeat=2):
                 assert union_intersection_check(mod, i, j), mod.name
         report = run_all()
@@ -128,10 +130,8 @@ def test_criterion_3_topology_identities():
 def test_criterion_4_basis():
     with timed(30.0) as t:
         for mod in ALL:
-            report = basis_checks(mod)
-            assert report.pair_identity_ok, (mod.name, report.pair_witness)
-            assert report.ideal_identity_ok, (mod.name, report.ideal_witness)
-            assert report.covers_ok, (mod.name, report.cover_witness)
+            assert ref_basis_witnesses(mod) == (None, None, None), mod.name
+            assert uncovered_open(mod) is None, mod.name
     print(f"criterion 4: PASS ({t.seconds:.2f}s)")
 
 

@@ -28,7 +28,7 @@ from lemspec.lattices import make_lattice
 from lemspec.le_modules import colon_fibers, make_le_module, spectrum
 from lemspec.memo import release
 from lemspec.natural_map import build_natural_map
-from lemspec.spectra import basis_checks, build_topologies
+from lemspec.spectra import build_topologies, uncovered_open
 from lemspec.verify import STATEMENTS
 from lemspec.rings import make_zn, product_ring
 
@@ -67,7 +67,7 @@ def test_find_descriptor():
 
 def test_derived_data_lives_on_the_instance():
     mod = build_instance(find_descriptor("Z6-ideal-lattice"))
-    for derive in (spectrum, colon_fibers, build_topologies, basis_checks, build_natural_map):
+    for derive in (spectrum, colon_fibers, build_topologies, uncovered_open, build_natural_map):
         assert derive(mod) is derive(mod), derive.__name__
     for stmt in STATEMENTS:
         stmt.check(mod)

@@ -6,7 +6,10 @@ and leaves P3.1's sum clauses over families of submodule elements to the
 definitions.  The reference here lists every nonempty subset of points or
 of submodule elements instead, so it runs only where 2^k subsets are few.
 It keeps its point sets as frozensets (``frozenset_reference``) and calls
-no ``spectra`` code.
+no ``spectra`` code.  The clauses about Ie and re that L2.1 settles are
+checked here too, through these references and the per-scalar and
+per-ideal-pair loops of ``test_scalar_class_reference`` and
+``test_ideal_index_reference``.
 """
 
 import ast
@@ -360,6 +363,49 @@ def test_no_decomposition_clause_fails_on_any_instance(instances):
         assert all(is_prime_ideal(mod.ring, c) for c in ref.fibers), mod.name
         assert reference_decomposition(ref) is None, mod.name
         assert check(mod)[0] == verify.VERIFIED, mod.name
+
+
+def reference_ideal_action_variety(ref: ModuleSets) -> str | None:
+    """P3.1's "ideal-action-variety" clause on frozensets: the first ideal
+    I with V(Ie) != V*(Ie)."""
+    mod = ref.mod
+    for i in all_ideals(mod.ring):
+        ie = ideal_action(mod, i)
+        if ref.v[ie] != ref.vs[ie]:
+            return f"I={i.sorted_members()}"
+    return None
+
+
+def test_no_action_clause_fails_on_any_instance(instances):
+    # L2.1's two clauses, checked on every instance, settle P3.1's
+    # decomposition, ideal-action and scalar-action clauses, T3.5's ideal
+    # and scalar pairs and T5.3's pair and ideal identities
+    # (``verify._check_variety_identities``), so none of them is scanned.
+    # Both modules import this one, so they are imported here.
+    from test_ideal_index_reference import ANNIHILATED, DESCRIPTORS, ref_ideal_pair
+    from test_scalar_class_reference import (
+        EXTRA,
+        ref_basis_witnesses,
+        ref_scalar_action_variety,
+        ref_scalar_union,
+    )
+
+    # F2[x, y]/(x, y)^2 has a non-principal ideal; Z6^2 over Z12 has
+    # annihilator {0, 6}.
+    more = [build_instance(d) for d in (*EXTRA, DESCRIPTORS["F2xy-ideal-lattice"], ANNIHILATED[0])]
+    checks = {s.sid: s.check for s in verify.STATEMENTS}
+    for mod in [*instances, *more]:
+        ref = ModuleSets(mod)
+        assert reference_decomposition(ref) is None, mod.name
+        assert reference_ideal_action_variety(ref) is None, mod.name
+        assert ref_scalar_action_variety(mod) is None, mod.name
+        assert ref_ideal_pair(mod) is None, mod.name
+        assert ref_scalar_union(mod) is None, mod.name
+        assert ref_basis_witnesses(mod)[:2] == (None, None), mod.name
+        for sid in ("L2.1", "P3.1", "T3.5", "T5.3"):
+            assert checks[sid](mod)[0] == verify.VERIFIED, (mod.name, sid)
+    for mod in more:
+        release(mod, mod.ring)
 
 
 def _witness(mod: LeModuleInstance, text: str) -> tuple[int, ...]:

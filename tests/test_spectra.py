@@ -18,7 +18,6 @@ from lemspec.rings import all_ideals, basic_open_ring, make_zn
 from lemspec.spectra import (
     QUASI_COMPACT_NOTE,
     basic_open,
-    basis_checks,
     build_topologies,
     canonical_family,
     closure,
@@ -33,12 +32,13 @@ from lemspec.spectra import (
     quasi_topology,
     ring_space,
     specialization_pairs,
+    uncovered_open,
     variety,
     variety_star,
-    vstar_decomposition_failures,
 )
 from test_ideal_index_reference import union_intersection_check
-from test_scan_reference import irreducibility_criteria
+from test_scalar_class_reference import ref_basis_witnesses
+from test_scan_reference import irreducibility_criteria, reference_decomposition
 
 NOT_TOP = {"Z2xZ2-over-Z2-submodules", "Z2xZ4-over-Z4-submodules"}
 
@@ -147,7 +147,7 @@ def test_variety_identities_exhaustive(all_instances):
         for x in range(mod.lattice.size):
             assert variety(mod, x) == ref.mask(ref.v[x])
             assert variety_star(mod, x) == ref.mask(ref.vs[x])
-        assert list(vstar_decomposition_failures(mod, range(mod.lattice.size))) == []
+        assert reference_decomposition(ref) is None, mod.name
         assert variety(mod, 0) == ref.mask(spectrum(mod))  # V(0_M) is everything
         assert variety_star(mod, mod.top) == 0  # proper points only
 
@@ -168,8 +168,8 @@ def test_basic_open_complements_variety(z6_module):
 
 def test_basis_checks_hold_everywhere(all_instances):
     for mod in all_instances:
-        report = basis_checks(mod)
-        assert report.ok, (mod.name, report)
+        assert ref_basis_witnesses(mod) == (None, None, None), mod.name
+        assert uncovered_open(mod) is None, mod.name
 
 
 def test_closure_is_smallest_closed_superset(all_instances):
