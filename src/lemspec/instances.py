@@ -134,7 +134,8 @@ def _lattice_le_module(
     rows: dict[int, tuple[int, ...]] = {}
     for r, k in enumerate(principal):
         if k not in rows:
-            rows[k] = tuple(index[frozenset(g(act[r]))] for g in picks)
+            row = act[r]
+            rows[k] = tuple(index[frozenset(g(row))] for g in picks)
     action = tuple(map(rows.__getitem__, principal))
     labels = tuple("{" + ",".join(map(str, m)) + "}" for m in members)
     lattice = lattice_of_sets(sets)
@@ -191,12 +192,13 @@ def _check_classical_module(
         raise ModuleAxiomViolation("action-add", (*bad, first_failure(action_add(*bad))[0]))
     for r in rr:
         sum_rows = act_get[r](add)
+        r_plus, r_times = ring.add[r], ring.mul[r]
         for s in rr:
             # (r+s)x against rx + sx, and (rs)x against r(sx); lists, as in
             # make_le_module's M2 scan.
             summed = list(map(getitem, sum_rows, action[s]))
             scaled = act_get[s](action[r])
-            plus, times = list(action[ring.add[r][s]]), action[ring.mul[r][s]]
+            plus, times = list(action[r_plus[s]]), action[r_times[s]]
             if (plus, times) != (summed, scaled):
                 x, law = first_failure((plus, summed), (times, scaled))
                 raise ModuleAxiomViolation(("scalar-add", "scalar-mul")[law], (r, s, x))

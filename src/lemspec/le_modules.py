@@ -148,9 +148,10 @@ def make_le_module(
     holds = ["1"] * n
     for r1 in rr:
         sum_rows = act_get[r1](add_t)
+        r1_plus, r1_times = ring.add[r1], ring.mul[r1]
         for r2 in rr:
-            s = ring.add[r1][r2]
-            p = ring.mul[r1][r2]
+            s = r1_plus[r2]
+            p = r1_times[r2]
             below = list(map(getitem, up_rows[s], map(getitem, sum_rows, act_t[r2])))
             scaled = act_get[r2](act_t[r1])
             if below != holds or act_t[p] != scaled:
@@ -258,11 +259,6 @@ def colon_sets(mod: LeModuleInstance) -> tuple[frozenset[int], ...]:
     chain = itertools.chain.from_iterable
     shared = {key: frozenset(chain(map(by_re.get, elements(key)))) for key in set(keys)}
     return tuple(map(shared.__getitem__, keys))
-
-
-def colon_set(mod: LeModuleInstance, x: int) -> frozenset[int]:
-    """(x : e), read from ``colon_sets``."""
-    return colon_sets(mod)[x]
 
 
 def colon(mod: LeModuleInstance, n: int) -> Ideal:

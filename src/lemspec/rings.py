@@ -1,6 +1,7 @@
 """Finite commutative rings with identity, given by Cayley tables.
 
-Elements are the indices 0..order-1; ``add`` and ``mul`` are full tables.
+Elements are the indices 0..order-1; ``add`` and ``mul`` are tables of
+rows, given in full or, for Z_n, built a row at a time (``ZnRows``).
 ``make_ring`` validates tables given from outside exactly and reports the
 first failing cell, so a bad table is caught at build time rather than deep
 inside a spectrum computation.  Associativity and distributivity are checked
@@ -20,7 +21,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .errors import AxiomViolation, ImproperIdeal, ZeroRing
 from .lattices import generated
@@ -35,8 +36,8 @@ class FiniteRing:
     """A finite commutative ring with 1, as validated operation tables."""
 
     order: int
-    add: Table
-    mul: Table
+    add: Table | ZnRows
+    mul: Table | ZnRows
     zero: int
     one: int
     name: str = "R"
@@ -162,32 +163,56 @@ def make_ring(
     return FiniteRing(order, add_t, mul_t, zero, one, name, names)
 
 
+class ZnRows(Sequence):
+    """The rows of Z_n's + or *, each built by ``row(a)`` on its first read
+    and then kept, so a reader of a few rows never pays for n².  It equals
+    the tuple of its rows, as a table given in full would."""
+
+    def __init__(self, n: int, row: Callable[[int], tuple[int, ...]]):
+        self._rows, self._row = [None] * n, row
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, a: int) -> tuple[int, ...]:
+        row = self._rows[a]
+        if row is None:
+            row = self._rows[a] = self._row(a)
+        return row
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 def make_zn(n: int) -> FiniteRing:
-    """The ring of integers mod n, n >= 2, with its ideal table and primality.
+    """The ring of integers mod n, n >= 2, with its ideal table, primality
+    and idempotents.
 
     The ideals of Z_n are the dZ_n for the divisors d of n, rZ_n is
     gcd(r, n)Z_n, and dZ_n is prime exactly when d is prime (for d = n, the
     zero ideal is prime exactly when n is).  They are kept on the ring as
     the answers of ``ideal_table`` and ``is_prime_ideal``, so no ideal of
     Z_n is searched for; every other ring, quotients included, takes the
-    generic search.
+    generic search.  The tables are ``ZnRows``, as these readers need no
+    row and the ideal-lattice action needs one per divisor.
     """
     if n < 2:
         raise ZeroRing("Z_n needs n >= 2")
     # Row a of + is 0..n-1 rotated left by a; row a of * counts up in steps
-    # of a, reduced mod n, with period n/gcd(a, n), and row n - a is row a
-    # negated.  Both tables hold rng's own ints, so past 256 they keep n int
-    # objects, not one per entry.
+    # of a, reduced mod n, with period n/gcd(a, n).  Both depend on a only
+    # mod n, so a negative index reads row n + a.  Both hold rng's own ints,
+    # so past 256 the rows share n int objects, not one per entry.
     rng = tuple(range(n))
-    neg = rng[:1] + rng[:0:-1]
-    add = tuple(rng[a:] + rng[:a] for a in rng)
-    mul = [rng[:1] * n] * n
-    for a in range(1, n // 2 + 1):
+
+    def mul_row(a: int) -> tuple[int, ...]:
         g = math.gcd(a, n)
-        period = tuple(map(rng.__getitem__, map(n.__rmod__, range(0, a * n // g, a))))
-        mul[a] = period * g
-        mul[n - a] = tuple(map(neg.__getitem__, period)) * g
-    ring = FiniteRing(n, add, tuple(mul), 0, 1, f"Z{n}")
+        return tuple(map(rng.__getitem__, map(n.__rmod__, map(a.__mul__, range(n // g))))) * g
+
+    add = ZnRows(n, lambda a: rng[a:] + rng[:a])
+    ring = FiniteRing(n, add, ZnRows(n, mul_row), 0, 1, f"Z{n}")
     # Descending d gives ascending size n/d, the canonical order.
     divisors = [d for d in range(n, 0, -1) if n % d == 0]
     ideals = tuple(Ideal(ring, frozenset(rng[::d])) for d in divisors)
@@ -198,6 +223,7 @@ def make_zn(n: int) -> FiniteRing:
     index = {i.members: k for k, i in enumerate(ideals)}
     gens = tuple((d % n,) for d in divisors)
     preset(ideal_table, ring, (ideals, index, gens, tuple(at[math.gcd(r, n)] for r in rng)))
+    preset(idempotents, ring, frozenset(x for x in rng if x * x % n == x))
     return ring
 
 
@@ -383,6 +409,7 @@ def push_ideal(i: Ideal, projection: tuple[int, ...], target: FiniteRing) -> Ide
     return Ideal(target, frozenset(projection[r] for r in i.members))
 
 
+@per_object
 def idempotents(ring: FiniteRing) -> frozenset[int]:
     return frozenset(x for x in range(ring.order) if ring.mul[x][x] == x)
 

@@ -4,7 +4,8 @@ lemspec keeps every set of points as an int mask (``spectra``).  The forms
 here keep them as frozensets of points and call no ``spectra`` code, so a
 test that compares the two does not check the mask code against itself:
 
-- V(x) is read from ``leq``, and V*(x) from colon inclusion;
+- V(x) is read from ``leq``, and V*(x) from colon inclusion, with (x : e)
+  read by ``colon_set`` from ``le_modules.colon_sets``;
 - the closure of Y is the intersection of the closed sets that contain Y;
 - a family is ordered by (size, positions in ascending order).
 
@@ -18,8 +19,13 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from lemspec.le_modules import LeModuleInstance, colon_set, spectrum, submodule_elements
+from lemspec.le_modules import LeModuleInstance, colon_sets, spectrum, submodule_elements
 from lemspec.memo import preset
+
+
+def colon_set(mod: LeModuleInstance, x: int) -> frozenset[int]:
+    """(x : e), read from ``le_modules.colon_sets``."""
+    return colon_sets(mod)[x]
 
 
 def canonical(points: tuple, sets: Iterable[frozenset]) -> tuple[frozenset, ...]:

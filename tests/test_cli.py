@@ -14,7 +14,7 @@ from lemspec.cli import COMMANDS, main, parse_args
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
-from test_ideal_index_reference import ANNIHILATED, f2xy_descriptor  # noqa: E402
+from shared_instances import ANNIHILATED, f2xy_descriptor  # noqa: E402
 
 M3_DESCRIPTOR = """\
 name broken-scalars

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import pytest
 from frozenset_reference import ModuleSets, Space, canonical
+from shared_instances import _ladder_instances
 from test_prime_reference import PRIME_CASES
-from test_scan_reference import _ladder_instances
 
 from lemspec import natural_map as nmap
 from lemspec import spectra, verify

@@ -14,29 +14,17 @@ are kept here, as are the pairwise scans that ``rings.minimal_primes`` and
 """
 
 import itertools
-import sys
-from pathlib import Path
 
 import pytest
-from frozenset_reference import ModuleSets
-from test_ideal_reference import _f2_xy, ref_ideal_product
-from test_scan_reference import _ladder_instances
+from frozenset_reference import ModuleSets, colon_set
+from shared_instances import DESCRIPTORS, _ladder_instances
+from test_ideal_reference import ref_ideal_product
 
 from lemspec import spectra, verify
-from lemspec.instances import (
-    InstanceDescriptor,
-    SubmoduleLatticeSpec,
-    ZnSpec,
-    build_instance,
-    catalog,
-    mod_scaled_cyclic_tables,
-    parse_descriptor,
-    product_module_tables,
-)
+from lemspec.instances import build_instance
 from lemspec.le_modules import (
     LeModuleInstance,
     colon_fibers,
-    colon_set,
     ideal_action,
     ideal_actions,
     spectrum,
@@ -47,43 +35,7 @@ from lemspec.memo import preset, release
 from lemspec.natural_map import build_natural_map
 from lemspec.rings import Ideal, all_ideals, ideal_intersect, maximal_ideals, minimal_primes, spec_ring
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import workloads  # noqa: E402
-
 CHECKS = {s.sid: s.check for s in verify.STATEMENTS}
-
-
-def f2xy_descriptor() -> str:
-    """The ideal lattice of F2[x, y]/(x, y)^2, whose ideal (x, y) is not
-    principal, from explicit tables."""
-    ring = _f2_xy()
-    return workloads.explicit_ring_descriptor("F2xy-ideal-lattice", 8, ring.add, ring.mul)
-
-
-def annihilated_descriptor(a: int, b: int, m: int) -> InstanceDescriptor:
-    """The submodule lattice of Z_a + Z_b over Z_m, for a and b dividing m:
-    its annihilator is lcm(a, b)Z_m, which is not 0 when the lcm is less
-    than m, so the natural map goes to a proper quotient ring."""
-    tables = product_module_tables(mod_scaled_cyclic_tables(a, m), mod_scaled_cyclic_tables(b, m))
-    name = f"Z{a}^2-over-Z{m}" if a == b else f"Z{a}xZ{b}-over-Z{m}"
-    return InstanceDescriptor(name, ZnSpec(m), SubmoduleLatticeSpec(*tables))
-
-
-# No catalog instance has a nonzero annihilator.
-ANNIHILATED = tuple(annihilated_descriptor(*amb) for amb in ((6, 6, 12), (4, 6, 24), (6, 10, 60)))
-
-
-def _descriptors() -> dict:
-    texts = [
-        "name Z840-ideal-lattice\nring zn 840\nmodule ideal-lattice\n",
-        *(workloads.power_module_descriptor(m, k) for m, k in ((2, 4), (4, 3), (3, 4))),
-        f2xy_descriptor(),
-    ]
-    descs = [*catalog(), *map(parse_descriptor, texts), *ANNIHILATED]
-    return {d.name: d for d in descs}
-
-
-DESCRIPTORS = _descriptors()
 
 
 def _instances() -> list[LeModuleInstance]:

@@ -12,6 +12,7 @@ which hands nothing over.
 import random
 
 import pytest
+from shared_instances import _f2_xy
 
 from lemspec import rings
 from lemspec.rings import (
@@ -64,16 +65,6 @@ def ref_ideal_product(ring: FiniteRing, i: frozenset[int], j: frozenset[int]) ->
                 closed.add(c)
                 todo.append(c)
     return frozenset(closed)
-
-
-def _f2_xy() -> FiniteRing:
-    # F2[x, y]/(x, y)^2: a + bx + cy is index a + 2b + 4c; its maximal ideal
-    # (x, y) is not principal.
-    els = range(8)
-    mul = [
-        [(a & b & 1) | ((a & 1) * (b & 6) ^ (b & 1) * (a & 6)) for b in els] for a in els
-    ]
-    return make_ring(8, [[a ^ b for b in els] for a in els], mul, "F2[x,y]/(x,y)^2")
 
 
 def _rings() -> list[FiniteRing]:

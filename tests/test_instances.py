@@ -34,7 +34,7 @@ from lemspec.rings import make_zn, product_ring
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
-from test_ideal_index_reference import f2xy_descriptor  # noqa: E402
+from shared_instances import _ladder_instances, f2xy_descriptor  # noqa: E402
 
 EXPECTED_NAMES = (
     "Z2-ideal-lattice",
@@ -94,18 +94,6 @@ def test_released_instance_goes_with_its_last_reference():
         assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()
-
-
-def _ladder_instances():
-    """The ideal lattices of Z32-Z45 and the submodule lattices of (Z_m)^k."""
-    mods = [ideal_lattice_le_module(make_zn(n), f"Z{n}") for n in (32, 36, 42, 45)]
-    for m, k in ((4, 2), (5, 2), (7, 2), (2, 3)):
-        tables = cyclic_module_tables(m)
-        power = tables
-        for _ in range(k - 1):
-            power = product_module_tables(power, tables)
-        mods.append(submodule_lattice_le_module(make_zn(m), *power, f"Z{m}^{k}"))
-    return mods
 
 
 def test_built_modules_pass_full_validation(all_instances):

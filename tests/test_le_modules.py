@@ -7,8 +7,9 @@ exhaustively; expected values were frozen from an independent scan.
 import itertools
 
 import pytest
+from frozenset_reference import colon_set
+from shared_instances import _ladder_instances
 from test_ideal_index_reference import galois_adjunction_check
-from test_scan_reference import _ladder_instances
 
 from lemspec.errors import AxiomViolation, EmptyFamily
 from lemspec.instances import build_instance, catalog, ideal_lattice_le_module
@@ -17,7 +18,6 @@ from lemspec.le_modules import (
     annihilator,
     colon,
     colon_fibers,
-    colon_set,
     ideal_action,
     is_prime_submodule_element,
     is_submodule_element,

@@ -1,5 +1,5 @@
 import pytest
-from test_ideal_index_reference import ANNIHILATED
+from shared_instances import ANNIHILATED
 
 from lemspec import natural_map, spectra
 from lemspec.errors import InternalError

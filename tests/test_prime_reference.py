@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from frozenset_reference import colon_set
 from test_validation_reference import grid_module
 
 from lemspec.instances import (
@@ -30,7 +31,6 @@ from lemspec.le_modules import (
     LeModuleInstance,
     annihilator,
     colon,
-    colon_set,
     ideal_action,
     is_prime_submodule_element,
     make_le_module,

@@ -9,6 +9,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from lemspec import verify
 from lemspec.errors import AxiomViolation, ImproperIdeal, ZeroRing
 from lemspec.instances import (
     ProductSpec,
@@ -16,6 +17,7 @@ from lemspec.instances import (
     build_ring,
     catalog,
     mod_scaled_cyclic_tables,
+    parse_descriptor,
     submodule_lattice_le_module,
 )
 from lemspec.natural_map import build_natural_map
@@ -80,6 +82,26 @@ def test_built_rings_pass_full_validation():
     assert len(rings) == 29 + 2 + 52 + 1
     for r in rings:
         assert make_ring(r.order, r.add, r.mul, r.name, r.element_names) == r, r.name
+
+
+def test_zn_verify_builds_no_add_row_and_a_mul_row_per_divisor(monkeypatch):
+    """Every statement on the Z2520 ideal lattice reads Z_n's tables a row
+    at a time: no row of + and at most one row of * per ideal, d(2520) =
+    48, so no reader brings back the n² tables."""
+    rings = []
+
+    def build(desc):
+        mod = build_instance(desc)
+        rings.append(mod.ring)
+        return mod
+
+    monkeypatch.setattr(verify, "build_instance", build)
+    desc = parse_descriptor("name Z2520-ideal-lattice\nring zn 2520\nmodule ideal-lattice\n")
+    report = verify.run_all([desc])
+    assert {r.verdict for r in report.results} == {verify.VERIFIED}
+    (ring,) = rings
+    assert sum(row is not None for row in ring.add._rows) == 0
+    assert sum(row is not None for row in ring.mul._rows) <= 48
 
 
 def test_quotient_by_zero_is_the_ring_itself():

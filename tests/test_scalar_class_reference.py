@@ -13,8 +13,8 @@ follow from L2.1 and are not scanned; their references are kept here, for
 import itertools
 
 import pytest
-from frozenset_reference import plant
-from test_ideal_index_reference import ANNIHILATED
+from frozenset_reference import colon_set, plant
+from shared_instances import ANNIHILATED
 
 from lemspec import spectra, verify
 from lemspec.instances import (
@@ -27,7 +27,6 @@ from lemspec.instances import (
 )
 from lemspec.le_modules import (
     LeModuleInstance,
-    colon_set,
     colon_sets,
     ideal_action,
     is_prime_submodule_element,

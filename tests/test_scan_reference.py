@@ -18,24 +18,28 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import pytest
-from frozenset_reference import ModuleSets, plant
+from frozenset_reference import ModuleSets, colon_set, plant
+from shared_instances import ANNIHILATED, DESCRIPTORS, _ladder_instances
+from test_ideal_index_reference import ref_ideal_pair
+from test_scalar_class_reference import (
+    EXTRA,
+    ref_basis_witnesses,
+    ref_scalar_action_variety,
+    ref_scalar_union,
+)
 
 from lemspec import spectra, verify
 from lemspec.errors import EmptyFamily
 from lemspec.instances import (
     build_instance,
     catalog,
-    cyclic_module_tables,
-    ideal_lattice_le_module,
     mod_scaled_cyclic_tables,
-    product_module_tables,
     submodule_lattice_le_module,
 )
 from lemspec.lattices import make_lattice, meet_all
 from lemspec.le_modules import (
     LeModuleInstance,
     colon,
-    colon_set,
     ideal_action,
     is_prime_submodule_element,
     make_le_module,
@@ -177,17 +181,6 @@ def reference_verdict(mod: LeModuleInstance, sid: str) -> str:
             for check in irreducibility_criteria(ref, ys)
         )
     return verify.FALSIFIED if failed else verify.VERIFIED
-
-
-def _ladder_instances() -> list[LeModuleInstance]:
-    mods = [ideal_lattice_le_module(make_zn(n), f"Z{n}") for n in (32, 36, 42, 45)]
-    for m, k in ((4, 2), (5, 2), (7, 2), (2, 3)):
-        tables = cyclic_module_tables(m)
-        power = tables
-        for _ in range(k - 1):
-            power = product_module_tables(power, tables)
-        mods.append(submodule_lattice_le_module(make_zn(m), *power, f"Z{m}^{k}"))
-    return mods
 
 
 def _z2_over_z4() -> LeModuleInstance:
@@ -381,15 +374,6 @@ def test_no_action_clause_fails_on_any_instance(instances):
     # decomposition, ideal-action and scalar-action clauses, T3.5's ideal
     # and scalar pairs and T5.3's pair and ideal identities
     # (``verify._check_variety_identities``), so none of them is scanned.
-    # Both modules import this one, so they are imported here.
-    from test_ideal_index_reference import ANNIHILATED, DESCRIPTORS, ref_ideal_pair
-    from test_scalar_class_reference import (
-        EXTRA,
-        ref_basis_witnesses,
-        ref_scalar_action_variety,
-        ref_scalar_union,
-    )
-
     # F2[x, y]/(x, y)^2 has a non-principal ideal; Z6^2 over Z12 has
     # annihilator {0, 6}.
     more = [build_instance(d) for d in (*EXTRA, DESCRIPTORS["F2xy-ideal-lattice"], ANNIHILATED[0])]

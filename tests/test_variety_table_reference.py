@@ -9,8 +9,7 @@ colon set contains that of x.  X_r is the points p with re not below p.
 
 import pytest
 from frozenset_reference import ModuleSets
-from test_ideal_index_reference import DESCRIPTORS
-from test_scan_reference import _ladder_instances
+from shared_instances import DESCRIPTORS, _ladder_instances
 
 from lemspec import spectra
 from lemspec.instances import build_instance, catalog

@@ -9,9 +9,9 @@ import itertools
 import json
 
 import pytest
-from frozenset_reference import ModuleSets, plant
+from frozenset_reference import ModuleSets, colon_set, plant
 from hypothesis import given, strategies as st
-from test_ideal_index_reference import ANNIHILATED
+from shared_instances import ANNIHILATED
 from test_scan_reference import decoded_point_states, point_state, reference_pairs
 
 from lemspec import spectra, verify
@@ -28,7 +28,6 @@ from lemspec.instances import (
     submodule_lattice_le_module,
 )
 from lemspec.le_modules import (
-    colon_set,
     spectrum,
     submodule_elements,
 )
