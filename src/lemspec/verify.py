@@ -2,22 +2,23 @@
 
 Each registered statement is checked on each instance and classified as
 verified, falsified (with a witness), hypothesis-not-met, or not-applicable.
-Every check is exhaustive.  A statement about every set Y of points is
-checked on the states that such sets reach (``lattices.generated``), and
-its witness is a generating family of the failing state; P3.1's sums over
-families follow from the definitions.  Sets of points are the int masks of
-``spectra`` (point k of the spectrum is bit k), used as they come: the
-scans combine them with & and |, and nothing is decoded.  A statement about
-every scalar r is checked on one scalar per class of equal action rows
-(``le_modules.scalar_classes``): the loops of P5.1 and T5.3 read r only
-through its row (P5.1's ring side by the argument in ``_check_dr``).  The
-representatives are the least members, scanned in the order of the full
-loop, so a failure names the same first witness.  The loop over ideals
-(L2.1) runs over indices into the ring's ``rings.ideal_table``, in its
-order, reading Ie from ``le_modules.ideal_actions``.  L2.1's two clauses,
-checked on every instance, settle the identities about Ie and re that
-P3.1, T3.5 and T5.3 state, so those are not scanned
-(``_check_variety_identities``).
+Every check is exhaustive, unless a theorem fixes its answer.  The
+statements about every set Y of points (P6.1, P6.4 and P6.5's clause on
+the meet of Y) follow from L2.1 and P6.2, which are checked on every
+instance (``_check_point_sets``), and P3.1's sums over families follow
+from the definitions; none of these is scanned.  Sets of points are the
+int masks of ``spectra`` (point k of the spectrum is bit k), used as they
+come: the scans combine them with & and |, and nothing is decoded.  A
+statement about every scalar r is checked on one scalar per class of equal
+action rows (``le_modules.scalar_classes``): the loops of P5.1 and T5.3
+read r only through its row (P5.1's ring side by the argument in
+``_check_dr``).  The representatives are the least members, scanned in the
+order of the full loop, so a failure names the same first witness.  The
+loop over ideals (L2.1) runs over indices into the ring's
+``rings.ideal_table``, in its order, reading Ie from
+``le_modules.ideal_actions``.  L2.1's two clauses, checked on every
+instance, settle the identities about Ie and re that P3.1, T3.5 and T5.3
+state, so those are not scanned (``_check_variety_identities``).
 Serialization omits timing so repeated runs are byte-identical.
 """
 
@@ -33,8 +34,7 @@ from typing import Callable, Iterable, Sequence
 from . import natural_map as nmap
 from . import spectra
 from .instances import InstanceDescriptor, build_instance, catalog
-from .lattices import generated
-from .memo import per_object, record, release
+from .memo import record, release
 from .le_modules import (
     LeModuleInstance,
     colon_fibers,
@@ -61,20 +61,6 @@ def _closures(mod: LeModuleInstance) -> dict[int, int]:
     finite space are its point closures, the values of this table.
     """
     return spectra.closures_by_point(spectra.build_topologies(mod).star)
-
-
-@per_object
-def point_states(mod: LeModuleInstance) -> dict[tuple[int, int], tuple[int, ...]]:
-    """(meet of Y, closure of Y) over each nonempty set Y of points.
-
-    On a finite space the closure of Y is the union of its point closures:
-    the scan ORs their masks.  It carries each meet as its down-set, the
-    AND of the down-sets of Y, and names each state's meet once at the end.
-    """
-    lat = mod.lattice
-    singletons = {p: (lat.down[p], c) for p, c in _closures(mod).items()}
-    found = generated(singletons, lambda a, b: (a[0] & b[0], a[1] | b[1]))
-    return {(lat.by_down[d], c): ys for (d, c), ys in found.items()}
 
 
 def _y_witness(mod: LeModuleInstance, ys: Iterable[int]) -> str:
@@ -259,13 +245,20 @@ def _check_quasi_compact_base(nm: nmap.NaturalMap) -> Outcome:
     return VERIFIED, None, spectra.QUASI_COMPACT_NOTE
 
 
-def _check_closure_formula(mod: LeModuleInstance) -> Outcome:
-    vs = spectra.variety_stars(mod)
-    for (meet, closure), ys in point_states(mod).items():
-        if vs[meet] != closure:
-            return FALSIFIED, _y_witness(mod, ys), None
-    # With cl Y = V*(meet of Y), "Y closed iff V*(meet of Y) = Y" is the
-    # definition of a closed set.
+def _check_point_sets(mod: LeModuleInstance) -> Outcome:
+    """P6.1 and P6.4, which are about every nonempty set Y of points, hold
+    on every instance by L2.1's clause (b) (``_check_variety_identities``)
+    and P6.2's per-point loop, cl{p} = V*(p), so no set of points is
+    scanned.  Let m be the meet of Y.  By the definition of the colon,
+    (m:e) = n (p:e) over p in Y.  Let q be a point.  (q:e) is prime, and a
+    prime that holds a finite intersection of ideals holds one of them
+    (Atiyah-Macdonald 1.11), so q is in V*(m) iff (p:e) lies in (q:e) for
+    some p in Y: V*(m) = u V*(p) = u cl{p} = cl Y.  That is P6.1; with it,
+    "Y closed iff V*(m) = Y" is the definition of a closed set.  P6.4: if m
+    is a point, cl Y = V*(m) = cl{m}, which is irreducible.  If Y is
+    irreducible, cl Y = cl{q} for a point q (``_closures``), and q lies in
+    cl{p} for some p in Y, so cl{p} = cl Y = V*(p) holds every p' of Y:
+    each (p':e) holds (p:e), and (m:e) = (p:e) is prime."""
     return VERIFIED, None, None
 
 
@@ -317,29 +310,21 @@ def _check_vstar_irreducible(mod: LeModuleInstance) -> Outcome:
     return VERIFIED, None, None
 
 
-def _check_irreducible_prime(mod: LeModuleInstance) -> Outcome:
-    irreducible = set(_closures(mod).values())
-    # The spectrum is the set of prime submodule elements.
-    points, colons = set(spectrum(mod)), colon_sets(mod)
-    for (meet, closure), ys in point_states(mod).items():
-        irr = closure in irreducible
-        if meet in points and not irr:
-            return FALSIFIED, _y_witness(mod, ys), "meet-prime-implies-irreducible"
-        if irr and not is_prime_ideal(mod.ring, colons[meet]):
-            return FALSIFIED, _y_witness(mod, ys), "irreducible-implies-colon-of-meet-prime"
-    return VERIFIED, None, None
-
-
 def _check_irreducible_families(mod: LeModuleInstance) -> Outcome:
-    # The chain clause holds on every instance, so it is not scanned: for
-    # points p <= q, (p:e) lies inside (q:e), so cl{q} = V*(q) lies inside
-    # V*(p) = cl{p}, and the union of the point closures along a chain is
-    # the closure of its least point, which is irreducible.
+    """The colon fibers are scanned; the chain clause and the clause on the
+    meet m of a set Y of points hold on every instance and are not.  Chains:
+    for points p <= q, (p:e) lies inside (q:e), so cl{q} = V*(q) lies
+    inside V*(p) = cl{p}, and the union of the point closures along a chain
+    is the closure of its least point, which is irreducible.  Meets: (m:e)
+    is the intersection of the (p:e) over p in Y, so a prime (m:e) holds
+    some (p:e) (Atiyah-Macdonald 1.11), and lies inside it, as m <= p.  So
+    (m:e) = (p:e) lies in every (p':e), p' in Y, and cl Y = V*(m) = cl{p}
+    (``_check_point_sets``), which is irreducible."""
     # Every colon fiber is that of a maximal ideal: a point's colon ideal
     # is prime (L2.1), hence maximal (``rings.maximal_ideals``).
     closures = _closures(mod)
     irreducible = set(closures.values())
-    points, colons, fibers = spectrum(mod), colon_sets(mod), colon_fibers(mod)
+    points, fibers = spectrum(mod), colon_fibers(mod)
     for mask in fibers.values():
         fiber = spectra.decode(points, mask)
         closure = functools.reduce(operator.or_, map(closures.__getitem__, fiber))
@@ -351,14 +336,6 @@ def _check_irreducible_families(mod: LeModuleInstance) -> Outcome:
                 FALSIFIED,
                 _y_witness(mod, fiber),
                 "colon-fiber-of-maximal-ideal-closed-irreducible",
-            )
-    for (meet, closure), ys in point_states(mod).items():
-        c = colons[meet]
-        if c in fibers and is_prime_ideal(mod.ring, c) and closure not in irreducible:
-            return (
-                FALSIFIED,
-                _y_witness(mod, ys),
-                "prime-colon-meet-with-nonempty-fiber-implies-irreducible",
             )
     return VERIFIED, None, None
 
@@ -499,7 +476,7 @@ STATEMENTS: tuple[Statement, ...] = (
         "P6.1",
         "closure formula",
         "closure of Y is V*(meet of Y); Y closed iff V*(meet of Y) = Y",
-        _check_closure_formula,
+        _check_point_sets,
     ),
     Statement(
         "P6.2",
@@ -518,7 +495,7 @@ STATEMENTS: tuple[Statement, ...] = (
         "P6.4",
         "irreducibility vs primality",
         "prime meet forces irreducible; irreducible forces prime colon of meet",
-        _check_irreducible_prime,
+        _check_point_sets,
     ),
     Statement(
         "P6.5",
