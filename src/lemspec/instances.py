@@ -148,8 +148,12 @@ def _check_classical_module(
     """Check the module laws a row at a time; raises on the first bad cell.
 
     The witness is the one a loop over the indices of the witness tuple, in
-    order, would find first.
-    """
+    order, would find first.  Scalar-add and scalar-mul are checked at the
+    ring's additive generators s, reading r+s and rs from row s, and at every
+    (r, s) only on a failure: given action-add and associativity, the good s
+    for scalar-add are closed under +, (r+(s+s'))x = (rx + sx) + s'x =
+    rx + (s+s')x, and so are those for scalar-mul, (r(s+s'))x = r(sx) +
+    r(s'x) = r((s+s')x)."""
     check_table_shape(add, size, size, "add")
     check_table_shape(action, ring.order, size, "action")
     if not 0 <= zero < size:
@@ -190,18 +194,18 @@ def _check_classical_module(
     bad = first_bad(action_add, itertools.product(rr, gens))
     if bad is not None:
         raise ModuleAxiomViolation("action-add", (*bad, first_failure(action_add(*bad))[0]))
-    for r in rr:
-        sum_rows = act_get[r](add)
-        r_plus, r_times = ring.add[r], ring.mul[r]
-        for s in rr:
-            # (r+s)x against rx + sx, and (rs)x against r(sx); lists, as in
-            # make_le_module's M2 scan.
-            summed = list(map(getitem, sum_rows, action[s]))
-            scaled = act_get[s](action[r])
-            plus, times = list(action[r_plus[s]]), action[r_times[s]]
-            if (plus, times) != (summed, scaled):
-                x, law = first_failure((plus, summed), (times, scaled))
-                raise ModuleAxiomViolation(("scalar-add", "scalar-mul")[law], (r, s, x))
+
+    def scalar_laws(r: int, s: int) -> tuple[tuple, tuple]:
+        # (r+s)x, (rs)x against rx + sx, r(sx); lists, as in the M2 scan.
+        summed = list(map(getitem, act_get[r](add), action[s]))
+        lhs = (list(action[ring.add[s][r]]), action[ring.mul[s][r]])
+        return lhs, (summed, act_get[s](action[r]))
+
+    at_gens = itertools.product(rr, generators(ring.add))
+    bad = first_bad_pair(scalar_laws, at_gens, itertools.product(rr, repeat=2))
+    if bad is not None:
+        x, law = first_failure(*zip(*scalar_laws(*bad)))
+        raise ModuleAxiomViolation(("scalar-add", "scalar-mul")[law], (*bad, x))
     if action[ring.one] != identity:
         x = first_failure((action[ring.one], identity))[0]
         raise ModuleAxiomViolation("unit-action", (x,))
@@ -234,10 +238,7 @@ def build_instance(desc: InstanceDescriptor) -> LeModuleInstance:
         return submodule_lattice_le_module(
             ring, mod.size, mod.zero, mod.add, mod.action, desc.name
         )
-    for i, row in enumerate(mod.leq):
-        if not set(row) <= {0, 1}:
-            v = next(v for v in row if v not in (0, 1))
-            raise ValueError(f"leq entry {v} at row {i} must be 0 or 1")
+    check_table_shape(mod.leq, None, 2, "leq", "leq entry {v} at row {i} must be 0 or 1")
     lattice = make_lattice(mod.size, mod.leq)
     return make_le_module(ring, lattice, mod.add, mod.zero, mod.action, desc.name)
 
@@ -395,13 +396,17 @@ class _Parser:
     """A cursor over the descriptor text, with comments cut off and each of
     ``(),;`` spaced apart, so that a token is a run of non-space characters.
     Each line ends in one newline, so a token's line is a count of the
-    newlines before it, taken only for an error.
+    newlines before it, taken only for an error.  A pass that would change
+    nothing is skipped.
     """
 
     def __init__(self, text: str):
-        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+        # "#", or a line boundary of str.splitlines other than "\n"
+        if any(map(text.__contains__, "#\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")):
+            text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
         for ch in "(),;":
-            text = text.replace(ch, f" {ch} ")
+            if ch in text:
+                text = text.replace(ch, f" {ch} ")
         self.text = text
         self.pos = 0
         self.ints = _Ints()

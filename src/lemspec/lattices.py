@@ -15,7 +15,7 @@ import operator
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import EmptyFamily, NotALattice, NotAPoset, Unbounded
-from .memo import record
+from .memo import per_object, record
 
 IntTable = tuple[tuple[int, ...], ...]
 G = TypeVar("G")
@@ -111,18 +111,18 @@ def make_lattice(size: int, leq: Sequence[Sequence[bool]]) -> FiniteBoundedLatti
     # elements above u are those above both.  A finite poset with a least
     # element in which every pair has a join is a lattice (Davey and
     # Priestley, Introduction to Lattices and Order, 2nd ed., 2002, ch. 2),
-    # so only joins are looked for, one C-level scan per row.  Where one is
-    # missing, the rows are scanned in order, joins before meets at each
-    # cell, for the first bound missing.
-    ups = set(up)
-    if not all(ups.issuperset(map(ua.__and__, up[a:])) for a, ua in enumerate(up)):
-        downs = set(down)
+    # so only joins are looked for, by building the join table that the
+    # lattice keeps.  Where one is missing, the rows are scanned in order,
+    # joins before meets at each cell, for the first bound missing.
+    lat = FiniteBoundedLattice(size, top, bottom, up, down)
+    if join_rows(lat) is None:
+        ups, downs = set(up), set(down)
         for a, b in itertools.product(rng, repeat=2):
             if up[a] & up[b] not in ups:
                 raise NotALattice("least upper bound", (a, b))
             if down[a] & down[b] not in downs:
                 raise NotALattice("greatest lower bound", (a, b))
-    return FiniteBoundedLattice(size, top, bottom, up, down)
+    return lat
 
 
 def lattice_of_sets(sets: Sequence[frozenset[int]]) -> FiniteBoundedLattice:
@@ -142,15 +142,20 @@ def lattice_of_sets(sets: Sequence[frozenset[int]]) -> FiniteBoundedLattice:
     return FiniteBoundedLattice(len(sets), down.index(full), up.index(full), up, down)
 
 
-def join_rows(lat: FiniteBoundedLattice) -> IntTable:
-    """The join as a table.  It is symmetric, so row a copies its entries
+@per_object
+def join_rows(lat: FiniteBoundedLattice) -> IntTable | None:
+    """The join as a table, kept on the lattice; None if a join is missing
+    (a hand-built lattice).  It is symmetric, so row a copies its entries
     b < a from the rows before it, in one C call, and looks up only b >= a."""
-    lub, up = lat.by_up, lat.up
+    lub, up = lat.by_up.__getitem__, lat.up
     rows: list[tuple[int, ...]] = []
-    for a, ua in enumerate(up):
-        row = list(map(operator.itemgetter(a), rows))
-        row += map(lub.__getitem__, map(ua.__and__, up[a:]))
-        rows.append(tuple(row))
+    try:
+        for a, ua in enumerate(up):
+            row = list(map(operator.itemgetter(a), rows))
+            row += map(lub, map(ua.__and__, up[a:]))
+            rows.append(tuple(row))
+    except KeyError:
+        return None
     return tuple(rows)
 
 

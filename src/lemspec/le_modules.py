@@ -1,10 +1,11 @@
 """Lattice-enriched modules: a complete lattice carrying a commutative
 monoid and a ring action, with the compatibility laws checked exactly: those
 with three free indices through the additive generators, and S and M5, when
-the sum is the join, through the laws they then reduce to.  A sum that is
-the least upper bound in the order needs no commutativity or associativity
-scan, and prime elements are found with masks of preimages under each
-scalar's row.
+the sum is the join, through the laws they then reduce to.  The tables pass
+one shape-and-range gate, ``rings.check_table_shape``, and a sum whose table
+is the join table that ``make_lattice`` keeps needs no commutativity or
+associativity scan.  Prime elements are found with masks of preimages under
+each scalar's row.
 
 The lattice top plays the role of the distinguished element e; the monoid
 zero ``zero_m`` need not be the lattice bottom a priori, but the laws force
@@ -20,7 +21,7 @@ from typing import Iterable
 from .errors import AxiomViolation, EmptyFamily
 from .lattices import FiniteBoundedLattice, elements, generated, join_all, join_rows
 from .memo import per_object, record
-from .rings import FiniteRing, Ideal, all_ideals, ideal_table
+from .rings import FiniteRing, Ideal, all_ideals, check_table_shape, ideal_table
 from .rowscan import first_bad, first_bad_pair, first_failure, freeze, gathers, generators
 
 IntTable = tuple[tuple[int, ...], ...]
@@ -66,18 +67,18 @@ def make_le_module(
 
     Axiom tags: "monoid" for the commutative-monoid laws, "S" for sum
     distributing over joins, "M1".."M5" for the action laws.
-    """
+
+    The sum is the join exactly when it equals ``join_rows(lattice)``, whose
+    cell (a, b) is the element with up-set U(a) & U(b), U(x) = ``up[x]``:
+    then U is one-to-one (by ``make_lattice``, or on a hand-built lattice by
+    the identity row, checked first) and U(a + b) = U(a) & U(b), so + is
+    idempotent, commutative and associative, as & is.  A missing join makes
+    the table None, which no sum equals."""
     n = lattice.size
     add_t = freeze(add)
     act_t = freeze(action)
-    if len(add_t) != n or any(len(row) != n for row in add_t):
-        raise ValueError(f"add must be a {n}x{n} table")
-    if len(act_t) != ring.order or any(len(row) != n for row in act_t):
-        raise ValueError(f"action must be a {ring.order}x{n} table")
-    for row in itertools.chain(add_t, act_t):
-        if min(row) < 0 or max(row) >= n:
-            v = next(v for v in row if not 0 <= v < n)
-            raise ValueError(f"table entry {v} out of range")
+    check_table_shape(add_t, n, n, "add")
+    check_table_shape(act_t, ring.order, n, "action")
     if not 0 <= zero_m < n:
         raise ValueError("zero_m out of range")
 
@@ -89,17 +90,17 @@ def make_le_module(
     if add_t[zero_m] != identity:
         x = first_failure((add_t[zero_m], identity))[0]
         raise AxiomViolation("monoid", (zero_m, x), "identity fails")
-    # A sum that is the least upper bound in the order is the join, written
-    # ∘, which is idempotent, commutative and associative (``_sum_is_lub``):
-    # then m∘(x∘y) = (m∘x)∘(m∘y), which is S, and M5, r(x∘y) = rx∘ry, is M1.
-    # Any other sum is scanned, against the join as a table for S and M5.
+    # A sum that is the join, written ∘, is idempotent, commutative and
+    # associative: then m∘(x∘y) = (m∘x)∘(m∘y), which is S, and M5,
+    # r(x∘y) = rx∘ry, is M1.  Other sums are scanned against the join table.
     # A law whose good values of one index are closed under + is checked at
     # the additive generators only: associativity by Light's test, then S
     # and M1, whose closure arguments use associativity alone and which
     # first fail at a generator (see ``rowscan.generators``).  M5 keeps its
     # full scan: reducing it would need generators of the join.
     add_get = gathers(add_t)
-    join_is_sum = _sum_is_lub(lattice.up, add_get)
+    jt = join_rows(lattice)
+    join_is_sum = add_t == jt
     if not join_is_sum:
         add_cols = tuple(zip(*add_t))
         for x in rng:
@@ -117,7 +118,6 @@ def make_le_module(
         if bad is not None:
             z = first_failure(assoc(*bad))[0]
             raise AxiomViolation("monoid", (*bad, z), "associativity fails")
-        jt = join_rows(lattice)
         join_get = gathers(jt)
 
         def s_law(m: int, x: int) -> tuple[tuple, tuple]:
@@ -176,22 +176,6 @@ def make_le_module(
     if labels is not None and len(labels) != n:
         raise ValueError("element_labels length must equal lattice size")
     return LeModuleInstance(ring, lattice, add_t, zero_m, act_t, name, labels)
-
-
-def _sum_is_lub(up, add_get) -> bool:
-    """Whether the sum, read through ``add_get`` (``rowscan.gathers`` of its
-    table), is the least upper bound for the up-sets ``up``:
-    U(a + b) = U(a) & U(b), where U(x) = ``up[x]``, and U is one-to-one.
-
-    Then + is commutative, as & is, and associative, as
-    U((a+b)+c) = U(a) & U(b) & U(c) = U(a+(b+c)).
-    No law of the order is assumed, so a hand-built lattice either passes a
-    true certificate or is scanned law by law.  Cost: n row comparisons in
-    C, against n·|G| for Light's test alone.
-    """
-    return len(set(up)) == len(up) and all(
-        tuple(map(ua.__and__, up)) == get(up) for ua, get in zip(up, add_get)
-    )
 
 
 @per_object

@@ -87,16 +87,21 @@ class RingSpectrum:
     points: tuple[Ideal, ...]
 
 
-def check_table_shape(table: Table, rows: int, cols: int, label: str) -> None:
-    """``rows`` rows of ``cols`` entries, each entry an index below ``cols``."""
-    if len(table) != rows:
+def check_table_shape(table: Table, rows: int | None, cols: int, label: str,
+                      entry: str = "{label} table entry {v} at row {i} out of range") -> None:
+    """``rows`` rows of ``cols`` entries, each below ``cols`` (with ``rows``
+    None, the entries only), checked whole as sets, and rescanned row by row
+    only on a failure, so that the message names the first bad row."""
+    if rows is not None and len(table) != rows:
         raise ValueError(f"{label} table must have {rows} rows, got {len(table)}")
+    if (rows is None or set(map(len, table)) <= {cols}) and set().union(*table).issubset(range(cols)):
+        return
     for i, row in enumerate(table):
-        if len(row) != cols:
+        if rows is not None and len(row) != cols:
             raise ValueError(f"{label} table row {i} must have {cols} entries")
-        if row and (min(row) < 0 or max(row) >= cols):
-            v = next(v for v in row if not 0 <= v < cols)
-            raise ValueError(f"{label} table entry {v} at row {i} out of range")
+        v = next((v for v in row if v not in range(cols)), None)
+        if v is not None:
+            raise ValueError(entry.format(label=label, v=v, i=i))
 
 
 def make_ring(

@@ -62,13 +62,15 @@ def first_failure(*laws: tuple[Sequence, Sequence]) -> tuple[int, int]:
 
 
 def generators(table: Sequence[Sequence[int]]) -> list[int]:
-    """Indices G from which x ↦ table[x][g], g in G, reaches every index.
+    """Indices G from which x ↦ table[g][x], g in G, reaches every index.
 
     G is greedy in index order: each index not yet reached becomes the next
     generator, and the reached set grows incrementally, so each reached
-    element meets each generator once, O(n·|G|) in all.  An identity gets no
-    special treatment; an element that no product reaches, such as the
-    zero of a monoid whose sums only grow, is a generator like any other.
+    element meets each generator once, O(n·|G|) in all, and only the
+    generators' rows are read.  An identity gets no special treatment; an
+    element that no product reaches, such as the zero of a monoid whose
+    sums only grow, is a generator like any other.  The callers' tables are
+    commutative, so table[g][x] is x∘g below.
 
     Why checking a law only at b in G is exact (write x∘y = table[x][y]):
 
@@ -117,14 +119,13 @@ def generators(table: Sequence[Sequence[int]]) -> list[int]:
         reached[g] = True
         new = [g]
         for x in done:
-            y = table[x][g]
+            y = table[g][x]
             if not reached[y]:
                 reached[y] = True
                 new.append(y)
         for x in new:  # grows while it is walked
-            row = table[x]
             for h in gens:
-                y = row[h]
+                y = table[h][x]
                 if not reached[y]:
                     reached[y] = True
                     new.append(y)

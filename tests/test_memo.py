@@ -18,7 +18,7 @@ import sys
 import pytest
 
 import lemspec
-from lemspec.lattices import chain_lattice
+from lemspec.lattices import chain_lattice, join_rows
 from lemspec.memo import UNHASHED, per_object, preset, record, release
 
 
@@ -213,7 +213,8 @@ def test_memo_sits_beside_cached_properties():
     assert top_by_up(lat) == lat.top
     by_down = lat.by_down
     assert lat.__dict__["by_up"] is by_up and lat.__dict__["by_down"] is by_down
-    assert lat.__dict__["_memo"] == {(top_by_up,): lat.top}
+    # make_lattice keeps the join table it built as join_rows's answer.
+    assert lat.__dict__["_memo"] == {(join_rows,): join_rows(lat), (top_by_up,): lat.top}
     release(lat)
     assert "_memo" not in lat.__dict__
     assert lat.by_up is by_up and lat.by_down is by_down

@@ -8,6 +8,7 @@ import itertools
 
 import pytest
 from hypothesis import given, strategies as st
+from shared_instances import annihilated_descriptor
 
 from lemspec import verify
 from lemspec.errors import AxiomViolation, ImproperIdeal, ZeroRing
@@ -39,6 +40,7 @@ from lemspec.rings import (
     quotient_ring,
     spec_ring,
 )
+from lemspec.rowscan import generators
 
 Z6 = make_zn(6)
 Z4 = make_zn(4)
@@ -102,6 +104,15 @@ def test_zn_verify_builds_no_add_row_and_a_mul_row_per_divisor(monkeypatch):
     (ring,) = rings
     assert sum(row is not None for row in ring.add._rows) == 0
     assert sum(row is not None for row in ring.mul._rows) <= 48
+
+
+def test_zn_submodule_lattice_builds_no_add_row_past_the_generators():
+    """The classical module laws of Z6^2 over Z840 check scalar-add and
+    scalar-mul at Z840's additive generators, 0 and 1, reading rows s of
+    the ring's tables, so building it builds no other row of +."""
+    ring = build_instance(annihilated_descriptor(6, 6, 840)).ring
+    assert generators(ring.add) == [0, 1]
+    assert sum(row is not None for row in ring.add._rows) <= 2
 
 
 def test_quotient_by_zero_is_the_ring_itself():

@@ -36,7 +36,7 @@ from lemspec.instances import (
     parse_descriptor,
     product_module_tables,
 )
-from lemspec.lattices import FiniteBoundedLattice, chain_lattice, make_lattice
+from lemspec.lattices import FiniteBoundedLattice, chain_lattice, join_rows, make_lattice
 from lemspec.le_modules import make_le_module
 from lemspec.rings import make_ring, make_zn, product_ring
 from lemspec.rowscan import generators
@@ -173,6 +173,16 @@ def ref_le_module(ring, lattice, add, zero_m, act):
         for x, y in itertools.product(rng, repeat=2):
             if act[r][jt[x][y]] != jt[act[r][x]][act[r][y]]:
                 raise AxiomViolation("M5", (r, x, y))
+
+
+def sum_is_lub(up, add):
+    """The least-upper-bound certificate ``make_le_module`` once read
+    before it compared the sum with the join table: U is one-to-one and
+    U(a + b) = U(a) & U(b), where U(x) = ``up[x]``.  Kept as the reference
+    for that comparison."""
+    return len(set(up)) == len(up) and all(
+        tuple(map(ua.__and__, up)) == tuple(up[v] for v in row) for ua, row in zip(up, add)
+    )
 
 
 def ref_classical(ring, size, zero, add, action):
@@ -381,12 +391,12 @@ def seen_failures(results):
 
 
 def reached(table, gens):
-    """Every index that x -> table[x][g], g in gens, reaches from gens."""
+    """Every index that x -> table[g][x], g in gens, reaches from gens."""
     seen = set(gens)
     work = list(gens)
     for x in work:
         for g in gens:
-            y = table[x][g]
+            y = table[g][x]
             if y not in seen:
                 seen.add(y)
                 work.append(y)
@@ -645,14 +655,20 @@ def test_le_module_scan_matches_reference(monkeypatch):
     assoc_off_generators = s_after_non_generator = 0
     m5_as_m1 = 0
     certified = fell_back = 0
-    verdicts = []  # what the least-upper-bound certificate said, per call
-    real = le_modules._sum_is_lub
+    verdicts = []  # what the join-table certificate said, per call
+    real = le_modules.join_rows
 
-    def recorded(*args):
-        verdicts.append(real(*args))
-        return verdicts[-1]
+    class Recorded(tuple):
+        """A join table that records each ``add == table`` comparison: as a
+        subclass of tuple, its ``__eq__`` is tried before the sum's."""
 
-    monkeypatch.setattr(le_modules, "_sum_is_lub", recorded)
+        def __eq__(self, other):
+            verdicts.append(tuple.__eq__(self, other))
+            return verdicts[-1]
+
+        __hash__ = tuple.__hash__
+
+    monkeypatch.setattr(le_modules, "join_rows", lambda lat: Recorded(real(lat)))
     for ring, lat, add, zero, action in le_module_cases():
         n = lat.size
         cases = [(add, action)]
@@ -749,10 +765,22 @@ def classical_cases():
     return out
 
 
+def relabelled(ring, name):
+    """The ring with element a renamed ``name[a]``: an isomorphic ring."""
+    old = sorted(range(ring.order), key=name.__getitem__)  # old[name[a]] == a
+
+    def table(t):
+        return tuple(tuple(name[t[old[x]][old[y]]] for y in range(ring.order)) for x in range(ring.order))
+
+    add, mul = table(ring.add), table(ring.mul)
+    make_ring(ring.order, add, mul)  # raises if it is no ring
+    return replace(ring, add=add, mul=mul, zero=name[ring.zero], one=name[ring.one])
+
+
 def test_classical_module_scan_matches_reference():
     rng = random.Random("classical")
     results = []
-    assoc_off_generators = 0
+    assoc_off_generators = scalar_off_generators = 0
     for ring, size, zero, add, action in classical_cases():
         assert outcome(ref_classical, ring, size, zero, add, action) == ("ok", None)
         got = outcome(_check_classical_module, ring, size, zero, add, action)
@@ -761,11 +789,12 @@ def test_classical_module_scan_matches_reference():
         cases += [(a, action) for a in mutants(add, range(size), rng, 30, symmetric=True)]
         cases += [(add, a) for a in mutants(action, range(size), rng, 40)]
         cases = [(ring, a, b) for a, b in cases]
-        # Doctored scalar tables let a row fail first at scalar-add or scalar-mul.
-        for mul in mutants(ring.mul, range(ring.order), rng, 20):
-            cases.append((replace(ring, mul=mul), add, action))
-        for radd in mutants(ring.add, range(ring.order), rng, 20):
-            cases.append((replace(ring, add=radd), add, action))
+        # The ring with its elements renamed, so that a row can fail first
+        # at scalar-add or scalar-mul.  It is still a ring: the scalar laws
+        # are checked at its additive generators on the strength of the
+        # ring laws, so a ring table with one cell changed is no input.
+        for _ in range(40):
+            cases.append((relabelled(ring, rng.sample(range(ring.order), ring.order)), add, action))
         for bad_ring, bad_add, bad_act in cases:
             expected = outcome(ref_classical, bad_ring, size, zero, bad_add, bad_act)
             got = outcome(_check_classical_module, bad_ring, size, zero, bad_add, bad_act)
@@ -776,11 +805,16 @@ def test_classical_module_scan_matches_reference():
                 assoc_off_generators += expected[2][1] not in gens
             elif expected[1] == "action-add":
                 assert expected[2][1] in gens, expected
+            elif expected[1] in ("scalar-add", "scalar-mul"):
+                scalar_off_generators += expected[2][1] not in generators(bad_ring.add)
     assert {
         "group-identity", "group-comm", "group-assoc", "action-add",
         "scalar-add", "scalar-mul", "unit-action",
     } <= seen_failures(results)
     assert assoc_off_generators > 0
+    # Scalar-law witnesses whose s is no additive generator of the ring:
+    # only the full rescan names these.
+    assert scalar_off_generators > 0
 
 
 def test_tables_past_256_elements_are_judged_by_value():
@@ -819,6 +853,31 @@ def test_a_hand_built_order_that_is_no_poset_is_not_certified():
     expected = outcome(ref_le_module, make_zn(2), lat, add, 0, ((0, 0), (0, 1)))
     assert expected[:3] == ("AxiomViolation", "monoid", (0, 1))
     assert outcome(le_module_outcome_new, make_zn(2), lat, add, 0, ((0, 0), (0, 1))) == expected
+
+
+def test_join_table_certificate_matches_the_least_upper_bound_one():
+    """``add == join_rows(lattice)`` says what ``sum_is_lub`` says: on the
+    lattice of every ``le_module_cases`` instance and on the chain order of
+    its indices, for its own sum, the join and one- and two-cell mutants."""
+    rng = random.Random("certificate")
+    verdicts = []
+    for ring, lat, add, zero, action in le_module_cases():
+        n = lat.size
+        sums = [add, join_table(lat), *mutants(add, range(n), rng, 20)]
+        sums += mutants(add, range(n), rng, 20, symmetric=True)
+        for case_lat in [lat, chain_lattice(n)] if n > 2 else [lat]:
+            for table in sums:
+                verdicts.append(sum_is_lub(case_lat.up, table))
+                assert (table == join_rows(case_lat)) == verdicts[-1], (case_lat, table)
+    assert True in verdicts and False in verdicts
+    # A hand-built order whose up-sets repeat, so U is not one-to-one.  Its
+    # join table, ((1, 1), (1, 1)), has no identity row, which
+    # make_le_module checks first; every sum with one gets "no" from both.
+    lat = FiniteBoundedLattice(2, 1, 0, (0b11, 0b11), (0b11, 0b11))
+    assert join_rows(lat) == ((1, 1), (1, 1))
+    for table in itertools.product(itertools.product(range(2), repeat=2), repeat=2):
+        if (0, 1) in table:
+            assert table != join_rows(lat) and not sum_is_lub(lat.up, table)
 
 
 def test_action_laws_name_witnesses_past_the_first_generators():
@@ -861,6 +920,117 @@ def test_classical_module_rejects_misshapen_tables():
     for bad_add, bad_act, message in bad:
         with pytest.raises(ValueError, match=message):
             _check_classical_module(z2, 2, 0, bad_add, bad_act)
+
+
+# --- the table gate ------------------------------------------------------------
+
+
+def ref_gate(table, rows, cols, label):
+    """The per-row loop that ``rings.check_table_shape`` must agree with."""
+    if len(table) != rows:
+        raise ValueError(f"{label} table must have {rows} rows, got {len(table)}")
+    for i, row in enumerate(table):
+        if len(row) != cols:
+            raise ValueError(f"{label} table row {i} must have {cols} entries")
+        for v in row:
+            if not 0 <= v < cols:
+                raise ValueError(f"{label} table entry {v} at row {i} out of range")
+
+
+def ref_leq_gate(leq):
+    for i, row in enumerate(leq):
+        for v in row:
+            if v not in (0, 1):
+                raise ValueError(f"leq entry {v} at row {i} must be 0 or 1")
+
+
+def first_message(*checks):
+    """The text of the first ValueError that the calls ``(fn, *args)`` raise, or None."""
+    for fn, *args in checks:
+        try:
+            fn(*args)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+def bent_rows(table, cols, rng, entries=None):
+    """A copy of ``table`` with one to three rows bent, each cut short, made
+    long, or given an entry from ``entries`` (by default a negative one or
+    one of ``cols`` or more); with ``entries`` given, only that, and
+    otherwise, now and then, one row left out as well."""
+    t = thaw(table)
+    for i in rng.sample(range(len(t)), min(len(t), rng.randint(1, 3))):
+        kind = "entry" if entries else rng.choice(("short", "long", "entry", "entry"))
+        if kind == "short":
+            del t[i][rng.randrange(len(t[i])):]
+        elif kind == "long":
+            t[i].append(rng.randrange(cols))
+        else:
+            bad = entries or (-1, -rng.randint(2, 9), cols, cols + rng.randrange(1, 300))
+            t[i][rng.randrange(len(t[i]))] = rng.choice(bad)
+    if not entries and rng.random() < 0.15:
+        del t[rng.randrange(len(t))]
+    return freeze(t)
+
+
+def test_table_gate_matches_a_per_row_loop():
+    """Every explicit table passes one gate, ``rings.check_table_shape``,
+    which checks row lengths and distinct values whole: on tables with one
+    to three bad rows it raises the text of a per-row loop, which names the
+    first bad row, through each of its four callers."""
+    rng = random.Random("gate")
+    seen = set()
+
+    def compare(got, *checks):
+        expected = first_message(*checks)
+        assert expected is not None and got == expected, (got, expected)
+        if expected.startswith("leq"):
+            seen.add(f"leq {expected.split()[2]}")
+        elif "rows, got" in expected:
+            seen.add("missing row")
+        elif "entries" in expected:
+            seen.add("row length")
+        else:
+            seen.add("negative entry" if " -" in expected else "large entry")
+
+    for _, base in ring_bases():
+        n, add, mul = base.order, tuple(base.add), tuple(base.mul)
+        for _ in range(20):
+            bad_add, bad_mul = add, bent_rows(mul, n, rng)
+            if rng.random() < 0.5:
+                bad_add = bent_rows(add, n, rng)
+            got = first_message((make_ring, n, bad_add, bad_mul))
+            compare(got, (ref_gate, bad_add, n, n, "add"), (ref_gate, bad_mul, n, n, "mul"))
+    for ring, lat, add, zero, action in le_module_cases():
+        n = lat.size
+        for _ in range(10):
+            bad_add, bad_act = bent_rows(add, n, rng), action
+            if rng.random() < 0.5:
+                bad_add, bad_act = add, bent_rows(action, n, rng)
+            got = first_message((make_le_module, ring, lat, bad_add, zero, bad_act))
+            compare(got, (ref_gate, bad_add, n, n, "add"), (ref_gate, bad_act, ring.order, n, "action"))
+    for ring, size, zero, add, action in classical_cases():
+        for _ in range(10):
+            bad_add, bad_act = bent_rows(add, size, rng), bent_rows(action, size, rng)
+            if rng.random() < 0.5:
+                bad_add = add
+            got = first_message((_check_classical_module, ring, size, zero, bad_add, bad_act))
+            compare(got, (ref_gate, bad_add, size, size, "add"), (ref_gate, bad_act, ring.order, size, "action"))
+    for p, k in ((2, 2), (2, 3), (3, 2)):
+        size, leq, add, action = workloads.subspace_tables(p, k)
+        tables = freeze(leq), freeze(add), freeze(action)
+        for _ in range(15):
+            bad = list(tables)
+            bad[0] = bent_rows(tables[0], 2, rng, (2, 7))
+            if rng.random() < 0.5:  # the leq is good; the module's gate speaks
+                j = 1 + rng.randrange(2)
+                bad[0], bad[j] = tables[0], bent_rows(tables[j], size, rng)
+            spec = instances.ExplicitModuleSpec(size, 0, *bad)
+            got = first_message((build_instance, instances.InstanceDescriptor("F", instances.ZnSpec(p), spec)))
+            checks = [(ref_leq_gate, bad[0]), (ref_gate, bad[1], size, size, "add")]
+            compare(got, *checks, (ref_gate, bad[2], p, size, "action"))
+    assert seen == {"leq 2", "leq 7", "missing row", "row length", "negative entry", "large entry"}
 
 
 # --- descriptor tables ----------------------------------------------------------
@@ -925,3 +1095,19 @@ def test_table_reader_matches_per_token_reference():
         kinds.add("ok" if expected[0] == "ok" else expected[1].split(" in field")[0])
     assert {"ok", "empty table row", "empty table"} <= kinds
     assert any(k.startswith("expected integer or ';'") for k in kinds)
+
+
+def test_only_comments_and_other_line_ends_send_the_text_through_splitlines():
+    """The parser cuts comments and rejoins lines only in text holding "#"
+    or a line boundary of ``str.splitlines`` other than "\n"; other text
+    already reads as that pass would leave it.  Line numbers agree with the
+    per-token reference under every line boundary that ``str.splitlines``
+    knows, so none is missing from the parser's list."""
+    others = {c for c in map(chr, range(sys.maxunicode + 1)) if len(f"a{c}b".splitlines()) > 1}
+    base = ["name x", "ring zn 2", "module explicit size 2 zero 0", "leq 1 1 ; 0 1", "add 0 1 ; 1 1"]
+    for tail in (["action 0 0 ; 0 1"], ["action 0 0 ; 0 q"], ["action 0 0 ;", "; 0 1"], []):
+        for end in sorted(others | {"\r\n"}):
+            for last in ("", end, end + end):
+                text = end.join(base + tail) + last
+                assert outcome(parse_descriptor, text) == outcome(ref_parse_descriptor, text), text
+
