@@ -112,16 +112,9 @@ def make_lattice(size: int, leq: Sequence[Sequence[bool]]) -> FiniteBoundedLatti
     # element in which every pair has a join is a lattice (Davey and
     # Priestley, Introduction to Lattices and Order, 2nd ed., 2002, ch. 2),
     # so only joins are looked for, by building the join table that the
-    # lattice keeps.  Where one is missing, the rows are scanned in order,
-    # joins before meets at each cell, for the first bound missing.
+    # lattice keeps; ``join_rows`` names the first bound missing.
     lat = FiniteBoundedLattice(size, top, bottom, up, down)
-    if join_rows(lat) is None:
-        ups, downs = set(up), set(down)
-        for a, b in itertools.product(rng, repeat=2):
-            if up[a] & up[b] not in ups:
-                raise NotALattice("least upper bound", (a, b))
-            if down[a] & down[b] not in downs:
-                raise NotALattice("greatest lower bound", (a, b))
+    join_rows(lat)
     return lat
 
 
@@ -143,10 +136,13 @@ def lattice_of_sets(sets: Sequence[frozenset[int]]) -> FiniteBoundedLattice:
 
 
 @per_object
-def join_rows(lat: FiniteBoundedLattice) -> IntTable | None:
-    """The join as a table, kept on the lattice; None if a join is missing
-    (a hand-built lattice).  It is symmetric, so row a copies its entries
-    b < a from the rows before it, in one C call, and looks up only b >= a."""
+def join_rows(lat: FiniteBoundedLattice) -> IntTable:
+    """The join as a table, kept on the lattice.  It is symmetric, so row a
+    copies its entries b < a from the rows before it, in one C call, and
+    looks up only b >= a.  Where a join is missing (an order that is not a
+    lattice, or a hand-built lattice), the rows are scanned in order, joins
+    before meets at each cell, and NotALattice names the first bound
+    missing."""
     lub, up = lat.by_up.__getitem__, lat.up
     rows: list[tuple[int, ...]] = []
     try:
@@ -155,7 +151,13 @@ def join_rows(lat: FiniteBoundedLattice) -> IntTable | None:
             row += map(lub, map(ua.__and__, up[a:]))
             rows.append(tuple(row))
     except KeyError:
-        return None
+        down = lat.down
+        ups, downs = set(up), set(down)
+        for a, b in itertools.product(range(lat.size), repeat=2):
+            if up[a] & up[b] not in ups:
+                raise NotALattice("least upper bound", (a, b)) from None
+            if down[a] & down[b] not in downs:
+                raise NotALattice("greatest lower bound", (a, b)) from None
     return tuple(rows)
 
 

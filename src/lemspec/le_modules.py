@@ -72,8 +72,9 @@ def make_le_module(
     cell (a, b) is the element with up-set U(a) & U(b), U(x) = ``up[x]``:
     then U is one-to-one (by ``make_lattice``, or on a hand-built lattice by
     the identity row, checked first) and U(a + b) = U(a) & U(b), so + is
-    idempotent, commutative and associative, as & is.  A missing join makes
-    the table None, which no sum equals."""
+    idempotent, commutative and associative, as & is.  A hand-built lattice
+    with a missing join has no join table: ``join_rows`` raises
+    NotALattice at the cell that ``make_lattice`` would name."""
     n = lattice.size
     add_t = freeze(add)
     act_t = freeze(action)

@@ -2,15 +2,15 @@
 
 Three closed-set families exist on the point set: plain varieties, colon
 varieties, and varieties of ideal actions.  The colon and ideal-action
-families always satisfy the topology axioms and coincide; the plain family
-is a topology only for "top" instances.
+families always satisfy the topology axioms and coincide, by L2.1, so the
+one family is computed from the colon varieties; the plain family is a
+topology only for "top" instances.
 
 A set of points has one representation: an int mask in which bit k stands
 for ``points[k]`` of its space, the module spectrum in index order or the
 ring spectrum in canonical order.  Unions, intersections and complements
 are ``|``, ``&`` and ``^``.  ``decode`` is the one way from a mask back to
-points, for output.  The ideal-action family reads Ie for each ideal from
-``le_modules.ideal_actions``.
+points, for output.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .le_modules import (
     LeModuleInstance,
     colon_fibers,
     colon_sets,
-    ideal_actions,
-    scalar_classes,
     spectrum,
     submodule_elements,
 )
@@ -149,12 +147,6 @@ def star_family(mod: LeModuleInstance) -> tuple[int, ...]:
 
 
 @per_object
-def prime_family(mod: LeModuleInstance) -> tuple[int, ...]:
-    v = varieties(mod)
-    return canonical_family(spectrum(mod), map(v.__getitem__, ideal_actions(mod)))
-
-
-@per_object
 def is_top_le_module(mod: LeModuleInstance) -> bool:
     """The plain variety family is closed under pairwise unions."""
     family = set(quasi_family(mod))
@@ -166,15 +158,14 @@ def is_top_le_module(mod: LeModuleInstance) -> bool:
 def build_topologies(mod: LeModuleInstance) -> Topologies:
     """Construct the always-defined topologies, plus the quasi one if it exists.
 
-    The colon-variety and ideal-action families are asserted equal, so the
-    topology axioms are checked on their one family once; a failure of
-    either would be an implementation bug.
+    The colon-variety and ideal-action families are one family, by L2.1
+    (``verify._check_families_identical``), so the prime topology has the
+    star one's closed sets, and the topology axioms are checked on that one
+    family once; a failure would be an implementation bug.
     """
     points = spectrum(mod)
     star = SpectrumTopology(points, star_family(mod), "star")
     _validate_family(star)
-    if star.closed_sets != prime_family(mod):
-        raise TopologyAxiomViolation("star and prime closed-set families differ")
     prime = SpectrumTopology(points, star.closed_sets, "prime")
     quasi = None
     if is_top_le_module(mod):
@@ -188,22 +179,6 @@ def quasi_topology(mod: LeModuleInstance) -> SpectrumTopology:
     if not is_top_le_module(mod):
         raise NotTopLeModule(f"{mod.name}: the plain variety family is not a topology")
     return build_topologies(mod).quasi
-
-
-@per_object
-def uncovered_open(mod: LeModuleInstance) -> int | None:
-    """The first open set, the complement of a closed set in
-    ``star_family`` order, that is not a union of basic opens X_r, or None.
-
-    X_r reads r only through re, so one scalar per class of equal action
-    rows (``scalar_classes``) gives every basic open."""
-    full, v, top = all_points(mod), varieties(mod), mod.lattice.top
-    basics = [full ^ v[mod.action[r][top]] for r in scalar_classes(mod)]
-    for closed in star_family(mod):
-        u = full ^ closed
-        if functools.reduce(operator.or_, (b for b in basics if not b & ~u), 0) != u:
-            return u
-    return None
 
 
 @per_object

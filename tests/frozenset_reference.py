@@ -12,6 +12,8 @@ test that compares the two does not check the mask code against itself:
 ``Space.mask`` and ``Space.set`` translate between the two forms by the
 positions of the points, bit k for ``points[k]``.  ``plant`` changes
 entries of an instance's variety table, for the planted-fault tests.
+``uncovered_open`` is T5.3's cover clause, which ``verify`` leaves to the
+definition of the colon, as a scan.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from lemspec.le_modules import LeModuleInstance, colon_sets, spectrum, submodule_elements
+from lemspec.le_modules import (
+    LeModuleInstance,
+    colon_sets,
+    scalar_classes,
+    spectrum,
+    submodule_elements,
+)
 from lemspec.memo import preset
 
 
@@ -106,3 +114,18 @@ class ModuleSets(Space):
             frozenset(p for p in points if colon_set(mod, x) <= colons[p]) for x in range(size)
         ]
         super().__init__(points, canonical(points, (self.vs[n] for n in submodule_elements(mod))))
+
+
+def uncovered_open(mod: LeModuleInstance) -> frozenset | None:
+    """The first open set, the complement of a closed set of the star
+    family in its order, that is not a union of basic opens X_r, or None.
+    X_r reads r only through re, so one scalar per class of equal action
+    rows (``scalar_classes``) gives every basic open."""
+    ref = ModuleSets(mod)
+    full, top = frozenset(ref.points), mod.lattice.top
+    basics = [full - ref.v[mod.action[r][top]] for r in scalar_classes(mod)]
+    for closed in ref.closed:
+        opened = full - closed
+        if frozenset().union(*(b for b in basics if b <= opened)) != opened:
+            return opened
+    return None

@@ -11,7 +11,7 @@ import random
 import time
 
 import pytest
-from frozenset_reference import ModuleSets
+from frozenset_reference import ModuleSets, uncovered_open
 
 from lemspec.cli import main
 from lemspec.errors import AxiomViolation
@@ -37,13 +37,12 @@ from lemspec.spectra import (
     is_irreducible,
     point_closures,
     point_set_properties,
-    uncovered_open,
 )
 from lemspec.verify import run_all, serialize_report
 from test_ideal_index_reference import galois_adjunction_check, union_intersection_check
 from test_scalar_class_reference import ref_basis_witnesses
 from test_scan_reference import reference_decomposition
-from test_spectra import phi_and_t1_check
+from test_spectra import ideal_action_family, phi_and_t1_check
 
 ALL = tuple(build_instance(d) for d in catalog())
 
@@ -115,7 +114,8 @@ def test_criterion_3_topology_identities():
     with timed(30.0) as t:
         for mod in ALL:
             tops = build_topologies(mod)
-            assert tops.star.closed_sets == tops.prime.closed_sets, mod.name
+            star = tops.star.closed_sets
+            assert star == tops.prime.closed_sets == ideal_action_family(mod), mod.name
             assert reference_decomposition(ModuleSets(mod)) is None, mod.name
             for i, j in itertools.product(all_ideals(mod.ring), repeat=2):
                 assert union_intersection_check(mod, i, j), mod.name

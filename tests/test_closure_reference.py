@@ -7,8 +7,9 @@ the closure of each point as an intersection of closed sets, pairwise
 comparisons, membership in the closed-set family, and an irreducibility
 scan.  They call no ``spectra`` code, and the star family they read is
 checked against V* from colon inclusion.  They run on the catalog, both
-benchmark ladders, three power modules and the instances of the prime
-reference, on every topology each one has.
+benchmark ladders, three power modules, the instances of the prime
+reference and the census of small le-modules (``census``), on every
+topology each one has.
 """
 
 import itertools
@@ -16,6 +17,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from census import census
 from frozenset_reference import ModuleSets, Space, canonical
 from shared_instances import _ladder_instances
 from test_prime_reference import PRIME_CASES
@@ -107,6 +109,7 @@ def _instances():
         yield _power_module(m, k)
     for build, *args in PRIME_CASES.values():
         yield build(*args)
+    yield from census()
 
 
 def _spaces(mod) -> list[SpectrumTopology]:
@@ -148,7 +151,7 @@ def test_table_reads_match_the_definitions():
             assert got == ref_component_minimal_prime_bijection(nm), mod.name
         release(mod, mod.ring, nm.quotient)
         count += 1
-    assert count == 16 + 8 + len(POWER_MODULES) + len(PRIME_CASES)
+    assert count == 16 + 8 + len(POWER_MODULES) + len(PRIME_CASES) + 5177
 
 
 # Two points with one closure: the indiscrete space, neither T0 nor T1.

@@ -11,9 +11,9 @@ from frozenset_reference import colon_set
 from shared_instances import _ladder_instances
 from test_ideal_index_reference import galois_adjunction_check
 
-from lemspec.errors import AxiomViolation, EmptyFamily
+from lemspec.errors import AxiomViolation, EmptyFamily, NotALattice
 from lemspec.instances import build_instance, catalog, ideal_lattice_le_module
-from lemspec.lattices import chain_lattice
+from lemspec.lattices import FiniteBoundedLattice, chain_lattice, make_lattice
 from lemspec.le_modules import (
     annihilator,
     colon,
@@ -79,6 +79,24 @@ def test_m4_violation():
     with pytest.raises(AxiomViolation) as err:
         make_le_module(Z2, CH3, CH3_ADD, 0, action)
     assert err.value.axiom == "M4"
+
+
+def test_a_hand_built_lattice_with_a_missing_join_is_not_a_lattice():
+    # 0 < 1, 2 < 3, 4 < 5: 1 and 2 have the two minimal upper bounds 3 and
+    # 4.  max is a commutative, associative sum with 0 as its zero, so only
+    # the lattice can be at fault, at the cell make_lattice's scan names.
+    above = ({0, 1, 2, 3, 4, 5}, {1, 3, 4, 5}, {2, 3, 4, 5}, {3, 5}, {4, 5}, {5})
+    leq = [[b in above[a] for b in range(6)] for a in range(6)]
+    up = tuple(sum(1 << b for b in s) for s in above)
+    down = tuple(sum(1 << a for a in range(6) if b in above[a]) for b in range(6))
+    lat = FiniteBoundedLattice(6, 5, 0, up, down)
+    add = [[max(a, b) for b in range(6)] for a in range(6)]
+    with pytest.raises(NotALattice) as built:
+        make_lattice(6, leq)
+    with pytest.raises(NotALattice) as err:
+        make_le_module(Z2, lat, add, 0, (tuple([0] * 6), tuple(range(6))))
+    assert (err.value.kind, err.value.pair) == ("least upper bound", (1, 2))
+    assert (built.value.kind, built.value.pair) == ("least upper bound", (1, 2))
 
 
 def test_submodule_elements_z6(z6_module):

@@ -1,15 +1,16 @@
-"""The subset statements P3.1, P6.1, P6.4 and P6.5 against brute force.
+"""The clauses that ``verify`` leaves to an argument, against brute force.
 
-``verify`` leaves P3.1's sum clauses over families of submodule elements
-to the definitions, and P6.1, P6.4 and P6.5's clause on the meet of a set
-of points to L2.1 and P6.2, so it scans no family and no set of points.
-The reference here lists every nonempty subset of points or of submodule
-elements instead, so it runs only where 2^k subsets are few.
-It keeps its point sets as frozensets (``frozenset_reference``) and calls
-no ``spectra`` code.  The clauses about Ie and re that L2.1 settles are
-checked here too, through these references and the per-scalar and
-per-ideal-pair loops of ``test_scalar_class_reference`` and
-``test_ideal_index_reference``.
+``verify`` leaves P3.1 to the definitions and L2.1, T3.5's family clauses
+and T5.3 to L2.1, and P6.1, P6.4 and P6.5 to L2.1 and P6.2, so it scans no
+family, no set of points and no pair of submodule elements.  The
+references here list every nonempty subset of points or of submodule
+elements instead, so they run only where 2^k subsets are few.  They keep
+their point sets as frozensets (``frozenset_reference``) and call no
+``spectra`` code.  The clauses about Ie and re are checked here too,
+through these references and the per-scalar and per-ideal-pair loops of
+``test_scalar_class_reference`` and ``test_ideal_index_reference``.  The
+instances are the catalog, the ladders, two odd modules and the census of
+every le-module on a lattice of at most six elements (``census``).
 """
 
 import itertools
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import pytest
-from frozenset_reference import ModuleSets, colon_set, plant
+from census import census
+from frozenset_reference import ModuleSets, colon_set
 from shared_instances import ANNIHILATED, DESCRIPTORS, _ladder_instances
 from test_ideal_index_reference import ref_ideal_pair
 from test_scalar_class_reference import (
@@ -40,6 +42,7 @@ from lemspec.le_modules import (
     LeModuleInstance,
     colon,
     ideal_action,
+    ideal_actions,
     is_prime_submodule_element,
     make_le_module,
     spectrum,
@@ -206,7 +209,7 @@ def _sum_above_join() -> LeModuleInstance:
 @pytest.fixture(scope="module")
 def instances():
     extra = [_z2_over_z4(), _sum_above_join()]
-    mods = [build_instance(d) for d in catalog()] + _ladder_instances() + extra
+    mods = [build_instance(d) for d in catalog()] + _ladder_instances() + extra + census()
     yield mods
     for mod in mods:
         release(mod)
@@ -223,7 +226,8 @@ def _small(mods, points: int, submods: int):
 def test_verdicts_match_the_subset_by_subset_scan(instances):
     checks = {s.sid: s.check for s in verify.STATEMENTS}
     small = _small(instances, 12, 10)
-    assert len(small) == 16 + 6 + 2  # the catalog, six ladder instances, two more
+    # The catalog, six ladder instances, two more and the census.
+    assert len(small) == 16 + 6 + 2 + 5177
     for mod in small:
         for sid in SUBSET_STATEMENTS:
             verdict, _, detail = checks[sid](mod)
@@ -324,12 +328,26 @@ def reference_pairs(ref: ModuleSets) -> tuple | None:
     return None
 
 
+def reference_bounds(ref: ModuleSets) -> str | None:
+    """P3.1's clauses on 0_M and e, on frozensets: V*(0_M) = X = V(0_M) and
+    V*(e) = {} = V(e)."""
+    mod, full = ref.mod, frozenset(ref.points)
+    if not ref.vs[mod.zero_m] == full == ref.v[mod.zero_m]:
+        return "n=0_M"
+    if ref.vs[mod.top] or ref.v[mod.top]:
+        return "n=e"
+    return None
+
+
 def test_no_pair_clause_fails_on_any_instance(instances):
-    # P3.1 scans star-union over pairs of colon classes and leaves the other
-    # three clauses to the definitions, which settle them on every instance.
+    # P3.1 leaves its clauses on 0_M, e and pairs to L2.1 and the
+    # definitions (``verify._check_variety_identities``), which settle them
+    # on every instance.
     check = next(s.check for s in verify.STATEMENTS if s.sid == "P3.1")
     for mod in instances:
-        assert reference_pairs(ModuleSets(mod)) is None, mod.name
+        ref = ModuleSets(mod)
+        assert reference_bounds(ref) is None, mod.name
+        assert reference_pairs(ref) is None, mod.name
         assert check(mod)[0] == verify.VERIFIED, mod.name
 
 
@@ -371,10 +389,25 @@ def reference_ideal_action_variety(ref: ModuleSets) -> str | None:
     return None
 
 
+def reference_families(ref: ModuleSets) -> str | None:
+    """T3.5's family clauses on frozensets: the colon-variety family is the
+    family of the V(Ie) over the ideals I, and, when the plain family is
+    closed under unions (a top instance), it lies inside the plain one."""
+    mod = ref.mod
+    star = set(ref.closed)
+    if star != {ref.v[ie] for ie in ideal_actions(mod)}:
+        return "star family is not the ideal-action family"
+    plain = {ref.v[n] for n in submodule_elements(mod)}
+    top = all(a | b in plain for a, b in itertools.combinations_with_replacement(plain, 2))
+    if top and not star <= plain:
+        return "star family not inside quasi family"
+    return None
+
+
 def test_no_action_clause_fails_on_any_instance(instances):
     # L2.1's two clauses, checked on every instance, settle P3.1's
-    # decomposition, ideal-action and scalar-action clauses, T3.5's ideal
-    # and scalar pairs and T5.3's pair and ideal identities
+    # decomposition, ideal-action and scalar-action clauses, T3.5's family
+    # clauses and ideal and scalar pairs, and T5.3
     # (``verify._check_variety_identities``), so none of them is scanned.
     # F2[x, y]/(x, y)^2 has a non-principal ideal; Z6^2 over Z12 has
     # annihilator {0, 6}.
@@ -387,29 +420,10 @@ def test_no_action_clause_fails_on_any_instance(instances):
         assert ref_scalar_action_variety(mod) is None, mod.name
         assert ref_ideal_pair(mod) is None, mod.name
         assert ref_scalar_union(mod) is None, mod.name
-        assert ref_basis_witnesses(mod)[:2] == (None, None), mod.name
+        assert ref_basis_witnesses(mod) == (None, None, None), mod.name
+        assert reference_families(ref) is None, mod.name
         for sid in ("L2.1", "P3.1", "T3.5", "T5.3"):
             assert checks[sid](mod)[0] == verify.VERIFIED, (mod.name, sid)
     for mod in more:
         release(mod, mod.ring)
 
-
-@pytest.mark.parametrize("sid", ["P3.1"])
-def test_a_planted_failure_names_a_failing_family(sid):
-    mod = build_instance(next(d for d in catalog() if d.name == "Z30-ideal-lattice"))
-    spectra.build_topologies(mod)
-    ref = ModuleSets(mod)
-    # 15Z30, the meet of the points 5Z30 and 3Z30: no single point sees the
-    # planted V*(15Z30) = {} on one side only.
-    p, q = spectrum(mod)[:2]
-    planted = mod.lattice.meet(p, q)
-    assert planted not in spectrum(mod) and planted != mod.zero_m
-
-    plant(spectra.variety_stars, mod, {planted: 0})
-    ref.vs[planted] = frozenset()
-    check = next(s.check for s in verify.STATEMENTS if s.sid == sid)
-    # The failing family is a pair of colon classes, the first one that the
-    # loop over every pair of submodule elements names.
-    expected = (verify.FALSIFIED, "n={0,15}, l={0,10,20}", "star-union")
-    assert check(mod) == reference_pairs(ref) == expected
-    release(mod)

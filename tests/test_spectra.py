@@ -8,12 +8,12 @@ Sets of points are int masks, bit k for the k-th point of the space.
 import itertools
 
 import pytest
-from frozenset_reference import ModuleSets, Space, canonical
+from frozenset_reference import ModuleSets, Space, canonical, uncovered_open
 from hypothesis import given, strategies as st
 
 from lemspec.errors import EmptyFamily, NotTopLeModule
 from lemspec.lattices import meet_all
-from lemspec.le_modules import colon, ideal_action, spectrum
+from lemspec.le_modules import colon, ideal_action, ideal_actions, spectrum
 from lemspec.rings import all_ideals, basic_open_ring, make_zn
 from lemspec.spectra import (
     QUASI_COMPACT_NOTE,
@@ -32,8 +32,8 @@ from lemspec.spectra import (
     quasi_topology,
     ring_space,
     specialization_pairs,
-    uncovered_open,
     variety,
+    varieties,
     variety_star,
 )
 from test_ideal_index_reference import union_intersection_check
@@ -106,10 +106,18 @@ def test_decode_lists_the_points_of_a_mask_in_point_order(case):
         assert decode(points, mask) == tuple(p for p in points if p in space.set(mask))
 
 
+def ideal_action_family(mod) -> tuple[int, ...]:
+    """The V(Ie) over the ideals I, in the canonical order."""
+    v = varieties(mod)
+    return canonical_family(spectrum(mod), map(v.__getitem__, ideal_actions(mod)))
+
+
 def test_star_and_prime_families_agree(all_instances):
+    # build_topologies gives the prime topology the star one's closed sets,
+    # by T3.5's argument; the ideal-action family is built here apart.
     for mod in all_instances:
         tops = build_topologies(mod)
-        assert tops.star.closed_sets == tops.prime.closed_sets
+        assert tops.star.closed_sets == tops.prime.closed_sets == ideal_action_family(mod)
 
 
 def test_top_flags(all_instances):

@@ -13,7 +13,7 @@ import pytest
 from frozenset_reference import ModuleSets, colon_set, plant
 from hypothesis import given, strategies as st
 from shared_instances import ANNIHILATED
-from test_scan_reference import _subsets, point_set_fails, reference_pairs
+from test_scan_reference import _subsets, point_set_fails
 
 from lemspec import spectra, verify
 from lemspec.instances import (
@@ -28,10 +28,7 @@ from lemspec.instances import (
     product_module_tables,
     submodule_lattice_le_module,
 )
-from lemspec.le_modules import (
-    spectrum,
-    submodule_elements,
-)
+from lemspec.le_modules import spectrum
 from lemspec.memo import release
 from lemspec.rings import make_zn
 from lemspec.verify import (
@@ -252,9 +249,8 @@ def _results(desc):
 
 def test_subset_scans_are_exhaustive():
     z2, z4 = cyclic_module_tables(2), cyclic_module_tables(4)
-    # Z4^2 over Z4 has 15 submodule elements, F2^3 over Z2 15 points.  P3.1
-    # and P6.5 scan families of them, and a sampled scan would say so in its
-    # detail.  P6.1 and P6.4 scan no point set: L2.1 and P6.2 settle them
+    # Z4^2 over Z4 has 15 submodule elements, F2^3 over Z2 15 points.  P6.1
+    # and P6.4 scan no point set: L2.1 and P6.2 settle them
     # (``verify._check_point_sets``), so they are verified with no detail.
     z4_squared = InstanceDescriptor(
         "Z4^2-over-Z4",
@@ -270,7 +266,6 @@ def test_subset_scans_are_exhaustive():
     )
     for desc in (z4_squared, f2_cubed):
         results = _results(desc)
-        assert results["P3.1"].detail is None and results["P6.5"].detail is None
         for sid in ("P6.1", "P6.4"):
             assert (results[sid].verdict, results[sid].detail) == ("verified", None)
     # F2^4 over Z2: 66 points, 2^66 - 1 point subsets.
@@ -379,44 +374,3 @@ def test_planted_point_failures_name_the_reference_witness():
     # clause at an earlier p before the closure formula at q.
     assert details == {"closure-formula", "specialization"}
 
-
-def test_planted_pair_failures_name_the_reference_witness():
-    # V*(x) is changed, for every x of one colon class other than those of
-    # 0_M and e (whose clauses come first), by one point (one bit of the
-    # mask) or to the variety of a point; the reference gets the same
-    # frozensets.  P3.1 pairs one element of each colon class, which is
-    # exact while V* reads x only through (x:e), as a fault planted in a
-    # whole class keeps it.
-    check = next(s.check for s in STATEMENTS if s.sid == "P3.1")
-    real = spectra.variety_star
-    details = set()
-    for name in ("Z30-ideal-lattice", "Z6-over-Z6-submodules", "Z2xZ4-over-Z4-submodules"):
-        probe = build_instance(find_descriptor(name))
-        points = spectrum(probe)
-        elements = range(probe.lattice.size)
-        skip = {colon_set(probe, probe.zero_m), colon_set(probe, probe.lattice.top)}
-        planted_at = {colon_set(probe, n) for n in submodule_elements(probe)} - skip
-        for planted in sorted(planted_at, key=sorted):
-            members = {x for x in elements if colon_set(probe, x) == planted}
-            true = real(probe, min(members))
-            values = {true ^ 1 << k for k in range(len(points))}
-            values |= {real(probe, q) for q in points}
-            for value in sorted(values - {true}):
-                mod = build_instance(find_descriptor(name))
-                spectra.build_topologies(mod)
-                ref = ModuleSets(mod)
-                plant(spectra.variety_stars, mod, dict.fromkeys(members, value))
-                for x in members:
-                    ref.vs[x] = ref.set(value)
-                expected = reference_pairs(ref)
-                outcome = check(mod)
-                if expected is None:
-                    assert outcome[2] != "star-union", (name, planted, value)
-                else:
-                    assert outcome == expected, (name, planted, value)
-                    details.add(expected[2])
-                release(mod)
-    # V is not changed, and V* stays a function of the colon set.  A
-    # prime-converse failure at (n, l) needs V*(n) = V*(l) with V*(n meet l)
-    # unchanged, which star-union at the same pair meets first.
-    assert details == {"star-union"}
