@@ -38,7 +38,6 @@ from .le_modules import (
     annihilator,
     colon,
     ideal_action,
-    is_prime_submodule_element,
     is_submodule_element,
     make_le_module,
     spectrum,
@@ -49,21 +48,16 @@ from .natural_map import (
     NaturalMap,
     build_natural_map,
     connectedness_equivalence,
-    continuity_check,
-    homeomorphism_check,
     injectivity_battery,
     is_multiplication_le_module,
     spectral_battery,
-    surjectivity_and_openclosed,
 )
 from .rings import (
     FiniteRing,
     Ideal,
     RingSpectrum,
     all_ideals,
-    basic_open_ring,
     idempotents,
-    ideal_intersect,
     ideal_product,
     is_ideal,
     is_prime_ideal,
@@ -79,7 +73,6 @@ from .rings import (
 )
 from .spectra import (
     SpectrumTopology,
-    basic_open,
     build_topologies,
     closure,
     decode,
@@ -89,7 +82,6 @@ from .spectra import (
     is_top_le_module,
     point_set_properties,
     variety,
-    variety_star,
 )
 from .verify import VerificationReport, run_all, serialize_report
 

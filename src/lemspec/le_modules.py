@@ -279,15 +279,6 @@ def ideal_action(mod: LeModuleInstance, ideal: Ideal) -> int:
     return ideal_actions(mod)[ideal_table(mod.ring)[1][ideal.members]]
 
 
-def is_prime_submodule_element(mod: LeModuleInstance, p: int) -> bool:
-    """Proper submodule element p with: r n <= p forces r e <= p or n <= p.
-
-    The quantifier runs over every lattice element n, not just submodule
-    elements.
-    """
-    return p in spectrum(mod)
-
-
 @per_object
 def spectrum(mod: LeModuleInstance) -> tuple[int, ...]:
     """All prime submodule elements, in index order.

@@ -4,14 +4,17 @@ Each prime element p goes to the image of its colon ideal in R/Ann, so
 the map is kept as its colon fibers, one mask of points per prime of R/Ann
 (``NaturalMap.fibers``).  The map is onto whenever the module is not
 degenerate (see ``build_natural_map``), and that is asserted once, where
-it is built.  Continuity, injectivity, openness, and the induced
-equivalences (connectedness, spectrality, components) are checked clause
-by clause so truth-vector comparisons stay visible in reports.  Each map
-has one spectrality battery (``spectral_battery``), kept on the map: P4.2
-reports the three clauses it takes from ``injectivity_battery``, T7.1 all
-six, and T7.2, T7.3 and T7.4 read the clauses they restate.  Sets of
-points are int masks (``spectra``), those of the reduced ring in
-``spec_ring`` order.
+it is built.  Continuity, preimages of basic opens and the images of
+closed and open sets (P4.1, P5.1 and T4.3) follow from L2.1 and that onto
+lemma, so no preimage or image of a set is computed (``verify``); the one
+image read is that of a point, ``NaturalMap.image_of``.  Injectivity and
+the induced equivalences (connectedness, spectrality, components) are
+checked clause by clause so truth-vector comparisons stay visible in
+reports.  Each map has one spectrality battery (``spectral_battery``),
+kept on the map: P4.2 reports the three clauses it takes from
+``injectivity_battery``, T7.1 all six, and T7.2, T7.3 and T7.4 read the
+clauses they restate.  Sets of points are int masks (``spectra``), those
+of the reduced ring in ``spec_ring`` order.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ from .memo import per_object, record
 from .rings import (
     FiniteRing,
     Ideal,
-    all_ideals,
-    basic_open_ring,
     ideal_table,
     idempotents,
     is_prime_ideal,
@@ -42,11 +43,8 @@ from .rings import (
     push_ideal,
     quotient_ring,
     spec_ring,
-    variety_ring,
 )
 from .spectra import (
-    all_points,
-    basic_open,
     build_topologies,
     closures_by_point,
     colon_fibers_at_most_one,
@@ -54,7 +52,6 @@ from .spectra import (
     irreducible_components,
     point_set_properties,
     ring_space,
-    varieties,
     variety_stars,
 )
 
@@ -90,14 +87,6 @@ class NaturalMap:
 
     def is_injective(self) -> bool:
         return all(m.bit_count() == 1 for m in self.fibers)
-
-    def preimage(self, targets: int) -> int:
-        """The points over the ring primes of a mask."""
-        return sum(m for j, m in enumerate(self.fibers) if targets >> j & 1)
-
-    def image(self, points: int) -> int:
-        """The ring primes over which a mask of points has a point."""
-        return sum(1 << j for j, m in enumerate(self.fibers) if m & points)
 
 
 def _require_map(nm: NaturalMap) -> None:
@@ -157,21 +146,6 @@ def build_natural_map(mod: LeModuleInstance) -> NaturalMap:
     return NaturalMap(mod, ann, False, quotient, projection, tuple(fibers.values()))
 
 
-@per_object
-def continuity_check(nm: NaturalMap) -> bool:
-    """Preimages of ring varieties match varieties of ideal actions,
-    for every ideal containing the annihilator."""
-    _require_map(nm)
-    mod, ann = nm.instance, nm.annihilator_ideal.members
-    v = varieties(mod)
-    return all(
-        nm.preimage(variety_ring(nm.quotient, push_ideal(i, nm.projection, nm.quotient)))
-        == v[ie]
-        for i, ie in zip(all_ideals(mod.ring), ideal_actions(mod))
-        if ann <= i.members
-    )
-
-
 @record
 class EquivalenceReport:
     """Named boolean clauses that are expected to agree."""
@@ -198,50 +172,6 @@ def injectivity_battery(nm: NaturalMap) -> EquivalenceReport:
         ("psi-injective", "vstar-separated", "colon-fibers-at-most-one"),
         (nm.is_injective(), separated, colon_fibers_at_most_one(mod)),
     )
-
-
-@record
-class OpenClosedReport:
-    closed_image_ok: bool
-    open_image_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.closed_image_ok and self.open_image_ok
-
-
-@per_object
-def surjectivity_and_openclosed(nm: NaturalMap) -> OpenClosedReport:
-    """Images of colon varieties and their complements are the ring
-    varieties and their complements (the map is onto).
-
-    The image of a set of points is the set of images of the colon fibers
-    it meets (``NaturalMap.image``), exactly, as psi is constant on a fiber.
-    """
-    _require_map(nm)
-    mod = nm.instance
-    full, ring_full = all_points(mod), (1 << len(nm.fibers)) - 1
-    vs, colons = variety_stars(mod), colon_sets(mod)
-    closed_ok = open_ok = True
-    for n in submodule_elements(mod):
-        target = variety_ring(nm.quotient, push_ideal(Ideal(mod.ring, colons[n]), nm.projection, nm.quotient))
-        closed_ok &= nm.image(vs[n]) == target
-        open_ok &= nm.image(full ^ vs[n]) == ring_full ^ target
-    return OpenClosedReport(closed_ok, open_ok)
-
-
-def homeomorphism_check(nm: NaturalMap) -> bool:
-    """The map is bijective exactly when it is a homeomorphism.
-
-    It is onto, so bijective means injective.  A non-bijective map is never
-    a homeomorphism, so the only content is that a bijective map is
-    continuous with open and closed images.
-    """
-    _require_map(nm)
-    if not nm.is_injective():
-        return True
-    oc = surjectivity_and_openclosed(nm)
-    return continuity_check(nm) and oc.ok
 
 
 @record
@@ -310,8 +240,8 @@ def spectral_battery(nm: NaturalMap) -> EquivalenceReport:
     props = point_set_properties(build_topologies(nm.instance).star)
     inj = injectivity_battery(nm)
     # A finite space homeomorphic to Spec(R/Ann) has as many points, so onto psi
-    # is injective, and T4.3 checks that a bijective psi is a homeomorphism.
-    homeo = nm.is_injective() and homeomorphism_check(nm)
+    # is injective; and a bijective psi is a homeomorphism, by T4.3's argument
+    # (``verify._check_openclosed``).  So "homeomorphic" is "psi-injective".
     return EquivalenceReport(
         (
             "spectral",
@@ -327,7 +257,7 @@ def spectral_battery(nm: NaturalMap) -> EquivalenceReport:
             inj["vstar-separated"],
             inj["colon-fibers-at-most-one"],
             inj["psi-injective"],
-            homeo,
+            inj["psi-injective"],
         ),
     )
 
@@ -336,14 +266,3 @@ def is_multiplication_le_module(mod: LeModuleInstance) -> bool:
     """Every submodule element equals the action of its colon ideal."""
     colons, actions, index = colon_sets(mod), ideal_actions(mod), ideal_table(mod.ring)[1]
     return all(actions[index[colons[n]]] == n for n in submodule_elements(mod))
-
-
-def dr_preimage_check(nm: NaturalMap, r: int) -> bool:
-    """Preimage of a ring basic open is the module basic open.
-
-    The image clauses follow: the image of the preimage of D is D n im psi,
-    which is D, as the map is onto.
-    """
-    _require_map(nm)
-    d = basic_open_ring(nm.quotient, nm.projection[r])
-    return nm.preimage(d) == basic_open(nm.instance, r)

@@ -21,6 +21,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from collections.abc import Callable, Iterable, Sequence
 
 from .errors import AxiomViolation, ImproperIdeal, ZeroRing
@@ -206,6 +207,10 @@ def make_zn(n: int) -> FiniteRing:
     """
     if n < 2:
         raise ZeroRing("Z_n needs n >= 2")
+    if n > sys.maxsize:
+        # Its elements are indices, so a larger order is bad input, not a
+        # fault of lemspec.
+        raise ValueError(f"Z_n needs n <= {sys.maxsize}, the largest index; got {n}")
     # Row a of + is 0..n-1 rotated left by a; row a of * counts up in steps
     # of a, reduced mod n, with period n/gcd(a, n).  Both depend on a only
     # mod n, so a negative index reads row n + a.  Both hold rng's own ints,
@@ -324,10 +329,6 @@ def ideal_product(i: Ideal, j: Ideal) -> Ideal:
     return ideals[index[product]]
 
 
-def ideal_intersect(i: Ideal, j: Ideal) -> Ideal:
-    return Ideal(i.ring, i.members & j.members)
-
-
 @per_object
 def ideal_table(ring: FiniteRing) -> tuple:
     """Every ideal in canonical order, the index of each member set, a tuple
@@ -376,11 +377,6 @@ def spec_ring(ring: FiniteRing) -> RingSpectrum:
 def variety_ring(ring: FiniteRing, i: Ideal) -> int:
     """Primes containing the ideal, as a mask: bit k for ``spec_ring``'s k-th."""
     return sum(1 << k for k, p in enumerate(spec_ring(ring).points) if i.members <= p.members)
-
-
-def basic_open_ring(ring: FiniteRing, r: int) -> int:
-    """Primes avoiding r, i.e. the complement of the variety of rR, as a mask."""
-    return sum(1 << k for k, p in enumerate(spec_ring(ring).points) if r not in p.members)
 
 
 def quotient_ring(ring: FiniteRing, i: Ideal) -> tuple[FiniteRing, tuple[int, ...]]:

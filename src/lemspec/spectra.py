@@ -92,11 +92,6 @@ def _validate_family(top: SpectrumTopology) -> None:
             raise TopologyAxiomViolation(f"{label}: not closed under intersection")
 
 
-def all_points(mod: LeModuleInstance) -> int:
-    """The mask of the whole spectrum."""
-    return (1 << len(spectrum(mod))) - 1
-
-
 @per_object
 def varieties(mod: LeModuleInstance) -> tuple[int, ...]:
     """V(x), the primes above x, for every lattice element x: bit k of V(x)
@@ -122,16 +117,6 @@ def variety_stars(mod: LeModuleInstance) -> tuple[int, ...]:
 def variety(mod: LeModuleInstance, x: int) -> int:
     """V(x), read from ``varieties``."""
     return varieties(mod)[x]
-
-
-def variety_star(mod: LeModuleInstance, x: int) -> int:
-    """V*(x), read from ``variety_stars``."""
-    return variety_stars(mod)[x]
-
-
-def basic_open(mod: LeModuleInstance, r: int) -> int:
-    """X_r: the complement of the variety of r acting on the top."""
-    return all_points(mod) ^ varieties(mod)[mod.action[r][mod.lattice.top]]
 
 
 @per_object

@@ -15,18 +15,15 @@ from them:
 
 P3.1, T3.5's family clauses, T5.3, T5.4's base clause, P6.1, C6.3, P6.4
 and P6.5 follow from these, the definitions and one fact about primes
-(Atiyah-Macdonald 1.11), so none of them is scanned; the docstring of each
-check gives the argument, and README has a table of what is scanned and
-what is argued.  Sets of points are the int masks of ``spectra`` (point k
-of the spectrum is bit k), used as they come: the scans combine them with
-& and |, and nothing is decoded.  A statement about every scalar r is
-checked on one scalar per class of equal action rows
-(``le_modules.scalar_classes``): P5.1's loop reads r only through its row
-(its ring side by the argument in ``_check_dr``).  The representatives are
-the least members, scanned in the order of the full loop, so a failure
-names the same first witness.  The loop over ideals (L2.1) runs over
-indices into the ring's ``rings.ideal_table``, in its order, reading Ie
-from ``le_modules.ideal_actions``.
+(Atiyah-Macdonald 1.11), so none of them is scanned; nor are P4.1, P5.1
+and T4.3, which follow from L2.1, the definition of the colon and the
+onto lemma that ``natural_map.build_natural_map`` enforces.  The docstring
+of each check gives the argument, and README has a table of what is
+scanned and what is argued.  Sets of points are the int masks of
+``spectra`` (point k of the spectrum is bit k), used as they come: the
+scans combine them with & and |, and nothing is decoded.  The loop over
+ideals (L2.1) runs over indices into the ring's ``rings.ideal_table``, in
+its order, reading Ie from ``le_modules.ideal_actions``.
 Serialization omits timing so repeated runs are byte-identical.
 """
 
@@ -46,7 +43,6 @@ from .le_modules import (
     colon_fibers,
     colon_sets,
     ideal_actions,
-    scalar_classes,
     spectrum,
     submodule_elements,
 )
@@ -158,9 +154,13 @@ def _on_map(check: Callable[[nmap.NaturalMap], Outcome]) -> Callable[[LeModuleIn
 
 @_on_map
 def _check_continuity(nm: nmap.NaturalMap) -> Outcome:
-    if nmap.continuity_check(nm):
-        return VERIFIED, None, None
-    return FALSIFIED, "preimage identity failed", None
+    """P4.1 holds on every instance by L2.1's clause (a)
+    (``_check_variety_identities``) and the definition of psi; no preimage
+    is computed.  Let I contain Ann and p be a point.  psi(p) is the image
+    (p:e)/Ann of the colon ideal, and Ann lies in (p:e), as (Ann)e = 0_M <= p,
+    so I-bar lies in psi(p) iff I lies in (p:e), which holds iff Ie <= p by
+    (a).  So the preimage of V(I-bar) is V(Ie)."""
+    return VERIFIED, None, None
 
 
 @_on_map
@@ -173,16 +173,18 @@ def _check_injectivity(nm: nmap.NaturalMap) -> Outcome:
 
 @_on_map
 def _check_openclosed(nm: nmap.NaturalMap) -> Outcome:
-    if not nmap.homeomorphism_check(nm):
-        return FALSIFIED, "bijective but not a homeomorphism", None
-    rep = nmap.surjectivity_and_openclosed(nm)
-    if rep.ok:
-        return VERIFIED, None, None
-    return (
-        FALSIFIED,
-        f"closed_image_ok={rep.closed_image_ok} open_image_ok={rep.open_image_ok}",
-        None,
-    )
+    """T4.3 holds on every instance by the definition of V*, P4.1 and the
+    onto lemma that ``build_natural_map`` enforces; no image is computed.
+    Let n be a submodule element.  V*(n) holds the points whose colon ideal
+    contains (n:e), so it is a union of colon fibers, which are the fibers
+    of psi, and each fiber is nonempty, as psi is onto.  So psi(V*(n)) is
+    the set of primes P/Ann of R/Ann with P containing (n:e), which is
+    V((n:e)/Ann), and the complement of V*(n), the union of the other
+    fibers, maps onto the complement of V((n:e)/Ann).  A bijective psi is
+    then continuous (P4.1, as V(Ie) = V*(Ie) is closed) and closed, so a
+    homeomorphism; T7.1's "homeomorphic" clause is "psi-injective"
+    (``spectral_battery``)."""
+    return VERIFIED, None, None
 
 
 @_on_map
@@ -195,20 +197,12 @@ def _check_connectedness(nm: nmap.NaturalMap) -> Outcome:
 
 @_on_map
 def _check_dr(nm: nmap.NaturalMap) -> Outcome:
-    """The preimage of D_r̄ under psi is X_r, checked on one scalar per
-    class of equal action rows.
-
-    X_r holds the points p with re not below p.  For a point p, r̄ lies
-    outside psi(p) exactly when r lies outside (p:e), as (p:e) contains
-    Ann, and r is in (p:e) exactly when re <= p.  So both sides read r only
-    through re, which its action row holds.  As psi is onto (see
-    ``build_natural_map``), every prime P containing Ann is (p:e) for some
-    point p, so D_r̄ itself is fixed by the row too.  The witness is the
-    least scalar of the first failing class, as in the full loop.
-    """
-    for r in scalar_classes(nm.instance):
-        if not nmap.dr_preimage_check(nm, r):
-            return FALSIFIED, f"r={r}", None
+    """P5.1 holds on every instance by the definitions of psi and X_r and
+    the onto lemma; no preimage is computed.  Let p be a point.  Ann lies
+    in (p:e), so r-bar lies outside psi(p) = (p:e)/Ann iff r lies outside
+    (p:e), iff re is not below p, which is the definition of X_r: the
+    preimage of D_r-bar is X_r.  The image of X_r is then D_r-bar n im psi,
+    which is D_r-bar, as psi is onto (``build_natural_map``)."""
     return VERIFIED, None, None
 
 

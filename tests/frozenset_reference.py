@@ -13,7 +13,9 @@ test that compares the two does not check the mask code against itself:
 positions of the points, bit k for ``points[k]``.  ``plant`` changes
 entries of an instance's variety table, for the planted-fault tests.
 ``uncovered_open`` is T5.3's cover clause, which ``verify`` leaves to the
-definition of the colon, as a scan.
+definition of the colon, as a scan.  ``MapSets`` is the natural map psi in
+the same form, for the clauses of P4.1, P5.1 and T4.3, which ``verify``
+leaves to L2.1 and the onto lemma.
 """
 
 from __future__ import annotations
@@ -24,11 +26,14 @@ from typing import Iterable
 from lemspec.le_modules import (
     LeModuleInstance,
     colon_sets,
+    ideal_action,
     scalar_classes,
     spectrum,
     submodule_elements,
 )
 from lemspec.memo import preset
+from lemspec.natural_map import NaturalMap
+from lemspec.rings import all_ideals, spec_ring
 
 
 def colon_set(mod: LeModuleInstance, x: int) -> frozenset[int]:
@@ -129,3 +134,91 @@ def uncovered_open(mod: LeModuleInstance) -> frozenset | None:
         if frozenset().union(*(b for b in basics if b <= opened)) != opened:
             return opened
     return None
+
+
+class MapSets:
+    """The natural map psi of a module that is not degenerate, from the
+    definitions.
+
+    psi(p) is the image of (p:e) under the quotient's projection, a set of
+    elements of R/Ann; the ring points are the member sets of the
+    quotient's primes, and V(I-bar) and D_r-bar are frozensets of them.  No
+    fiber mask of ``NaturalMap`` is read, and no ``spectra`` code is called.
+    """
+
+    def __init__(self, nm: NaturalMap):
+        mod, ann = nm.instance, nm.annihilator_ideal.members
+        self.nm = nm
+        self.sets = ModuleSets(mod)
+        self.primes = frozenset(q.members for q in spec_ring(nm.quotient).points)
+        self.psi = {p: self.bar(colon_set(mod, p)) for p in self.sets.points}
+        # The ideals I containing Ann, by their members: the I-bar are the
+        # ideals of R/Ann.
+        self.above_ann = {i.sorted_members(): i for i in all_ideals(mod.ring) if ann <= i.members}
+
+    def bar(self, members) -> frozenset[int]:
+        """The image of a set of scalars in R/Ann."""
+        return frozenset(self.nm.projection[r] for r in members)
+
+    def variety(self, members) -> frozenset:
+        """V(I-bar): the quotient's primes that hold the image of I."""
+        target = self.bar(members)
+        return frozenset(q for q in self.primes if target <= q)
+
+    def preimage(self, targets: frozenset) -> frozenset:
+        return frozenset(p for p, q in self.psi.items() if q in targets)
+
+    def image(self, ys: Iterable) -> frozenset:
+        return frozenset(map(self.psi.__getitem__, ys))
+
+    def witnesses(self) -> dict[str, object]:
+        """The first failure of each clause set, or None where it holds:
+
+        - "psi": a point whose image is not the prime of R/Ann that
+          ``NaturalMap.image_of`` gives;
+        - "P4.1": the members of an ideal I containing Ann with
+          psi^-1(V(I-bar)) != V(Ie);
+        - "P5.1": a scalar r with psi^-1(D_r-bar) != X_r;
+        - "T4.3": a submodule element n such that V*(n) does not map onto
+          V((n:e)-bar), or its complement onto the complement.
+        """
+        mod, sets, primes = self.nm.instance, self.sets, self.primes
+        leq, top, full = mod.lattice.leq, mod.lattice.top, frozenset(sets.points)
+
+        def psi_fails(p) -> bool:
+            return self.psi[p] != self.nm.image_of(p).members
+
+        def continuity_fails(members: tuple[int, ...]) -> bool:
+            ie = ideal_action(mod, self.above_ann[members])
+            return self.preimage(self.variety(members)) != sets.v[ie]
+
+        def dr_fails(r: int) -> bool:
+            x_r = frozenset(p for p in full if not leq[mod.action[r][top]][p])
+            return self.preimage(primes - self.variety({r})) != x_r
+
+        def images_fail(n: int) -> bool:
+            target = self.variety(colon_set(mod, n))
+            vs = sets.vs[n]
+            return self.image(vs) != target or self.image(full - vs) != primes - target
+
+        def first(items: Iterable, fails) -> object:
+            return next((x for x in items if fails(x)), None)
+
+        return {
+            "psi": first(sets.points, psi_fails),
+            "P4.1": first(self.above_ann, continuity_fails),
+            "P5.1": first(range(mod.ring.order), dr_fails),
+            "T4.3": first(submodule_elements(mod), images_fail),
+        }
+
+    def is_homeomorphism(self) -> bool:
+        """psi is a bijection onto the quotient's primes, the preimage of
+        each closed set V(I-bar) is closed, and the image of each closed
+        set of ``ModuleSets`` is closed."""
+        if len(set(self.psi.values())) != len(self.psi) or set(self.psi.values()) != self.primes:
+            return False
+        ring_closed = set(map(self.variety, self.above_ann))
+        closed = set(self.sets.closed)
+        return all(self.preimage(c) in closed for c in ring_closed) and all(
+            self.image(c) in ring_closed for c in closed
+        )

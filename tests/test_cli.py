@@ -543,7 +543,7 @@ def test_validate_output_bytes_are_pinned(case, tmp_path, capsys):
 def test_internal_error_exit_code(monkeypatch, capsys):
     # A star family without the empty set is a fault of lemspec, not of the input.
     def broken(mod):
-        return (spectra.all_points(mod),)
+        return ((1 << len(spectrum(mod))) - 1,)
 
     monkeypatch.setattr(spectra, "star_family", broken)
     assert main(["verify", "Z6-ideal-lattice"]) == 4
@@ -580,6 +580,19 @@ def test_parse_error_exit_code(tmp_path, capsys):
     path.write_text("name x\nring zn two\nmodule ideal-lattice\n")
     assert main(["validate", str(path)]) == 1
     assert "expected integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ring", ["zn 99999999999999999999", "product ( zn 2 , zn 99999999999999999999 )"])
+@pytest.mark.parametrize("command", ["validate", "verify", "spec", "topology", "export-dot"])
+def test_an_order_past_the_largest_index_is_an_input_error(command, ring, tmp_path, capsys):
+    # Z_n's elements are indices, so an order past sys.maxsize is bad input
+    # (exit 1), not an OverflowError reported as a fault of lemspec (exit 4).
+    path = tmp_path / "huge.lem"
+    path.write_text(f"name huge\nring {ring}\nmodule ideal-lattice\n")
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: Z_n needs n <= {sys.maxsize}, the largest index; got 99999999999999999999\n"
+    )
 
 
 def test_out_flag_writes_file(tmp_path):

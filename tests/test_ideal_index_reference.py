@@ -33,7 +33,7 @@ from lemspec.le_modules import (
 )
 from lemspec.memo import preset, release
 from lemspec.natural_map import build_natural_map
-from lemspec.rings import Ideal, all_ideals, ideal_intersect, maximal_ideals, minimal_primes, spec_ring
+from lemspec.rings import Ideal, all_ideals, maximal_ideals, minimal_primes, spec_ring
 
 CHECKS = {s.sid: s.check for s in verify.STATEMENTS}
 
@@ -57,15 +57,15 @@ def galois_adjunction_check(mod: LeModuleInstance, ideal: Ideal, n: int) -> bool
 
 def union_intersection_check(mod: LeModuleInstance, i: Ideal, j: Ideal) -> bool:
     """V(Ie) u V(Je) = V((I n J)e) = V((IJ)e), and the colon-variety analogue."""
-    v, vs = spectra.variety, spectra.variety_star
+    v, vs = spectra.varieties(mod), spectra.variety_stars(mod)
     product = Ideal(mod.ring, ref_ideal_product(mod.ring, i.members, j.members))
     ie, je = ideal_action(mod, i), ideal_action(mod, j)
-    ke, pe = ideal_action(mod, ideal_intersect(i, j)), ideal_action(mod, product)
-    u = v(mod, ie) | v(mod, je)
-    if not (u == v(mod, ke) == v(mod, pe)):
+    ke, pe = ideal_action(mod, Ideal(mod.ring, i.members & j.members)), ideal_action(mod, product)
+    u = v[ie] | v[je]
+    if not (u == v[ke] == v[pe]):
         return False
-    us = vs(mod, ie) | vs(mod, je)
-    return us == vs(mod, ke) == vs(mod, pe)
+    us = vs[ie] | vs[je]
+    return us == vs[ke] == vs[pe]
 
 
 def ref_adjunction(mod: LeModuleInstance) -> tuple:

@@ -19,7 +19,6 @@ from lemspec.le_modules import (
     colon,
     colon_fibers,
     ideal_action,
-    is_prime_submodule_element,
     is_submodule_element,
     make_le_module,
     scalar_classes,
@@ -162,9 +161,7 @@ def test_galois_adjunction_exhaustive(z6_module, klein_module):
 
 
 def test_prime_elements_z6(z6_module):
-    assert spectrum(z6_module) == (1, 2)
-    assert not is_prime_submodule_element(z6_module, 0)
-    assert not is_prime_submodule_element(z6_module, 3)  # not proper
+    assert spectrum(z6_module) == (1, 2)  # 0 is not prime, 3 not proper
 
 
 def test_prime_quantifies_over_all_lattice_elements(z6_module):

@@ -1,5 +1,6 @@
 import pytest
-from shared_instances import ANNIHILATED
+from frozenset_reference import MapSets
+from shared_instances import ANNIHILATED, DESCRIPTORS
 
 from lemspec import natural_map, spectra
 from lemspec.errors import InternalError
@@ -13,22 +14,24 @@ from lemspec.instances import (
 )
 from lemspec.le_modules import colon, spectrum
 from lemspec.natural_map import (
+    NaturalMap,
     build_natural_map,
     component_minimal_prime_bijection,
     connectedness_equivalence,
-    continuity_check,
-    dr_preimage_check,
-    homeomorphism_check,
     injectivity_battery,
     is_multiplication_le_module,
     spectral_battery,
-    surjectivity_and_openclosed,
 )
 from lemspec.memo import per_object, release
 from lemspec.rings import push_ideal, spec_ring
-from lemspec.verify import FALSIFIED, STATEMENTS, run_all
+from lemspec.verify import FALSIFIED, NOT_APPLICABLE, STATEMENTS, VERIFIED, run_all
 
 NON_MULT = {"Z2xZ2-over-Z2-submodules", "Z2xZ4-over-Z4-submodules"}
+CHECKS = {s.sid: s.check for s in STATEMENTS}
+# The statements whose clauses ``MapSets`` scans; its witnesses also cover
+# psi itself, which they read.
+PSI_STATEMENTS = ("P4.1", "P5.1", "T4.3")
+NO_WITNESS = dict.fromkeys(("psi", *PSI_STATEMENTS))
 
 DEGENERATE = InstanceDescriptor(
     name="point-over-Z2",
@@ -69,34 +72,16 @@ def test_map_table_and_fibers_match_the_per_point_and_per_prime_scans(desc):
 
 
 def test_preimage_z6(z6_module):
-    # Masks: bit j for the j-th prime of the reduced ring, bit k for the
-    # k-th point of the spectrum (1, 2).
-    nm = build_natural_map(z6_module)
-    j = spec_ring(nm.quotient).points.index(nm.image_of(1))
-    assert nm.preimage(1 << j) == 0b01
-    assert nm.preimage(0) == 0
-    assert nm.image(0b01) == 1 << j
-    assert nm.image(0b11) == 0b11
-
-
-def test_image_and_preimage_read_the_map_point_by_point(all_instances):
-    # Over every set of points (bit k for the k-th point) and of ring primes
-    # (bit j for the j-th prime of the reduced ring): the image holds the
-    # image of each point, and the preimage the points whose image it holds.
-    # Klein's four points all map to one prime, so a mask that meets a fiber
-    # without covering it is among those checked.
-    for mod in all_instances:
-        nm = build_natural_map(mod)
-        if nm.degenerate:
-            continue
-        primes = spec_ring(nm.quotient).points
-        image_bit = [1 << primes.index(img) for img in nm.images()]
-        for points in range(1 << len(image_bit)):
-            bits = [b for k, b in enumerate(image_bit) if points >> k & 1]
-            assert nm.image(points) == sum(set(bits)), (mod.name, points)
-        for targets in range(1 << len(primes)):
-            want = sum(1 << k for k, b in enumerate(image_bit) if targets & b)
-            assert nm.preimage(targets) == want, (mod.name, targets)
+    # The reference's psi, by hand: the points 1 = 3Z6 and 2 = 2Z6 are their
+    # own colon ideals, and Ann = 0, so each maps to itself.
+    ref = MapSets(build_natural_map(z6_module))
+    three, two = frozenset({0, 3}), frozenset({0, 2, 4})
+    assert ref.psi == {1: three, 2: two}
+    assert ref.primes == {three, two}
+    assert ref.preimage(frozenset({three})) == {1}
+    assert ref.preimage(frozenset()) == frozenset()
+    assert ref.image({1, 2}) == ref.primes
+    assert ref.variety({3}) == {three} and ref.variety({1}) == frozenset()
 
 
 def test_injectivity_battery_z6(z6_module):
@@ -117,15 +102,15 @@ def test_injectivity_battery_klein(klein_module):
 
 
 def test_continuity_everywhere(all_instances):
+    # P4.1 on frozensets: psi^-1(V(I-bar)) = V(Ie) for every I containing Ann.
     for mod in all_instances:
-        assert continuity_check(build_natural_map(mod)), mod.name
+        assert MapSets(build_natural_map(mod)).witnesses()["P4.1"] is None, mod.name
 
 
 def test_dr_preimages(z6_module, klein_module):
+    # P5.1 on frozensets, over every scalar: psi^-1(D_r-bar) = X_r.
     for mod in (z6_module, klein_module):
-        nm = build_natural_map(mod)
-        for r in range(mod.ring.order):
-            assert dr_preimage_check(nm, r), (mod.name, r)
+        assert MapSets(build_natural_map(mod)).witnesses()["P5.1"] is None, mod.name
 
 
 def test_openclosed_everywhere(all_instances):
@@ -133,7 +118,39 @@ def test_openclosed_everywhere(all_instances):
         nm = build_natural_map(mod)
         # The map is onto: every prime of R/Ann is the image of a point.
         assert set(nm.images()) == set(spec_ring(nm.quotient).points), mod.name
-        assert surjectivity_and_openclosed(nm).ok, mod.name
+        assert MapSets(nm).witnesses()["T4.3"] is None, mod.name
+
+
+@pytest.mark.parametrize("name", sorted(DESCRIPTORS))
+def test_psi_clauses_hold_against_the_frozenset_reference(name):
+    # verify leaves P4.1, P5.1 and T4.3 to L2.1 and the onto lemma; the
+    # reference scans them, and T7.1's "homeomorphic" clause, which is
+    # "psi-injective", is a homeomorphism test on frozensets.
+    mod = build_instance(DESCRIPTORS[name])
+    nm = build_natural_map(mod)
+    if nm.degenerate:
+        assert all(CHECKS[sid](mod)[0] == NOT_APPLICABLE for sid in PSI_STATEMENTS)
+    else:
+        ref = MapSets(nm)
+        assert ref.witnesses() == NO_WITNESS, name
+        assert ref.is_homeomorphism() == spectral_battery(nm)["homeomorphic"], name
+        for sid in PSI_STATEMENTS:
+            assert CHECKS[sid](mod) == (VERIFIED, None, None), (name, sid)
+    release(mod, mod.ring, nm.quotient)
+
+
+def test_a_planted_projection_entry_fails_the_psi_reference():
+    # Z6^2 over Z12 has Ann = {0, 6}.  Projecting 6 to the class of 3, not
+    # to 0, puts 3-bar in the image of every ideal above Ann, and of every
+    # colon ideal, as each holds Ann: each clause set fails.
+    mod = build_instance(ANNIHILATED[0])
+    nm = build_natural_map(mod)
+    assert nm.annihilator_ideal.sorted_members() == (0, 6) and nm.projection[6] == 0
+    projection = (*nm.projection[:6], 3, *nm.projection[7:])
+    planted = NaturalMap(mod, nm.annihilator_ideal, False, nm.quotient, projection, nm.fibers)
+    assert MapSets(planted).witnesses() == {"psi": 21, "P4.1": (0, 6), "P5.1": 1, "T4.3": 0}
+    assert MapSets(nm).witnesses() == NO_WITNESS
+    release(mod, mod.ring, nm.quotient)
 
 
 def test_connectedness_z4():
@@ -175,15 +192,16 @@ def test_spectral_battery_klein(klein_module):
 
 
 def test_homeomorphism_check_everywhere(all_instances):
+    # T7.1's "homeomorphic" clause is "psi-injective", by T4.3's argument.
     for mod in all_instances:
-        assert homeomorphism_check(build_natural_map(mod)), mod.name
+        nm = build_natural_map(mod)
+        assert MapSets(nm).is_homeomorphism() == nm.is_injective(), mod.name
 
 
 def test_psi_checks_run_once_per_map(monkeypatch):
-    # T4.3, P4.1 and T7.1 all ask for continuity and open/closed images; both
-    # checks push ideals into R/Ann, so a repeated run would push again.
-    # P4.2 and T7.1 both ask for the injectivity battery, which scans the
-    # colon fibers.
+    # P4.1, P5.1 and T4.3 compute no preimage or image, so once the map is
+    # built no check pushes an ideal into R/Ann.  P4.2 and T7.1 both ask
+    # for the injectivity battery, which scans the colon fibers once.
     mod = build_instance(find_descriptor("Z6-ideal-lattice"))
     nm = build_natural_map(mod)
     assert nm.is_injective()
@@ -200,13 +218,10 @@ def test_psi_checks_run_once_per_map(monkeypatch):
 
     monkeypatch.setattr(natural_map, "push_ideal", counted_push)
     monkeypatch.setattr(natural_map, "colon_fibers_at_most_one", counted_scan)
-    assert homeomorphism_check(nm)
-    assert pushes
-    first = len(pushes)
-    assert continuity_check(nm) and surjectivity_and_openclosed(nm).ok
-    assert injectivity_battery(nm).equivalent
-    assert homeomorphism_check(nm) and spectral_battery(nm).values[-1]
-    assert len(pushes) == first
+    for sid in ("P4.1", "T4.3", "P5.1", "P4.2", "T7.1"):
+        assert CHECKS[sid](mod)[0] == VERIFIED, sid
+    assert spectral_battery(nm).values[-1]
+    assert pushes == []
     assert len(scans) == 1
 
 
@@ -256,7 +271,7 @@ def test_degenerate_map():
     assert nm.images() == ()
     assert nm.quotient is None and nm.projection is None
     with pytest.raises(InternalError):
-        continuity_check(nm)
+        injectivity_battery(nm)
     with pytest.raises(InternalError):
         spectral_battery(nm)
     # psi is onto, so the degenerate module is the one with an empty spectrum.

@@ -1,8 +1,9 @@
 """The clauses that ``verify`` leaves to an argument, against brute force.
 
 ``verify`` leaves P3.1 to the definitions and L2.1, T3.5's family clauses
-and T5.3 to L2.1, and P6.1, P6.4 and P6.5 to L2.1 and P6.2, so it scans no
-family, no set of points and no pair of submodule elements.  The
+and T5.3 to L2.1, P6.1, P6.4 and P6.5 to L2.1 and P6.2, and P4.1, P5.1 and
+T4.3 to L2.1 and the onto lemma, so it scans no family, no set of points,
+no pair of submodule elements and no preimage or image under psi.  The
 references here list every nonempty subset of points or of submodule
 elements instead, so they run only where 2^k subsets are few.  They keep
 their point sets as frozensets (``frozenset_reference``) and call no
@@ -15,11 +16,11 @@ every le-module on a lattice of at most six elements (``census``).
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import pytest
 from census import census
-from frozenset_reference import ModuleSets, colon_set
+from frozenset_reference import MapSets, ModuleSets, colon_set
 from shared_instances import ANNIHILATED, DESCRIPTORS, _ladder_instances
 from test_ideal_index_reference import ref_ideal_pair
 from test_scalar_class_reference import (
@@ -43,13 +44,13 @@ from lemspec.le_modules import (
     colon,
     ideal_action,
     ideal_actions,
-    is_prime_submodule_element,
     make_le_module,
     spectrum,
     submodule_elements,
     sum_submodule_elements,
 )
 from lemspec.memo import release
+from lemspec.natural_map import build_natural_map
 from lemspec.rings import all_ideals, is_prime_ideal, make_zn, spec_ring
 
 SUBSET_STATEMENTS = ("P3.1", "P6.1", "P6.4", "P6.5")
@@ -97,7 +98,7 @@ def irreducibility_criteria(
     return (
         ImplicationCheck(
             "meet-prime-implies-irreducible",
-            is_prime_submodule_element(mod, meet),
+            meet in spectrum(mod),
             irr,
         ),
         ImplicationCheck("irreducible-implies-colon-of-meet-prime", irr, colon_prime),
@@ -130,17 +131,26 @@ CRITERIA = {
 }
 
 
-def family_state(ref: ModuleSets, fam: tuple[int, ...]) -> tuple:
-    """(n V*(n), n V(n), sum of (n:e)e, sum of n), straight from the family."""
+def family_states(ref: ModuleSets) -> Iterator[tuple[tuple[int, ...], tuple]]:
+    """Each nonempty family of submodule elements with its state (n V*(n),
+    n V(n), sum of (n:e)e, sum of n), straight from the family.
+
+    c_n = (n:e)e is computed once per n, and the sum of the c_n once per
+    distinct set of them, as a sum reads only the set of its family.
+    """
     mod = ref.mod
-    inter_star = inter_plain = frozenset(ref.points)
-    for n in fam:
-        inter_star &= ref.vs[n]
-        inter_plain &= ref.v[n]
-    colon_sum = sum_submodule_elements(
-        mod, [ideal_action(mod, colon(mod, n)) for n in fam]
-    )
-    return inter_star, inter_plain, colon_sum, sum_submodule_elements(mod, fam)
+    submods = submodule_elements(mod)
+    c = {n: ideal_action(mod, colon(mod, n)) for n in submods}
+    colon_sums: dict[frozenset[int], int] = {}
+    for fam in _subsets(submods):
+        inter_star = inter_plain = frozenset(ref.points)
+        for n in fam:
+            inter_star &= ref.vs[n]
+            inter_plain &= ref.v[n]
+        cs = frozenset(map(c.__getitem__, fam))
+        if cs not in colon_sums:
+            colon_sums[cs] = sum_submodule_elements(mod, cs)
+        yield fam, (inter_star, inter_plain, colon_sums[cs], sum_submodule_elements(mod, fam))
 
 
 def point_state(ref: ModuleSets, ys: tuple[int, ...]) -> tuple:
@@ -153,9 +163,12 @@ def _is_chain(mod: LeModuleInstance, ys: tuple[int, ...]) -> bool:
     return all(leq[a][b] or leq[b][a] for a, b in itertools.combinations(ys, 2))
 
 
-def _family_fails(ref: ModuleSets, fam: tuple[int, ...]) -> bool:
-    inter_star, inter_plain, colon_sum, plain_sum = family_state(ref, fam)
-    return inter_star != ref.vs[colon_sum] or inter_plain != ref.v[plain_sum]
+def _failing_family(ref: ModuleSets) -> tuple[int, ...] | None:
+    """The first family that breaks a sum clause of P3.1, or None."""
+    for fam, (inter_star, inter_plain, colon_sum, plain_sum) in family_states(ref):
+        if inter_star != ref.vs[colon_sum] or inter_plain != ref.v[plain_sum]:
+            return fam
+    return None
 
 
 def _closure_fails(ref: ModuleSets, ys: tuple[int, ...]) -> bool:
@@ -176,7 +189,7 @@ def reference_verdict(mod: LeModuleInstance, sid: str) -> str:
     """The verdict of a subset statement's subset clauses, subset by subset."""
     ref = ModuleSets(mod)
     if sid == "P3.1":
-        failed = any(_family_fails(ref, fam) for fam in _subsets(submodule_elements(mod)))
+        failed = _failing_family(ref) is not None
     elif sid == "P6.1":
         failed = any(_closure_fails(ref, ys) for ys in _subsets(spectrum(mod)))
     else:
@@ -247,9 +260,19 @@ def test_no_family_breaks_a_sum_clause_on_any_instance(instances):
     chain = small["three-chain-over-Z2"]
     assert chain.add[1][1] == 2 != chain.lattice.join(1, 1)
     for mod in small.values():
-        ref = ModuleSets(mod)
-        for fam in _subsets(submodule_elements(mod)):
-            assert not _family_fails(ref, fam), (mod.name, fam)
+        assert _failing_family(ModuleSets(mod)) is None, mod.name
+
+
+def test_no_psi_clause_fails_on_any_instance(instances):
+    # P4.1, P5.1 and T4.3 follow from L2.1 and the onto lemma
+    # (``verify._check_continuity``, ``_check_dr`` and ``_check_openclosed``),
+    # so verify computes no preimage or image; ``MapSets`` does, on frozensets.
+    for mod in instances:
+        nm = build_natural_map(mod)
+        if not nm.degenerate:
+            ref = MapSets(nm)
+            assert set(ref.witnesses().values()) == {None}, mod.name
+            assert ref.is_homeomorphism() == nm.is_injective(), mod.name
 
 
 def test_no_point_set_breaks_a_state_clause_on_any_instance(instances):
@@ -322,7 +345,7 @@ def reference_pairs(ref: ModuleSets) -> tuple | None:
         same_colon = colon_set(mod, n) == colon_set(mod, l)
         if same_colon and vs[n] != vs[l]:
             return verify.FALSIFIED, witness, "colon-transfer"
-        both_prime = is_prime_submodule_element(mod, n) and is_prime_submodule_element(mod, l)
+        both_prime = n in spectrum(mod) and l in spectrum(mod)
         if both_prime and vs[n] == vs[l] and not same_colon:
             return verify.FALSIFIED, witness, "prime-converse"
     return None

@@ -14,10 +14,9 @@ from hypothesis import given, strategies as st
 from lemspec.errors import EmptyFamily, NotTopLeModule
 from lemspec.lattices import meet_all
 from lemspec.le_modules import colon, ideal_action, ideal_actions, spectrum
-from lemspec.rings import all_ideals, basic_open_ring, make_zn
+from lemspec.rings import all_ideals, make_zn, principal_ideal, variety_ring
 from lemspec.spectra import (
     QUASI_COMPACT_NOTE,
-    basic_open,
     build_topologies,
     canonical_family,
     closure,
@@ -34,7 +33,7 @@ from lemspec.spectra import (
     specialization_pairs,
     variety,
     varieties,
-    variety_star,
+    variety_stars,
 )
 from test_ideal_index_reference import union_intersection_check
 from test_scalar_class_reference import ref_basis_witnesses
@@ -154,10 +153,10 @@ def test_variety_identities_exhaustive(all_instances):
         ref = ModuleSets(mod)
         for x in range(mod.lattice.size):
             assert variety(mod, x) == ref.mask(ref.v[x])
-            assert variety_star(mod, x) == ref.mask(ref.vs[x])
+            assert variety_stars(mod)[x] == ref.mask(ref.vs[x])
         assert reference_decomposition(ref) is None, mod.name
         assert variety(mod, 0) == ref.mask(spectrum(mod))  # V(0_M) is everything
-        assert variety_star(mod, mod.top) == 0  # proper points only
+        assert variety_stars(mod)[mod.top] == 0  # proper points only
 
 
 def test_union_intersection_exhaustive(z6_module, klein_module):
@@ -167,11 +166,12 @@ def test_union_intersection_exhaustive(z6_module, klein_module):
 
 
 def test_basic_open_complements_variety(z6_module):
+    # X_r, the complement of V(re), is that of V*(re) too (P3.1).
     mod = z6_module
     full = build_topologies(mod).star.full
     for r in range(mod.ring.order):
         re = mod.action[r][mod.top]
-        assert basic_open(mod, r) == full & ~variety_star(mod, re)
+        assert full ^ varieties(mod)[re] == full & ~variety_stars(mod)[re]
 
 
 def test_basis_checks_hold_everywhere(all_instances):
@@ -197,7 +197,7 @@ def test_closure_of_point_is_variety_star_of_it(all_instances):
     for mod in all_instances:
         top = build_topologies(mod).star
         for k, p in enumerate(top.points):
-            assert closure(top, 1 << k) == variety_star(mod, p)
+            assert closure(top, 1 << k) == variety_stars(mod)[p]
 
 
 def test_irreducible_needs_nonempty(z6_module):
@@ -298,5 +298,7 @@ def test_ring_space_and_basic_opens():
     z6 = make_zn(6)
     space = ring_space(z6)
     assert len(space.points) == 2
-    assert basic_open_ring(z6, 1) == space.full
-    assert basic_open_ring(z6, 0) == 0
+    # D_r, the complement of the variety of rR: all primes for a unit, none for 0.
+    d = [space.full ^ variety_ring(z6, principal_ideal(z6, r)) for r in range(6)]
+    assert d[1] == d[5] == space.full
+    assert d[0] == 0

@@ -363,7 +363,7 @@ def test_planted_point_failures_name_the_reference_witness():
             spectra.build_topologies(mod)
             ref = ModuleSets(mod)
             flip = ref.mask([flipped])
-            plant(spectra.variety_stars, mod, {planted: spectra.variety_star(mod, planted) ^ flip})
+            plant(spectra.variety_stars, mod, {planted: spectra.variety_stars(mod)[planted] ^ flip})
             ref.vs[planted] ^= {flipped}
             expected = _reference_point_closures(ref)
             assert expected is not None
