@@ -81,7 +81,6 @@ from .spectra import (
     is_irreducible,
     is_top_le_module,
     point_set_properties,
-    variety,
 )
 from .verify import VerificationReport, run_all, serialize_report
 

@@ -23,11 +23,12 @@ from operator import getitem
 from typing import NamedTuple, Sequence, Union
 
 from .errors import ModuleAxiomViolation, ParseError
-from .le_modules import LeModuleInstance, make_le_module
-from .lattices import join_rows, lattice_of_sets, make_lattice
-from .memo import record
+from .le_modules import LeModuleInstance, make_le_module, submodule_elements
+from .lattices import lattice_of_sets, make_lattice
+from .memo import preset, record
 from .rings import (
     FiniteRing,
+    LazyRows,
     check_table_shape,
     ideal_table,
     make_ring,
@@ -118,7 +119,9 @@ def _lattice_le_module(
     joins (S).  rI = {rx : x in I} is an ideal (submodule), and
     r(I + J) = rI + rJ (M1, M5), (r + s)I <= rI + sI (M2), (rs)I = r(sI)
     (M3), 1I = I, 0I = 0 and r0 = 0 (M4) hold element by element.  So the
-    laws that make_le_module scans for hold by construction.
+    laws that make_le_module scans for hold by construction.  The sum is
+    ``LazyRows`` of joins, each row built on its first read, and as
+    I + I = I and rI <= I, ``submodule_elements`` is kept as every element.
 
     Row r of the action holds, for each lattice element m, the index of
     rI = {act[r][x] : x in I}, I = ``sets[m]``.  The row of r depends only
@@ -139,7 +142,11 @@ def _lattice_le_module(
     action = tuple(map(rows.__getitem__, principal))
     labels = tuple("{" + ",".join(map(str, m)) + "}" for m in members)
     lattice = lattice_of_sets(sets)
-    return LeModuleInstance(ring, lattice, join_rows(lattice), lattice.bottom, action, name, labels)
+    up, lub = lattice.up, lattice.by_up.__getitem__
+    add = LazyRows(len(sets), lambda a: tuple(map(lub, map(up[a].__and__, up))))
+    mod = LeModuleInstance(ring, lattice, add, lattice.bottom, action, name, labels)
+    preset(submodule_elements, mod, tuple(range(len(sets))))
+    return mod
 
 
 def _check_classical_module(

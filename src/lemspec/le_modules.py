@@ -18,10 +18,10 @@ import itertools
 from operator import getitem
 from typing import Iterable
 
-from .errors import AxiomViolation, EmptyFamily
-from .lattices import FiniteBoundedLattice, elements, generated, join_all, join_rows
+from .errors import AxiomViolation
+from .lattices import FiniteBoundedLattice, elements, join_all, join_rows
 from .memo import per_object, record
-from .rings import FiniteRing, Ideal, all_ideals, check_table_shape, ideal_table
+from .rings import FiniteRing, Ideal, LazyRows, all_ideals, check_table_shape, ideal_table
 from .rowscan import first_bad, first_bad_pair, first_failure, freeze, gathers, generators
 
 IntTable = tuple[tuple[int, ...], ...]
@@ -31,13 +31,13 @@ IntTable = tuple[tuple[int, ...], ...]
 class LeModuleInstance:
     """A validated lattice-enriched module over a finite ring.
 
-    ``add[x][y]`` is the monoid sum; ``action[r][m]`` the scalar action.
-    ``element_labels`` is display-only.
+    ``add[x][y]`` is the monoid sum, ``LazyRows`` on a built module;
+    ``action[r][m]`` the scalar action.  ``element_labels`` is display-only.
     """
 
     ring: FiniteRing
     lattice: FiniteBoundedLattice
-    add: IntTable
+    add: IntTable | LazyRows
     zero_m: int
     action: IntTable
     name: str = "M"
@@ -220,13 +220,14 @@ def submodule_elements(mod: LeModuleInstance) -> tuple[int, ...]:
 
 
 def sum_submodule_elements(mod: LeModuleInstance, family: Iterable[int]) -> int:
-    """Smallest submodule element above every finite sum from the family."""
-    seed = list(family)
-    if not seed:
-        raise EmptyFamily("sum over the empty family is undefined")
-    add = mod.add
-    sums = generated({a: a for a in seed}, lambda a, b: add[a][b])
-    return join_all(mod.lattice, sorted(sums))
+    """The join of every finite sum from a nonempty family: s, the join of
+    the family, then s + s until it stops.  0_M is the bottom and + is
+    monotone (S), so a <= a + a and s rises; by S, s + s joins the pairwise
+    sums of what s joins, so the k-th s joins every sum of up to 2^k terms."""
+    s, add = join_all(mod.lattice, family), mod.add
+    while add[s][s] != s:
+        s = add[s][s]
+    return s
 
 
 @per_object
@@ -266,12 +267,10 @@ def annihilator(mod: LeModuleInstance) -> Ideal:
 @per_object
 def ideal_actions(mod: LeModuleInstance) -> tuple[int, ...]:
     """Ie for each ideal I of ``all_ideals``, in that order: the submodule
-    element generated by {a*e : a in I}."""
+    element generated by {a*e : a in I}, which holds 0e = 0_M."""
     col = [row[mod.lattice.top] for row in mod.action]
-    return tuple(
-        sum_submodule_elements(mod, sorted({mod.zero_m, *map(col.__getitem__, i.members)}))
-        for i in all_ideals(mod.ring)
-    )
+    members = (i.members for i in all_ideals(mod.ring))
+    return tuple(sum_submodule_elements(mod, set(map(col.__getitem__, m))) for m in members)
 
 
 def ideal_action(mod: LeModuleInstance, ideal: Ideal) -> int:

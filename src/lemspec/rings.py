@@ -1,7 +1,7 @@
 """Finite commutative rings with identity, given by Cayley tables.
 
 Elements are the indices 0..order-1; ``add`` and ``mul`` are tables of
-rows, given in full or, for Z_n, built a row at a time (``ZnRows``).
+rows, given in full or, for Z_n, built a row at a time (``LazyRows``).
 ``make_ring`` validates tables given from outside exactly and reports the
 first failing cell, so a bad table is caught at build time rather than deep
 inside a spectrum computation.  Associativity and distributivity are checked
@@ -37,8 +37,8 @@ class FiniteRing:
     """A finite commutative ring with 1, as validated operation tables."""
 
     order: int
-    add: Table | ZnRows
-    mul: Table | ZnRows
+    add: Table | LazyRows
+    mul: Table | LazyRows
     zero: int
     one: int
     name: str = "R"
@@ -169,10 +169,10 @@ def make_ring(
     return FiniteRing(order, add_t, mul_t, zero, one, name, names)
 
 
-class ZnRows(Sequence):
-    """The rows of Z_n's + or *, each built by ``row(a)`` on its first read
-    and then kept, so a reader of a few rows never pays for n².  It equals
-    the tuple of its rows, as a table given in full would."""
+class LazyRows(Sequence):
+    """The rows of Z_n's + or * or of a built le-module's sum, each built by
+    ``row(a)`` on its first read and then kept, so a reader of a few rows
+    never pays for n².  It equals the tuple of its rows, as a full table."""
 
     def __init__(self, n: int, row: Callable[[int], tuple[int, ...]]):
         self._rows, self._row = [None] * n, row
@@ -202,7 +202,7 @@ def make_zn(n: int) -> FiniteRing:
     zero ideal is prime exactly when n is).  They are kept on the ring as
     the answers of ``ideal_table`` and ``is_prime_ideal``, so no ideal of
     Z_n is searched for; every other ring, quotients included, takes the
-    generic search.  The tables are ``ZnRows``, as these readers need no
+    generic search.  The tables are ``LazyRows``, as these readers need no
     row and the ideal-lattice action needs one per divisor.
     """
     if n < 2:
@@ -221,8 +221,8 @@ def make_zn(n: int) -> FiniteRing:
         g = math.gcd(a, n)
         return tuple(map(rng.__getitem__, map(n.__rmod__, map(a.__mul__, range(n // g))))) * g
 
-    add = ZnRows(n, lambda a: rng[a:] + rng[:a])
-    ring = FiniteRing(n, add, ZnRows(n, mul_row), 0, 1, f"Z{n}")
+    add = LazyRows(n, lambda a: rng[a:] + rng[:a])
+    ring = FiniteRing(n, add, LazyRows(n, mul_row), 0, 1, f"Z{n}")
     # Descending d gives ascending size n/d, the canonical order.
     divisors = [d for d in range(n, 0, -1) if n % d == 0]
     ideals = tuple(Ideal(ring, frozenset(rng[::d])) for d in divisors)

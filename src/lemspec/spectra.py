@@ -114,11 +114,6 @@ def variety_stars(mod: LeModuleInstance) -> tuple[int, ...]:
     return tuple(map(by_colon.__getitem__, colons))
 
 
-def variety(mod: LeModuleInstance, x: int) -> int:
-    """V(x), read from ``varieties``."""
-    return varieties(mod)[x]
-
-
 @per_object
 def quasi_family(mod: LeModuleInstance) -> tuple[int, ...]:
     v = varieties(mod)

@@ -206,10 +206,14 @@ def census_tables() -> tuple[tuple[FiniteRing, FiniteBoundedLattice, IntTable, I
     return tuple(out)
 
 
-def census() -> list[LeModuleInstance]:
-    """The census as fresh instances, each accepted by ``make_le_module``,
-    which raises on a module that breaks a law."""
-    return [
+@functools.cache
+def census() -> tuple[LeModuleInstance, ...]:
+    """The census as instances, each accepted by ``make_le_module``, which
+    raises on a module that breaks a law.  They are built once per session,
+    so each test that reads one releases its derived data after use
+    (``memo.release``): no memo entry and no planted table reaches another
+    test."""
+    return tuple(
         make_le_module(ring, lat, add, lat.bottom, act, name)
         for ring, lat, add, act, name in census_tables()
-    ]
+    )

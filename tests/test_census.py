@@ -13,6 +13,7 @@ from census import census
 from lemspec import natural_map as nmap
 from lemspec import verify
 from lemspec.le_modules import annihilator
+from lemspec.memo import release
 from lemspec.spectra import build_topologies, is_top_le_module, point_set_properties
 
 V, H, N = verify.VERIFIED, verify.HYPOTHESIS_NOT_MET, verify.NOT_APPLICABLE
@@ -66,11 +67,12 @@ def test_census_is_pinned():
         nm = nmap.build_natural_map(mod)
         if nm.degenerate:
             kinds["degenerate"] += 1
-            continue
-        kinds["spectral" if nmap.spectral_battery(nm)["spectral"] else "not spectral"] += 1
-        kinds["disconnected"] += not point_set_properties(build_topologies(mod).star).is_connected
-        kinds["Ann != 0"] += len(annihilator(mod).members) > 1
-        kinds["not top"] += not is_top_le_module(mod)
+        else:
+            kinds["spectral" if nmap.spectral_battery(nm)["spectral"] else "not spectral"] += 1
+            kinds["disconnected"] += not point_set_properties(build_topologies(mod).star).is_connected
+            kinds["Ann != 0"] += len(annihilator(mod).members) > 1
+            kinds["not top"] += not is_top_le_module(mod)
+        release(mod)
     assert kinds == {
         "degenerate": 4,
         "spectral": 1475,

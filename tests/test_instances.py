@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from lemspec import verify
 from lemspec.errors import ModuleAxiomViolation, ParseError
 from lemspec.instances import (
     IdealLatticeSpec,
@@ -25,7 +26,7 @@ from lemspec.instances import (
     submodule_lattice_le_module,
 )
 from lemspec.lattices import make_lattice
-from lemspec.le_modules import colon_fibers, make_le_module, spectrum
+from lemspec.le_modules import colon_fibers, make_le_module, spectrum, submodule_elements
 from lemspec.memo import release
 from lemspec.natural_map import build_natural_map
 from lemspec.spectra import build_topologies
@@ -110,6 +111,37 @@ def test_built_modules_pass_full_validation(all_instances):
             mod.element_labels,
         )
         assert rebuilt == mod, mod.name
+
+
+def test_built_verify_builds_at_most_two_sum_rows(monkeypatch):
+    """A built module's sum is read a row at a time: every statement on F2^5
+    over Z2 reads it only for (I e), once per ideal of Z2, so at most 2 of
+    its 374 rows are built and no reader brings back the n² table."""
+    mods = []
+
+    def build(desc):
+        mods.append(build_instance(desc))
+        return mods[-1]
+
+    monkeypatch.setattr(verify, "build_instance", build)
+    report = verify.run_all([parse_descriptor(workloads.power_module_descriptor(2, 5))])
+    assert len(report.results) == 20 and not report.falsified()
+    (mod,) = mods
+    assert len(mod.add) == 374
+    assert sum(row is not None for row in mod.add._rows) <= 2
+
+
+def test_built_submodule_elements_are_the_scan():
+    """Every element of a built lattice is kept as a submodule element; the
+    scan, run once the kept answer is released, finds the same."""
+    f2_5 = build_instance(parse_descriptor(workloads.power_module_descriptor(2, 5)))
+    built = [mod for mod in map(build_instance, catalog()) if mod.element_labels is not None]
+    for mod in (*built, f2_5):
+        kept = mod._memo[(submodule_elements,)]
+        assert kept == tuple(range(mod.lattice.size)), mod.name
+        release(mod)
+        assert submodule_elements(mod) == kept, mod.name
+        release(mod)
 
 
 def _member_sets(mod):

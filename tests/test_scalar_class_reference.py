@@ -69,7 +69,7 @@ def ref_scalar_action_variety(mod: LeModuleInstance) -> int | None:
     top = mod.lattice.top
     for r in range(mod.ring.order):
         re = mod.action[r][top]
-        if spectra.variety(mod, re) != spectra.variety_stars(mod)[re]:
+        if spectra.varieties(mod)[re] != spectra.variety_stars(mod)[re]:
             return r
     return None
 
@@ -93,7 +93,7 @@ def ref_basis_witnesses(mod: LeModuleInstance) -> tuple:
     full = (1 << len(points)) - 1
 
     def basic(r: int) -> int:
-        return full ^ spectra.variety(mod, mod.action[r][top])
+        return full ^ spectra.varieties(mod)[mod.action[r][top]]
 
     pair = None
     for r, s in itertools.product(range(ring.order), repeat=2):
@@ -192,7 +192,7 @@ def _planted(name: str):
     for planted in targets:
         mod = build_instance(DESCRIPTORS[name])
         spectra.build_topologies(mod)
-        plant(spectra.varieties, mod, {planted: spectra.variety(mod, planted) ^ 1})
+        plant(spectra.varieties, mod, {planted: spectra.varieties(mod)[planted] ^ 1})
         plant(spectra.variety_stars, mod, {planted: spectra.variety_stars(mod)[planted] ^ 1})
         yield mod
         release(mod)

@@ -38,7 +38,7 @@ from lemspec.instances import (
     mod_scaled_cyclic_tables,
     submodule_lattice_le_module,
 )
-from lemspec.lattices import make_lattice, meet_all
+from lemspec.lattices import generated, join_all, make_lattice, meet_all
 from lemspec.le_modules import (
     LeModuleInstance,
     colon,
@@ -222,7 +222,7 @@ def _sum_above_join() -> LeModuleInstance:
 @pytest.fixture(scope="module")
 def instances():
     extra = [_z2_over_z4(), _sum_above_join()]
-    mods = [build_instance(d) for d in catalog()] + _ladder_instances() + extra + census()
+    mods = [build_instance(d) for d in catalog()] + _ladder_instances() + extra + [*census()]
     yield mods
     for mod in mods:
         release(mod)
@@ -261,6 +261,27 @@ def test_no_family_breaks_a_sum_clause_on_any_instance(instances):
     assert chain.add[1][1] == 2 != chain.lattice.join(1, 1)
     for mod in small.values():
         assert _failing_family(ModuleSets(mod)) is None, mod.name
+
+
+def ref_sum_submodule_elements(mod: LeModuleInstance, family: tuple[int, ...]) -> int:
+    """The join of every finite sum from the family, as a closure: the
+    family closed under adding one more member, then joined."""
+    add = mod.add
+    return join_all(mod.lattice, generated({a: a for a in family}, lambda a, b: add[a][b]))
+
+
+def test_sum_fixed_point_matches_the_sum_closure(instances):
+    # ``sum_submodule_elements`` doubles the join of the family until it
+    # stops; the closure adds one member at a time.  Every family of at most
+    # three lattice elements, submodule elements or not.
+    more = [build_instance(d) for d in EXTRA]
+    for mod in [*instances, *more]:
+        for k in (1, 2, 3):
+            for fam in itertools.combinations(range(mod.lattice.size), k):
+                want = ref_sum_submodule_elements(mod, fam)
+                assert sum_submodule_elements(mod, fam) == want, (mod.name, fam)
+    for mod in more:
+        release(mod, mod.ring)
 
 
 def test_no_psi_clause_fails_on_any_instance(instances):

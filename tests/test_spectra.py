@@ -31,7 +31,6 @@ from lemspec.spectra import (
     quasi_topology,
     ring_space,
     specialization_pairs,
-    variety,
     varieties,
     variety_stars,
 )
@@ -152,10 +151,10 @@ def test_variety_identities_exhaustive(all_instances):
     for mod in all_instances:
         ref = ModuleSets(mod)
         for x in range(mod.lattice.size):
-            assert variety(mod, x) == ref.mask(ref.v[x])
+            assert varieties(mod)[x] == ref.mask(ref.v[x])
             assert variety_stars(mod)[x] == ref.mask(ref.vs[x])
         assert reference_decomposition(ref) is None, mod.name
-        assert variety(mod, 0) == ref.mask(spectrum(mod))  # V(0_M) is everything
+        assert varieties(mod)[0] == ref.mask(spectrum(mod))  # V(0_M) is everything
         assert variety_stars(mod)[mod.top] == 0  # proper points only
 
 
